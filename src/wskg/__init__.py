@@ -54,11 +54,8 @@ from .params import (
 from .randomization import (
     RandomizationReport,
     RandomizedBatch,
-    RandomizedObservation,
     leakage_after_randomization,
-    mi_from_randomized,
     product_pdf,
-    randomize_trial,
     randomize_trials,
     verify_randomization,
 )
@@ -93,7 +90,6 @@ __all__ = [
     "Precoder",
     "RandomizationReport",
     "RandomizedBatch",
-    "RandomizedObservation",
     "RngSeed",
     "SweepRow",
     "SystemParams",
@@ -110,12 +106,10 @@ __all__ = [
     "ks_test_normal",
     "leakage_after_randomization",
     "leakage_bound",
-    "mi_from_randomized",
     "mi_from_two_look",
     "oracle_jammer_br",
     "oracle_stackelberg",
     "product_pdf",
-    "randomize_trial",
     "randomize_trials",
     "rate_array",
     "sample_complex_gaussian",

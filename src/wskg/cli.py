@@ -14,7 +14,8 @@ from __future__ import annotations
 import json
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
+from functools import partial
 from typing import Callable, List, Optional, Tuple
 
 import click
@@ -30,12 +31,7 @@ from .game import OracleConfig, oracle_jammer_br, oracle_stackelberg, stackelber
 from .injection import TwoLookBatch, mi_from_two_look, simulate_two_look
 from .metrics import sweep as run_sweep
 from .params import EquilibriumResult, PowerAllocation, SystemParams
-from .randomization import (
-    RandomizedBatch,
-    mi_from_randomized,
-    randomize_trials,
-    verify_randomization,
-)
+from .randomization import RandomizedBatch, randomize_trials, verify_randomization
 from .rates import sum_rate
 from .stochastic import RngSeed
 
@@ -43,16 +39,6 @@ from .stochastic import RngSeed
 KS_SIGNIFICANCE = 0.001
 
 CSV_HEADER = "swept_value,c_se,c_full,c_threshold,f,d,e"
-
-_COMMANDS = (
-    "solve-fixed",
-    "solve-strategic",
-    "verify-randomization",
-    "simulate-injection",
-    "leakage",
-    "oracle-check",
-    "sweep",
-)
 
 
 @dataclass(frozen=True)
@@ -202,7 +188,7 @@ def _cmd_leakage(config: RunConfig) -> Tuple[dict, int]:
         "trials": config.trials,
         "workers": config.workers,
         "static_pilot_leakage_bits": mi_from_two_look(static_batch),
-        "randomized_pilot_leakage_bits": mi_from_randomized(randomized_batch),
+        "randomized_pilot_leakage_bits": mi_from_two_look(randomized_batch),
     }
     return payload, 0
 
@@ -257,14 +243,41 @@ def _cmd_sweep(config: RunConfig) -> Tuple[dict, int]:
     return payload, 0
 
 
-_BUILDERS = {
-    "solve-fixed": _cmd_solve_fixed,
-    "solve-strategic": _cmd_solve_strategic,
-    "verify-randomization": _cmd_verify_randomization,
-    "simulate-injection": _cmd_simulate_injection,
-    "leakage": _cmd_leakage,
-    "oracle-check": _cmd_oracle_check,
-    "sweep": _cmd_sweep,
+_COMMON_OPTIONS = (
+    click.Option(["--n", "n_subcarriers"], type=int, default=10, show_default=True, help="Number of subcarriers."),
+    click.Option(["--p-max", "max_pilot_power"], type=float, default=5.0, show_default=True, help="Leader pilot power budget."),
+    click.Option(["--gamma", "jam_power_budget"], type=float, default=4.0, show_default=True, help="Jammer average power budget per subcarrier."),
+    click.Option(["--p-th", "sense_threshold"], type=float, default=2.0, show_default=True, help="Jammer sensing threshold."),
+    click.Option(["--sigma2", "legit_channel_var"], type=float, default=1.0, show_default=True, help="Legitimate channel gain variance."),
+    click.Option(["--sigmaj2", "jam_channel_var"], type=float, default=1.0, show_default=True, help="Jammer channel gain variance."),
+    click.Option(["--format"], type=click.Choice(["csv", "json"]), default="json", show_default=True, help="Output format."),
+    click.Option(["--output", "output_path"], type=click.Path(dir_okay=False), default=None, help="Write the artifact to this file instead of stdout."),
+    click.Option(["--workers"], type=int, default=1, show_default=True, help="Monte Carlo substream shards (1 reproduces the reference output)."),
+)
+
+_RNG_OPTIONS = (
+    click.Option(["--seed"], type=int, default=None, help="RNG seed (required for randomized commands)."),
+    click.Option(["--stream"], type=int, default=0, show_default=True, help="RNG substream id."),
+    click.Option(["--trials"], type=int, default=100_000, show_default=True, help="Monte Carlo trials / oracle samples."),
+    click.Option(["--delta"], type=float, default=0.5, show_default=True, help="Representative-threshold policy in (0, 1)."),
+)
+
+_SWEEP_OPTIONS = (
+    click.Option(["--variable"], type=click.Choice(("p_max", "P", "gamma", "sigma2", "p_th")), required=True, help="Parameter to sweep (P is an alias for p_max)."),
+    click.Option(["--lo"], type=float, required=True, help="Lower end of the sweep range."),
+    click.Option(["--hi"], type=float, required=True, help="Upper end of the sweep range."),
+    click.Option(["--steps"], type=int, required=True, help="Number of grid points (endpoints included)."),
+)
+
+#: Command name -> (payload builder, help text, options beyond _COMMON_OPTIONS).
+_COMMANDS = {
+    "solve-fixed": (_cmd_solve_fixed, "Solve the fixed-threshold leader-follower game.", ()),
+    "solve-strategic": (_cmd_solve_strategic, "Solve the strategic-threshold leader-follower game.", _RNG_OPTIONS),
+    "verify-randomization": (_cmd_verify_randomization, "KS-verify the Gaussian laws behind the randomized-probing defense.", _RNG_OPTIONS),
+    "simulate-injection": (_cmd_simulate_injection, "Simulate the coincident-injection attack and report summary statistics.", _RNG_OPTIONS),
+    "leakage": (_cmd_leakage, "Estimate attacker leakage with static and with randomized pilots.", _RNG_OPTIONS),
+    "oracle-check": (_cmd_oracle_check, "Cross-check the closed-form equilibrium against brute-force search.", _RNG_OPTIONS),
+    "sweep": (_cmd_sweep, "Sweep one parameter and tabulate payoffs and deviation metrics.", _RNG_OPTIONS + _SWEEP_OPTIONS),
 }
 
 
@@ -289,22 +302,19 @@ def _csv_text(rows: List[dict]) -> str:
 
 
 def run(config: RunConfig) -> int:
-    """Execute one command, emit its artifact, and return the exit status."""
-    try:
-        payload, code = _BUILDERS[config.command](config)
-        _ensure_finite(payload)
-        if config.command == "sweep" and config.format == "csv":
-            text = _csv_text(payload["rows"])
-        elif config.format == "csv":
-            raise ParameterError(f"{config.command} supports only --format json")
-        else:
-            text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
-    except (ParameterError, ZeroEquilibriumPayoff) as exc:
-        click.echo(f"error: {exc}", err=True)
-        return 1
-    except (NumericalError, NotPositiveSemidefinite, FloatingPointError) as exc:
-        click.echo(f"numerical failure: {exc}", err=True)
-        return 2
+    """Execute one command, emit its artifact, and return the exit status.
+
+    Configuration and numerical errors propagate; ``main`` maps them to exit
+    codes.
+    """
+    payload, code = _COMMANDS[config.command][0](config)
+    _ensure_finite(payload)
+    if config.command == "sweep" and config.format == "csv":
+        text = _csv_text(payload["rows"])
+    elif config.format == "csv":
+        raise ParameterError(f"{config.command} supports only --format json")
+    else:
+        text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
     if config.output_path:
         with open(config.output_path, "w", encoding="utf-8", newline="\n") as handle:
             handle.write(text)
@@ -313,58 +323,17 @@ def run(config: RunConfig) -> int:
     return code
 
 
-def _param_options(fn):
-    options = [
-        click.option("--n", "n", type=int, default=10, show_default=True, help="Number of subcarriers."),
-        click.option("--p-max", "p_max", type=float, default=5.0, show_default=True, help="Leader pilot power budget."),
-        click.option("--gamma", type=float, default=4.0, show_default=True, help="Jammer average power budget per subcarrier."),
-        click.option("--p-th", "p_th", type=float, default=2.0, show_default=True, help="Jammer sensing threshold."),
-        click.option("--sigma2", type=float, default=1.0, show_default=True, help="Legitimate channel gain variance."),
-        click.option("--sigmaj2", type=float, default=1.0, show_default=True, help="Jammer channel gain variance."),
-        click.option("--format", "fmt", type=click.Choice(["csv", "json"]), default="json", show_default=True, help="Output format."),
-        click.option("--output", "output", type=click.Path(dir_okay=False), default=None, help="Write the artifact to this file instead of stdout."),
-        click.option("--workers", type=int, default=1, show_default=True, help="Monte Carlo substream shards (1 reproduces the reference output)."),
-    ]
-    for option in reversed(options):
-        fn = option(fn)
-    return fn
-
-
-def _rng_options(fn):
-    options = [
-        click.option("--seed", type=int, default=None, help="RNG seed (required for randomized commands)."),
-        click.option("--stream", type=int, default=0, show_default=True, help="RNG substream id."),
-        click.option("--trials", type=int, default=100_000, show_default=True, help="Monte Carlo trials / oracle samples."),
-        click.option("--delta", type=float, default=0.5, show_default=True, help="Representative-threshold policy in (0, 1)."),
-    ]
-    for option in reversed(options):
-        fn = option(fn)
-    return fn
-
-
-def _build_config(command, n, p_max, gamma, p_th, sigma2, sigmaj2, fmt, output,
-                  workers, seed=None, stream=0, trials=100_000, delta=0.5,
-                  sweep_spec=None) -> RunConfig:
-    params = SystemParams(
-        n_subcarriers=n,
-        max_pilot_power=p_max,
-        jam_power_budget=gamma,
-        sense_threshold=p_th,
-        legit_channel_var=sigma2,
-        jam_channel_var=sigmaj2,
-    )
+def _invoke(command: str, **values) -> int:
+    """Click callback shared by every command: build the run and execute it."""
+    params = SystemParams(**{field.name: values.pop(field.name) for field in fields(SystemParams)})
+    seed, stream = values.pop("seed", None), values.pop("stream", 0)
+    if command == "sweep":
+        variable = values.pop("variable")
+        values["sweep_spec"] = (
+            "p_max" if variable == "P" else variable, values.pop("lo"), values.pop("hi"), values.pop("steps")
+        )
     rng_seed = None if seed is None else RngSeed(seed, stream)
-    return RunConfig(
-        command=command,
-        params=params,
-        seed=rng_seed,
-        output_path=output,
-        format=fmt,
-        sweep_spec=sweep_spec,
-        trials=trials,
-        delta=delta,
-        workers=workers,
-    )
+    return run(RunConfig(command=command, params=params, seed=rng_seed, **values))
 
 
 @click.group()
@@ -372,71 +341,10 @@ def cli() -> None:
     """Simulation and game-solving toolkit for key generation under attack."""
 
 
-@cli.command("solve-fixed")
-@_param_options
-def solve_fixed_command(n, p_max, gamma, p_th, sigma2, sigmaj2, fmt, output, workers):
-    """Solve the fixed-threshold leader-follower game."""
-    return run(_build_config("solve-fixed", n, p_max, gamma, p_th, sigma2, sigmaj2, fmt, output, workers))
-
-
-@cli.command("solve-strategic")
-@_param_options
-@_rng_options
-def solve_strategic_command(n, p_max, gamma, p_th, sigma2, sigmaj2, fmt, output, workers, seed, stream, trials, delta):
-    """Solve the strategic-threshold leader-follower game."""
-    return run(_build_config("solve-strategic", n, p_max, gamma, p_th, sigma2, sigmaj2, fmt, output, workers,
-                             seed=seed, stream=stream, trials=trials, delta=delta))
-
-
-@cli.command("verify-randomization")
-@_param_options
-@_rng_options
-def verify_randomization_command(n, p_max, gamma, p_th, sigma2, sigmaj2, fmt, output, workers, seed, stream, trials, delta):
-    """KS-verify the Gaussian laws behind the randomized-probing defense."""
-    return run(_build_config("verify-randomization", n, p_max, gamma, p_th, sigma2, sigmaj2, fmt, output, workers,
-                             seed=seed, stream=stream, trials=trials, delta=delta))
-
-
-@cli.command("simulate-injection")
-@_param_options
-@_rng_options
-def simulate_injection_command(n, p_max, gamma, p_th, sigma2, sigmaj2, fmt, output, workers, seed, stream, trials, delta):
-    """Simulate the coincident-injection attack and report summary statistics."""
-    return run(_build_config("simulate-injection", n, p_max, gamma, p_th, sigma2, sigmaj2, fmt, output, workers,
-                             seed=seed, stream=stream, trials=trials, delta=delta))
-
-
-@cli.command("leakage")
-@_param_options
-@_rng_options
-def leakage_command(n, p_max, gamma, p_th, sigma2, sigmaj2, fmt, output, workers, seed, stream, trials, delta):
-    """Estimate attacker leakage with static and with randomized pilots."""
-    return run(_build_config("leakage", n, p_max, gamma, p_th, sigma2, sigmaj2, fmt, output, workers,
-                             seed=seed, stream=stream, trials=trials, delta=delta))
-
-
-@cli.command("oracle-check")
-@_param_options
-@_rng_options
-def oracle_check_command(n, p_max, gamma, p_th, sigma2, sigmaj2, fmt, output, workers, seed, stream, trials, delta):
-    """Cross-check the closed-form equilibrium against brute-force search."""
-    return run(_build_config("oracle-check", n, p_max, gamma, p_th, sigma2, sigmaj2, fmt, output, workers,
-                             seed=seed, stream=stream, trials=trials, delta=delta))
-
-
-@cli.command("sweep")
-@_param_options
-@_rng_options
-@click.option("--variable", type=click.Choice(("p_max", "P", "gamma", "sigma2", "p_th")), required=True, help="Parameter to sweep (P is an alias for p_max).")
-@click.option("--lo", type=float, required=True, help="Lower end of the sweep range.")
-@click.option("--hi", type=float, required=True, help="Upper end of the sweep range.")
-@click.option("--steps", type=int, required=True, help="Number of grid points (endpoints included).")
-def sweep_command(n, p_max, gamma, p_th, sigma2, sigmaj2, fmt, output, workers, seed, stream, trials, delta, variable, lo, hi, steps):
-    """Sweep one parameter and tabulate payoffs and deviation metrics."""
-    variable = "p_max" if variable == "P" else variable
-    return run(_build_config("sweep", n, p_max, gamma, p_th, sigma2, sigmaj2, fmt, output, workers,
-                             seed=seed, stream=stream, trials=trials, delta=delta,
-                             sweep_spec=(variable, lo, hi, steps)))
+for _name, (_, _help, _extra) in _COMMANDS.items():
+    cli.add_command(
+        click.Command(_name, params=[*_COMMON_OPTIONS, *_extra], callback=partial(_invoke, _name), help=_help)
+    )
 
 
 def main(argv: Optional[List[str]] = None) -> int:
@@ -453,7 +361,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     except (ParameterError, ZeroEquilibriumPayoff) as exc:
         click.echo(f"error: {exc}", err=True)
         return 1
-    except (NumericalError, NotPositiveSemidefinite) as exc:
+    except (NumericalError, NotPositiveSemidefinite, FloatingPointError) as exc:
         click.echo(f"numerical failure: {exc}", err=True)
         return 2
     return int(result) if isinstance(result, int) else 0

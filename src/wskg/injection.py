@@ -11,13 +11,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Tuple
+from typing import TYPE_CHECKING, List, Tuple
 
 import numpy as np
 
 from .errors import NearSingularChannels, ParameterError
 from .params import SystemParams
 from .stochastic import RngSeed, _complex_normal, gaussian_mi_from_cov
+
+if TYPE_CHECKING:
+    from .randomization import RandomizedBatch
 
 #: Scale of the singularity rejection floor for the precoder denominator.
 #: Equality of the two first-antenna gains has probability zero under the
@@ -168,8 +171,17 @@ def simulate_two_look(params: SystemParams, n_trials: int, seed: RngSeed) -> Two
     return TwoLookBatch(z_a=z_a, z_b=z_b, injected=injected, resampled=resampled)
 
 
-def mi_from_two_look(batch: TwoLookBatch) -> float:
-    """Gaussian MI estimate, in bits, between the injected value and both looks."""
+def mi_from_two_look(batch: TwoLookBatch | RandomizedBatch) -> float:
+    """Gaussian MI estimate, in bits, between the injected value and both looks.
+
+    Serves both observation models: the static-pilot looks of a
+    ``TwoLookBatch`` and the post-multiplied looks of a ``RandomizedBatch``.
+    """
+    n_trials = batch.injected.size
+    if n_trials < 10_000:
+        raise ParameterError(
+            f"n_trials must be >= 10000 for covariance estimation, got {n_trials}"
+        )
     rows = np.vstack(
         [
             batch.injected.real,
@@ -190,8 +202,4 @@ def leakage_bound(params: SystemParams, n_trials: int, seed: RngSeed) -> float:
     over stacked real coordinates and evaluates the jointly-Gaussian mutual
     information closed form.
     """
-    if n_trials < 10_000:
-        raise ParameterError(
-            f"n_trials must be >= 10000 for covariance estimation, got {n_trials}"
-        )
     return mi_from_two_look(simulate_two_look(params, n_trials, seed))

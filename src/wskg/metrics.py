@@ -51,21 +51,33 @@ class SweepRow:
                 raise NumericalError(f"metric {name} out of [0, 1]: {value!r}")
 
 
-def _fixed_payoff(params: SystemParams) -> float:
-    payoff = stackelberg_fixed(params).payoff
-    if payoff <= 0.0:
+def _row(params: SystemParams, epsilon_policy: float, swept_value: float = math.nan) -> SweepRow:
+    """Payoffs and the three relative metrics at one operating point, from a
+    single fixed-threshold solve."""
+    c_se = stackelberg_fixed(params).payoff
+    if c_se <= 0.0:
         raise ZeroEquilibriumPayoff(
             "equilibrium payoff is zero; relative metrics are undefined"
         )
-    return payoff
+    c_full = sum_rate(params.max_pilot_power, PowerAllocation.uniform(params), params)
+    deviation = min(params.sense_threshold, params.max_pilot_power)
+    c_threshold = sum_rate(deviation, PowerAllocation.silent(params), params)
+    c_strategic = stackelberg_strategic(params, epsilon_policy).payoff
+    return SweepRow(
+        swept_value=swept_value,
+        c_se=c_se,
+        c_full=c_full,
+        c_threshold=c_threshold,
+        f=(c_se - c_full) / c_se,
+        d=(c_se - c_threshold) / c_se,
+        e=(c_se - c_strategic) / c_se,
+    )
 
 
 def full_power_deviation_loss(params: SystemParams) -> float:
     """Relative sum rate lost if the leader leaves the equilibrium and
     transmits at full budget while the jammer spends its whole budget."""
-    c_se = _fixed_payoff(params)
-    c_full = sum_rate(params.max_pilot_power, PowerAllocation.uniform(params), params)
-    return (c_se - c_full) / c_se
+    return _row(params, 0.5).f
 
 
 def threshold_deviation_loss(params: SystemParams) -> float:
@@ -76,18 +88,13 @@ def threshold_deviation_loss(params: SystemParams) -> float:
     deviation power is capped at the budget (the deviation then coincides
     with the equilibrium and the loss is zero).
     """
-    c_se = _fixed_payoff(params)
-    deviation = min(params.sense_threshold, params.max_pilot_power)
-    c_threshold = sum_rate(deviation, PowerAllocation.silent(params), params)
-    return (c_se - c_threshold) / c_se
+    return _row(params, 0.5).d
 
 
 def strategic_threshold_gain(params: SystemParams, epsilon_policy: float = 0.5) -> float:
     """Relative payoff the jammer gains by choosing its sensing threshold
     strategically instead of keeping it fixed."""
-    c_fixed = _fixed_payoff(params)
-    c_strategic = stackelberg_strategic(params, epsilon_policy).payoff
-    return (c_fixed - c_strategic) / c_fixed
+    return _row(params, epsilon_policy).e
 
 
 def _knee_value(params: SystemParams, variable: str) -> float | None:
@@ -131,24 +138,8 @@ def sweep(
     knee = _knee_value(params, variable)
     if knee is not None and lo < knee < hi:
         grid = np.unique(np.append(grid, knee))
-    rows = []
-    for value in grid:
-        point = replace(params, **{_SWEEP_FIELDS[variable]: float(value)})
-        c_se = _fixed_payoff(point)
-        c_full = sum_rate(
-            point.max_pilot_power, PowerAllocation.uniform(point), point
-        )
-        deviation = min(point.sense_threshold, point.max_pilot_power)
-        c_threshold = sum_rate(deviation, PowerAllocation.silent(point), point)
-        rows.append(
-            SweepRow(
-                swept_value=float(value),
-                c_se=c_se,
-                c_full=c_full,
-                c_threshold=c_threshold,
-                f=(c_se - c_full) / c_se,
-                d=(c_se - c_threshold) / c_se,
-                e=strategic_threshold_gain(point, epsilon_policy),
-            )
-        )
-    return rows
+    field = _SWEEP_FIELDS[variable]
+    return [
+        _row(replace(params, **{field: float(value)}), epsilon_policy, float(value))
+        for value in grid
+    ]

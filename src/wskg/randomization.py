@@ -16,28 +16,9 @@ from typing import List, Union
 import numpy as np
 
 from .errors import ParameterError
+from .injection import mi_from_two_look
 from .params import SystemParams
-from .stochastic import (
-    KsReport,
-    RngSeed,
-    _complex_normal,
-    _qpsk,
-    gaussian_mi_from_cov,
-    ks_test_normal,
-)
-
-
-@dataclass(frozen=True)
-class RandomizedObservation:
-    """One trial of the post-multiplied observations.
-
-    ``common_source`` is the realized shared-randomness value
-    pilot_a * pilot_b * H, exposed for test oracles only.
-    """
-
-    z_tilde_a: complex
-    z_tilde_b: complex
-    common_source: complex
+from .stochastic import KsReport, RngSeed, _complex_normal, _qpsk, ks_test_normal
 
 
 @dataclass(frozen=True)
@@ -67,26 +48,16 @@ class RandomizedBatch:
         )
 
 
-def randomize_trials(
-    params: SystemParams,
-    n_trials: int,
-    seed: RngSeed,
-    noise_std: float = 1.0,
-) -> RandomizedBatch:
+def randomize_trials(params: SystemParams, n_trials: int, seed: RngSeed) -> RandomizedBatch:
     """Monte Carlo trials of both parties' post-multiplied observations.
 
     Per trial: independent QPSK pilots X and Y at full pilot power, a channel
     gain H ~ CN(0, legit_channel_var), an injected value
     W ~ CN(0, jam_channel_var * jam_power_budget), and unit-variance noises.
     Returns Z~_a = XYH + XW + X N_a and Z~_b = XYH + YW + Y N_b.
-
-    ``noise_std`` scales the receiver noise and exists for diagnostics; at 0
-    and with a zero jam budget both observations equal the common source.
     """
     if n_trials < 1:
         raise ParameterError(f"n_trials must be >= 1, got {n_trials}")
-    if not (math.isfinite(noise_std) and noise_std >= 0.0):
-        raise ParameterError(f"noise_std must be >= 0, got {noise_std!r}")
     rng = seed.generator()
     power = params.max_pilot_power
     x = _qpsk(rng, power, n_trials)
@@ -95,23 +66,13 @@ def randomize_trials(
     w = _complex_normal(
         rng, params.jam_channel_var * params.jam_power_budget, n_trials
     )
-    noise_a = noise_std * _complex_normal(rng, 1.0, n_trials)
-    noise_b = noise_std * _complex_normal(rng, 1.0, n_trials)
+    noise_a = _complex_normal(rng, 1.0, n_trials)
+    noise_b = _complex_normal(rng, 1.0, n_trials)
     common = x * y * h
     z_a = common + x * w + x * noise_a
     z_b = common + y * w + y * noise_b
     return RandomizedBatch(
         z_a=z_a, z_b=z_b, common=common, injected=w, pilot_a=x, pilot_b=y
-    )
-
-
-def randomize_trial(params: SystemParams, seed: RngSeed) -> RandomizedObservation:
-    """Single draw of the randomized-probing observations."""
-    batch = randomize_trials(params, 1, seed)
-    return RandomizedObservation(
-        z_tilde_a=complex(batch.z_a[0]),
-        z_tilde_b=complex(batch.z_b[0]),
-        common_source=complex(batch.common[0]),
     )
 
 
@@ -177,22 +138,6 @@ def verify_randomization(
     )
 
 
-def mi_from_randomized(batch: RandomizedBatch) -> float:
-    """Gaussian MI estimate, in bits, between the injected value and both
-    post-multiplied observations."""
-    rows = np.vstack(
-        [
-            batch.injected.real,
-            batch.injected.imag,
-            batch.z_a.real,
-            batch.z_a.imag,
-            batch.z_b.real,
-            batch.z_b.imag,
-        ]
-    )
-    return gaussian_mi_from_cov(np.cov(rows), target_dim=2)
-
-
 def leakage_after_randomization(
     params: SystemParams, n_trials: int, seed: RngSeed
 ) -> float:
@@ -201,8 +146,4 @@ def leakage_after_randomization(
     All second moments between the injected value and the post-multiplied
     observations are zero, so the Gaussian MI estimate is pure sampling noise.
     """
-    if n_trials < 10_000:
-        raise ParameterError(
-            f"n_trials must be >= 10000 for covariance estimation, got {n_trials}"
-        )
-    return mi_from_randomized(randomize_trials(params, n_trials, seed))
+    return mi_from_two_look(randomize_trials(params, n_trials, seed))

@@ -3,9 +3,27 @@ import math
 
 import pytest
 
-from wskg.cli import CSV_HEADER, main
+from wskg.cli import CSV_HEADER, cli, main
 from wskg.randomization import RandomizationReport
 from wskg.stochastic import KsReport
+
+
+_MODEL_FLAGS = {
+    "--n", "--p-max", "--gamma", "--p-th", "--sigma2", "--sigmaj2",
+    "--format", "--output", "--workers",
+}
+_RNG_FLAGS = {"--seed", "--stream", "--trials", "--delta"}
+
+#: Every flag each command accepts (``--help`` aside).
+EXPECTED_FLAGS = {
+    "solve-fixed": _MODEL_FLAGS,
+    "solve-strategic": _MODEL_FLAGS | _RNG_FLAGS,
+    "verify-randomization": _MODEL_FLAGS | _RNG_FLAGS,
+    "simulate-injection": _MODEL_FLAGS | _RNG_FLAGS,
+    "leakage": _MODEL_FLAGS | _RNG_FLAGS,
+    "oracle-check": _MODEL_FLAGS | _RNG_FLAGS,
+    "sweep": _MODEL_FLAGS | _RNG_FLAGS | {"--variable", "--lo", "--hi", "--steps"},
+}
 
 
 def run_cli(capsys, *argv):
@@ -211,3 +229,18 @@ def test_non_finite_result_exits_2(capsys, monkeypatch):
     assert code == 2
     assert out == ""
     assert "non-finite" in err
+
+
+def test_leakage_too_few_trials_exits_1(capsys):
+    code, out, err = run_cli(capsys, "leakage", "--trials", "5", "--seed", "1")
+    assert code == 1
+    assert out == ""
+    assert "10000" in err
+
+
+def test_command_flags_are_pinned():
+    accepted = {
+        name: {flag for param in command.params for flag in param.opts + param.secondary_opts}
+        for name, command in cli.commands.items()
+    }
+    assert accepted == EXPECTED_FLAGS

@@ -13,7 +13,6 @@ from wskg import (
     leakage_after_randomization,
     leakage_bound,
     product_pdf,
-    randomize_trial,
     randomize_trials,
     sample_complex_gaussian,
     sample_qpsk_pilot,
@@ -25,13 +24,6 @@ SEED = RngSeed(31337)
 
 def make_params(p_max=2.0, gamma=4.0, sigma2=1.0, sigmaj2=1.0):
     return SystemParams(10, p_max, gamma, 2.0, sigma2, sigmaj2)
-
-
-def test_noiseless_zero_budget_reconciles_exactly():
-    params = make_params(gamma=0.0)
-    batch = randomize_trials(params, 2000, SEED, noise_std=0.0)
-    assert np.all(batch.z_a == batch.common)
-    assert np.all(batch.z_b == batch.common)
 
 
 def test_zero_pilot_power_gives_zero_observations():
@@ -72,15 +64,6 @@ def test_injected_value_decorrelates_from_observations():
         for z_part in (batch.z_a.real, batch.z_a.imag, batch.z_b.real, batch.z_b.imag):
             cov = np.mean(w_part * z_part) - np.mean(w_part) * np.mean(z_part)
             assert abs(cov) < bound
-
-
-def test_single_trial_wrapper_matches_batch():
-    params = make_params()
-    obs = randomize_trial(params, SEED)
-    batch = randomize_trials(params, 1, SEED)
-    assert obs.z_tilde_a == complex(batch.z_a[0])
-    assert obs.z_tilde_b == complex(batch.z_b[0])
-    assert obs.common_source == complex(batch.common[0])
 
 
 def test_product_pdf_reference_value_and_symmetry():
