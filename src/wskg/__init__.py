@@ -14,8 +14,6 @@ from .errors import (
     ZeroEquilibriumPayoff,
 )
 from .game import (
-    BOUNDARY_RTOL,
-    BestResponse,
     OracleConfig,
     critical_power,
     jammer_br_fixed,
@@ -27,8 +25,6 @@ from .game import (
 )
 from .injection import (
     MisoChannels,
-    Precoder,
-    TwoLookBatch,
     compute_precoder,
     injected_signal,
     leakage_bound,
@@ -36,7 +32,6 @@ from .injection import (
     simulate_two_look,
 )
 from .metrics import (
-    SweepRow,
     full_power_deviation_loss,
     strategic_threshold_gain,
     sweep,
@@ -52,8 +47,6 @@ from .params import (
     validate_params,
 )
 from .randomization import (
-    RandomizationReport,
-    RandomizedBatch,
     leakage_after_randomization,
     product_pdf,
     randomize_trials,
@@ -61,10 +54,8 @@ from .randomization import (
 )
 from .rates import rate_array, skg_rate, sum_rate
 from .stochastic import (
-    KsReport,
     RngSeed,
     gaussian_mi_from_cov,
-    kolmogorov_sf,
     ks_test_normal,
     sample_complex_gaussian,
     sample_qpsk_pilot,
@@ -74,11 +65,8 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ALLOCATION_SUM_RTOL",
-    "BOUNDARY_RTOL",
-    "BestResponse",
     "EquilibriumResult",
     "JammerStrategy",
-    "KsReport",
     "LeaderStrategy",
     "MisoChannels",
     "NearSingularChannels",
@@ -87,13 +75,8 @@ __all__ = [
     "OracleConfig",
     "ParameterError",
     "PowerAllocation",
-    "Precoder",
-    "RandomizationReport",
-    "RandomizedBatch",
     "RngSeed",
-    "SweepRow",
     "SystemParams",
-    "TwoLookBatch",
     "ZeroEquilibriumPayoff",
     "compute_precoder",
     "critical_power",
@@ -102,7 +85,6 @@ __all__ = [
     "injected_signal",
     "jammer_br_fixed",
     "jammer_br_strategic",
-    "kolmogorov_sf",
     "ks_test_normal",
     "leakage_after_randomization",
     "leakage_bound",

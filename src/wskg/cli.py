@@ -56,8 +56,6 @@ class RunConfig:
     workers: int = 1
 
     def __post_init__(self) -> None:
-        if self.command not in _COMMANDS:
-            raise ParameterError(f"unknown command {self.command!r}")
         if self.format not in ("csv", "json"):
             raise ParameterError(f"format must be csv or json, got {self.format!r}")
         if self.trials < 1:
@@ -66,12 +64,6 @@ class RunConfig:
             raise ParameterError(f"delta must lie in (0, 1), got {self.delta}")
         if self.workers < 1:
             raise ParameterError(f"workers must be >= 1, got {self.workers}")
-
-
-def _require_seed(config: RunConfig) -> RngSeed:
-    if config.seed is None:
-        raise ParameterError(f"--seed is required for {config.command}")
-    return config.seed
 
 
 def _shard_counts(total: int, workers: int) -> List[int]:
@@ -123,8 +115,7 @@ def _cmd_solve_strategic(config: RunConfig) -> Tuple[dict, int]:
 
 
 def _cmd_verify_randomization(config: RunConfig) -> Tuple[dict, int]:
-    seed = _require_seed(config)
-    report = verify_randomization(config.params, config.trials, seed)
+    report = verify_randomization(config.params, config.trials, config.seed)
     accepted = (
         report.ks_product.p_value > KS_SIGNIFICANCE
         and report.ks_source.p_value > KS_SIGNIFICANCE
@@ -134,8 +125,8 @@ def _cmd_verify_randomization(config: RunConfig) -> Tuple[dict, int]:
     payload = {
         "command": "verify-randomization",
         "params": config.params.to_dict(),
-        "seed": seed.seed,
-        "stream": seed.stream,
+        "seed": config.seed.seed,
+        "stream": config.seed.stream,
         "trials": config.trials,
         "ks_product": asdict(report.ks_product),
         "ks_source": asdict(report.ks_source),
@@ -148,16 +139,15 @@ def _cmd_verify_randomization(config: RunConfig) -> Tuple[dict, int]:
 
 
 def _cmd_simulate_injection(config: RunConfig) -> Tuple[dict, int]:
-    seed = _require_seed(config)
     batch = TwoLookBatch.concat(
-        _sharded_batches(simulate_two_look, config.params, config.trials, seed, config.workers)
+        _sharded_batches(simulate_two_look, config.params, config.trials, config.seed, config.workers)
     )
     nominal = config.params.jam_channel_var * config.params.jam_power_budget
     payload = {
         "command": "simulate-injection",
         "params": config.params.to_dict(),
-        "seed": seed.seed,
-        "stream": seed.stream,
+        "seed": config.seed.seed,
+        "stream": config.seed.stream,
         "trials": config.trials,
         "workers": config.workers,
         "injected_variance": float(np.var(batch.injected)),
@@ -170,11 +160,10 @@ def _cmd_simulate_injection(config: RunConfig) -> Tuple[dict, int]:
 
 
 def _cmd_leakage(config: RunConfig) -> Tuple[dict, int]:
-    seed = _require_seed(config)
     static_batch = TwoLookBatch.concat(
-        _sharded_batches(simulate_two_look, config.params, config.trials, seed, config.workers)
+        _sharded_batches(simulate_two_look, config.params, config.trials, config.seed, config.workers)
     )
-    randomized_seed = seed.with_stream(seed.stream + config.workers)
+    randomized_seed = config.seed.with_stream(config.seed.stream + config.workers)
     randomized_batch = RandomizedBatch.concat(
         _sharded_batches(
             randomize_trials, config.params, config.trials, randomized_seed, config.workers
@@ -183,8 +172,8 @@ def _cmd_leakage(config: RunConfig) -> Tuple[dict, int]:
     payload = {
         "command": "leakage",
         "params": config.params.to_dict(),
-        "seed": seed.seed,
-        "stream": seed.stream,
+        "seed": config.seed.seed,
+        "stream": config.seed.stream,
         "trials": config.trials,
         "workers": config.workers,
         "static_pilot_leakage_bits": mi_from_two_look(static_batch),
@@ -194,9 +183,8 @@ def _cmd_leakage(config: RunConfig) -> Tuple[dict, int]:
 
 
 def _cmd_oracle_check(config: RunConfig) -> Tuple[dict, int]:
-    seed = _require_seed(config)
     params = config.params
-    cfg = OracleConfig(leader_grid_points=1001, allocation_samples=config.trials, seed=seed)
+    cfg = OracleConfig(leader_grid_points=1001, allocation_samples=config.trials, seed=config.seed)
     closed = stackelberg_fixed(params)
     p_best, oracle_value = oracle_stackelberg(params, cfg)
     gap = abs(closed.payoff - oracle_value) / max(abs(closed.payoff), 1e-300)
@@ -209,8 +197,8 @@ def _cmd_oracle_check(config: RunConfig) -> Tuple[dict, int]:
     payload = {
         "command": "oracle-check",
         "params": params.to_dict(),
-        "seed": seed.seed,
-        "stream": seed.stream,
+        "seed": config.seed.seed,
+        "stream": config.seed.stream,
         "allocation_samples": config.trials,
         "leader_grid_points": cfg.leader_grid_points,
         "closed_form_payoff": closed.payoff,
@@ -226,10 +214,8 @@ def _cmd_oracle_check(config: RunConfig) -> Tuple[dict, int]:
 
 
 def _cmd_sweep(config: RunConfig) -> Tuple[dict, int]:
-    if config.sweep_spec is None:
-        raise ParameterError("sweep requires --variable, --lo, --hi and --steps")
     variable, lo, hi, steps = config.sweep_spec
-    rows = run_sweep(config.params, variable, lo, hi, steps, config.delta)
+    rows = run_sweep(config.params, variable, lo, hi, steps)
     payload = {
         "command": "sweep",
         "params": config.params.to_dict(),
@@ -237,7 +223,6 @@ def _cmd_sweep(config: RunConfig) -> Tuple[dict, int]:
         "lo": lo,
         "hi": hi,
         "steps": steps,
-        "delta": config.delta,
         "rows": [asdict(row) for row in rows],
     }
     return payload, 0
@@ -252,15 +237,17 @@ _COMMON_OPTIONS = (
     click.Option(["--sigmaj2", "jam_channel_var"], type=float, default=1.0, show_default=True, help="Jammer channel gain variance."),
     click.Option(["--format"], type=click.Choice(["csv", "json"]), default="json", show_default=True, help="Output format."),
     click.Option(["--output", "output_path"], type=click.Path(dir_okay=False), default=None, help="Write the artifact to this file instead of stdout."),
-    click.Option(["--workers"], type=int, default=1, show_default=True, help="Monte Carlo substream shards (1 reproduces the reference output)."),
 )
 
 _RNG_OPTIONS = (
-    click.Option(["--seed"], type=int, default=None, help="RNG seed (required for randomized commands)."),
+    click.Option(["--seed"], type=int, required=True, help="RNG seed."),
     click.Option(["--stream"], type=int, default=0, show_default=True, help="RNG substream id."),
     click.Option(["--trials"], type=int, default=100_000, show_default=True, help="Monte Carlo trials / oracle samples."),
-    click.Option(["--delta"], type=float, default=0.5, show_default=True, help="Representative-threshold policy in (0, 1)."),
 )
+
+_WORKERS_OPTION = click.Option(["--workers"], type=int, default=1, show_default=True, help="Monte Carlo substream shards (1 reproduces the reference output).")
+
+_DELTA_OPTION = click.Option(["--delta"], type=float, default=0.5, show_default=True, help="Representative-threshold policy in (0, 1).")
 
 _SWEEP_OPTIONS = (
     click.Option(["--variable"], type=click.Choice(("p_max", "P", "gamma", "sigma2", "p_th")), required=True, help="Parameter to sweep (P is an alias for p_max)."),
@@ -272,12 +259,12 @@ _SWEEP_OPTIONS = (
 #: Command name -> (payload builder, help text, options beyond _COMMON_OPTIONS).
 _COMMANDS = {
     "solve-fixed": (_cmd_solve_fixed, "Solve the fixed-threshold leader-follower game.", ()),
-    "solve-strategic": (_cmd_solve_strategic, "Solve the strategic-threshold leader-follower game.", _RNG_OPTIONS),
+    "solve-strategic": (_cmd_solve_strategic, "Solve the strategic-threshold leader-follower game.", (_DELTA_OPTION,)),
     "verify-randomization": (_cmd_verify_randomization, "KS-verify the Gaussian laws behind the randomized-probing defense.", _RNG_OPTIONS),
-    "simulate-injection": (_cmd_simulate_injection, "Simulate the coincident-injection attack and report summary statistics.", _RNG_OPTIONS),
-    "leakage": (_cmd_leakage, "Estimate attacker leakage with static and with randomized pilots.", _RNG_OPTIONS),
+    "simulate-injection": (_cmd_simulate_injection, "Simulate the coincident-injection attack and report summary statistics.", (*_RNG_OPTIONS, _WORKERS_OPTION)),
+    "leakage": (_cmd_leakage, "Estimate attacker leakage with static and with randomized pilots.", (*_RNG_OPTIONS, _WORKERS_OPTION)),
     "oracle-check": (_cmd_oracle_check, "Cross-check the closed-form equilibrium against brute-force search.", _RNG_OPTIONS),
-    "sweep": (_cmd_sweep, "Sweep one parameter and tabulate payoffs and deviation metrics.", _RNG_OPTIONS + _SWEEP_OPTIONS),
+    "sweep": (_cmd_sweep, "Sweep one parameter and tabulate payoffs and deviation metrics.", _SWEEP_OPTIONS),
 }
 
 

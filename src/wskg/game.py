@@ -38,10 +38,6 @@ class BestResponse:
     threshold: Optional[float]
     jammed: bool
 
-    def __post_init__(self) -> None:
-        if not self.jammed and any(g != 0.0 for g in self.allocation.gamma):
-            raise ParameterError("an unsensed transmission cannot be jammed")
-
 
 @dataclass(frozen=True)
 class OracleConfig:
@@ -62,6 +58,10 @@ class OracleConfig:
             )
 
 
+def _knee(p_th, gamma, sigmaj2):
+    return p_th * (sigmaj2 * gamma + 1.0)
+
+
 def critical_power(params: SystemParams) -> float:
     """Leader budget at which full-power jammed transmission ties
     threshold-power silent transmission.
@@ -69,9 +69,48 @@ def critical_power(params: SystemParams) -> float:
     Equals sense_threshold * (jam_channel_var * jam_power_budget + 1); the
     rate identity R(p_th * (j2*G + 1), G) = R(p_th, 0) holds exactly.
     """
-    return params.sense_threshold * (
-        params.jam_channel_var * params.jam_power_budget + 1.0
+    return _knee(params.sense_threshold, params.jam_power_budget, params.jam_channel_var)
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def _fixed_payoffs(n, p_max, gamma, p_th, sigma2, sigmaj2):
+    """Fixed-threshold game payoffs, broadcast over array-valued parameters.
+
+    Returns ``(c_se, c_full, c_threshold, threshold_wins, boundary)``: the
+    equilibrium payoff, the payoff of full power under uniform jamming, the
+    payoff of the unjammed deviation to min(p_th, p_max), whether the leader
+    plays that deviation, and the knife-edge flag where both profiles tie.
+    The arguments follow the field order of :class:`SystemParams`, so
+    ``_fixed_payoffs(*params.to_dict().values())`` solves one point.
+    Overflow is silent here: callers reject non-finite payoffs themselves.
+    """
+
+    def total(p, g):
+        # Summing n equal rates over an explicit axis rounds exactly as
+        # sum_rate does over an n-vector allocation; n * rate does not.
+        return np.repeat(rate_array(p, g, sigma2, sigmaj2)[..., None], n, -1).sum(-1)
+
+    p_max = np.asarray(p_max, dtype=float)
+    knee = _knee(p_th, gamma, sigmaj2)
+    c_full, c_threshold = np.broadcast_arrays(
+        total(p_max, gamma), total(np.minimum(p_th, p_max), 0.0)
     )
+    # Below the threshold the leader is never sensed and plays its budget.
+    jammed = p_max > p_th
+    boundary = jammed & (
+        np.abs(p_max - knee) <= BOUNDARY_RTOL * np.maximum(np.abs(p_max), np.abs(knee))
+    )
+    scale = np.maximum(np.maximum(np.abs(c_threshold), np.abs(c_full)), 1e-300)
+    disagree = boundary & (np.abs(c_threshold - c_full) > 1e-9 * scale)
+    if disagree.any():
+        i = np.argmax(disagree)
+        raise NumericalError(
+            "tied equilibria disagree on payoff: "
+            f"{float(c_threshold.flat[i])} vs {float(c_full.flat[i])}"
+        )
+    threshold_wins = ~jammed | boundary | (p_max < knee)
+    c_se = np.where(threshold_wins, c_threshold, c_full)
+    return c_se, c_full, c_threshold, threshold_wins, boundary
 
 
 def jammer_br_fixed(p: float, params: SystemParams) -> BestResponse:
@@ -101,39 +140,17 @@ def stackelberg_fixed(params: SystemParams) -> EquilibriumResult:
     knife edge both profiles tie and are both returned.
     """
     budget = params.max_pilot_power
-    threshold = params.sense_threshold
-    silent = PowerAllocation.silent(params)
-    if budget <= threshold:
-        payoff = sum_rate(budget, silent, params)
-        profiles = ((LeaderStrategy(budget, budget), JammerStrategy(silent)),)
-        return EquilibriumResult(profiles, payoff, unique=True, boundary_case=False)
-
-    uniform = PowerAllocation.uniform(params)
-    knee = critical_power(params)
-    threshold_payoff = sum_rate(threshold, silent, params)
-    full_payoff = sum_rate(budget, uniform, params)
-    threshold_profile = (LeaderStrategy(threshold, budget), JammerStrategy(silent))
-    full_profile = (LeaderStrategy(budget, budget), JammerStrategy(uniform))
-
-    if abs(budget - knee) <= BOUNDARY_RTOL * max(abs(budget), abs(knee)):
-        scale = max(abs(threshold_payoff), abs(full_payoff), 1e-300)
-        if abs(threshold_payoff - full_payoff) > 1e-9 * scale:
-            raise NumericalError(
-                "tied equilibria disagree on payoff: "
-                f"{threshold_payoff} vs {full_payoff}"
-            )
-        return EquilibriumResult(
-            (threshold_profile, full_profile),
-            threshold_payoff,
-            unique=False,
-            boundary_case=True,
-        )
-    if budget < knee:
-        return EquilibriumResult(
-            (threshold_profile,), threshold_payoff, unique=True, boundary_case=False
-        )
+    c_se, _, _, threshold_wins, boundary = _fixed_payoffs(*params.to_dict().values())
+    profiles = ()
+    if threshold_wins:
+        deviation = min(params.sense_threshold, budget)
+        silent = PowerAllocation.silent(params)
+        profiles += ((LeaderStrategy(deviation, budget), JammerStrategy(silent)),)
+    if boundary or not threshold_wins:
+        uniform = PowerAllocation.uniform(params)
+        profiles += ((LeaderStrategy(budget, budget), JammerStrategy(uniform)),)
     return EquilibriumResult(
-        (full_profile,), full_payoff, unique=True, boundary_case=False
+        profiles, float(c_se), unique=not boundary, boundary_case=bool(boundary)
     )
 
 

@@ -4,7 +4,10 @@ The three relative quantities emitted per operating point (columns ``f``,
 ``d``, ``e`` in sweep output) share the fixed-threshold equilibrium payoff as
 denominator: ``f`` is the loss when the leader deviates to full power and is
 jammed, ``d`` the loss when it deviates to the sensing threshold, ``e`` the
-extra damage a jammer gains by choosing its own threshold.
+extra damage a jammer gains by choosing its own threshold. ``e`` equals
+``f``: a jammer that picks its own threshold senses every positive pilot, so
+the leader's best reply is full power under uniform jamming, which is the
+full-power deviation.
 """
 
 from __future__ import annotations
@@ -16,9 +19,8 @@ from typing import List
 import numpy as np
 
 from .errors import NumericalError, ParameterError, ZeroEquilibriumPayoff
-from .game import critical_power, stackelberg_fixed, stackelberg_strategic
-from .params import PowerAllocation, SystemParams
-from .rates import sum_rate
+from .game import _fixed_payoffs, critical_power
+from .params import SystemParams
 
 _SWEEP_FIELDS = {
     "p_max": "max_pilot_power",
@@ -44,40 +46,49 @@ class SweepRow:
     d: float
     e: float
 
-    def __post_init__(self) -> None:
-        for name in ("f", "d", "e"):
-            value = getattr(self, name)
-            if not math.isfinite(value) or not _METRIC_FLOOR <= value <= 1.0:
-                raise NumericalError(f"metric {name} out of [0, 1]: {value!r}")
 
-
-def _row(params: SystemParams, epsilon_policy: float, swept_value: float = math.nan) -> SweepRow:
-    """Payoffs and the three relative metrics at one operating point, from a
-    single fixed-threshold solve."""
-    c_se = stackelberg_fixed(params).payoff
+def _reject_point(c_se: float, c_full: float, f: float, d: float) -> None:
+    """Raise the first failed check of one operating point, in solve order."""
+    if not math.isfinite(c_se):
+        raise NumericalError(f"equilibrium payoff is not finite: {c_se!r}")
     if c_se <= 0.0:
         raise ZeroEquilibriumPayoff(
             "equilibrium payoff is zero; relative metrics are undefined"
         )
-    c_full = sum_rate(params.max_pilot_power, PowerAllocation.uniform(params), params)
-    deviation = min(params.sense_threshold, params.max_pilot_power)
-    c_threshold = sum_rate(deviation, PowerAllocation.silent(params), params)
-    c_strategic = stackelberg_strategic(params, epsilon_policy).payoff
-    return SweepRow(
-        swept_value=swept_value,
-        c_se=c_se,
-        c_full=c_full,
-        c_threshold=c_threshold,
-        f=(c_se - c_full) / c_se,
-        d=(c_se - c_threshold) / c_se,
-        e=(c_se - c_strategic) / c_se,
+    if not math.isfinite(c_full):
+        raise NumericalError(f"equilibrium payoff is not finite: {c_full!r}")
+    for name, value in (("f", f), ("d", d)):
+        if not _METRIC_FLOOR <= value <= 1.0:
+            raise NumericalError(f"metric {name} out of [0, 1]: {value!r}")
+
+
+@np.errstate(divide="ignore", invalid="ignore")
+def _rows(params: SystemParams, field: str, values) -> List[SweepRow]:
+    """Payoffs and the three relative metrics at each value of one field,
+    the other fields held at ``params``, in one array pass."""
+    values = np.asarray(values, dtype=float)
+    c_se, c_full, c_threshold, _, _ = _fixed_payoffs(
+        *{**params.to_dict(), field: values}.values()
     )
+    f = (c_se - c_full) / c_se
+    d = (c_se - c_threshold) / c_se
+    # A zero or non-finite payoff makes f or d fall outside [0, 1] as well.
+    ok = (f >= _METRIC_FLOOR) & (f <= 1.0) & (d >= _METRIC_FLOOR) & (d <= 1.0)
+    if not ok.all():
+        i = int(np.argmin(ok))
+        _reject_point(c_se[i].item(), c_full[i].item(), f[i].item(), d[i].item())
+    columns = (values, c_se, c_full, c_threshold, f, d, f)
+    return [SweepRow(*row) for row in zip(*(column.tolist() for column in columns))]
+
+
+def _point(params: SystemParams) -> SweepRow:
+    return _rows(params, "max_pilot_power", [params.max_pilot_power])[0]
 
 
 def full_power_deviation_loss(params: SystemParams) -> float:
     """Relative sum rate lost if the leader leaves the equilibrium and
     transmits at full budget while the jammer spends its whole budget."""
-    return _row(params, 0.5).f
+    return _point(params).f
 
 
 def threshold_deviation_loss(params: SystemParams) -> float:
@@ -88,13 +99,14 @@ def threshold_deviation_loss(params: SystemParams) -> float:
     deviation power is capped at the budget (the deviation then coincides
     with the equilibrium and the loss is zero).
     """
-    return _row(params, 0.5).d
+    return _point(params).d
 
 
-def strategic_threshold_gain(params: SystemParams, epsilon_policy: float = 0.5) -> float:
+def strategic_threshold_gain(params: SystemParams) -> float:
     """Relative payoff the jammer gains by choosing its sensing threshold
-    strategically instead of keeping it fixed."""
-    return _row(params, epsilon_policy).e
+    strategically instead of keeping it fixed; equals
+    :func:`full_power_deviation_loss` in this model."""
+    return _point(params).e
 
 
 def _knee_value(params: SystemParams, variable: str) -> float | None:
@@ -112,12 +124,7 @@ def _knee_value(params: SystemParams, variable: str) -> float | None:
 
 
 def sweep(
-    params: SystemParams,
-    variable: str,
-    lo: float,
-    hi: float,
-    steps: int,
-    epsilon_policy: float = 0.5,
+    params: SystemParams, variable: str, lo: float, hi: float, steps: int
 ) -> List[SweepRow]:
     """Evaluate equilibrium payoffs and the three metrics along one parameter.
 
@@ -134,12 +141,12 @@ def sweep(
         raise ParameterError(f"need lo < hi, got lo={lo!r}, hi={hi!r}")
     if steps < 2:
         raise ParameterError(f"steps must be >= 2, got {steps}")
+    field = _SWEEP_FIELDS[variable]
+    # Every field's domain is bounded below and lo is the smallest grid
+    # value, so validating it validates the whole grid.
+    replace(params, **{field: float(lo)})
     grid = np.linspace(lo, hi, int(steps))
     knee = _knee_value(params, variable)
     if knee is not None and lo < knee < hi:
         grid = np.unique(np.append(grid, knee))
-    field = _SWEEP_FIELDS[variable]
-    return [
-        _row(replace(params, **{field: float(value)}), epsilon_policy, float(value))
-        for value in grid
-    ]
+    return _rows(params, field, grid)

@@ -75,10 +75,6 @@ class SystemParams:
     def to_dict(self) -> dict:
         return {name: getattr(self, name) for name in _FIELD_ORDER}
 
-    @classmethod
-    def from_dict(cls, raw: Mapping[str, object]) -> "SystemParams":
-        return validate_params(raw)
-
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), sort_keys=True)
 

@@ -46,7 +46,7 @@ def skg_rate(p: float, gamma: float, sigma2: float, sigmaj2: float) -> float:
 
 def sum_rate(p: float, allocation: PowerAllocation, params: SystemParams) -> float:
     """Sum of the per-subcarrier rates under the given jamming allocation."""
-    gammas = allocation.as_array() if isinstance(allocation, PowerAllocation) else np.asarray(allocation, dtype=float)
+    gammas = allocation.as_array()
     if gammas.ndim != 1 or gammas.size != params.n_subcarriers:
         raise ParameterError(
             f"allocation length {gammas.size} does not match "

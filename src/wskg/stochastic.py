@@ -11,16 +11,12 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtr
+from scipy.special import kolmogorov, ndtr
 
 from .errors import NotPositiveSemidefinite, ParameterError
 
 _LN2 = math.log(2.0)
 _U64 = 1 << 64
-
-#: Truncation level for the tail-sum of the Kolmogorov distribution series.
-_KOLMOGOROV_TERM_FLOOR = 1e-10
-
 
 @dataclass(frozen=True)
 class RngSeed:
@@ -86,39 +82,6 @@ class KsReport:
     n: int
 
 
-def kolmogorov_sf(lam: float) -> float:
-    """Survival function of the asymptotic Kolmogorov sup-statistic law.
-
-    Two complementary series are used so that the truncation at
-    :data:`_KOLMOGOROV_TERM_FLOOR` needs only a handful of terms for any
-    argument: the alternating tail sum for lam >= 1 and its theta-transform
-    dual for small lam.
-    """
-    if lam <= 0.0:
-        return 1.0
-    if lam < 1.0:
-        total = 0.0
-        k = 1
-        while True:
-            term = math.exp(-((2 * k - 1) ** 2) * math.pi**2 / (8.0 * lam * lam))
-            if term < _KOLMOGOROV_TERM_FLOOR:
-                break
-            total += term
-            k += 1
-        return min(1.0, max(0.0, 1.0 - math.sqrt(2.0 * math.pi) / lam * total))
-    total = 0.0
-    sign = 1.0
-    k = 1
-    while True:
-        term = math.exp(-2.0 * k * k * lam * lam)
-        if term < _KOLMOGOROV_TERM_FLOOR:
-            break
-        total += sign * term
-        sign = -sign
-        k += 1
-    return min(1.0, max(0.0, 2.0 * total))
-
-
 def ks_test_normal(samples: np.ndarray, variance: float) -> KsReport:
     """One-sample KS test of real samples against the zero-mean normal law.
 
@@ -136,7 +99,7 @@ def ks_test_normal(samples: np.ndarray, variance: float) -> KsReport:
     d_plus = float(np.max(steps - cdf))
     d_minus = float(np.max(cdf - (steps - 1.0 / n)))
     statistic = max(d_plus, d_minus, 0.0)
-    p_value = kolmogorov_sf(math.sqrt(n) * statistic)
+    p_value = float(kolmogorov(math.sqrt(n) * statistic))
     return KsReport(statistic=statistic, p_value=p_value, n=n)
 
 

@@ -10,19 +10,19 @@ from wskg.stochastic import KsReport
 
 _MODEL_FLAGS = {
     "--n", "--p-max", "--gamma", "--p-th", "--sigma2", "--sigmaj2",
-    "--format", "--output", "--workers",
+    "--format", "--output",
 }
-_RNG_FLAGS = {"--seed", "--stream", "--trials", "--delta"}
+_RNG_FLAGS = {"--seed", "--stream", "--trials"}
 
 #: Every flag each command accepts (``--help`` aside).
 EXPECTED_FLAGS = {
     "solve-fixed": _MODEL_FLAGS,
-    "solve-strategic": _MODEL_FLAGS | _RNG_FLAGS,
+    "solve-strategic": _MODEL_FLAGS | {"--delta"},
     "verify-randomization": _MODEL_FLAGS | _RNG_FLAGS,
-    "simulate-injection": _MODEL_FLAGS | _RNG_FLAGS,
-    "leakage": _MODEL_FLAGS | _RNG_FLAGS,
+    "simulate-injection": _MODEL_FLAGS | _RNG_FLAGS | {"--workers"},
+    "leakage": _MODEL_FLAGS | _RNG_FLAGS | {"--workers"},
     "oracle-check": _MODEL_FLAGS | _RNG_FLAGS,
-    "sweep": _MODEL_FLAGS | _RNG_FLAGS | {"--variable", "--lo", "--hi", "--steps"},
+    "sweep": _MODEL_FLAGS | {"--variable", "--lo", "--hi", "--steps"},
 }
 
 

@@ -1,16 +1,23 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from wskg import (
     ParameterError,
+    PowerAllocation,
     SystemParams,
     ZeroEquilibriumPayoff,
     critical_power,
     full_power_deviation_loss,
+    stackelberg_fixed,
+    stackelberg_strategic,
     strategic_threshold_gain,
+    sum_rate,
     sweep,
     threshold_deviation_loss,
 )
+from wskg.cli import main
 
 
 def params_with(p_max, gamma=4.0, p_th=2.0, sigma2=1.0, sigmaj2=1.0, n=10):
@@ -48,6 +55,68 @@ def test_strategic_gain_reference_values():
     )
     assert strategic_threshold_gain(params_with(20.0)) == 0.0
     assert strategic_threshold_gain(params_with(5.0, gamma=0.0)) == 0.0
+
+
+def test_strategic_gain_is_full_power_loss():
+    # A jammer that picks its own threshold senses every positive pilot, so
+    # the leader's best reply is full power under uniform jamming: the
+    # strategic gain is the full-power deviation loss, for every policy.
+    rng = np.random.default_rng(44)
+    for i in range(600):
+        gamma = 0.0 if i % 5 == 0 else float(rng.uniform(0.0, 6.0))
+        p_th = float(rng.uniform(0.05, 6.0))
+        params = SystemParams(
+            int(rng.integers(1, 13)),
+            p_th * float(rng.uniform(0.1, 1.0)) if i % 5 == 1 else float(rng.uniform(0.05, 30.0)),
+            gamma,
+            p_th,
+            float(rng.uniform(0.2, 3.0)),
+            float(rng.uniform(0.2, 3.0)),
+        )
+        if i % 5 == 2:
+            params = params_with(
+                critical_power(params), gamma, p_th, params.legit_channel_var,
+                params.jam_channel_var, params.n_subcarriers,
+            )
+        f = full_power_deviation_loss(params)
+        assert strategic_threshold_gain(params) == f
+        c_se = stackelberg_fixed(params).payoff
+        for delta in (0.1, 0.5, 0.9):
+            assert (c_se - stackelberg_strategic(params, delta).payoff) / c_se == f
+
+
+@pytest.mark.parametrize("variable", ["p_max", "gamma", "sigma2", "p_th"])
+def test_sweep_rows_match_pointwise_sum_rates(ref_params, variable):
+    field = {"p_max": "max_pilot_power", "gamma": "jam_power_budget",
+             "sigma2": "legit_channel_var", "p_th": "sense_threshold"}[variable]
+    rows = sweep(ref_params, variable, 0.1, 8.0, 40)
+    for row in rows:
+        point = dataclasses.replace(ref_params, **{field: row.swept_value})
+        p_max = point.max_pilot_power
+        assert row.c_full == sum_rate(p_max, PowerAllocation.uniform(point), point)
+        deviation = min(point.sense_threshold, p_max)
+        assert row.c_threshold == sum_rate(deviation, PowerAllocation.silent(point), point)
+        assert row.c_se == stackelberg_fixed(point).payoff
+        assert row.f == (row.c_se - row.c_full) / row.c_se
+        assert row.e == row.f
+
+
+@pytest.mark.parametrize(
+    "variable, lo, message",
+    [
+        ("p_max", "-1", "max_pilot_power must be >= 0, got -1.0"),
+        ("gamma", "-1", "jam_power_budget must be >= 0, got -1.0"),
+        ("gamma", "-1e-300", "jam_power_budget must be >= 0, got -1e-300"),
+        ("p_th", "-1", "sense_threshold must be >= 0, got -1.0"),
+        ("sigma2", "-1", "legit_channel_var must be > 0, got -1.0"),
+    ],
+)
+def test_sweep_rejects_out_of_domain_swept_values(capsys, variable, lo, message):
+    code = main(["sweep", "--variable", variable, "--lo", lo, "--hi", "5", "--steps", "10"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
 
 
 def test_metrics_require_positive_equilibrium_payoff():

@@ -2,14 +2,12 @@ import math
 
 import numpy as np
 import pytest
-import scipy.special
 
 from wskg import (
     NotPositiveSemidefinite,
     ParameterError,
     RngSeed,
     gaussian_mi_from_cov,
-    kolmogorov_sf,
     ks_test_normal,
     sample_complex_gaussian,
     sample_qpsk_pilot,
@@ -102,16 +100,6 @@ def test_ks_input_validation():
         ks_test_normal(np.array([]), 1.0)
     with pytest.raises(ParameterError):
         ks_test_normal(np.ones(10), 0.0)
-
-
-def test_kolmogorov_sf_matches_reference():
-    for lam in (0.05, 0.2, 0.4, 0.7, 0.9999, 1.0, 1.2, 1.9495, 2.5, 3.0):
-        assert kolmogorov_sf(lam) == pytest.approx(
-            float(scipy.special.kolmogorov(lam)), abs=1e-8
-        )
-    assert kolmogorov_sf(0.0) == 1.0
-    # the 0.001 critical value sits just below 1.95
-    assert kolmogorov_sf(1.95) < 0.001 < kolmogorov_sf(1.94)
 
 
 def test_gaussian_mi_single_look():
