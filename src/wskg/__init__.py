@@ -26,9 +26,10 @@ from .game import (
 from .injection import (
     MisoChannels,
     compute_precoder,
+    gram,
     injected_signal,
     leakage_bound,
-    mi_from_two_look,
+    mi_from_gram,
     simulate_two_look,
 )
 from .metrics import (
@@ -82,13 +83,14 @@ __all__ = [
     "critical_power",
     "full_power_deviation_loss",
     "gaussian_mi_from_cov",
+    "gram",
     "injected_signal",
     "jammer_br_fixed",
     "jammer_br_strategic",
     "ks_test_normal",
     "leakage_after_randomization",
     "leakage_bound",
-    "mi_from_two_look",
+    "mi_from_gram",
     "oracle_jammer_br",
     "oracle_stackelberg",
     "product_pdf",

@@ -28,12 +28,15 @@ from .errors import (
     ZeroEquilibriumPayoff,
 )
 from .game import OracleConfig, oracle_jammer_br, oracle_stackelberg, stackelberg_fixed, stackelberg_strategic
-from .injection import TwoLookBatch, mi_from_two_look, simulate_two_look
+from .injection import gram, mi_from_gram, simulate_two_look
 from .metrics import sweep as run_sweep
 from .params import EquilibriumResult, PowerAllocation, SystemParams
-from .randomization import RandomizedBatch, randomize_trials, verify_randomization
+from .randomization import randomize_trials, verify_randomization
 from .rates import sum_rate
 from .stochastic import RngSeed
+
+#: Monte Carlo trials per chunk; chunk ``i`` draws from substream ``stream + i``.
+CHUNK_TRIALS = 1 << 16
 
 #: Significance level for the self-checking verification commands.
 KS_SIGNIFICANCE = 0.001
@@ -66,20 +69,24 @@ class RunConfig:
             raise ParameterError(f"workers must be >= 1, got {self.workers}")
 
 
-def _shard_counts(total: int, workers: int) -> List[int]:
-    workers = min(workers, total)
-    base, extra = divmod(total, workers)
-    return [base + 1 if i < extra else base for i in range(workers)]
+def _chunked_gram(simulate: Callable, config: RunConfig, first_chunk: int = 0) -> Tuple[np.ndarray, int]:
+    """Summed :func:`gram` of ``config.trials`` trials, and their resampled
+    channel draws (a ``RandomizedBatch`` resamples none).
 
+    Trials are drawn in chunks of ``CHUNK_TRIALS``; chunk ``i`` uses substream
+    ``stream + first_chunk + i``. ``--workers`` only sets how many chunks run
+    at once: the matrices are added in chunk order, so the result depends on
+    ``(seed, stream, trials)`` alone.
+    """
+    counts = [min(CHUNK_TRIALS, config.trials - start) for start in range(0, config.trials, CHUNK_TRIALS)]
 
-def _sharded_batches(fn: Callable, params: SystemParams, trials: int, seed: RngSeed, workers: int) -> list:
-    """Split trials over consecutive substreams; order is deterministic."""
-    counts = _shard_counts(trials, workers)
-    seeds = [seed.with_stream(seed.stream + i) for i in range(len(counts))]
-    if len(counts) == 1:
-        return [fn(params, counts[0], seeds[0])]
-    with ThreadPoolExecutor(max_workers=len(counts)) as pool:
-        return list(pool.map(fn, [params] * len(counts), counts, seeds))
+    def chunk(i: int) -> Tuple[np.ndarray, int]:
+        batch = simulate(config.params, counts[i], config.seed.with_stream(config.seed.stream + first_chunk + i))
+        return gram(batch), getattr(batch, "resampled", 0)
+
+    with ThreadPoolExecutor(max_workers=min(config.workers, len(counts))) as pool:
+        grams, resampled = zip(*pool.map(chunk, range(len(counts))))
+    return sum(grams), sum(resampled)
 
 
 def _profile_dict(leader, jammer) -> dict:
@@ -139,9 +146,9 @@ def _cmd_verify_randomization(config: RunConfig) -> Tuple[dict, int]:
 
 
 def _cmd_simulate_injection(config: RunConfig) -> Tuple[dict, int]:
-    batch = TwoLookBatch.concat(
-        _sharded_batches(simulate_two_look, config.params, config.trials, config.seed, config.workers)
-    )
+    g, resampled = _chunked_gram(simulate_two_look, config)
+    moments = g / g[0, 0]
+    cov = moments[1:, 1:] - np.outer(moments[0, 1:], moments[0, 1:])
     nominal = config.params.jam_channel_var * config.params.jam_power_budget
     payload = {
         "command": "simulate-injection",
@@ -149,35 +156,31 @@ def _cmd_simulate_injection(config: RunConfig) -> Tuple[dict, int]:
         "seed": config.seed.seed,
         "stream": config.seed.stream,
         "trials": config.trials,
-        "workers": config.workers,
-        "injected_variance": float(np.var(batch.injected)),
+        "chunk_trials": CHUNK_TRIALS,
+        "injected_variance": float(cov[0, 0] + cov[1, 1]),
         "nominal_injected_variance": nominal,
-        "observation_variance": float(np.var(batch.z_a)),
-        "observation_cross_moment": float(np.mean(batch.z_a * np.conj(batch.z_b)).real),
-        "resampled_draws": batch.resampled,
+        "observation_variance": float(cov[2, 2] + cov[3, 3]),
+        "observation_cross_moment": float(moments[3, 5] + moments[4, 6]),
+        "resampled_draws": resampled,
     }
     return payload, 0
 
 
 def _cmd_leakage(config: RunConfig) -> Tuple[dict, int]:
-    static_batch = TwoLookBatch.concat(
-        _sharded_batches(simulate_two_look, config.params, config.trials, config.seed, config.workers)
-    )
-    randomized_seed = config.seed.with_stream(config.seed.stream + config.workers)
-    randomized_batch = RandomizedBatch.concat(
-        _sharded_batches(
-            randomize_trials, config.params, config.trials, randomized_seed, config.workers
-        )
-    )
+    static_gram, resampled = _chunked_gram(simulate_two_look, config)
+    # The randomized stage continues on the substreams after the static chunks.
+    static_chunks = -(-config.trials // CHUNK_TRIALS)
+    randomized_gram, _ = _chunked_gram(randomize_trials, config, static_chunks)
     payload = {
         "command": "leakage",
         "params": config.params.to_dict(),
         "seed": config.seed.seed,
         "stream": config.seed.stream,
         "trials": config.trials,
-        "workers": config.workers,
-        "static_pilot_leakage_bits": mi_from_two_look(static_batch),
-        "randomized_pilot_leakage_bits": mi_from_two_look(randomized_batch),
+        "chunk_trials": CHUNK_TRIALS,
+        "resampled_draws": resampled,
+        "static_pilot_leakage_bits": mi_from_gram(static_gram),
+        "randomized_pilot_leakage_bits": mi_from_gram(randomized_gram),
     }
     return payload, 0
 
@@ -245,7 +248,7 @@ _RNG_OPTIONS = (
     click.Option(["--trials"], type=int, default=100_000, show_default=True, help="Monte Carlo trials / oracle samples."),
 )
 
-_WORKERS_OPTION = click.Option(["--workers"], type=int, default=1, show_default=True, help="Monte Carlo substream shards (1 reproduces the reference output).")
+_WORKERS_OPTION = click.Option(["--workers"], type=int, default=1, show_default=True, help="Monte Carlo chunks run at once (the output does not depend on it).")
 
 _DELTA_OPTION = click.Option(["--delta"], type=float, default=0.5, show_default=True, help="Representative-threshold policy in (0, 1).")
 

@@ -97,7 +97,8 @@ def _fixed_payoffs(n, p_max, gamma, p_th, sigma2, sigmaj2):
     )
     # Below the threshold the leader is never sensed and plays its budget.
     jammed = p_max > p_th
-    boundary = jammed & (
+    # An overflowed knee is no knife edge: every finite budget lies below it.
+    boundary = jammed & np.isfinite(knee) & (
         np.abs(p_max - knee) <= BOUNDARY_RTOL * np.maximum(np.abs(p_max), np.abs(knee))
     )
     scale = np.maximum(np.maximum(np.abs(c_threshold), np.abs(c_full)), 1e-300)
@@ -248,7 +249,7 @@ def oracle_stackelberg(
     knee = critical_power(params)
     if knee <= budget:
         extras.append(knee)
-    grid = np.unique(np.concatenate([grid, np.asarray(extras)]))
+    grid = np.unique(np.append(grid, extras))
     s2, j2 = params.legit_channel_var, params.jam_channel_var
     jammed = rate_array(grid, params.jam_power_budget, s2, j2)
     silent = rate_array(grid, 0.0, s2, j2)

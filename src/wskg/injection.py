@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, List, Tuple
+from typing import TYPE_CHECKING, Tuple
 
 import numpy as np
 
@@ -75,15 +75,6 @@ class TwoLookBatch:
     z_b: np.ndarray
     injected: np.ndarray
     resampled: int = 0
-
-    @classmethod
-    def concat(cls, batches: List["TwoLookBatch"]) -> "TwoLookBatch":
-        return cls(
-            z_a=np.concatenate([b.z_a for b in batches]),
-            z_b=np.concatenate([b.z_b for b in batches]),
-            injected=np.concatenate([b.injected for b in batches]),
-            resampled=sum(b.resampled for b in batches),
-        )
 
 
 def compute_precoder(
@@ -171,28 +162,37 @@ def simulate_two_look(params: SystemParams, n_trials: int, seed: RngSeed) -> Two
     return TwoLookBatch(z_a=z_a, z_b=z_b, injected=injected, resampled=resampled)
 
 
-def mi_from_two_look(batch: TwoLookBatch | RandomizedBatch) -> float:
-    """Gaussian MI estimate, in bits, between the injected value and both looks.
+def gram(batch: TwoLookBatch | RandomizedBatch) -> np.ndarray:
+    """7x7 raw-moment matrix of ``(1, injected, z_a, z_b)`` in real coordinates.
 
+    Entry ``[0, 0]`` is the trial count and row 0 holds the coordinate sums,
+    so the matrices of disjoint batches add up to the matrix of their union.
     Serves both observation models: the static-pilot looks of a
     ``TwoLookBatch`` and the post-multiplied looks of a ``RandomizedBatch``.
     """
-    n_trials = batch.injected.size
+    rows = np.empty((7, batch.injected.size))
+    rows[0] = 1.0
+    for i, values in enumerate((batch.injected, batch.z_a, batch.z_b)):
+        rows[1 + 2 * i] = values.real
+        rows[2 + 2 * i] = values.imag
+    return rows @ rows.T
+
+
+def mi_from_gram(g: np.ndarray) -> float:
+    """Gaussian MI estimate, in bits, between the injected value and both looks.
+
+    Takes a (summed) :func:`gram` matrix. Subtracting the outer product of the
+    sums from the raw moments is accurate here because every coordinate is
+    zero-mean by construction.
+    """
+    n_trials = g[0, 0]
     if n_trials < 10_000:
         raise ParameterError(
-            f"n_trials must be >= 10000 for covariance estimation, got {n_trials}"
+            f"n_trials must be >= 10000 for covariance estimation, got {int(n_trials)}"
         )
-    rows = np.vstack(
-        [
-            batch.injected.real,
-            batch.injected.imag,
-            batch.z_a.real,
-            batch.z_a.imag,
-            batch.z_b.real,
-            batch.z_b.imag,
-        ]
-    )
-    return gaussian_mi_from_cov(np.cov(rows), target_dim=2)
+    sums = g[0, 1:]
+    cov = (g[1:, 1:] - np.outer(sums, sums) / n_trials) / (n_trials - 1.0)
+    return gaussian_mi_from_cov(cov, target_dim=2)
 
 
 def leakage_bound(params: SystemParams, n_trials: int, seed: RngSeed) -> float:
@@ -202,4 +202,4 @@ def leakage_bound(params: SystemParams, n_trials: int, seed: RngSeed) -> float:
     over stacked real coordinates and evaluates the jointly-Gaussian mutual
     information closed form.
     """
-    return mi_from_two_look(simulate_two_look(params, n_trials, seed))
+    return mi_from_gram(gram(simulate_two_look(params, n_trials, seed)))

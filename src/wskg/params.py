@@ -154,11 +154,11 @@ class PowerAllocation:
                 raise ParameterError(f"allocation entries must be finite, got {g!r}")
             if g < 0.0:
                 raise ParameterError(f"allocation entries must be >= 0, got {g}")
-        limit = len(gamma) * budget * (1.0 + ALLOCATION_SUM_RTOL)
-        total = math.fsum(gamma)
-        if total > limit:
+        # Comparing the mean, not the sum, keeps finite entries from overflowing.
+        mean = math.fsum(g / len(gamma) for g in gamma)
+        if mean > budget * (1.0 + ALLOCATION_SUM_RTOL):
             raise ParameterError(
-                f"allocation sum {total} exceeds budget {len(gamma)} * {budget}"
+                f"allocation sum {mean * len(gamma)} exceeds budget {len(gamma)} * {budget}"
             )
         object.__setattr__(self, "gamma", gamma)
         object.__setattr__(self, "budget", budget)

@@ -11,12 +11,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Union
+from typing import Union
 
 import numpy as np
 
 from .errors import ParameterError
-from .injection import mi_from_two_look
+from .injection import gram, mi_from_gram
 from .params import SystemParams
 from .stochastic import KsReport, RngSeed, _complex_normal, _qpsk, ks_test_normal
 
@@ -31,21 +31,9 @@ class RandomizedBatch:
 
     z_a: np.ndarray
     z_b: np.ndarray
-    common: np.ndarray
     injected: np.ndarray
     pilot_a: np.ndarray
     pilot_b: np.ndarray
-
-    @classmethod
-    def concat(cls, batches: List["RandomizedBatch"]) -> "RandomizedBatch":
-        return cls(
-            z_a=np.concatenate([b.z_a for b in batches]),
-            z_b=np.concatenate([b.z_b for b in batches]),
-            common=np.concatenate([b.common for b in batches]),
-            injected=np.concatenate([b.injected for b in batches]),
-            pilot_a=np.concatenate([b.pilot_a for b in batches]),
-            pilot_b=np.concatenate([b.pilot_b for b in batches]),
-        )
 
 
 def randomize_trials(params: SystemParams, n_trials: int, seed: RngSeed) -> RandomizedBatch:
@@ -71,9 +59,7 @@ def randomize_trials(params: SystemParams, n_trials: int, seed: RngSeed) -> Rand
     common = x * y * h
     z_a = common + x * w + x * noise_a
     z_b = common + y * w + y * noise_b
-    return RandomizedBatch(
-        z_a=z_a, z_b=z_b, common=common, injected=w, pilot_a=x, pilot_b=y
-    )
+    return RandomizedBatch(z_a=z_a, z_b=z_b, injected=w, pilot_a=x, pilot_b=y)
 
 
 def product_pdf(
@@ -146,4 +132,4 @@ def leakage_after_randomization(
     All second moments between the injected value and the post-multiplied
     observations are zero, so the Gaussian MI estimate is pure sampling noise.
     """
-    return mi_from_two_look(randomize_trials(params, n_trials, seed))
+    return mi_from_gram(gram(randomize_trials(params, n_trials, seed)))

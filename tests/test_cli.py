@@ -1,9 +1,10 @@
 import json
 import math
+import tracemalloc
 
 import pytest
 
-from wskg.cli import CSV_HEADER, cli, main
+from wskg.cli import CHUNK_TRIALS, CSV_HEADER, cli, main
 from wskg.randomization import RandomizationReport
 from wskg.stochastic import KsReport
 
@@ -173,14 +174,50 @@ def test_simulate_injection_reports_model_variance(capsys):
 
 
 def test_workers_sharding_is_deterministic(capsys):
-    args = (
-        "simulate-injection", "--p-max", "2", "--trials", "40000",
-        "--seed", "5", "--workers", "2",
+    for command in ("simulate-injection", "leakage"):
+        # 150000 trials are three chunks, the last one ragged.
+        args = (command, "--p-max", "2", "--trials", "150000", "--seed", "5")
+        runs = [run_cli(capsys, *args, "--workers", str(workers)) for workers in (1, 2, 3)]
+        assert [code for code, _, _ in runs] == [0, 0, 0]
+        assert runs[0][1] == runs[1][1] == runs[2][1]
+        payload = json.loads(runs[0][1])
+        assert "workers" not in payload
+        assert payload["chunk_trials"] == CHUNK_TRIALS
+        assert payload["resampled_draws"] == 0
+
+
+def test_leakage_memory_does_not_grow_with_trials(capsys):
+    peaks = {}
+    for trials in (150_000, 600_000):
+        tracemalloc.start()
+        try:
+            code, _, _ = run_cli(
+                capsys, "leakage", "--trials", str(trials), "--seed", "3", "--workers", "2",
+            )
+            peaks[trials] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+    assert peaks[600_000] <= 1.25 * peaks[150_000]
+
+
+def test_overflowed_knee_is_not_a_knife_edge(capsys):
+    code, out, _ = run_cli(capsys, "solve-fixed", "--gamma", "1e308")
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["p_se"] == 2.0
+    assert payload["payoff"] == 8.4799690655495
+    code, _, _ = run_cli(
+        capsys, "sweep", "--variable", "gamma", "--lo", "0", "--hi", "1e308", "--steps", "5",
     )
-    code_a, out_a, _ = run_cli(capsys, *args)
-    code_b, out_b, _ = run_cli(capsys, *args)
-    assert code_a == code_b == 0
-    assert out_a == out_b
+    assert code == 0
+
+
+def test_huge_jam_budget_allocation_does_not_overflow(capsys):
+    code, out, err = run_cli(capsys, "solve-strategic", "--gamma", "1e308")
+    assert code == 0
+    assert json.loads(out)["payoff"] == 0.0
+    assert "Traceback" not in err
 
 
 def test_invalid_parameter_exits_1(capsys):
@@ -222,7 +259,7 @@ def test_bad_delta_exits_1(capsys):
 
 
 def test_non_finite_result_exits_2(capsys, monkeypatch):
-    monkeypatch.setattr("wskg.cli.mi_from_two_look", lambda batch: float("nan"))
+    monkeypatch.setattr("wskg.cli.mi_from_gram", lambda g: float("nan"))
     code, out, err = run_cli(
         capsys, "leakage", "--trials", "10000", "--seed", "1",
     )

@@ -10,8 +10,12 @@ from wskg import (
     RngSeed,
     SystemParams,
     compute_precoder,
+    gaussian_mi_from_cov,
+    gram,
     injected_signal,
     leakage_bound,
+    mi_from_gram,
+    randomize_trials,
     simulate_two_look,
 )
 
@@ -147,3 +151,25 @@ def test_leakage_positive_whenever_injection_runs():
 def test_leakage_requires_enough_trials():
     with pytest.raises(ParameterError):
         leakage_bound(make_params(), 5000, SEED)
+
+
+@pytest.mark.parametrize("simulate", [simulate_two_look, randomize_trials])
+def test_gram_of_chunks_sums_to_the_mean_centred_covariance(simulate):
+    params = make_params()
+    chunks = [simulate(params, n, SEED.with_stream(i)) for i, n in enumerate((30_000, 12_345))]
+    total = gram(chunks[0]) + gram(chunks[1])
+    assert total[0, 0] == 42_345
+
+    def coordinates(name):
+        values = np.concatenate([getattr(b, name) for b in chunks])
+        return [values.real, values.imag]
+
+    # Reference: np.cov of the concatenated real coordinates.
+    rows = np.vstack(coordinates("injected") + coordinates("z_a") + coordinates("z_b"))
+    expected = gaussian_mi_from_cov(np.cov(rows), target_dim=2)
+    assert mi_from_gram(total) == pytest.approx(expected, rel=1e-9, abs=1e-12)
+
+
+def test_mi_from_gram_requires_enough_trials():
+    with pytest.raises(ParameterError, match="got 9999"):
+        mi_from_gram(gram(simulate_two_look(make_params(), 9_999, SEED)))
