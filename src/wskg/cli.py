@@ -226,7 +226,7 @@ def _cmd_sweep(config: RunConfig) -> Tuple[dict, int]:
         "lo": lo,
         "hi": hi,
         "steps": steps,
-        "rows": [asdict(row) for row in rows],
+        "rows": [vars(row).copy() for row in rows],
     }
     return payload, 0
 

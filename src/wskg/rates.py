@@ -15,6 +15,8 @@ _LN2 = math.log(2.0)
 ArrayLike = Union[float, np.ndarray]
 
 
+# b*(b + 2a) overflows to inf for jam budgets near 1e308, where the rate is 0.
+@np.errstate(over="ignore")
 def rate_array(p: ArrayLike, gamma: ArrayLike, sigma2: float, sigmaj2: float) -> np.ndarray:
     """Key rate in bits per channel use; broadcasts over pilot and jam powers.
 

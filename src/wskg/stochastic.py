@@ -11,7 +11,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import kolmogorov, ndtr
 
 from .errors import NotPositiveSemidefinite, ParameterError
 
@@ -88,6 +87,9 @@ def ks_test_normal(samples: np.ndarray, variance: float) -> KsReport:
     The p-value comes from the asymptotic Kolmogorov distribution, which is
     accurate in the large-sample regime this toolkit operates in.
     """
+    # Imported here so that only callers of this test pay scipy's import time.
+    from scipy.special import kolmogorov, ndtr
+
     x = np.sort(np.asarray(samples, dtype=float))
     n = x.size
     if n == 0:

@@ -1,9 +1,13 @@
 import json
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 
 import pytest
 
+import wskg
 from wskg.cli import CHUNK_TRIALS, CSV_HEADER, cli, main
 from wskg.randomization import RandomizationReport
 from wskg.stochastic import KsReport
@@ -31,6 +35,15 @@ def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def run_fresh(script, *argv):
+    """Run ``script`` in a new interpreter that imports this checkout's wskg,
+    with default warning filters, so imports and stderr are not pytest's."""
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(wskg.__file__))}
+    return subprocess.run(
+        [sys.executable, "-c", script, *argv], env=env, capture_output=True, text=True, timeout=120
+    )
 
 
 def test_solve_fixed_reference_output(capsys):
@@ -218,6 +231,53 @@ def test_huge_jam_budget_allocation_does_not_overflow(capsys):
     assert code == 0
     assert json.loads(out)["payoff"] == 0.0
     assert "Traceback" not in err
+
+
+def test_huge_jam_budget_prints_no_warning():
+    proc = run_fresh(
+        "import sys; from wskg.cli import main; sys.exit(main(sys.argv[1:]))",
+        "solve-strategic", "--gamma", "1e308",
+    )
+    assert proc.returncode == 0
+    assert json.loads(proc.stdout)["payoff"] == 0.0
+    assert proc.stderr == ""
+
+
+_SCIPY_PROBE = """
+import contextlib, io, json, sys
+from wskg.cli import main
+
+def run(*argv):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(list(argv))
+    return code, out.getvalue()
+
+def scipy_loaded():
+    return sorted(name for name in sys.modules if name.split(".")[0] == "scipy")
+
+codes = [
+    run("solve-fixed")[0],
+    run("solve-strategic")[0],
+    run("sweep", "--variable", "gamma", "--lo", "0", "--hi", "8", "--steps", "50")[0],
+    run("oracle-check", "--seed", "1", "--trials", "1000")[0],
+]
+before = scipy_loaded()
+code, out = run("verify-randomization", "--p-max", "2", "--trials", "20000", "--seed", "7")
+print(json.dumps({"codes": codes, "before": before, "code": code,
+                  "after": scipy_loaded(), "payload": json.loads(out)}))
+"""
+
+
+def test_scipy_is_loaded_only_by_the_ks_test():
+    proc = run_fresh(_SCIPY_PROBE)
+    assert proc.returncode == 0, proc.stderr
+    probe = json.loads(proc.stdout)
+    assert probe["codes"] == [0, 0, 0, 0]
+    assert probe["before"] == []
+    assert probe["code"] == 0
+    assert "scipy.special" in probe["after"]
+    assert probe["payload"]["ks_source"]["p_value"] == 0.4781976144831221
 
 
 def test_invalid_parameter_exits_1(capsys):
