@@ -59,8 +59,6 @@ class RunConfig:
     workers: int = 1
 
     def __post_init__(self) -> None:
-        if self.format not in ("csv", "json"):
-            raise ParameterError(f"format must be csv or json, got {self.format!r}")
         if self.trials < 1:
             raise ParameterError(f"trials must be >= 1, got {self.trials}")
         if not 0.0 < self.delta < 1.0:

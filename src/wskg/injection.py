@@ -28,8 +28,12 @@ if TYPE_CHECKING:
 _SINGULARITY_FLOOR_SCALE = 1e-9
 
 
-def _coincidence_floor(h_a1: complex, h_b1: complex) -> float:
-    return _SINGULARITY_FLOOR_SCALE * (abs(h_a1) + abs(h_b1) + 1.0)
+def _coincidence_floor(h_a1, h_b1):
+    floor = np.abs(h_a1)
+    floor += np.abs(h_b1)
+    floor += 1.0
+    floor *= _SINGULARITY_FLOOR_SCALE
+    return floor
 
 
 @dataclass(frozen=True)
@@ -140,25 +144,30 @@ def simulate_two_look(params: SystemParams, n_trials: int, seed: RngSeed) -> Two
     h_b2 = _complex_normal(rng, entry_var, n_trials)
 
     resampled = 0
-    floor = _SINGULARITY_FLOOR_SCALE * (np.abs(h_a1) + np.abs(h_b1) + 1.0)
-    bad = np.flatnonzero(np.abs(h_a1 - h_b1) < floor)
+    denom = h_a1 - h_b1
+    bad = np.flatnonzero(np.abs(denom) < _coincidence_floor(h_a1, h_b1))
     while bad.size:
         resampled += bad.size
         for arr in (h_a1, h_a2, h_b1, h_b2):
             arr[bad] = _complex_normal(rng, entry_var, bad.size)
-        floor_bad = _SINGULARITY_FLOOR_SCALE * (np.abs(h_a1[bad]) + np.abs(h_b1[bad]) + 1.0)
-        bad = bad[np.abs(h_a1[bad] - h_b1[bad]) < floor_bad]
+        denom[bad] = h_a1[bad] - h_b1[bad]
+        bad = bad[np.abs(denom[bad]) < _coincidence_floor(h_a1[bad], h_b1[bad])]
 
-    ratio = (h_b2 - h_a2) / (h_a1 - h_b1)
-    unit_gain = (h_a1 * ratio + h_a2) / np.sqrt(1.0 + np.abs(ratio) ** 2)
-    xj = 1.0 + 0.0j
-    injected = 2.0 * math.sqrt(params.jam_power_budget) * unit_gain * xj
+    # In place: injected = 2 sqrt(budget) (h_a1 ratio + h_a2) / sqrt(1 + |ratio|^2) xj.
+    ratio = np.subtract(h_b2, h_a2, out=h_b2)
+    ratio /= denom
+    injected = np.multiply(h_a1, ratio, out=h_a1)
+    injected += h_a2
+    injected /= np.sqrt(1.0 + np.abs(ratio) ** 2)
+    del h_a2, h_b1, h_b2, ratio, denom
+    np.multiply(2.0 * math.sqrt(params.jam_power_budget), injected, out=injected)
+    injected *= 1.0 + 0.0j  # the attack symbol xj; the product sets the sign of zero parts
 
-    pilot = math.sqrt(params.max_pilot_power)
-    noise_a = _complex_normal(rng, 1.0, n_trials)
-    noise_b = _complex_normal(rng, 1.0, n_trials)
-    z_a = pilot * h + injected + noise_a
-    z_b = pilot * h + injected + noise_b
+    z_a = _complex_normal(rng, 1.0, n_trials)
+    z_b = _complex_normal(rng, 1.0, n_trials)
+    common = np.add(np.multiply(math.sqrt(params.max_pilot_power), h, out=h), injected, out=h)
+    z_a += common
+    z_b += common
     return TwoLookBatch(z_a=z_a, z_b=z_b, injected=injected, resampled=resampled)
 
 

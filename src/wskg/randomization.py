@@ -18,7 +18,7 @@ import numpy as np
 from .errors import ParameterError
 from .injection import gram, mi_from_gram
 from .params import SystemParams
-from .stochastic import KsReport, RngSeed, _complex_normal, _qpsk, ks_test_normal
+from .stochastic import KsReport, RngSeed, _complex_normal, _qpsk, _qpsk_points, ks_test_normal
 
 
 @dataclass(frozen=True)
@@ -56,9 +56,14 @@ def randomize_trials(params: SystemParams, n_trials: int, seed: RngSeed) -> Rand
     )
     noise_a = _complex_normal(rng, 1.0, n_trials)
     noise_b = _complex_normal(rng, 1.0, n_trials)
-    common = x * y * h
-    z_a = common + x * w + x * noise_a
-    z_b = common + y * w + y * noise_b
+    # In place, in the operation order of z_a = x y h + x w + x noise_a, etc.
+    z_b = np.multiply(x, y)
+    z_b *= h
+    z_a = np.multiply(x, w)
+    z_a += z_b
+    z_a += np.multiply(x, noise_a, out=noise_a)
+    z_b += np.multiply(y, w, out=h)
+    z_b += np.multiply(y, noise_b, out=noise_b)
     return RandomizedBatch(z_a=z_a, z_b=z_b, injected=w, pilot_a=x, pilot_b=y)
 
 
@@ -109,12 +114,20 @@ def verify_randomization(
     s2 = params.legit_channel_var
     if power <= 0.0:
         raise ParameterError("max_pilot_power must be > 0 to verify the defense")
+    # Only the pilot bits and h are held whole; complex pilots are built per
+    # chunk. Products stay complex: numpy may fuse a*c - b*d into one rounding.
     rng = seed.generator()
-    x = _qpsk(rng, power, n_samples)
-    y = _qpsk(rng, power, n_samples)
+    x_re, x_im, y_re, y_im = (rng.integers(0, 2, n_samples).astype(bool) for _ in range(4))
     h = _complex_normal(rng, s2, n_samples)
-    product = x.real * h.real
-    source_real = (x * y * h).real
+    points, chunk = _qpsk_points(power), 1 << 14
+    product, source_real = np.empty((2, n_samples))
+    for start in range(0, n_samples, chunk):
+        s = slice(start, start + chunk)
+        x = points[2 * x_re[s] + x_im[s]]
+        y = points[2 * y_re[s] + y_im[s]]
+        product[s] = x.real * h[s].real
+        source_real[s] = (x * y * h[s]).real
+    del x_re, x_im, y_re, y_im, h
     ks_product = ks_test_normal(product, power * s2 / 4.0)
     ks_source = ks_test_normal(source_real, power * power * s2 / 2.0)
     return RandomizationReport(

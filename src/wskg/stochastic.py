@@ -38,17 +38,23 @@ def _complex_normal(rng: np.random.Generator, variance: float, count: int) -> np
     if variance == 0.0:
         return np.zeros(count, dtype=complex)
     scale = math.sqrt(variance / 2.0)
-    return rng.normal(0.0, scale, count) + 1j * rng.normal(0.0, scale, count)
+    out = np.empty(count, dtype=complex)
+    out.real = rng.normal(0.0, scale, count)
+    out.imag = rng.normal(0.0, scale, count)
+    return out
 
 
 def _qpsk(rng: np.random.Generator, power: float, count: int) -> np.ndarray:
     """Uniform draws from the four constant-modulus points +-r +-jr, r=sqrt(power/2)."""
     if power == 0.0:
         return np.zeros(count, dtype=complex)
+    return _qpsk_points(power)[2 * rng.integers(0, 2, count) + rng.integers(0, 2, count)]
+
+
+def _qpsk_points(power: float) -> np.ndarray:
+    """The four points +-r +-jr, indexed by 2 * (real part > 0) + (imag part > 0)."""
     r = math.sqrt(power / 2.0)
-    re = 2.0 * rng.integers(0, 2, count) - 1.0
-    im = 2.0 * rng.integers(0, 2, count) - 1.0
-    return r * (re + 1j * im)
+    return np.array([complex(-r, -r), complex(-r, r), complex(r, -r), complex(r, r)])
 
 
 def sample_complex_gaussian(variance: float, count: int, seed: RngSeed) -> np.ndarray:
@@ -90,16 +96,20 @@ def ks_test_normal(samples: np.ndarray, variance: float) -> KsReport:
     # Imported here so that only callers of this test pay scipy's import time.
     from scipy.special import kolmogorov, ndtr
 
-    x = np.sort(np.asarray(samples, dtype=float))
+    x = np.asarray(samples, dtype=float)
     n = x.size
     if n == 0:
         raise ParameterError("samples must be non-empty")
     if not (math.isfinite(variance) and variance > 0.0):
         raise ParameterError(f"variance must be > 0, got {variance!r}")
-    cdf = ndtr(x / math.sqrt(variance))
+    if not np.isfinite(x).all():
+        raise ParameterError("samples must be finite")
+    cdf = np.sort(x)
+    ndtr(np.divide(cdf, math.sqrt(variance), out=cdf), out=cdf)
     steps = np.arange(1, n + 1, dtype=float) / n
-    d_plus = float(np.max(steps - cdf))
-    d_minus = float(np.max(cdf - (steps - 1.0 / n)))
+    diff = np.subtract(steps, cdf)
+    d_plus = float(diff.max())
+    d_minus = float(np.subtract(cdf, np.subtract(steps, 1.0 / n, out=diff), out=diff).max())
     statistic = max(d_plus, d_minus, 0.0)
     p_value = float(kolmogorov(math.sqrt(n) * statistic))
     return KsReport(statistic=statistic, p_value=p_value, n=n)

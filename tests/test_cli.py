@@ -297,6 +297,12 @@ def test_unknown_option_exits_1(capsys):
     assert code == 1
 
 
+def test_unknown_format_exits_1(capsys):
+    code, _, err = run_cli(capsys, "solve-fixed", "--format", "xml")
+    assert code == 1
+    assert "xml" in err
+
+
 def test_csv_unsupported_for_solver_exits_1(capsys):
     code, _, err = run_cli(capsys, "solve-fixed", "--format", "csv")
     assert code == 1

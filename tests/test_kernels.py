@@ -1,0 +1,221 @@
+"""The Monte Carlo kernels against textbook reference implementations.
+
+The kernels work in place and build only the arrays they need, but they must
+give the same bits as the plain expressions below, which allocate a fresh
+array per operation. Comparing the raw bits (sign of zero included) pins this
+on whatever numpy runs the suite, where a seeded golden would only pin one
+numpy's output.
+"""
+
+import math
+import tracemalloc
+
+import numpy as np
+import pytest
+import scipy.special
+
+from wskg import (
+    ParameterError,
+    RngSeed,
+    SystemParams,
+    ks_test_normal,
+    randomize_trials,
+    simulate_two_look,
+    verify_randomization,
+)
+from wskg import injection
+from wskg.randomization import RandomizationReport
+from wskg.stochastic import KsReport, _complex_normal, _qpsk
+
+SEED = RngSeed(2718, 5)
+SIZES = (10_000, 65_537)
+P_MAX = (1e-3, 0.37, 2.0, 5.0)
+
+
+def ref_complex_normal(rng, variance, count):
+    if variance == 0.0:
+        return np.zeros(count, dtype=complex)
+    scale = math.sqrt(variance / 2.0)
+    return rng.normal(0.0, scale, count) + 1j * rng.normal(0.0, scale, count)
+
+
+def ref_qpsk(rng, power, count):
+    if power == 0.0:
+        return np.zeros(count, dtype=complex)
+    r = math.sqrt(power / 2.0)
+    re = 2.0 * rng.integers(0, 2, count) - 1.0
+    im = 2.0 * rng.integers(0, 2, count) - 1.0
+    return r * (re + 1j * im)
+
+
+def ref_simulate_two_look(params, n_trials, seed):
+    """(z_a, z_b, injected, resampled, h_a1, h_b1), the last two after resampling."""
+    rng = seed.generator()
+    entry_var = params.jam_channel_var / 2.0
+    h = ref_complex_normal(rng, params.legit_channel_var, n_trials)
+    h_a1, h_a2, h_b1, h_b2 = (ref_complex_normal(rng, entry_var, n_trials) for _ in range(4))
+    resampled = 0
+    floor = injection._SINGULARITY_FLOOR_SCALE * (np.abs(h_a1) + np.abs(h_b1) + 1.0)
+    bad = np.flatnonzero(np.abs(h_a1 - h_b1) < floor)
+    while bad.size:
+        resampled += bad.size
+        for arr in (h_a1, h_a2, h_b1, h_b2):
+            arr[bad] = ref_complex_normal(rng, entry_var, bad.size)
+        floor_bad = injection._SINGULARITY_FLOOR_SCALE * (
+            np.abs(h_a1[bad]) + np.abs(h_b1[bad]) + 1.0
+        )
+        bad = bad[np.abs(h_a1[bad] - h_b1[bad]) < floor_bad]
+    ratio = (h_b2 - h_a2) / (h_a1 - h_b1)
+    unit_gain = (h_a1 * ratio + h_a2) / np.sqrt(1.0 + np.abs(ratio) ** 2)
+    xj = 1.0 + 0.0j
+    injected = 2.0 * math.sqrt(params.jam_power_budget) * unit_gain * xj
+    pilot = math.sqrt(params.max_pilot_power)
+    noise_a = ref_complex_normal(rng, 1.0, n_trials)
+    noise_b = ref_complex_normal(rng, 1.0, n_trials)
+    z_a = pilot * h + injected + noise_a
+    z_b = pilot * h + injected + noise_b
+    return z_a, z_b, injected, resampled, h_a1, h_b1
+
+
+def ref_randomize_trials(params, n_trials, seed):
+    """(z_a, z_b, injected, pilot_a, pilot_b)."""
+    rng = seed.generator()
+    power = params.max_pilot_power
+    x = ref_qpsk(rng, power, n_trials)
+    y = ref_qpsk(rng, power, n_trials)
+    h = ref_complex_normal(rng, params.legit_channel_var, n_trials)
+    w = ref_complex_normal(rng, params.jam_channel_var * params.jam_power_budget, n_trials)
+    noise_a = ref_complex_normal(rng, 1.0, n_trials)
+    noise_b = ref_complex_normal(rng, 1.0, n_trials)
+    common = x * y * h
+    z_a = common + x * w + x * noise_a
+    z_b = common + y * w + y * noise_b
+    return z_a, z_b, w, x, y
+
+
+def ref_ks_test_normal(samples, variance):
+    x = np.sort(np.asarray(samples, dtype=float))
+    n = x.size
+    cdf = scipy.special.ndtr(x / math.sqrt(variance))
+    steps = np.arange(1, n + 1, dtype=float) / n
+    d_plus = float(np.max(steps - cdf))
+    d_minus = float(np.max(cdf - (steps - 1.0 / n)))
+    statistic = max(d_plus, d_minus, 0.0)
+    p_value = float(scipy.special.kolmogorov(math.sqrt(n) * statistic))
+    return KsReport(statistic=statistic, p_value=p_value, n=n)
+
+
+def ref_verify_randomization(params, n_samples, seed):
+    power = params.max_pilot_power
+    s2 = params.legit_channel_var
+    rng = seed.generator()
+    x = ref_qpsk(rng, power, n_samples)
+    y = ref_qpsk(rng, power, n_samples)
+    h = ref_complex_normal(rng, s2, n_samples)
+    product = x.real * h.real
+    source_real = (x * y * h).real
+    return RandomizationReport(
+        ks_product=ref_ks_test_normal(product, power * s2 / 4.0),
+        ks_source=ref_ks_test_normal(source_real, power * power * s2 / 2.0),
+        source_real_var=float(np.var(source_real)),
+    )
+
+
+def same_bits(a, b):
+    """Equal dtype, shape and bits; unlike ``==``, -0.0 differs from 0.0."""
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and np.array_equal(
+        a.view(np.uint64), b.view(np.uint64)
+    )
+
+
+def make_params(p_max, gamma=3.0):
+    return SystemParams(10, p_max, gamma, 2.0, 1.7, 0.6)
+
+
+@pytest.mark.parametrize("count", SIZES)
+@pytest.mark.parametrize("power", (0.0,) + P_MAX)
+def test_samplers_match_reference(count, power):
+    assert same_bits(
+        _complex_normal(SEED.generator(), power, count),
+        ref_complex_normal(SEED.generator(), power, count),
+    )
+    assert same_bits(_qpsk(SEED.generator(), power, count), ref_qpsk(SEED.generator(), power, count))
+
+
+@pytest.mark.parametrize("n_trials", SIZES)
+@pytest.mark.parametrize("gamma", (0.0, 3.0))
+@pytest.mark.parametrize("p_max", P_MAX)
+def test_simulate_two_look_matches_reference(n_trials, gamma, p_max):
+    params = make_params(p_max, gamma)
+    batch = simulate_two_look(params, n_trials, SEED)
+    z_a, z_b, injected, resampled, _, _ = ref_simulate_two_look(params, n_trials, SEED)
+    assert same_bits(batch.z_a, z_a)
+    assert same_bits(batch.z_b, z_b)
+    assert same_bits(batch.injected, injected)
+    assert batch.resampled == resampled
+
+
+@pytest.mark.parametrize("n_trials", SIZES)
+@pytest.mark.parametrize("gamma", (0.0, 3.0))
+@pytest.mark.parametrize("p_max", (0.0,) + P_MAX)
+def test_randomize_trials_matches_reference(n_trials, gamma, p_max):
+    params = make_params(p_max, gamma)
+    batch = randomize_trials(params, n_trials, SEED)
+    expected = ref_randomize_trials(params, n_trials, SEED)
+    got = (batch.z_a, batch.z_b, batch.injected, batch.pilot_a, batch.pilot_b)
+    assert all(same_bits(a, b) for a, b in zip(got, expected))
+
+
+@pytest.mark.parametrize("n_samples", SIZES)
+@pytest.mark.parametrize("p_max", P_MAX)
+def test_verify_randomization_matches_reference(n_samples, p_max):
+    params = make_params(p_max)
+    assert verify_randomization(params, n_samples, SEED) == ref_verify_randomization(
+        params, n_samples, SEED
+    )
+
+
+def test_ks_test_matches_reference():
+    samples = np.random.default_rng(9).normal(0.0, 1.3, 65_537)
+    assert ks_test_normal(samples, 1.5) == ref_ks_test_normal(samples, 1.5)
+
+
+def test_resampling_keeps_only_draws_above_the_floor(monkeypatch):
+    monkeypatch.setattr(injection, "_SINGULARITY_FLOOR_SCALE", 0.3)
+    params = make_params(2.0)
+    batch = simulate_two_look(params, 10_000, SEED)
+    z_a, z_b, injected, resampled, h_a1, h_b1 = ref_simulate_two_look(params, 10_000, SEED)
+    assert batch.resampled == resampled > 0
+    assert np.all(np.abs(h_a1 - h_b1) >= 0.3 * (np.abs(h_a1) + np.abs(h_b1) + 1.0))
+    assert same_bits(batch.z_a, z_a)
+    assert same_bits(batch.z_b, z_b)
+    assert same_bits(batch.injected, injected)
+
+
+def peak_bytes_per_trial(fn, n):
+    tracemalloc.start()
+    try:
+        fn(n)
+        return tracemalloc.get_traced_memory()[1] / n
+    finally:
+        tracemalloc.stop()
+
+
+def test_verify_randomization_peak_memory_per_sample():
+    # scipy.special is loaded above, so its import does not count here.
+    params = make_params(2.0)
+    peak = peak_bytes_per_trial(lambda n: verify_randomization(params, n, SEED), 200_000)
+    assert peak <= 64.0
+
+
+def test_simulate_two_look_peak_memory_per_trial():
+    params = make_params(2.0)
+    peak = peak_bytes_per_trial(lambda n: simulate_two_look(params, n, SEED), 200_000)
+    assert peak <= 160.0
+
+
+@pytest.mark.parametrize("bad", (np.nan, np.inf, -np.inf))
+def test_ks_test_rejects_non_finite_samples(bad):
+    with pytest.raises(ParameterError, match="samples must be finite"):
+        ks_test_normal(np.array([0.1, bad, -0.3] * 5000), 1.0)
