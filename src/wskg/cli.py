@@ -13,10 +13,9 @@ from __future__ import annotations
 
 import json
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, fields
 from functools import partial
-from typing import Callable, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 import click
 import numpy as np
@@ -28,15 +27,12 @@ from .errors import (
     ZeroEquilibriumPayoff,
 )
 from .game import OracleConfig, oracle_jammer_br, oracle_stackelberg, stackelberg_fixed, stackelberg_strategic
-from .injection import gram, mi_from_gram, simulate_two_look
+from .injection import CHUNK_TRIALS, chunked_grams, mi_from_gram, simulate_two_look
 from .metrics import sweep as run_sweep
 from .params import EquilibriumResult, PowerAllocation, SystemParams
 from .randomization import randomize_trials, verify_randomization
 from .rates import sum_rate
 from .stochastic import RngSeed
-
-#: Monte Carlo trials per chunk; chunk ``i`` draws from substream ``stream + i``.
-CHUNK_TRIALS = 1 << 16
 
 #: Significance level for the self-checking verification commands.
 KS_SIGNIFICANCE = 0.001
@@ -56,35 +52,13 @@ class RunConfig:
     sweep_spec: Optional[Tuple[str, float, float, int]] = None
     trials: int = 100_000
     delta: float = 0.5
-    workers: int = 1
+    workers: Optional[int] = None
 
     def __post_init__(self) -> None:
         if self.trials < 1:
             raise ParameterError(f"trials must be >= 1, got {self.trials}")
         if not 0.0 < self.delta < 1.0:
             raise ParameterError(f"delta must lie in (0, 1), got {self.delta}")
-        if self.workers < 1:
-            raise ParameterError(f"workers must be >= 1, got {self.workers}")
-
-
-def _chunked_gram(simulate: Callable, config: RunConfig, first_chunk: int = 0) -> Tuple[np.ndarray, int]:
-    """Summed :func:`gram` of ``config.trials`` trials, and their resampled
-    channel draws (a ``RandomizedBatch`` resamples none).
-
-    Trials are drawn in chunks of ``CHUNK_TRIALS``; chunk ``i`` uses substream
-    ``stream + first_chunk + i``. ``--workers`` only sets how many chunks run
-    at once: the matrices are added in chunk order, so the result depends on
-    ``(seed, stream, trials)`` alone.
-    """
-    counts = [min(CHUNK_TRIALS, config.trials - start) for start in range(0, config.trials, CHUNK_TRIALS)]
-
-    def chunk(i: int) -> Tuple[np.ndarray, int]:
-        batch = simulate(config.params, counts[i], config.seed.with_stream(config.seed.stream + first_chunk + i))
-        return gram(batch), getattr(batch, "resampled", 0)
-
-    with ThreadPoolExecutor(max_workers=min(config.workers, len(counts))) as pool:
-        grams, resampled = zip(*pool.map(chunk, range(len(counts))))
-    return sum(grams), sum(resampled)
 
 
 def _profile_dict(leader, jammer) -> dict:
@@ -144,8 +118,8 @@ def _cmd_verify_randomization(config: RunConfig) -> Tuple[dict, int]:
 
 
 def _cmd_simulate_injection(config: RunConfig) -> Tuple[dict, int]:
-    g, resampled = _chunked_gram(simulate_two_look, config)
-    moments = g / g[0, 0]
+    (stage,) = chunked_grams(config.params, config.trials, config.seed, (simulate_two_look,), config.workers)
+    moments = stage.total / config.trials
     cov = moments[1:, 1:] - np.outer(moments[0, 1:], moments[0, 1:])
     nominal = config.params.jam_channel_var * config.params.jam_power_budget
     payload = {
@@ -159,16 +133,17 @@ def _cmd_simulate_injection(config: RunConfig) -> Tuple[dict, int]:
         "nominal_injected_variance": nominal,
         "observation_variance": float(cov[2, 2] + cov[3, 3]),
         "observation_cross_moment": float(moments[3, 5] + moments[4, 6]),
-        "resampled_draws": resampled,
+        "resampled_draws": stage.resampled,
     }
     return payload, 0
 
 
 def _cmd_leakage(config: RunConfig) -> Tuple[dict, int]:
-    static_gram, resampled = _chunked_gram(simulate_two_look, config)
-    # The randomized stage continues on the substreams after the static chunks.
-    static_chunks = -(-config.trials // CHUNK_TRIALS)
-    randomized_gram, _ = _chunked_gram(randomize_trials, config, static_chunks)
+    # One pool runs both stages; the randomized chunks continue on the
+    # substreams after the static ones.
+    static, randomized = chunked_grams(
+        config.params, config.trials, config.seed, (simulate_two_look, randomize_trials), config.workers
+    )
     payload = {
         "command": "leakage",
         "params": config.params.to_dict(),
@@ -176,9 +151,9 @@ def _cmd_leakage(config: RunConfig) -> Tuple[dict, int]:
         "stream": config.seed.stream,
         "trials": config.trials,
         "chunk_trials": CHUNK_TRIALS,
-        "resampled_draws": resampled,
-        "static_pilot_leakage_bits": mi_from_gram(static_gram),
-        "randomized_pilot_leakage_bits": mi_from_gram(randomized_gram),
+        "resampled_draws": static.resampled,
+        "static_pilot_leakage_bits": mi_from_gram(static.total),
+        "randomized_pilot_leakage_bits": mi_from_gram(randomized.total),
     }
     return payload, 0
 
@@ -246,7 +221,10 @@ _RNG_OPTIONS = (
     click.Option(["--trials"], type=int, default=100_000, show_default=True, help="Monte Carlo trials / oracle samples."),
 )
 
-_WORKERS_OPTION = click.Option(["--workers"], type=int, default=1, show_default=True, help="Monte Carlo chunks run at once (the output does not depend on it).")
+_WORKERS_OPTION = click.Option(
+    ["--workers"], type=int, default=None, show_default="usable CPU count",
+    help="Monte Carlo chunks run at once, capped at min(workers, chunks, usable CPUs); the output does not depend on it.",
+)
 
 _DELTA_OPTION = click.Option(["--delta"], type=float, default=0.5, show_default=True, help="Representative-threshold policy in (0, 1).")
 

@@ -10,8 +10,11 @@ attacker controls when the probing pilots are deterministic.
 from __future__ import annotations
 
 import math
+import os
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -27,10 +30,13 @@ if TYPE_CHECKING:
 #: continuous channel law, but finite precision still needs a floor.
 _SINGULARITY_FLOOR_SCALE = 1e-9
 
+#: Monte Carlo trials per chunk; chunk ``i`` draws from substream ``stream + i``.
+CHUNK_TRIALS = 1 << 16
 
-def _coincidence_floor(h_a1, h_b1):
-    floor = np.abs(h_a1)
-    floor += np.abs(h_b1)
+
+def _coincidence_floor(h_a1, h_b1, out=None, scratch=None):
+    floor = np.abs(h_a1, out=out)
+    floor += np.abs(h_b1, out=scratch)
     floor += 1.0
     floor *= _SINGULARITY_FLOOR_SCALE
     return floor
@@ -64,6 +70,48 @@ class Precoder:
     @property
     def transmit_power(self) -> float:
         return abs(self.p1) ** 2 + abs(self.p2) ** 2
+
+
+#: The work arrays of one buffer set: key -> (dtype, values per trial). Keys
+#: 0 to 6 hold a kernel's draws and results. Wider dtypes come first, so
+#: every array of the one allocation is aligned.
+_BUFFER_LAYOUT = {
+    **{key: (complex, 1) for key in range(7)},
+    "gram": (float, 7),
+    "scratch": (float, 1),
+    "floor": (float, 1),
+    "mask": (bool, 1),
+}
+
+
+class ChunkBuffers:
+    """Work arrays for Monte Carlo chunks of up to ``size`` trials.
+
+    The set holds one array per key in ``keys`` (by default every key of
+    ``_BUFFER_LAYOUT``, 185 bytes per trial), all views into one allocation,
+    so repeated calls reuse one heap block instead of faulting in fresh
+    pages per array. ``take`` hands out the first ``n`` trials of one of
+    them, so a set serves chunk after chunk. A kernel reuses a key only once
+    the key's previous contents are dead.
+    """
+
+    def __init__(self, size: int, keys: Sequence = tuple(_BUFFER_LAYOUT)) -> None:
+        self.size = size
+        layout = [(key, *_BUFFER_LAYOUT[key]) for key in _BUFFER_LAYOUT if key in keys]
+        widths = [np.dtype(dtype).itemsize * per_trial * size for _, dtype, per_trial in layout]
+        block = np.empty(sum(widths), dtype=np.uint8)
+        self._arrays: Dict[object, np.ndarray] = {}
+        offset = 0
+        for (key, dtype, _), width in zip(layout, widths):
+            self._arrays[key] = block[offset : offset + width].view(dtype)
+            offset += width
+
+    def take(self, key, n: int) -> np.ndarray:
+        """First ``n`` trials of the array under ``key``: a C-contiguous
+        ``(values per trial, n)`` block when that is more than one."""
+        per_trial = _BUFFER_LAYOUT[key][1]
+        view = self._arrays[key][: per_trial * n]
+        return view.reshape(per_trial, n) if per_trial > 1 else view
 
 
 @dataclass(frozen=True)
@@ -117,7 +165,9 @@ def injected_signal(
     return at_alice, at_bob
 
 
-def simulate_two_look(params: SystemParams, n_trials: int, seed: RngSeed) -> TwoLookBatch:
+def simulate_two_look(
+    params: SystemParams, n_trials: int, seed: RngSeed, buffers: Optional[ChunkBuffers] = None
+) -> TwoLookBatch:
     """Monte Carlo trials of both parties' observations under injection.
 
     Per trial: a reciprocal channel gain H ~ CN(0, legit_channel_var), the
@@ -131,21 +181,28 @@ def simulate_two_look(params: SystemParams, n_trials: int, seed: RngSeed) -> Two
     value at both receivers costs the array gain twice over), so the injected
     amplitude is normalized to realize the nominal attack model
     CN(0, jam_channel_var * jam_power_budget).
+
+    The returned arrays are views into ``buffers`` when given.
     """
     if n_trials < 1:
         raise ParameterError(f"n_trials must be >= 1, got {n_trials}")
     rng = seed.generator()
     entry_var = params.jam_channel_var / 2.0
+    if buffers is None:
+        buffers = ChunkBuffers(n_trials, (0, 1, 2, 3, 4, 5, "scratch", "floor", "mask"))
+    scratch = buffers.take("scratch", n_trials)
 
-    h = _complex_normal(rng, params.legit_channel_var, n_trials)
-    h_a1 = _complex_normal(rng, entry_var, n_trials)
-    h_a2 = _complex_normal(rng, entry_var, n_trials)
-    h_b1 = _complex_normal(rng, entry_var, n_trials)
-    h_b2 = _complex_normal(rng, entry_var, n_trials)
+    def draw(key: int, variance: float) -> np.ndarray:
+        return _complex_normal(rng, variance, n_trials, buffers.take(key, n_trials), scratch)
+
+    h = draw(0, params.legit_channel_var)
+    h_a1, h_a2, h_b1, h_b2 = (draw(key, entry_var) for key in (1, 2, 3, 4))
 
     resampled = 0
-    denom = h_a1 - h_b1
-    bad = np.flatnonzero(np.abs(denom) < _coincidence_floor(h_a1, h_b1))
+    denom = np.subtract(h_a1, h_b1, out=buffers.take(5, n_trials))
+    floor = _coincidence_floor(h_a1, h_b1, buffers.take("floor", n_trials), scratch)
+    below = np.less(np.abs(denom, out=scratch), floor, out=buffers.take("mask", n_trials))
+    bad = np.flatnonzero(below)
     while bad.size:
         resampled += bad.size
         for arr in (h_a1, h_a2, h_b1, h_b2):
@@ -158,33 +215,114 @@ def simulate_two_look(params: SystemParams, n_trials: int, seed: RngSeed) -> Two
     ratio /= denom
     injected = np.multiply(h_a1, ratio, out=h_a1)
     injected += h_a2
-    injected /= np.sqrt(1.0 + np.abs(ratio) ** 2)
-    del h_a2, h_b1, h_b2, ratio, denom
+    norm = np.square(np.abs(ratio, out=scratch), out=scratch)
+    norm += 1.0
+    injected /= np.sqrt(norm, out=norm)
     np.multiply(2.0 * math.sqrt(params.jam_power_budget), injected, out=injected)
     injected *= 1.0 + 0.0j  # the attack symbol xj; the product sets the sign of zero parts
 
-    z_a = _complex_normal(rng, 1.0, n_trials)
-    z_b = _complex_normal(rng, 1.0, n_trials)
+    # h_a2 and h_b1 are dead: the noises reuse their arrays.
+    z_a = draw(2, 1.0)
+    z_b = draw(3, 1.0)
     common = np.add(np.multiply(math.sqrt(params.max_pilot_power), h, out=h), injected, out=h)
     z_a += common
     z_b += common
     return TwoLookBatch(z_a=z_a, z_b=z_b, injected=injected, resampled=resampled)
 
 
-def gram(batch: TwoLookBatch | RandomizedBatch) -> np.ndarray:
+def gram(batch: TwoLookBatch | RandomizedBatch, buffers: Optional[ChunkBuffers] = None) -> np.ndarray:
     """7x7 raw-moment matrix of ``(1, injected, z_a, z_b)`` in real coordinates.
 
     Entry ``[0, 0]`` is the trial count and row 0 holds the coordinate sums,
     so the matrices of disjoint batches add up to the matrix of their union.
     Serves both observation models: the static-pilot looks of a
     ``TwoLookBatch`` and the post-multiplied looks of a ``RandomizedBatch``.
+    The stacked coordinates are written into ``buffers`` when given.
     """
-    rows = np.empty((7, batch.injected.size))
+    n = batch.injected.size
+    rows = (ChunkBuffers(n, ("gram",)) if buffers is None else buffers).take("gram", n)
     rows[0] = 1.0
     for i, values in enumerate((batch.injected, batch.z_a, batch.z_b)):
         rows[1 + 2 * i] = values.real
         rows[2 + 2 * i] = values.imag
     return rows @ rows.T
+
+
+@dataclass(frozen=True)
+class ChunkedGram:
+    """One stage of :func:`chunked_grams`: the :func:`gram` of each chunk in
+    chunk order, their sum, and the channel draws the chunks resampled."""
+
+    chunks: Tuple[np.ndarray, ...]
+    total: np.ndarray
+    resampled: int
+
+
+def usable_cpus() -> int:
+    """CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # platforms without CPU affinity
+        return os.cpu_count() or 1
+
+
+def pool_size(workers: Optional[int], n_chunks: int) -> int:
+    """Threads that run ``n_chunks`` chunks: ``min(workers, n_chunks, usable
+    CPUs)``, with ``workers`` defaulting to the usable CPU count. Each thread
+    holds one buffer set, so memory grows with this number, not with trials."""
+    if workers is not None and workers < 1:
+        raise ParameterError(f"workers must be >= 1, got {workers}")
+    cpus = usable_cpus()
+    return min(cpus if workers is None else workers, n_chunks, cpus)
+
+
+def chunked_grams(
+    params: SystemParams,
+    n_trials: int,
+    seed: RngSeed,
+    kernels: Sequence[Callable],
+    workers: Optional[int] = None,
+) -> List[ChunkedGram]:
+    """Chunked Monte Carlo engine: one :class:`ChunkedGram` per kernel.
+
+    Each kernel (:func:`simulate_two_look` or ``randomize_trials``) runs
+    ``n_trials`` trials in chunks of ``CHUNK_TRIALS``. Chunk ``i`` of kernel
+    ``k`` uses substream ``stream + k * n_chunks + i``, so each kernel
+    continues on the substreams after the previous one. All chunks share one
+    pool of :func:`pool_size` threads, and each thread writes every chunk it
+    runs into one buffer set sized to the largest chunk: one allocation per
+    thread and call, freed when the call returns. One thread, or one
+    chunk, runs on the calling thread. The matrices are added in chunk order,
+    so the result depends on ``(seed, stream, n_trials)`` alone.
+    """
+    if n_trials < 1:
+        raise ParameterError(f"n_trials must be >= 1, got {n_trials}")
+    counts = [min(CHUNK_TRIALS, n_trials - start) for start in range(0, n_trials, CHUNK_TRIALS)]
+    jobs = [
+        (kernel, count, seed.with_stream(seed.stream + k * len(counts) + i))
+        for k, kernel in enumerate(kernels)
+        for i, count in enumerate(counts)
+    ]
+    local = threading.local()
+
+    def run(job) -> Tuple[np.ndarray, int]:
+        kernel, count, chunk_seed = job
+        if not hasattr(local, "buffers"):
+            local.buffers = ChunkBuffers(counts[0])
+        batch = kernel(params, count, chunk_seed, local.buffers)
+        return gram(batch, local.buffers), getattr(batch, "resampled", 0)
+
+    threads = pool_size(workers, len(jobs))
+    if threads == 1:
+        results = [run(job) for job in jobs]
+    else:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            results = list(pool.map(run, jobs))
+    stages = []
+    for k in range(len(kernels)):
+        grams, resampled = zip(*results[k * len(counts) : (k + 1) * len(counts)])
+        stages.append(ChunkedGram(chunks=grams, total=sum(grams), resampled=sum(resampled)))
+    return stages
 
 
 def mi_from_gram(g: np.ndarray) -> float:
@@ -208,7 +346,8 @@ def leakage_bound(params: SystemParams, n_trials: int, seed: RngSeed) -> float:
     """Estimated upper bound, in bits, on the key material the attacker controls.
 
     Estimates the joint covariance of the injected value and both observations
-    over stacked real coordinates and evaluates the jointly-Gaussian mutual
-    information closed form.
+    over stacked real coordinates, with :func:`chunked_grams`, and evaluates
+    the jointly-Gaussian mutual information closed form.
     """
-    return mi_from_gram(gram(simulate_two_look(params, n_trials, seed)))
+    (static,) = chunked_grams(params, n_trials, seed, (simulate_two_look,))
+    return mi_from_gram(static.total)

@@ -11,12 +11,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Union
+from typing import Optional, Union
 
 import numpy as np
 
 from .errors import ParameterError
-from .injection import gram, mi_from_gram
+from .injection import ChunkBuffers, chunked_grams, mi_from_gram
 from .params import SystemParams
 from .stochastic import KsReport, RngSeed, _complex_normal, _qpsk, _qpsk_points, ks_test_normal
 
@@ -36,33 +36,42 @@ class RandomizedBatch:
     pilot_b: np.ndarray
 
 
-def randomize_trials(params: SystemParams, n_trials: int, seed: RngSeed) -> RandomizedBatch:
+def randomize_trials(
+    params: SystemParams, n_trials: int, seed: RngSeed, buffers: Optional[ChunkBuffers] = None
+) -> RandomizedBatch:
     """Monte Carlo trials of both parties' post-multiplied observations.
 
     Per trial: independent QPSK pilots X and Y at full pilot power, a channel
     gain H ~ CN(0, legit_channel_var), an injected value
     W ~ CN(0, jam_channel_var * jam_power_budget), and unit-variance noises.
-    Returns Z~_a = XYH + XW + X N_a and Z~_b = XYH + YW + Y N_b.
+    Returns Z~_a = XYH + XW + X N_a and Z~_b = XYH + YW + Y N_b, as views into
+    ``buffers`` when given.
     """
     if n_trials < 1:
         raise ParameterError(f"n_trials must be >= 1, got {n_trials}")
     rng = seed.generator()
+    if buffers is None:
+        buffers = ChunkBuffers(n_trials, (0, 1, 2, 3, 4, 5, 6, "scratch"))
+    scratch = buffers.take("scratch", n_trials)
     power = params.max_pilot_power
-    x = _qpsk(rng, power, n_trials)
-    y = _qpsk(rng, power, n_trials)
-    h = _complex_normal(rng, params.legit_channel_var, n_trials)
-    w = _complex_normal(
-        rng, params.jam_channel_var * params.jam_power_budget, n_trials
+    x = _qpsk(rng, power, n_trials, buffers.take(0, n_trials))
+    y = _qpsk(rng, power, n_trials, buffers.take(1, n_trials))
+    h, w, noise_a, noise_b = (
+        _complex_normal(rng, variance, n_trials, buffers.take(key, n_trials), scratch)
+        for key, variance in (
+            (2, params.legit_channel_var),
+            (3, params.jam_channel_var * params.jam_power_budget),
+            (4, 1.0),
+            (5, 1.0),
+        )
     )
-    noise_a = _complex_normal(rng, 1.0, n_trials)
-    noise_b = _complex_normal(rng, 1.0, n_trials)
     # In place, in the operation order of z_a = x y h + x w + x noise_a, etc.
-    z_b = np.multiply(x, y)
+    z_b = np.multiply(x, y, out=buffers.take(6, n_trials))
     z_b *= h
-    z_a = np.multiply(x, w)
+    z_a = np.multiply(x, w, out=h)
     z_a += z_b
     z_a += np.multiply(x, noise_a, out=noise_a)
-    z_b += np.multiply(y, w, out=h)
+    z_b += np.multiply(y, w, out=noise_a)
     z_b += np.multiply(y, noise_b, out=noise_b)
     return RandomizedBatch(z_a=z_a, z_b=z_b, injected=w, pilot_a=x, pilot_b=y)
 
@@ -137,12 +146,13 @@ def verify_randomization(
     )
 
 
-def leakage_after_randomization(
-    params: SystemParams, n_trials: int, seed: RngSeed
-) -> float:
+def leakage_after_randomization(params: SystemParams, n_trials: int, seed: RngSeed) -> float:
     """Leakage estimate under randomized probing; vanishes as trials grow.
 
     All second moments between the injected value and the post-multiplied
     observations are zero, so the Gaussian MI estimate is pure sampling noise.
+    Runs on :func:`~wskg.injection.chunked_grams`, as the ``leakage``
+    command's randomized stage does.
     """
-    return mi_from_gram(gram(randomize_trials(params, n_trials, seed)))
+    (randomized,) = chunked_grams(params, n_trials, seed, (randomize_trials,))
+    return mi_from_gram(randomized.total)

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
@@ -33,22 +34,49 @@ class RngSeed:
         return RngSeed(self.seed, stream)
 
 
-def _complex_normal(rng: np.random.Generator, variance: float, count: int) -> np.ndarray:
-    """Circularly-symmetric complex normal draws; variance 0 yields zeros."""
+def _complex_normal(
+    rng: np.random.Generator,
+    variance: float,
+    count: int,
+    out: Optional[np.ndarray] = None,
+    scratch: Optional[np.ndarray] = None,
+) -> np.ndarray:
+    """Circularly-symmetric complex normal draws; variance 0 yields zeros.
+
+    Writes into ``out`` and draws through ``scratch`` (``count`` complex and
+    real entries) when given; allocates them otherwise. ``Generator.normal``
+    returns ``loc + scale * z``, so adding 0.0 after the scaling keeps its
+    bits, signs of zero included.
+    """
+    out = np.empty(count, dtype=complex) if out is None else out
     if variance == 0.0:
-        return np.zeros(count, dtype=complex)
+        out.fill(0.0)
+        return out
     scale = math.sqrt(variance / 2.0)
-    out = np.empty(count, dtype=complex)
-    out.real = rng.normal(0.0, scale, count)
-    out.imag = rng.normal(0.0, scale, count)
+    z = np.empty(count) if scratch is None else scratch
+
+    def draw() -> np.ndarray:
+        rng.standard_normal(out=z)
+        np.multiply(z, scale, out=z)
+        return np.add(z, 0.0, out=z)
+
+    out.real = draw()
+    out.imag = draw()
     return out
 
 
-def _qpsk(rng: np.random.Generator, power: float, count: int) -> np.ndarray:
+def _qpsk(
+    rng: np.random.Generator, power: float, count: int, out: Optional[np.ndarray] = None
+) -> np.ndarray:
     """Uniform draws from the four constant-modulus points +-r +-jr, r=sqrt(power/2)."""
+    out = np.empty(count, dtype=complex) if out is None else out
     if power == 0.0:
-        return np.zeros(count, dtype=complex)
-    return _qpsk_points(power)[2 * rng.integers(0, 2, count) + rng.integers(0, 2, count)]
+        out.fill(0.0)
+        return out
+    index = rng.integers(0, 2, count)
+    index *= 2
+    index += rng.integers(0, 2, count)
+    return np.take(_qpsk_points(power), index, out=out, mode="clip")  # mode "raise" copies through a buffer
 
 
 def _qpsk_points(power: float) -> np.ndarray:

@@ -191,12 +191,33 @@ def test_workers_sharding_is_deterministic(capsys):
         # 150000 trials are three chunks, the last one ragged.
         args = (command, "--p-max", "2", "--trials", "150000", "--seed", "5")
         runs = [run_cli(capsys, *args, "--workers", str(workers)) for workers in (1, 2, 3)]
-        assert [code for code, _, _ in runs] == [0, 0, 0]
-        assert runs[0][1] == runs[1][1] == runs[2][1]
+        runs.append(run_cli(capsys, *args))  # the default: every usable CPU
+        assert [code for code, _, _ in runs] == [0, 0, 0, 0]
+        assert runs[0][1] == runs[1][1] == runs[2][1] == runs[3][1]
         payload = json.loads(runs[0][1])
         assert "workers" not in payload
         assert payload["chunk_trials"] == CHUNK_TRIALS
         assert payload["resampled_draws"] == 0
+
+
+def test_leakage_command_runs_the_library_estimators(capsys):
+    # Above CHUNK_TRIALS the library functions chunk as the command does.
+    code, out, _ = run_cli(capsys, "leakage", "--p-max", "2", "--trials", "150000", "--seed", "5")
+    assert code == 0
+    payload = json.loads(out)
+    params = wskg.SystemParams(10, 2.0, 4.0, 2.0, 1.0, 1.0)
+    static = wskg.leakage_bound(params, 150_000, wskg.RngSeed(5))
+    # The randomized stage starts after the three static chunks.
+    randomized = wskg.leakage_after_randomization(params, 150_000, wskg.RngSeed(5, 3))
+    assert payload["static_pilot_leakage_bits"] == static
+    assert payload["randomized_pilot_leakage_bits"] == randomized
+
+
+def test_zero_workers_exits_1(capsys):
+    code, out, err = run_cli(capsys, "leakage", "--trials", "10000", "--seed", "1", "--workers", "0")
+    assert code == 1
+    assert out == ""
+    assert "workers must be >= 1" in err
 
 
 def test_leakage_memory_does_not_grow_with_trials(capsys):

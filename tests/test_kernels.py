@@ -8,6 +8,8 @@ numpy's output.
 """
 
 import math
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -91,6 +93,24 @@ def ref_randomize_trials(params, n_trials, seed):
     z_a = common + x * w + x * noise_a
     z_b = common + y * w + y * noise_b
     return z_a, z_b, w, x, y
+
+
+def ref_gram(z_a, z_b, injected):
+    ones = np.ones(injected.size)
+    rows = np.stack([ones, injected.real, injected.imag, z_a.real, z_a.imag, z_b.real, z_b.imag])
+    return rows @ rows.T
+
+
+def ref_chunked_gram(ref_kernel, params, n_trials, first_stream):
+    """Reference grams of each chunk and their sum in chunk order, and the
+    resampled draws."""
+    counts = [min(injection.CHUNK_TRIALS, n_trials - s) for s in range(0, n_trials, injection.CHUNK_TRIALS)]
+    grams, resampled = [], 0
+    for i, count in enumerate(counts):
+        out = ref_kernel(params, count, SEED.with_stream(first_stream + i))
+        grams.append(ref_gram(*out[:3]))
+        resampled += out[3] if ref_kernel is ref_simulate_two_look else 0
+    return grams, sum(grams), resampled
 
 
 def ref_ks_test_normal(samples, variance):
@@ -191,6 +211,96 @@ def test_resampling_keeps_only_draws_above_the_floor(monkeypatch):
     assert same_bits(batch.z_a, z_a)
     assert same_bits(batch.z_b, z_b)
     assert same_bits(batch.injected, injected)
+
+
+# 150000 trials are three chunks; the last one is ragged, so it runs in
+# buffers larger than itself.
+ENGINE_TRIALS = 150_000
+
+
+@pytest.mark.parametrize("workers", (1, 2, 3))
+@pytest.mark.parametrize(
+    "p_max, gamma, floor_scale",
+    [(2.0, 3.0, None), (0.0, 0.0, None), (2.0, 3.0, 0.3)],
+    ids=["reference", "zero-variance", "resampling"],
+)
+def test_chunked_grams_match_reference(monkeypatch, workers, p_max, gamma, floor_scale):
+    # Enough CPUs that ``workers`` threads really run.
+    monkeypatch.setattr(injection, "usable_cpus", lambda: 8)
+    if floor_scale is not None:
+        monkeypatch.setattr(injection, "_SINGULARITY_FLOOR_SCALE", floor_scale)
+    params = make_params(p_max, gamma)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)  # more thread switches between the workers
+    try:
+        static, randomized = injection.chunked_grams(
+            params, ENGINE_TRIALS, SEED, (simulate_two_look, randomize_trials), workers
+        )
+    finally:
+        sys.setswitchinterval(interval)
+    stream = SEED.stream
+    for stage, ref_kernel, first_stream in (
+        (static, ref_simulate_two_look, stream),
+        (randomized, ref_randomize_trials, stream + 3),
+    ):
+        grams, total, resampled = ref_chunked_gram(ref_kernel, params, ENGINE_TRIALS, first_stream)
+        assert len(stage.chunks) == 3
+        assert all(same_bits(a, b) for a, b in zip(stage.chunks, grams))
+        assert same_bits(stage.total, total)
+        assert stage.resampled == resampled
+    assert (static.resampled > 0) == (floor_scale is not None)
+
+
+def test_chunks_of_one_worker_reuse_its_buffers(monkeypatch):
+    monkeypatch.setattr(injection, "usable_cpus", lambda: 8)
+    params = make_params(2.0)
+    for workers in (1, 2):
+        runs = {}
+
+        def recording(params, n_trials, seed, buffers):
+            batch = simulate_two_look(params, n_trials, seed, buffers)
+            runs.setdefault(threading.get_ident(), []).append(batch)
+            return batch
+
+        injection.chunked_grams(params, ENGINE_TRIALS, SEED, (recording, recording), workers)
+        assert len(runs) <= workers
+        if workers == 1:  # one worker runs on the calling thread
+            assert list(runs) == [threading.get_ident()]
+        assert sum(map(len, runs.values())) == 6
+        for batches in runs.values():
+            for first, second in zip(batches, batches[1:]):
+                assert np.shares_memory(first.z_a, second.z_a)
+                assert np.shares_memory(first.injected, second.injected)
+        heads = [batches[0].z_a for batches in runs.values()]
+        assert not any(np.shares_memory(a, b) for a, b in zip(heads, heads[1:]))
+
+
+def test_pool_size_is_capped_by_workers_chunks_and_cpus(monkeypatch):
+    monkeypatch.setattr(injection, "usable_cpus", lambda: 2)
+    # --workers 100000 at 1e9 trials: 15259 chunks, yet two threads.
+    assert injection.pool_size(10**6, 15_259) == 2
+    assert injection.pool_size(None, 15_259) == 2
+    assert injection.pool_size(None, 1) == 1
+    assert injection.pool_size(1, 15_259) == 1
+    monkeypatch.setattr(injection, "usable_cpus", lambda: 64)
+    assert injection.pool_size(10**6, 3) == 3
+    assert injection.pool_size(5, 15_259) == 5
+    assert injection.pool_size(None, 15_259) == 64
+    with pytest.raises(ParameterError, match="workers must be >= 1"):
+        injection.pool_size(0, 3)
+
+
+def test_one_chunk_runs_inline_in_buffers_of_its_size():
+    params = make_params(2.0)
+    runs = []
+
+    def recording(params, n_trials, seed, buffers):
+        runs.append((threading.get_ident(), buffers.size))
+        return simulate_two_look(params, n_trials, seed, buffers)
+
+    # One chunk runs on the calling thread whatever the worker count.
+    injection.chunked_grams(params, 10_000, SEED, (recording,), workers=4)
+    assert runs == [(threading.get_ident(), 10_000)]
 
 
 def peak_bytes_per_trial(fn, n):
