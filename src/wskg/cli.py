@@ -118,7 +118,9 @@ def _cmd_verify_randomization(config: RunConfig) -> Tuple[dict, int]:
 
 
 def _cmd_simulate_injection(config: RunConfig) -> Tuple[dict, int]:
-    (stage,) = chunked_grams(config.params, config.trials, config.seed, (simulate_two_look,), config.workers)
+    (stage,) = chunked_grams(
+        config.params, config.trials, config.seed, (simulate_two_look,), config.workers
+    )
     moments = stage.total / config.trials
     cov = moments[1:, 1:] - np.outer(moments[0, 1:], moments[0, 1:])
     nominal = config.params.jam_channel_var * config.params.jam_power_budget

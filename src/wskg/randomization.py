@@ -56,15 +56,14 @@ def randomize_trials(
     power = params.max_pilot_power
     x = _qpsk(rng, power, n_trials, buffers.take(0, n_trials))
     y = _qpsk(rng, power, n_trials, buffers.take(1, n_trials))
-    h, w, noise_a, noise_b = (
-        _complex_normal(rng, variance, n_trials, buffers.take(key, n_trials), scratch)
-        for key, variance in (
-            (2, params.legit_channel_var),
-            (3, params.jam_channel_var * params.jam_power_budget),
-            (4, 1.0),
-            (5, 1.0),
-        )
-    )
+
+    def draw(key: int, variance: float) -> np.ndarray:
+        return _complex_normal(rng, variance, n_trials, buffers.take(key, n_trials), scratch)
+
+    h = draw(2, params.legit_channel_var)
+    w = draw(3, params.jam_channel_var * params.jam_power_budget)
+    noise_a = draw(4, 1.0)
+    noise_b = draw(5, 1.0)
     # In place, in the operation order of z_a = x y h + x w + x noise_a, etc.
     z_b = np.multiply(x, y, out=buffers.take(6, n_trials))
     z_b *= h
