@@ -4,108 +4,49 @@ Covers the coincident-injection attack and its randomized-QPSK-probing
 defense over a block-fading AWGN channel, the reactive-jammer power game and
 its Stackelberg solutions, and brute-force oracles cross-checking every
 closed form.
+
+The public names are resolved on first access (PEP 562), so ``import wskg``
+loads no submodule and each name loads only the module that defines it.
+``wskg.X`` always reads ``wskg.<module>.X``: nothing is cached here.
 """
 
-from .errors import (
-    NearSingularChannels,
-    NotPositiveSemidefinite,
-    NumericalError,
-    ParameterError,
-    ZeroEquilibriumPayoff,
-)
-from .game import (
-    OracleConfig,
-    critical_power,
-    jammer_br_fixed,
-    jammer_br_strategic,
-    oracle_jammer_br,
-    oracle_stackelberg,
-    stackelberg_fixed,
-    stackelberg_strategic,
-)
-from .injection import (
-    MisoChannels,
-    compute_precoder,
-    gram,
-    injected_signal,
-    leakage_bound,
-    mi_from_gram,
-    simulate_two_look,
-)
-from .metrics import (
-    full_power_deviation_loss,
-    strategic_threshold_gain,
-    sweep,
-    threshold_deviation_loss,
-)
-from .params import (
-    ALLOCATION_SUM_RTOL,
-    EquilibriumResult,
-    JammerStrategy,
-    LeaderStrategy,
-    PowerAllocation,
-    SystemParams,
-    validate_params,
-)
-from .randomization import (
-    leakage_after_randomization,
-    product_pdf,
-    randomize_trials,
-    verify_randomization,
-)
-from .rates import rate_array, skg_rate, sum_rate
-from .stochastic import (
-    RngSeed,
-    gaussian_mi_from_cov,
-    ks_test_normal,
-    sample_complex_gaussian,
-    sample_qpsk_pilot,
-)
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "ALLOCATION_SUM_RTOL",
-    "EquilibriumResult",
-    "JammerStrategy",
-    "LeaderStrategy",
-    "MisoChannels",
-    "NearSingularChannels",
-    "NotPositiveSemidefinite",
-    "NumericalError",
-    "OracleConfig",
-    "ParameterError",
-    "PowerAllocation",
-    "RngSeed",
-    "SystemParams",
-    "ZeroEquilibriumPayoff",
-    "compute_precoder",
-    "critical_power",
-    "full_power_deviation_loss",
-    "gaussian_mi_from_cov",
-    "gram",
-    "injected_signal",
-    "jammer_br_fixed",
-    "jammer_br_strategic",
-    "ks_test_normal",
-    "leakage_after_randomization",
-    "leakage_bound",
-    "mi_from_gram",
-    "oracle_jammer_br",
-    "oracle_stackelberg",
-    "product_pdf",
-    "randomize_trials",
-    "rate_array",
-    "sample_complex_gaussian",
-    "sample_qpsk_pilot",
-    "simulate_two_look",
-    "skg_rate",
-    "stackelberg_fixed",
-    "stackelberg_strategic",
-    "strategic_threshold_gain",
-    "sum_rate",
-    "sweep",
-    "threshold_deviation_loss",
-    "validate_params",
-    "verify_randomization",
-]
+#: Public name -> the submodule that defines it.
+_EXPORTS = {
+    name: module
+    for module, names in {
+        "errors": ("NearSingularChannels", "NotPositiveSemidefinite", "NumericalError",
+                   "ParameterError", "ZeroEquilibriumPayoff"),
+        "game": ("OracleConfig", "critical_power", "jammer_br_fixed", "jammer_br_strategic",
+                 "oracle_jammer_br", "oracle_stackelberg", "stackelberg_fixed",
+                 "stackelberg_strategic"),
+        "injection": ("MisoChannels", "compute_precoder", "gram", "injected_signal",
+                      "leakage_bound", "mi_from_gram", "simulate_two_look"),
+        "metrics": ("full_power_deviation_loss", "strategic_threshold_gain", "sweep",
+                    "threshold_deviation_loss"),
+        "params": ("ALLOCATION_SUM_RTOL", "EquilibriumResult", "JammerStrategy",
+                   "LeaderStrategy", "PowerAllocation", "SystemParams", "validate_params"),
+        "randomization": ("leakage_after_randomization", "product_pdf", "randomize_trials",
+                          "verify_randomization"),
+        "rates": ("rate_array", "skg_rate", "sum_rate"),
+        "stochastic": ("RngSeed", "gaussian_mi_from_cov", "ks_test_normal",
+                       "sample_complex_gaussian", "sample_qpsk_pilot"),
+    }.items()
+    for name in names
+}
+
+__all__ = sorted(_EXPORTS)
+
+
+def __getattr__(name: str):
+    module = _EXPORTS.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(importlib.import_module(f"{__name__}.{module}"), name)
+
+
+def __dir__():
+    return sorted({*globals(), *__all__})

@@ -26,11 +26,11 @@ from .errors import (
     ParameterError,
     ZeroEquilibriumPayoff,
 )
+# The Monte Carlo modules, injection and randomization, are imported by the
+# commands that run them, so the closed-form commands start without them.
 from .game import OracleConfig, oracle_jammer_br, oracle_stackelberg, stackelberg_fixed, stackelberg_strategic
-from .injection import CHUNK_TRIALS, chunked_grams, mi_from_gram, simulate_two_look
 from .metrics import sweep as run_sweep
 from .params import EquilibriumResult, PowerAllocation, SystemParams
-from .randomization import randomize_trials, verify_randomization
 from .rates import sum_rate
 from .stochastic import RngSeed
 
@@ -94,6 +94,8 @@ def _cmd_solve_strategic(config: RunConfig) -> Tuple[dict, int]:
 
 
 def _cmd_verify_randomization(config: RunConfig) -> Tuple[dict, int]:
+    from .randomization import verify_randomization
+
     report = verify_randomization(config.params, config.trials, config.seed)
     accepted = (
         report.ks_product.p_value > KS_SIGNIFICANCE
@@ -118,6 +120,8 @@ def _cmd_verify_randomization(config: RunConfig) -> Tuple[dict, int]:
 
 
 def _cmd_simulate_injection(config: RunConfig) -> Tuple[dict, int]:
+    from .injection import CHUNK_TRIALS, chunked_grams, simulate_two_look
+
     (stage,) = chunked_grams(
         config.params, config.trials, config.seed, (simulate_two_look,), config.workers
     )
@@ -141,6 +145,9 @@ def _cmd_simulate_injection(config: RunConfig) -> Tuple[dict, int]:
 
 
 def _cmd_leakage(config: RunConfig) -> Tuple[dict, int]:
+    from .injection import CHUNK_TRIALS, chunked_grams, mi_from_gram, simulate_two_look
+    from .randomization import randomize_trials
+
     # One pool runs both stages; the randomized chunks continue on the
     # substreams after the static ones.
     static, randomized = chunked_grams(

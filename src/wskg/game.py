@@ -29,6 +29,9 @@ from .stochastic import RngSeed
 #: as equal to the critical power and both equilibria are reported.
 BOUNDARY_RTOL = 1e-12
 
+#: Simplex sample values :func:`oracle_jammer_br` draws and evaluates at once.
+ORACLE_BLOCK_VALUES = 1 << 16
+
 
 @dataclass(frozen=True)
 class BestResponse:
@@ -215,20 +218,23 @@ def oracle_jammer_br(
     n = params.n_subcarriers
     total = n * params.jam_power_budget
     rng = cfg.seed.generator()
-    spacings = rng.standard_exponential((cfg.allocation_samples, n))
-    simplex = spacings / spacings.sum(axis=1, keepdims=True) * total
-    candidates = np.vstack(
-        [
-            np.full((1, n), params.jam_power_budget),
-            np.eye(n) * total,
-            simplex,
-        ]
-    )
-    values = rate_array(
-        p, candidates, params.legit_channel_var, params.jam_channel_var
-    ).sum(axis=1)
-    best = int(np.argmin(values))
-    return PowerAllocation.from_values(candidates[best], params), float(values[best])
+    rows = max(1, ORACLE_BLOCK_VALUES // n)
+
+    def blocks():
+        yield np.vstack([np.full((1, n), params.jam_power_budget), np.eye(n) * total])
+        # Filled in sequence, the blocks hold the values of one big draw.
+        for start in range(0, cfg.allocation_samples, rows):
+            spacings = rng.standard_exponential((min(rows, cfg.allocation_samples - start), n))
+            yield spacings / spacings.sum(axis=1, keepdims=True) * total
+
+    best, best_value = None, math.nan
+    for block in blocks():
+        values = rate_array(p, block, params.legit_channel_var, params.jam_channel_var).sum(axis=1)
+        i = int(np.argmin(values))
+        # np.argmin's order across blocks: a NaN beats every number, a tie keeps the earlier.
+        if best is None or (not math.isnan(best_value) and (values[i] < best_value or math.isnan(values[i]))):
+            best, best_value = block[i], float(values[i])
+    return PowerAllocation.from_values(best, params), best_value
 
 
 def oracle_stackelberg(

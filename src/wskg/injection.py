@@ -12,7 +12,6 @@ from __future__ import annotations
 import math
 import os
 import threading
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -316,6 +315,10 @@ def chunked_grams(
     if threads == 1:
         results = [run(job) for job in jobs]
     else:
+        # Imported here, so that runs on one thread load neither
+        # concurrent.futures nor the logging it imports.
+        from concurrent.futures import ThreadPoolExecutor
+
         with ThreadPoolExecutor(max_workers=threads) as pool:
             results = list(pool.map(run, jobs))
     stages = []

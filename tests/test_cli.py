@@ -1,3 +1,4 @@
+import importlib
 import json
 import math
 import os
@@ -8,7 +9,8 @@ import tracemalloc
 import pytest
 
 import wskg
-from wskg.cli import CHUNK_TRIALS, CSV_HEADER, cli, main
+from wskg.cli import CSV_HEADER, cli, main
+from wskg.injection import CHUNK_TRIALS
 from wskg.randomization import RandomizationReport
 from wskg.stochastic import KsReport
 
@@ -154,7 +156,7 @@ def test_verify_randomization_rejection_exits_3(capsys, monkeypatch):
         ks_source=KsReport(statistic=0.5, p_value=0.0, n=10000),
         source_real_var=1.0,
     )
-    monkeypatch.setattr("wskg.cli.verify_randomization", lambda *a, **k: rejecting)
+    monkeypatch.setattr("wskg.randomization.verify_randomization", lambda *a, **k: rejecting)
     code, out, _ = run_cli(
         capsys,
         "verify-randomization", "--trials", "10000", "--seed", "1",
@@ -301,6 +303,60 @@ def test_scipy_is_loaded_only_by_the_ks_test():
     assert probe["payload"]["ks_source"]["p_value"] == 0.4781976144831221
 
 
+_MODULE_PROBE = """
+import contextlib, io, json, sys
+import wskg
+
+bare = sorted(name for name in sys.modules if name.startswith("wskg."))
+from wskg.cli import main
+
+def run(*argv):
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = main(list(argv))
+    return [code, [name for name in ("wskg.injection", "wskg.randomization", "concurrent.futures")
+                   if name in sys.modules]]
+
+steps = {argv[0]: run(*argv) for argv in (
+    ["solve-fixed"],
+    ["solve-strategic"],
+    ["sweep", "--variable", "gamma", "--lo", "0", "--hi", "8", "--steps", "50"],
+    ["oracle-check", "--seed", "1", "--trials", "1000"],
+    ["leakage", "--workers", "2", "--trials", "150000", "--seed", "5"],
+)}
+print(json.dumps({"bare": bare, "steps": steps, "cpus": wskg.injection.usable_cpus()}))
+"""
+
+
+def test_each_command_loads_only_the_modules_it_runs():
+    proc = run_fresh(_MODULE_PROBE)
+    assert proc.returncode == 0, proc.stderr
+    probe = json.loads(proc.stdout)
+    assert set(probe["bare"]) <= {"wskg.errors"}
+    for command in ("solve-fixed", "solve-strategic", "sweep", "oracle-check"):
+        assert probe["steps"][command] == [0, []], command
+    # With one usable CPU the chunks run on the calling thread, without a pool.
+    pool = ["concurrent.futures"] if probe["cpus"] > 1 else []
+    assert probe["steps"]["leakage"] == [0, ["wskg.injection", "wskg.randomization", *pool]]
+
+
+def test_package_names_are_their_defining_modules_objects(monkeypatch):
+    for name in wskg.__all__:
+        module = importlib.import_module(f"wskg.{wskg._EXPORTS[name]}")
+        value = getattr(module, name)
+        assert getattr(wskg, name) is value, name
+        assert getattr(value, "__module__", module.__name__) == module.__name__, name
+    assert set(wskg.__all__) <= set(dir(wskg))
+    namespace = {}
+    exec("from wskg import *", namespace)
+    assert set(namespace) - {"__builtins__"} == set(wskg.__all__)
+    # Nothing is cached in the package: it reads the module's current binding.
+    monkeypatch.setattr("wskg.rates.sum_rate", "patched")
+    assert wskg.sum_rate == "patched"
+    assert "sum_rate" not in vars(wskg)
+    with pytest.raises(AttributeError, match="no_such_name"):
+        wskg.no_such_name
+
+
 def test_invalid_parameter_exits_1(capsys):
     code, _, err = run_cli(capsys, "solve-fixed", "--p-max", "-3")
     assert code == 1
@@ -346,7 +402,7 @@ def test_bad_delta_exits_1(capsys):
 
 
 def test_non_finite_result_exits_2(capsys, monkeypatch):
-    monkeypatch.setattr("wskg.cli.mi_from_gram", lambda g: float("nan"))
+    monkeypatch.setattr("wskg.injection.mi_from_gram", lambda g: float("nan"))
     code, out, err = run_cli(
         capsys, "leakage", "--trials", "10000", "--seed", "1",
     )

@@ -1,8 +1,10 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from wskg import game
 from wskg import (
     OracleConfig,
     ParameterError,
@@ -14,6 +16,7 @@ from wskg import (
     jammer_br_strategic,
     oracle_jammer_br,
     oracle_stackelberg,
+    rate_array,
     skg_rate,
     stackelberg_fixed,
     stackelberg_strategic,
@@ -206,6 +209,75 @@ def test_oracle_br_jensen_dominance(ref_params):
     _, value = oracle_jammer_br(5.0, ref_params, cfg)
     uniform_value = sum_rate(5.0, PowerAllocation.uniform(ref_params), ref_params)
     assert uniform_value <= value + 1e-9
+
+
+def ref_oracle_jammer_br(p, params, cfg, rate=rate_array):
+    """The one-shot search: every candidate in one array, one argmin."""
+    n = params.n_subcarriers
+    total = n * params.jam_power_budget
+    rng = cfg.seed.generator()
+    spacings = rng.standard_exponential((cfg.allocation_samples, n))
+    simplex = spacings / spacings.sum(axis=1, keepdims=True) * total
+    candidates = np.vstack(
+        [
+            np.full((1, n), params.jam_power_budget),
+            np.eye(n) * total,
+            simplex,
+        ]
+    )
+    values = rate(p, candidates, params.legit_channel_var, params.jam_channel_var).sum(axis=1)
+    best = int(np.argmin(values))
+    return PowerAllocation.from_values(candidates[best], params), float(values[best])
+
+
+def assert_same_bits(got, want):
+    assert [float(g).hex() for g in got[0].gamma] == [float(g).hex() for g in want[0].gamma]
+    assert float(got[1]).hex() == float(want[1]).hex()
+
+
+@pytest.mark.parametrize("n", [1, 10, 37])
+@pytest.mark.parametrize(
+    "blocks, extra",
+    [(0, 1), (1, -1), (1, 0), (1, 1), (3, 7), (0, 100_000)],
+    ids=["1", "block-1", "block", "block+1", "3*block+7", "1e5"],
+)
+def test_streamed_oracle_matches_one_shot_search(n, blocks, extra):
+    count = blocks * max(1, game.ORACLE_BLOCK_VALUES // n) + extra
+    params = params_with(5.0, n=n)
+    for seed, p in ((0, 5.0), (1, 1.5), (2, 0.0), (3, 5.0)):
+        cfg = OracleConfig(leader_grid_points=2, allocation_samples=count, seed=RngSeed(seed, seed))
+        assert_same_bits(oracle_jammer_br(p, params, cfg), ref_oracle_jammer_br(p, params, cfg))
+
+
+def test_streamed_oracle_keeps_argmins_order_across_blocks(monkeypatch):
+    # Coarse values tie across blocks, and a band of samples is NaN; with
+    # four rows a block both land in blocks after the first.
+    def coarse(p, gamma, sigma2, sigmaj2):
+        values = np.round(rate_array(p, gamma, sigma2, sigmaj2), 1)
+        return np.where((gamma > 7.0) & (gamma < 7.05), np.nan, values)
+
+    monkeypatch.setattr(game, "ORACLE_BLOCK_VALUES", 8)
+    monkeypatch.setattr(game, "rate_array", coarse)
+    params = params_with(5.0, n=2)
+    for samples in (3, 40, 4000):
+        for seed in range(4):
+            cfg = OracleConfig(leader_grid_points=2, allocation_samples=samples, seed=RngSeed(seed))
+            got = oracle_jammer_br(5.0, params, cfg)
+            assert_same_bits(got, ref_oracle_jammer_br(5.0, params, cfg, coarse))
+    assert math.isnan(got[1])
+
+
+def test_oracle_memory_does_not_grow_with_samples(ref_params):
+    peaks = {}
+    for samples in (100_000, 400_000):
+        cfg = OracleConfig(leader_grid_points=2, allocation_samples=samples, seed=RngSeed(8))
+        tracemalloc.start()
+        try:
+            oracle_jammer_br(5.0, ref_params, cfg)
+            peaks[samples] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peaks[400_000] <= 1.25 * peaks[100_000]
 
 
 def test_oracle_grid_search_below_knee(ref_params):
