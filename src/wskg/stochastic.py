@@ -119,10 +119,12 @@ def ks_test_normal(samples: np.ndarray, variance: float) -> KsReport:
     """One-sample KS test of real samples against the zero-mean normal law.
 
     The p-value comes from the asymptotic Kolmogorov distribution, which is
-    accurate in the large-sample regime this toolkit operates in.
+    accurate in the large-sample regime this toolkit operates in. The normal
+    CDF and the p-value give the bits of ``scipy.special.ndtr`` and
+    ``scipy.special.kolmogorov`` (see :mod:`wskg.kstest`).
     """
-    # Imported here so that only callers of this test pay scipy's import time.
-    from scipy.special import kolmogorov, ndtr
+    # Imported here so that only callers of this test load and compile it.
+    from .kstest import kolmogorov_sf, ks_statistic
 
     x = np.asarray(samples, dtype=float)
     n = x.size
@@ -130,16 +132,11 @@ def ks_test_normal(samples: np.ndarray, variance: float) -> KsReport:
         raise ParameterError("samples must be non-empty")
     if not (math.isfinite(variance) and variance > 0.0):
         raise ParameterError(f"variance must be > 0, got {variance!r}")
-    if not np.isfinite(x).all():
+    a = np.sort(x, axis=None)
+    if not (math.isfinite(a[0]) and math.isfinite(a[-1])):  # NaNs sort last
         raise ParameterError("samples must be finite")
-    cdf = np.sort(x)
-    ndtr(np.divide(cdf, math.sqrt(variance), out=cdf), out=cdf)
-    steps = np.arange(1, n + 1, dtype=float) / n
-    diff = np.subtract(steps, cdf)
-    d_plus = float(diff.max())
-    d_minus = float(np.subtract(cdf, np.subtract(steps, 1.0 / n, out=diff), out=diff).max())
-    statistic = max(d_plus, d_minus, 0.0)
-    p_value = float(kolmogorov(math.sqrt(n) * statistic))
+    statistic = ks_statistic(np.divide(a, math.sqrt(variance), out=a))
+    p_value = kolmogorov_sf(math.sqrt(n) * statistic)
     return KsReport(statistic=statistic, p_value=p_value, n=n)
 
 

@@ -15,6 +15,9 @@ import tracemalloc
 import numpy as np
 import pytest
 import scipy.special
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from wskg import (
     ParameterError,
@@ -27,6 +30,8 @@ from wskg import (
 )
 from wskg import injection
 from wskg.randomization import RandomizationReport
+from wskg import kstest
+from wskg.kstest import cdf_bulk, kolmogorov_sf, ndtr
 from wskg.stochastic import KsReport, _complex_normal, _qpsk
 
 SEED = RngSeed(2718, 5)
@@ -196,9 +201,93 @@ def test_verify_randomization_matches_reference(n_samples, p_max):
     )
 
 
-def test_ks_test_matches_reference():
-    samples = np.random.default_rng(9).normal(0.0, 1.3, 65_537)
+# One sample, two, and sizes around one and two CDF blocks.
+KS_SIZES = (1, 2, 65_535, 65_536, 65_537, 131_073)
+
+
+@pytest.mark.parametrize("seed", (9, 10, 11))
+@pytest.mark.parametrize("variance", (0.5, 1.5, 9.0))
+@pytest.mark.parametrize("n", KS_SIZES)
+def test_ks_test_matches_reference(n, variance, seed):
+    samples = np.random.default_rng(seed).normal(0.0, 1.3, n)
+    before = samples.copy()
+    assert ks_test_normal(samples, variance) == ref_ks_test_normal(samples, variance)
+    assert same_bits(samples, before)
+
+
+def test_ks_recheck_covers_near_ties():
+    # At the normal quantiles of (i + 0.5) / n every exact deviation is
+    # 0.5 / n to within a few ulps, so the bulk CDF's error puts the largest
+    # bulk deviation on an arbitrary point. Every point within the margin
+    # must be evaluated again.
+    n = 70_000
+    samples = scipy.special.ndtri((np.arange(n) + 0.5) / n) * math.sqrt(1.5)
     assert ks_test_normal(samples, 1.5) == ref_ks_test_normal(samples, 1.5)
+
+
+def assert_ndtr_matches_scipy(a):
+    """The port gives scipy's bits; the bulk CDF stays within half the KS
+    test's recheck margin."""
+    a = np.asarray(a, dtype=float)
+    expected = scipy.special.ndtr(a)
+    assert same_bits(np.array([ndtr(v) for v in a.tolist()]), expected)
+    assert np.all(np.abs(cdf_bulk(a) - expected) < 2.9e-8)
+
+
+def neighbours(points, steps=3):
+    """Each point and its ``steps`` nearest doubles on either side."""
+    out = []
+    for p in points:
+        out.append(p)
+        for toward in (-math.inf, math.inf):
+            q = p
+            for _ in range(steps):
+                q = math.nextafter(q, toward)
+                out.append(q)
+    return out
+
+
+def test_ndtr_matches_scipy_at_branch_edges():
+    # x = a / sqrt(2) crosses erf/erfc at |x| = 1, the (P, Q)/(R, S) tables
+    # at |x| = 8 and the underflow where x * x exceeds MAXLOG.
+    edges = [0.0, math.sqrt(2.0), 8.0 * math.sqrt(2.0), math.sqrt(2.0 * kstest._MAXLOG)]
+    edges = neighbours([sign * e for e in edges for sign in (1.0, -1.0)])
+    assert_ndtr_matches_scipy(edges + [-1e308, 1e308, -37.7, 37.7, -0.0])
+    # (P, Q) and (R, S) disagree in most last bits just past |x| = 8.
+    assert_ndtr_matches_scipy(np.linspace(-8.5 * math.sqrt(2.0), -7.5 * math.sqrt(2.0), 20_001))
+    # Around the underflow edge scipy returns exact zeros on one side only.
+    edge = np.linspace(-37.68, -37.67, 20_001)
+    assert_ndtr_matches_scipy(edge)
+    assert 0.0 < scipy.special.ndtr(edge[-1]) and scipy.special.ndtr(edge[0]) == 0.0
+
+
+@settings(max_examples=200, deadline=None)
+@given(arrays(np.float64, st.integers(1, 300), elements=st.floats(-60.0, 60.0)))
+def test_ndtr_matches_scipy_on_sorted_arrays(a):
+    assert_ndtr_matches_scipy(np.sort(a))
+
+
+def test_bulk_cdf_nodes_and_error_bound():
+    nodes = np.arange(kstest._NODES.size) * kstest._STEP - kstest._SPAN
+    assert np.all(np.abs(kstest._NODES - scipy.special.ndtr(nodes)) < 1e-15)
+    # The interpolation error peaks midway between nodes where |ndtr''| is
+    # largest, at |a| = 1.
+    mid = np.concatenate([nodes[:-1] + kstest._STEP / 2, np.linspace(-1.01, 1.01, 200_001)])
+    error = np.abs(cdf_bulk(mid) - scipy.special.ndtr(mid))
+    assert 2.8e-8 < error.max() < 2.9e-8 < kstest.RECHECK / 2
+
+
+def test_kolmogorov_matches_scipy():
+    cutoff = math.pi / math.sqrt(746.0 * 8.0)  # scipy returns 1.0 at and below it
+    points = neighbours([0.0, cutoff, 0.82], steps=5)
+    rng = np.random.default_rng(6)
+    for lo, hi in ((0.0, 0.2), (cutoff - 1e-3, cutoff + 1e-3), (0.8, 0.84), (0.0, 4.0), (4.0, 40.0)):
+        points += rng.uniform(lo, hi, 3_000).tolist()
+    points += [5.0, 20.0, 27.0, 30.0, 100.0, 1e10, 1e300]
+    x = np.array(points)
+    expected = scipy.special.kolmogorov(x)
+    assert same_bits(np.array([kolmogorov_sf(v) for v in points]), expected)
+    assert expected[-1] == 0.0 and np.count_nonzero(expected == 1.0) > 10
 
 
 def test_resampling_keeps_only_draws_above_the_floor(monkeypatch):
@@ -313,10 +402,11 @@ def peak_bytes_per_trial(fn, n):
 
 
 def test_verify_randomization_peak_memory_per_sample():
-    # scipy.special is loaded above, so its import does not count here.
+    # The 36 bytes per sample of h, the pilot bits and both sample arrays set
+    # the peak; the KS test adds one sorted copy and blocks of fixed size.
     params = make_params(2.0)
-    peak = peak_bytes_per_trial(lambda n: verify_randomization(params, n, SEED), 200_000)
-    assert peak <= 64.0
+    peak = peak_bytes_per_trial(lambda n: verify_randomization(params, n, SEED), 1_000_000)
+    assert peak <= 38.0
 
 
 def test_simulate_two_look_peak_memory_per_trial():
