@@ -18,17 +18,16 @@ __version__ = "0.1.0"
 _EXPORTS = {
     name: module
     for module, names in {
-        "errors": ("NearSingularChannels", "NotPositiveSemidefinite", "NumericalError",
-                   "ParameterError", "ZeroEquilibriumPayoff"),
-        "game": ("OracleConfig", "critical_power", "jammer_br_fixed", "jammer_br_strategic",
-                 "oracle_jammer_br", "oracle_stackelberg", "stackelberg_fixed",
-                 "stackelberg_strategic"),
-        "injection": ("MisoChannels", "compute_precoder", "gram", "injected_signal",
-                      "leakage_bound", "mi_from_gram", "simulate_two_look"),
+        "errors": ("NotPositiveSemidefinite", "NumericalError", "ParameterError",
+                   "ZeroEquilibriumPayoff"),
+        "game": ("OracleConfig", "critical_power", "jammer_br_strategic", "oracle_jammer_br",
+                 "oracle_stackelberg", "stackelberg_fixed", "stackelberg_strategic"),
+        "injection": ("coincidence_precoder", "gram", "leakage_bound", "mi_from_gram",
+                      "simulate_two_look"),
         "metrics": ("full_power_deviation_loss", "strategic_threshold_gain", "sweep",
                     "threshold_deviation_loss"),
         "params": ("ALLOCATION_SUM_RTOL", "EquilibriumResult", "JammerStrategy",
-                   "LeaderStrategy", "PowerAllocation", "SystemParams", "validate_params"),
+                   "LeaderStrategy", "PowerAllocation", "SystemParams"),
         "randomization": ("leakage_after_randomization", "product_pdf", "randomize_trials",
                           "verify_randomization"),
         "rates": ("rate_array", "skg_rate", "sum_rate"),

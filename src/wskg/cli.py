@@ -57,8 +57,6 @@ class RunConfig:
     def __post_init__(self) -> None:
         if self.trials < 1:
             raise ParameterError(f"trials must be >= 1, got {self.trials}")
-        if not 0.0 < self.delta < 1.0:
-            raise ParameterError(f"delta must lie in (0, 1), got {self.delta}")
 
 
 def _profile_dict(leader, jammer) -> dict:
@@ -220,7 +218,6 @@ _COMMON_OPTIONS = (
     click.Option(["--p-th", "sense_threshold"], type=float, default=2.0, show_default=True, help="Jammer sensing threshold."),
     click.Option(["--sigma2", "legit_channel_var"], type=float, default=1.0, show_default=True, help="Legitimate channel gain variance."),
     click.Option(["--sigmaj2", "jam_channel_var"], type=float, default=1.0, show_default=True, help="Jammer channel gain variance."),
-    click.Option(["--format"], type=click.Choice(["csv", "json"]), default="json", show_default=True, help="Output format."),
     click.Option(["--output", "output_path"], type=click.Path(dir_okay=False), default=None, help="Write the artifact to this file instead of stdout."),
 )
 
@@ -238,6 +235,7 @@ _WORKERS_OPTION = click.Option(
 _DELTA_OPTION = click.Option(["--delta"], type=float, default=0.5, show_default=True, help="Representative-threshold policy in (0, 1).")
 
 _SWEEP_OPTIONS = (
+    click.Option(["--format"], type=click.Choice(["csv", "json"]), default="json", show_default=True, help="Output format."),
     click.Option(["--variable"], type=click.Choice(("p_max", "P", "gamma", "sigma2", "p_th")), required=True, help="Parameter to sweep (P is an alias for p_max)."),
     click.Option(["--lo"], type=float, required=True, help="Lower end of the sweep range."),
     click.Option(["--hi"], type=float, required=True, help="Upper end of the sweep range."),
@@ -284,10 +282,8 @@ def run(config: RunConfig) -> int:
     """
     payload, code = _COMMANDS[config.command][0](config)
     _ensure_finite(payload)
-    if config.command == "sweep" and config.format == "csv":
+    if config.format == "csv":
         text = _csv_text(payload["rows"])
-    elif config.format == "csv":
-        raise ParameterError(f"{config.command} supports only --format json")
     else:
         text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
     if config.output_path:

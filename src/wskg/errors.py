@@ -5,10 +5,6 @@ class ParameterError(ValueError):
     """A model parameter, strategy, or run configuration is out of domain."""
 
 
-class NearSingularChannels(ValueError):
-    """Channel pair too close to singular for a stable coincidence precoder."""
-
-
 class NotPositiveSemidefinite(ValueError):
     """Covariance matrix has an eigenvalue below the PSD tolerance."""
 

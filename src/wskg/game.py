@@ -117,23 +117,6 @@ def _fixed_payoffs(n, p_max, gamma, p_th, sigma2, sigmaj2):
     return c_se, c_full, c_threshold, threshold_wins, boundary
 
 
-def jammer_br_fixed(p: float, params: SystemParams) -> BestResponse:
-    """Follower's best response under a fixed sensing threshold.
-
-    The rate is convex and decreasing in the jamming power, so once the pilot
-    is sensed the full budget spread uniformly minimizes the sum rate; at or
-    below the threshold the transmission goes undetected and the jammer stays
-    silent (the boundary p == p_th is not sensed).
-    """
-    if not (math.isfinite(p) and 0.0 <= p <= params.max_pilot_power):
-        raise ParameterError(
-            f"p must lie in [0, {params.max_pilot_power}], got {p!r}"
-        )
-    if p > params.sense_threshold:
-        return BestResponse(PowerAllocation.uniform(params), None, jammed=True)
-    return BestResponse(PowerAllocation.silent(params), None, jammed=False)
-
-
 def stackelberg_fixed(params: SystemParams) -> EquilibriumResult:
     """Equilibrium of the fixed-threshold game.
 
@@ -158,32 +141,26 @@ def stackelberg_fixed(params: SystemParams) -> EquilibriumResult:
     )
 
 
-def jammer_br_strategic(
-    p: float, params: SystemParams, epsilon_policy: float
-) -> BestResponse:
+def jammer_br_strategic(p: float, params: SystemParams, delta: float) -> BestResponse:
     """Follower's best response when the threshold is part of its strategy.
 
     Any positive pilot power is sensed and uniformly jammed, since the jammer
     can place its threshold anywhere in [0, p). That interval is open, so it
     has no maximal element; the returned threshold is the representative
-    p * (1 - epsilon_policy) with epsilon_policy in (0, 1).
+    p * (1 - delta) with delta in (0, 1).
     """
-    if not (0.0 < epsilon_policy < 1.0):
-        raise ParameterError(
-            f"epsilon_policy must lie in (0, 1), got {epsilon_policy!r}"
-        )
+    if not (0.0 < delta < 1.0):
+        raise ParameterError(f"delta must lie in (0, 1), got {delta!r}")
     if not (math.isfinite(p) and p >= 0.0):
         raise ParameterError(f"p must be >= 0, got {p!r}")
     if p == 0.0:
         return BestResponse(PowerAllocation.silent(params), 0.0, jammed=False)
     return BestResponse(
-        PowerAllocation.uniform(params), p * (1.0 - epsilon_policy), jammed=True
+        PowerAllocation.uniform(params), p * (1.0 - delta), jammed=True
     )
 
 
-def stackelberg_strategic(
-    params: SystemParams, epsilon_policy: float
-) -> EquilibriumResult:
+def stackelberg_strategic(params: SystemParams, delta: float) -> EquilibriumResult:
     """Equilibria of the strategic-threshold game.
 
     The jammer sensing every positive power leaves the leader a jammed rate
@@ -192,7 +169,7 @@ def stackelberg_strategic(
     the representative profile and is flagged non-unique.
     """
     budget = params.max_pilot_power
-    response = jammer_br_strategic(budget, params, epsilon_policy)
+    response = jammer_br_strategic(budget, params, delta)
     payoff = sum_rate(budget, response.allocation, params)
     profiles = (
         (

@@ -13,16 +13,13 @@ import math
 import os
 import threading
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .errors import NearSingularChannels, ParameterError
+from .errors import ParameterError
 from .params import SystemParams
 from .stochastic import RngSeed, _complex_normal, gaussian_mi_from_cov
-
-if TYPE_CHECKING:
-    from .randomization import RandomizedBatch
 
 #: Scale of the singularity rejection floor for the precoder denominator.
 #: Equality of the two first-antenna gains has probability zero under the
@@ -41,34 +38,23 @@ def _coincidence_floor(h_a1, h_b1, out=None, scratch=None):
     return floor
 
 
-@dataclass(frozen=True)
-class MisoChannels:
-    """Channel vectors from the attacker's two antennas to each receiver."""
+def coincidence_precoder(h_a2, h_b2, denom, scratch=None):
+    """Unit-power precoder whose signal lands identically at both receivers.
 
-    h_a: Tuple[complex, complex]
-    h_b: Tuple[complex, complex]
-
-    def __post_init__(self) -> None:
-        for name, pair in (("h_a", self.h_a), ("h_b", self.h_b)):
-            values = tuple(complex(v) for v in pair)
-            if len(values) != 2:
-                raise ParameterError(f"{name} must hold exactly two gains")
-            for v in values:
-                if not (math.isfinite(v.real) and math.isfinite(v.imag)):
-                    raise ParameterError(f"{name} entries must be finite, got {v!r}")
-            object.__setattr__(self, name, values)
-
-
-@dataclass(frozen=True)
-class Precoder:
-    """Two-antenna precoding pair making the injected signal coincide."""
-
-    p1: complex
-    p2: complex
-
-    @property
-    def transmit_power(self) -> float:
-        return abs(self.p1) ** 2 + abs(self.p2) ** 2
+    The antenna weights ``(ratio, 1) / norm``, with
+    ``ratio = (h_b2 - h_a2) / denom`` for ``denom = h_a1 - h_b1`` and
+    ``norm = sqrt(1 + |ratio|^2)``, give the same gain
+    ``(h_a1 ratio + h_a2) / norm`` at Alice as ``(h_b1 ratio + h_b2) / norm``
+    at Bob, at unit transmit power. The first-antenna gains enter only
+    through ``denom``, which the caller's singularity check already holds.
+    Returns ``(ratio, norm)``, computed in place: ``ratio`` overwrites
+    ``h_b2``, and ``norm`` is written into ``scratch`` when given.
+    """
+    ratio = np.subtract(h_b2, h_a2, out=h_b2)
+    ratio /= denom
+    norm = np.square(np.abs(ratio, out=scratch), out=scratch)
+    norm += 1.0
+    return ratio, np.sqrt(norm, out=norm)
 
 
 #: The work arrays of one buffer set: key -> (dtype, values per trial). Keys
@@ -115,53 +101,18 @@ class ChunkBuffers:
 
 @dataclass(frozen=True)
 class TwoLookBatch:
-    """Vectorized Monte Carlo trials of the two-look observation model.
+    """Vectorized Monte Carlo trials of both parties' looks under injection.
 
-    ``injected`` holds the common injected value appearing identically in
-    both observations; ``resampled`` counts channel draws rejected by the
-    singularity floor and redrawn.
+    ``injected`` holds the attacker's injected value. With static pilots it
+    appears identically in both observations; with randomized probing each
+    look holds it multiplied by that party's pilot. ``resampled`` counts
+    channel draws rejected by the singularity floor and redrawn.
     """
 
     z_a: np.ndarray
     z_b: np.ndarray
     injected: np.ndarray
     resampled: int = 0
-
-
-def compute_precoder(
-    channels: MisoChannels, jam_budget: float, xj_power: float
-) -> Precoder:
-    """Precoder whose injected signal coincides at both receivers.
-
-    ``p1 = (h_b2 - h_a2) / (h_a1 - h_b1) * p2`` forces the coincidence;
-    ``p2`` is chosen real positive and scaled so the transmit power
-    ``(|p1|^2 + |p2|^2) * xj_power`` meets ``jam_budget`` with equality
-    (the injected power, and hence the leakage, is monotone in the budget,
-    so the attacker always spends all of it).
-    """
-    if not (math.isfinite(jam_budget) and jam_budget >= 0.0):
-        raise ParameterError(f"jam_budget must be >= 0, got {jam_budget!r}")
-    if not (math.isfinite(xj_power) and xj_power > 0.0):
-        raise ParameterError(f"xj_power must be > 0, got {xj_power!r}")
-    h_a1, h_a2 = channels.h_a
-    h_b1, h_b2 = channels.h_b
-    denom = h_a1 - h_b1
-    if abs(denom) < _coincidence_floor(h_a1, h_b1):
-        raise NearSingularChannels(
-            f"|h_a1 - h_b1| = {abs(denom)} is below the stability floor"
-        )
-    ratio = (h_b2 - h_a2) / denom
-    p2 = math.sqrt(jam_budget / xj_power / (1.0 + abs(ratio) ** 2))
-    return Precoder(p1=ratio * p2, p2=complex(p2))
-
-
-def injected_signal(
-    channels: MisoChannels, precoder: Precoder, xj: complex
-) -> Tuple[complex, complex]:
-    """Injected values received at each party: (h_a . p * xj, h_b . p * xj)."""
-    at_alice = (channels.h_a[0] * precoder.p1 + channels.h_a[1] * precoder.p2) * xj
-    at_bob = (channels.h_b[0] * precoder.p1 + channels.h_b[1] * precoder.p2) * xj
-    return at_alice, at_bob
 
 
 def simulate_two_look(
@@ -175,11 +126,12 @@ def simulate_two_look(
     unit-modulus attack symbol steered through the coincidence precoder. The
     injected value is identical in both observations by construction.
 
-    The coincidence beamformer has a channel-independent effective gain of
-    variance jam_channel_var / 4 per unit transmit power (forcing the same
-    value at both receivers costs the array gain twice over), so the injected
-    amplitude is normalized to realize the nominal attack model
-    CN(0, jam_channel_var * jam_power_budget).
+    The unit-power :func:`coincidence_precoder` has an effective gain of
+    variance jam_channel_var / 4 (forcing the same value at both receivers
+    costs the array gain twice over). The simulator therefore drives it with
+    amplitude 2 sqrt(jam_power_budget), a transmit power of 4x the budget, so
+    that the injected value has variance jam_channel_var * jam_power_budget,
+    the nominal attack model.
 
     The returned arrays are views into ``buffers`` when given.
     """
@@ -209,14 +161,11 @@ def simulate_two_look(
         denom[bad] = h_a1[bad] - h_b1[bad]
         bad = bad[np.abs(denom[bad]) < _coincidence_floor(h_a1[bad], h_b1[bad])]
 
-    # In place: injected = 2 sqrt(budget) (h_a1 ratio + h_a2) / sqrt(1 + |ratio|^2) xj.
-    ratio = np.subtract(h_b2, h_a2, out=h_b2)
-    ratio /= denom
+    # In place: injected = 2 sqrt(budget) (h_a1 ratio + h_a2) / norm xj.
+    ratio, norm = coincidence_precoder(h_a2, h_b2, denom, scratch)
     injected = np.multiply(h_a1, ratio, out=h_a1)
     injected += h_a2
-    norm = np.square(np.abs(ratio, out=scratch), out=scratch)
-    norm += 1.0
-    injected /= np.sqrt(norm, out=norm)
+    injected /= norm
     np.multiply(2.0 * math.sqrt(params.jam_power_budget), injected, out=injected)
     injected *= 1.0 + 0.0j  # the attack symbol xj; the product sets the sign of zero parts
 
@@ -229,13 +178,14 @@ def simulate_two_look(
     return TwoLookBatch(z_a=z_a, z_b=z_b, injected=injected, resampled=resampled)
 
 
-def gram(batch: TwoLookBatch | RandomizedBatch, buffers: Optional[ChunkBuffers] = None) -> np.ndarray:
+def gram(batch: TwoLookBatch, buffers: Optional[ChunkBuffers] = None) -> np.ndarray:
     """7x7 raw-moment matrix of ``(1, injected, z_a, z_b)`` in real coordinates.
 
     Entry ``[0, 0]`` is the trial count and row 0 holds the coordinate sums,
     so the matrices of disjoint batches add up to the matrix of their union.
-    Serves both observation models: the static-pilot looks of a
-    ``TwoLookBatch`` and the post-multiplied looks of a ``RandomizedBatch``.
+    Serves both observation models: the static-pilot looks of
+    :func:`simulate_two_look` and the post-multiplied looks of
+    ``randomize_trials``.
     The stacked coordinates are written into ``buffers`` when given.
     """
     n = batch.injected.size
@@ -309,7 +259,7 @@ def chunked_grams(
         if not hasattr(local, "buffers"):
             local.buffers = ChunkBuffers(counts[0])
         batch = kernel(params, count, chunk_seed, local.buffers)
-        return gram(batch, local.buffers), getattr(batch, "resampled", 0)
+        return gram(batch, local.buffers), batch.resampled
 
     threads = pool_size(workers, len(jobs))
     if threads == 1:

@@ -6,10 +6,9 @@ immutable after construction, so values can be shared freely across workers.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Optional, Tuple
+from typing import Iterable, Optional, Tuple
 
 import numpy as np
 
@@ -74,36 +73,6 @@ class SystemParams:
 
     def to_dict(self) -> dict:
         return {name: getattr(self, name) for name in _FIELD_ORDER}
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True)
-
-    @classmethod
-    def from_json(cls, text: str) -> "SystemParams":
-        return validate_params(json.loads(text))
-
-
-def validate_params(raw: Mapping[str, object]) -> SystemParams:
-    """Build :class:`SystemParams` from a raw record.
-
-    Invalid values raise :class:`ParameterError`; nothing is ever clamped.
-    The record must carry exactly the six snake_case fields.
-    """
-    missing = [k for k in _FIELD_ORDER if k not in raw]
-    if missing:
-        raise ParameterError(f"missing parameter fields: {', '.join(missing)}")
-    unknown = sorted(set(raw) - set(_FIELD_ORDER))
-    if unknown:
-        raise ParameterError(f"unknown parameter fields: {', '.join(unknown)}")
-    n = raw["n_subcarriers"]
-    if isinstance(n, bool) or not isinstance(n, (int, float)):
-        raise ParameterError(f"n_subcarriers must be an integer, got {n!r}")
-    if isinstance(n, float):
-        if not math.isfinite(n) or n != int(n):
-            raise ParameterError(f"n_subcarriers must be an integer, got {n!r}")
-        n = int(n)
-    values = {name: _require_real(name, raw[name]) for name in _FIELD_ORDER[1:]}
-    return SystemParams(n_subcarriers=n, **values)
 
 
 @dataclass(frozen=True)

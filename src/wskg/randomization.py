@@ -1,7 +1,7 @@
 """Random QPSK probing defense and its statistical verification.
 
-Both parties probe with independent random QPSK pilots and post-multiply
-their observation by their own pilot. The common term pilot_a * pilot_b * H
+Both parties probe with independent random QPSK pilots X and Y and
+post-multiply their observation by their own pilot. The common term X Y H
 remains exactly complex Gaussian, while the injected term decorrelates from
 both post-multiplied observations, collapsing the attacker's leakage to zero
 and reducing the injection to plain uncorrelated jamming.
@@ -16,29 +16,14 @@ from typing import Optional, Union
 import numpy as np
 
 from .errors import ParameterError
-from .injection import ChunkBuffers, chunked_grams, mi_from_gram
+from .injection import ChunkBuffers, TwoLookBatch, chunked_grams, mi_from_gram
 from .params import SystemParams
 from .stochastic import KsReport, RngSeed, _complex_normal, _qpsk, _qpsk_points, ks_test_normal
 
 
-@dataclass(frozen=True)
-class RandomizedBatch:
-    """Vectorized Monte Carlo trials of the randomized-probing model.
-
-    Component arrays beyond the two observations are exposed so statistical
-    oracles (cross-moment and covariance checks) can be run directly.
-    """
-
-    z_a: np.ndarray
-    z_b: np.ndarray
-    injected: np.ndarray
-    pilot_a: np.ndarray
-    pilot_b: np.ndarray
-
-
 def randomize_trials(
     params: SystemParams, n_trials: int, seed: RngSeed, buffers: Optional[ChunkBuffers] = None
-) -> RandomizedBatch:
+) -> TwoLookBatch:
     """Monte Carlo trials of both parties' post-multiplied observations.
 
     Per trial: independent QPSK pilots X and Y at full pilot power, a channel
@@ -72,7 +57,7 @@ def randomize_trials(
     z_a += np.multiply(x, noise_a, out=noise_a)
     z_b += np.multiply(y, w, out=noise_a)
     z_b += np.multiply(y, noise_b, out=noise_b)
-    return RandomizedBatch(z_a=z_a, z_b=z_b, injected=w, pilot_a=x, pilot_b=y)
+    return TwoLookBatch(z_a=z_a, z_b=z_b, injected=w)
 
 
 def product_pdf(

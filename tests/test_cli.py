@@ -15,10 +15,7 @@ from wskg.randomization import RandomizationReport
 from wskg.stochastic import KsReport
 
 
-_MODEL_FLAGS = {
-    "--n", "--p-max", "--gamma", "--p-th", "--sigma2", "--sigmaj2",
-    "--format", "--output",
-}
+_MODEL_FLAGS = {"--n", "--p-max", "--gamma", "--p-th", "--sigma2", "--sigmaj2", "--output"}
 _RNG_FLAGS = {"--seed", "--stream", "--trials"}
 
 #: Every flag each command accepts (``--help`` aside).
@@ -29,7 +26,21 @@ EXPECTED_FLAGS = {
     "simulate-injection": _MODEL_FLAGS | _RNG_FLAGS | {"--workers"},
     "leakage": _MODEL_FLAGS | _RNG_FLAGS | {"--workers"},
     "oracle-check": _MODEL_FLAGS | _RNG_FLAGS,
-    "sweep": _MODEL_FLAGS | {"--variable", "--lo", "--hi", "--steps"},
+    "sweep": _MODEL_FLAGS | {"--format", "--variable", "--lo", "--hi", "--steps"},
+}
+
+#: Every name ``wskg`` exports.
+EXPECTED_EXPORTS = {
+    "ALLOCATION_SUM_RTOL", "EquilibriumResult", "JammerStrategy", "LeaderStrategy",
+    "NotPositiveSemidefinite", "NumericalError", "OracleConfig", "ParameterError",
+    "PowerAllocation", "RngSeed", "SystemParams", "ZeroEquilibriumPayoff",
+    "coincidence_precoder", "critical_power", "full_power_deviation_loss",
+    "gaussian_mi_from_cov", "gram", "jammer_br_strategic", "ks_test_normal",
+    "leakage_after_randomization", "leakage_bound", "mi_from_gram", "oracle_jammer_br",
+    "oracle_stackelberg", "product_pdf", "randomize_trials", "rate_array",
+    "sample_complex_gaussian", "sample_qpsk_pilot", "simulate_two_look", "skg_rate",
+    "stackelberg_fixed", "stackelberg_strategic", "strategic_threshold_gain", "sum_rate",
+    "sweep", "threshold_deviation_loss", "verify_randomization",
 }
 
 
@@ -374,15 +385,18 @@ def test_unknown_option_exits_1(capsys):
 
 
 def test_unknown_format_exits_1(capsys):
-    code, _, err = run_cli(capsys, "solve-fixed", "--format", "xml")
+    code, _, err = run_cli(
+        capsys, "sweep", "--variable", "gamma", "--lo", "0", "--hi", "8", "--steps", "5", "--format", "xml",
+    )
     assert code == 1
     assert "xml" in err
 
 
 def test_csv_unsupported_for_solver_exits_1(capsys):
-    code, _, err = run_cli(capsys, "solve-fixed", "--format", "csv")
+    code, out, err = run_cli(capsys, "solve-fixed", "--format", "csv")
     assert code == 1
-    assert "json" in err
+    assert out == ""
+    assert "No such option" in err
 
 
 def test_invalid_sweep_range_exits_1(capsys):
@@ -394,10 +408,19 @@ def test_invalid_sweep_range_exits_1(capsys):
 
 
 def test_bad_delta_exits_1(capsys):
-    code, _, _ = run_cli(
-        capsys, "solve-strategic", "--delta", "1.5",
-    )
+    for delta in ("0", "1", "1.5", "nan"):
+        code, out, err = run_cli(capsys, "solve-strategic", "--delta", delta)
+        assert code == 1
+        assert out == ""
+        assert f"delta must lie in (0, 1), got {float(delta)!r}" in err
+
+
+@pytest.mark.parametrize("command", ("verify-randomization", "simulate-injection", "leakage", "oracle-check"))
+def test_zero_trials_exits_1(capsys, command):
+    code, out, err = run_cli(capsys, command, "--trials", "0", "--seed", "1")
     assert code == 1
+    assert out == ""
+    assert "trials must be >= 1" in err
 
 
 def test_non_finite_result_exits_2(capsys, monkeypatch):
@@ -415,6 +438,10 @@ def test_leakage_too_few_trials_exits_1(capsys):
     assert code == 1
     assert out == ""
     assert "10000" in err
+
+
+def test_public_names_are_pinned():
+    assert set(wskg.__all__) == EXPECTED_EXPORTS
 
 
 def test_command_flags_are_pinned():

@@ -12,7 +12,6 @@ from wskg import (
     RngSeed,
     SystemParams,
     critical_power,
-    jammer_br_fixed,
     jammer_br_strategic,
     oracle_jammer_br,
     oracle_stackelberg,
@@ -39,30 +38,16 @@ def random_params(rng, gamma_lo=0.0):
     )
 
 
-def test_fixed_br_above_threshold_jams_uniformly(ref_params):
-    response = jammer_br_fixed(5.0, ref_params)
-    assert response.jammed
-    assert response.allocation.gamma == (4.0,) * 10
-    assert response.threshold is None
-
-
-def test_fixed_br_below_threshold_stays_silent(ref_params):
-    response = jammer_br_fixed(1.0, ref_params)
-    assert not response.jammed
-    assert response.allocation.gamma == (0.0,) * 10
-
-
-def test_fixed_br_boundary_is_not_sensed(ref_params):
-    response = jammer_br_fixed(2.0, ref_params)
-    assert not response.jammed
-    assert response.allocation.gamma == (0.0,) * 10
-
-
-def test_fixed_br_rejects_out_of_range_power(ref_params):
-    with pytest.raises(ParameterError):
-        jammer_br_fixed(5.5, ref_params)
-    with pytest.raises(ParameterError):
-        jammer_br_fixed(-0.1, ref_params)
+def test_fixed_br_boundary_is_not_sensed():
+    # A pilot at exactly the threshold goes unjammed, in the closed form and the oracle.
+    params = params_with(2.0)
+    result = stackelberg_fixed(params)
+    leader, jammer = result.profiles[0]
+    assert result.unique
+    assert leader.pilot_power == 2.0
+    assert jammer.allocation.gamma == (0.0,) * 10
+    cfg = OracleConfig(leader_grid_points=1001, allocation_samples=1, seed=RngSeed(3))
+    assert oracle_stackelberg(params, cfg) == (2.0, result.payoff)
 
 
 def test_critical_power_values(ref_params):

@@ -4,15 +4,12 @@ import numpy as np
 import pytest
 
 from wskg import (
-    MisoChannels,
-    NearSingularChannels,
     ParameterError,
     RngSeed,
     SystemParams,
-    compute_precoder,
+    coincidence_precoder,
     gaussian_mi_from_cov,
     gram,
-    injected_signal,
     leakage_bound,
     mi_from_gram,
     randomize_trials,
@@ -26,65 +23,54 @@ def make_params(p_max=2.0, gamma=4.0, sigma2=1.0, sigmaj2=1.0):
     return SystemParams(10, p_max, gamma, 2.0, sigma2, sigmaj2)
 
 
+def precoded_gains(h_a1, h_a2, h_b1, h_b2):
+    """Antenna weights of the unit-power coincidence precoder and the gains
+    they give at Alice and at Bob."""
+    ratio, norm = coincidence_precoder(h_a2, h_b2.copy(), h_a1 - h_b1)
+    p1, p2 = ratio / norm, 1.0 / norm
+    return p1, p2, h_a1 * p1 + h_a2 * p2, h_b1 * p1 + h_b2 * p2
+
+
+def channels(*gains):
+    """Each gain as a one-entry complex array."""
+    return [np.array([g], dtype=complex) for g in gains]
+
+
 def test_precoder_symmetric_channels():
-    channels = MisoChannels((1 + 0j, 0j), (0j, 1 + 0j))
-    precoder = compute_precoder(channels, 2.0, 1.0)
-    assert precoder.p1 == pytest.approx(1.0)
-    assert precoder.p2 == pytest.approx(1.0)
-    at_alice, at_bob = injected_signal(channels, precoder, 1 + 0j)
-    assert at_alice == pytest.approx(precoder.p2)
-    assert at_bob == pytest.approx(precoder.p2)
+    # h_a = (1, 0), h_b = (0, 1): ratio 1.
+    p1, p2, at_alice, at_bob = precoded_gains(*channels(1, 0, 0, 1))
+    assert p1 == pytest.approx(1 / math.sqrt(2), rel=1e-15)
+    assert p2 == pytest.approx(1 / math.sqrt(2), rel=1e-15)
+    assert at_alice == pytest.approx(p2)
+    assert at_bob == pytest.approx(p2)
 
 
 def test_precoder_ratio_and_coincidence():
-    channels = MisoChannels((2 + 0j, 1 + 0j), (1 + 0j, 3 + 0j))
-    precoder = compute_precoder(channels, 7.0, 1.0)
-    assert precoder.p1 == pytest.approx(2.0 * precoder.p2)
-    at_alice, at_bob = injected_signal(channels, precoder, 1 + 0j)
-    assert at_alice == pytest.approx(5.0 * precoder.p2, rel=1e-12)
-    assert at_bob == pytest.approx(5.0 * precoder.p2, rel=1e-12)
+    # h_a = (2, 1), h_b = (1, 3): ratio 2, norm sqrt(5).
+    p1, p2, at_alice, at_bob = precoded_gains(*channels(2, 1, 1, 3))
+    assert p1 == pytest.approx(2.0 * p2, rel=1e-15)
+    assert at_alice == pytest.approx(5.0 * p2, rel=1e-12)
+    assert at_bob == pytest.approx(5.0 * p2, rel=1e-12)
 
 
-def test_precoder_near_singular_rejected():
-    with pytest.raises(NearSingularChannels):
-        compute_precoder(MisoChannels((1 + 0j, 1 + 0j), (1 + 0j, 2 + 0j)), 1.0, 1.0)
-
-
-def test_precoder_budget_rejections():
-    channels = MisoChannels((1 + 0j, 0j), (0j, 1 + 0j))
-    with pytest.raises(ParameterError):
-        compute_precoder(channels, -1.0, 1.0)
-    with pytest.raises(ParameterError):
-        compute_precoder(channels, 1.0, 0.0)
-
-
-def test_injected_signal_zero_input():
-    channels = MisoChannels((2 + 1j, 1 - 1j), (1 + 0j, 3 + 2j))
-    precoder = compute_precoder(channels, 3.0, 1.0)
-    assert injected_signal(channels, precoder, 0j) == (0j, 0j)
+def test_precoder_works_in_place():
+    rng = np.random.default_rng(7)
+    h_a2, h_b2, denom = (rng.normal(size=5) + 1j * rng.normal(size=5) for _ in range(3))
+    expected = (h_b2 - h_a2) / denom
+    scratch = np.empty(5)
+    ratio, norm = coincidence_precoder(h_a2, h_b2, denom, scratch)
+    assert ratio is h_b2 and norm is scratch
+    assert np.array_equal(ratio, expected)
+    assert np.array_equal(norm, np.sqrt(1.0 + np.abs(expected) ** 2))
 
 
 def test_precoder_coincidence_and_budget_over_random_draws():
     rng = np.random.default_rng(5150)
     scale = math.sqrt(0.5 / 2.0)  # per-component std for entry variance 1/2
-    worst = 0.0
-    budget = 3.7
-    xj_power = 2.0
-    for _ in range(20_000):
-        gains = rng.normal(0.0, scale, 8)
-        channels = MisoChannels(
-            (complex(gains[0], gains[1]), complex(gains[2], gains[3])),
-            (complex(gains[4], gains[5]), complex(gains[6], gains[7])),
-        )
-        try:
-            precoder = compute_precoder(channels, budget, xj_power)
-        except NearSingularChannels:
-            continue
-        assert precoder.transmit_power * xj_power <= budget * (1 + 1e-12)
-        assert precoder.transmit_power * xj_power >= budget * (1 - 1e-12)
-        at_alice, at_bob = injected_signal(channels, precoder, 1 + 0j)
-        worst = max(worst, abs(at_alice - at_bob) / abs(at_alice))
-    assert worst <= 1e-10
+    gains = rng.normal(0.0, scale, (8, 20_000))
+    p1, p2, at_alice, at_bob = precoded_gains(*(gains[0::2] + 1j * gains[1::2]))
+    assert np.max(np.abs(np.abs(p1) ** 2 + np.abs(p2) ** 2 - 1.0)) <= 1e-12
+    assert np.max(np.abs(at_alice - at_bob) / np.abs(at_alice)) <= 1e-10
 
 
 def test_simulation_is_deterministic():

@@ -85,7 +85,7 @@ def ref_simulate_two_look(params, n_trials, seed):
 
 
 def ref_randomize_trials(params, n_trials, seed):
-    """(z_a, z_b, injected, pilot_a, pilot_b)."""
+    """(z_a, z_b, injected, x, y), with x and y Alice's and Bob's pilots."""
     rng = seed.generator()
     power = params.max_pilot_power
     x = ref_qpsk(rng, power, n_trials)
@@ -188,8 +188,9 @@ def test_randomize_trials_matches_reference(n_trials, gamma, p_max):
     params = make_params(p_max, gamma)
     batch = randomize_trials(params, n_trials, SEED)
     expected = ref_randomize_trials(params, n_trials, SEED)
-    got = (batch.z_a, batch.z_b, batch.injected, batch.pilot_a, batch.pilot_b)
-    assert all(same_bits(a, b) for a, b in zip(got, expected))
+    got = (batch.z_a, batch.z_b, batch.injected)
+    assert all(same_bits(a, b) for a, b in zip(got, expected[:3]))
+    assert batch.resampled == 0
 
 
 @pytest.mark.parametrize("n_samples", SIZES)

@@ -18,6 +18,7 @@ from wskg import (
     sample_qpsk_pilot,
     verify_randomization,
 )
+from wskg.stochastic import _qpsk
 
 SEED = RngSeed(31337)
 
@@ -44,9 +45,13 @@ def test_observation_cross_moment_is_common_source_power():
 
 def test_scrambled_injection_copies_are_uncorrelated():
     params = make_params()
-    batch = randomize_trials(params, 1_000_000, SEED.with_stream(1))
-    xw = batch.pilot_a * batch.injected
-    yw = batch.pilot_b * batch.injected
+    seed = SEED.with_stream(1)
+    batch = randomize_trials(params, 1_000_000, seed)
+    # randomize_trials draws Alice's pilots first, then Bob's, from the seed.
+    rng = seed.generator()
+    x, y = (_qpsk(rng, params.max_pilot_power, 1_000_000) for _ in range(2))
+    xw = x * batch.injected
+    yw = y * batch.injected
     bound = 0.01 * (
         params.jam_channel_var * params.jam_power_budget * params.max_pilot_power
     )
