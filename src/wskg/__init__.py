@@ -20,17 +20,15 @@ _EXPORTS = {
     for module, names in {
         "errors": ("NotPositiveSemidefinite", "NumericalError", "ParameterError",
                    "ZeroEquilibriumPayoff"),
-        "game": ("OracleConfig", "critical_power", "jammer_br_strategic", "oracle_jammer_br",
+        "game": ("critical_power", "jammer_br_strategic", "oracle_jammer_br",
                  "oracle_stackelberg", "stackelberg_fixed", "stackelberg_strategic"),
         "injection": ("coincidence_precoder", "gram", "leakage_bound", "mi_from_gram",
                       "simulate_two_look"),
-        "metrics": ("full_power_deviation_loss", "strategic_threshold_gain", "sweep",
-                    "threshold_deviation_loss"),
-        "params": ("ALLOCATION_SUM_RTOL", "EquilibriumResult", "JammerStrategy",
-                   "LeaderStrategy", "PowerAllocation", "SystemParams"),
-        "randomization": ("leakage_after_randomization", "product_pdf", "randomize_trials",
+        "metrics": ("strategic_threshold_gain", "sweep"),
+        "params": ("ALLOCATION_SUM_RTOL", "EquilibriumResult", "PowerAllocation", "SystemParams"),
+        "randomization": ("leakage_after_randomization", "randomize_trials",
                           "verify_randomization"),
-        "rates": ("rate_array", "skg_rate", "sum_rate"),
+        "rates": ("rate_array", "sum_rate"),
         "stochastic": ("RngSeed", "gaussian_mi_from_cov", "ks_test_normal",
                        "sample_complex_gaussian", "sample_qpsk_pilot"),
     }.items()

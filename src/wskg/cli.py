@@ -28,7 +28,7 @@ from .errors import (
 )
 # The Monte Carlo modules, injection and randomization, are imported by the
 # commands that run them, so the closed-form commands start without them.
-from .game import OracleConfig, oracle_jammer_br, oracle_stackelberg, stackelberg_fixed, stackelberg_strategic
+from .game import LEADER_GRID_POINTS, oracle_jammer_br, oracle_stackelberg, stackelberg_fixed, stackelberg_strategic
 from .metrics import sweep as run_sweep
 from .params import EquilibriumResult, PowerAllocation, SystemParams
 from .rates import sum_rate
@@ -59,11 +59,11 @@ class RunConfig:
             raise ParameterError(f"trials must be >= 1, got {self.trials}")
 
 
-def _profile_dict(leader, jammer) -> dict:
+def _profile_dict(profile) -> dict:
     return {
-        "pilot_power": leader.pilot_power,
-        "allocation": [float(g) for g in jammer.allocation.gamma],
-        "threshold": jammer.threshold,
+        "pilot_power": profile.pilot_power,
+        "allocation": [float(g) for g in profile.allocation.gamma],
+        "threshold": profile.threshold,
     }
 
 
@@ -71,11 +71,11 @@ def _equilibrium_payload(command: str, config: RunConfig, result: EquilibriumRes
     return {
         "command": command,
         "params": config.params.to_dict(),
-        "p_se": result.profiles[0][0].pilot_power,
+        "p_se": result.profiles[0].pilot_power,
         "payoff": result.payoff,
         "unique": result.unique,
         "boundary_case": result.boundary_case,
-        "profiles": [_profile_dict(ls, js) for ls, js in result.profiles],
+        "profiles": [_profile_dict(profile) for profile in result.profiles],
     }
 
 
@@ -167,11 +167,10 @@ def _cmd_leakage(config: RunConfig) -> Tuple[dict, int]:
 
 def _cmd_oracle_check(config: RunConfig) -> Tuple[dict, int]:
     params = config.params
-    cfg = OracleConfig(leader_grid_points=1001, allocation_samples=config.trials, seed=config.seed)
     closed = stackelberg_fixed(params)
-    p_best, oracle_value = oracle_stackelberg(params, cfg)
+    p_best, oracle_value = oracle_stackelberg(params)
     gap = abs(closed.payoff - oracle_value) / max(abs(closed.payoff), 1e-300)
-    best_alloc, best_value = oracle_jammer_br(params.max_pilot_power, params, cfg)
+    _, best_value = oracle_jammer_br(params.max_pilot_power, params, config.trials, config.seed)
     uniform_value = sum_rate(
         params.max_pilot_power, PowerAllocation.uniform(params), params
     )
@@ -183,7 +182,7 @@ def _cmd_oracle_check(config: RunConfig) -> Tuple[dict, int]:
         "seed": config.seed.seed,
         "stream": config.seed.stream,
         "allocation_samples": config.trials,
-        "leader_grid_points": cfg.leader_grid_points,
+        "leader_grid_points": LEADER_GRID_POINTS,
         "closed_form_payoff": closed.payoff,
         "oracle_payoff": oracle_value,
         "oracle_p_best": p_best,

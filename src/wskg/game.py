@@ -9,19 +9,12 @@ direct search so every closed-form branch is verified independently.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Tuple
 
 import numpy as np
 
 from .errors import NumericalError, ParameterError
-from .params import (
-    EquilibriumResult,
-    JammerStrategy,
-    LeaderStrategy,
-    PowerAllocation,
-    SystemParams,
-)
+from .params import EquilibriumResult, PowerAllocation, Profile, SystemParams
 from .rates import rate_array, sum_rate
 from .stochastic import RngSeed
 
@@ -32,33 +25,9 @@ BOUNDARY_RTOL = 1e-12
 #: Simplex sample values :func:`oracle_jammer_br` draws and evaluates at once.
 ORACLE_BLOCK_VALUES = 1 << 16
 
-
-@dataclass(frozen=True)
-class BestResponse:
-    """Follower's reply: allocation, optional threshold choice, sensing flag."""
-
-    allocation: PowerAllocation
-    threshold: Optional[float]
-    jammed: bool
-
-
-@dataclass(frozen=True)
-class OracleConfig:
-    """Search effort for the brute-force verification routines."""
-
-    leader_grid_points: int = 1001
-    allocation_samples: int = 10_000
-    seed: RngSeed = RngSeed(0)
-
-    def __post_init__(self) -> None:
-        if self.leader_grid_points < 2:
-            raise ParameterError(
-                f"leader_grid_points must be >= 2, got {self.leader_grid_points}"
-            )
-        if self.allocation_samples < 1:
-            raise ParameterError(
-                f"allocation_samples must be >= 1, got {self.allocation_samples}"
-            )
+#: Evenly spaced leader powers :func:`oracle_stackelberg` searches, before
+#: the exact breakpoints are added.
+LEADER_GRID_POINTS = 1001
 
 
 def _knee(p_th, gamma, sigmaj2):
@@ -131,18 +100,17 @@ def stackelberg_fixed(params: SystemParams) -> EquilibriumResult:
     profiles = ()
     if threshold_wins:
         deviation = min(params.sense_threshold, budget)
-        silent = PowerAllocation.silent(params)
-        profiles += ((LeaderStrategy(deviation, budget), JammerStrategy(silent)),)
+        profiles += (Profile(deviation, PowerAllocation.silent(params)),)
     if boundary or not threshold_wins:
-        uniform = PowerAllocation.uniform(params)
-        profiles += ((LeaderStrategy(budget, budget), JammerStrategy(uniform)),)
+        profiles += (Profile(budget, PowerAllocation.uniform(params)),)
     return EquilibriumResult(
         profiles, float(c_se), unique=not boundary, boundary_case=bool(boundary)
     )
 
 
-def jammer_br_strategic(p: float, params: SystemParams, delta: float) -> BestResponse:
-    """Follower's best response when the threshold is part of its strategy.
+def jammer_br_strategic(p: float, params: SystemParams, delta: float) -> Profile:
+    """Profile at leader power ``p`` with the follower's best response when
+    the threshold is part of its strategy.
 
     Any positive pilot power is sensed and uniformly jammed, since the jammer
     can place its threshold anywhere in [0, p). That interval is open, so it
@@ -154,10 +122,8 @@ def jammer_br_strategic(p: float, params: SystemParams, delta: float) -> BestRes
     if not (math.isfinite(p) and p >= 0.0):
         raise ParameterError(f"p must be >= 0, got {p!r}")
     if p == 0.0:
-        return BestResponse(PowerAllocation.silent(params), 0.0, jammed=False)
-    return BestResponse(
-        PowerAllocation.uniform(params), p * (1.0 - delta), jammed=True
-    )
+        return Profile(p, PowerAllocation.silent(params), 0.0)
+    return Profile(p, PowerAllocation.uniform(params), p * (1.0 - delta))
 
 
 def stackelberg_strategic(params: SystemParams, delta: float) -> EquilibriumResult:
@@ -169,39 +135,35 @@ def stackelberg_strategic(params: SystemParams, delta: float) -> EquilibriumResu
     the representative profile and is flagged non-unique.
     """
     budget = params.max_pilot_power
-    response = jammer_br_strategic(budget, params, delta)
-    payoff = sum_rate(budget, response.allocation, params)
-    profiles = (
-        (
-            LeaderStrategy(budget, budget),
-            JammerStrategy(response.allocation, response.threshold),
-        ),
-    )
-    return EquilibriumResult(profiles, payoff, unique=False, boundary_case=False)
+    profile = jammer_br_strategic(budget, params, delta)
+    payoff = sum_rate(budget, profile.allocation, params)
+    return EquilibriumResult((profile,), payoff, unique=False, boundary_case=False)
 
 
 def oracle_jammer_br(
-    p: float, params: SystemParams, cfg: OracleConfig
+    p: float, params: SystemParams, samples: int, seed: RngSeed
 ) -> Tuple[PowerAllocation, float]:
     """Brute-force search for the sum-rate-minimizing feasible allocation.
 
     Samples the budget-tight simplex face uniformly (exponential spacings),
     and always includes the uniform point and every vertex, so both interior
-    and extreme allocations are covered. Returns the best allocation found
-    and its sum rate.
+    and extreme allocations are covered: ``samples`` draws from ``seed``.
+    Returns the best allocation found and its sum rate.
     """
+    if samples < 1:
+        raise ParameterError(f"allocation_samples must be >= 1, got {samples}")
     if not (math.isfinite(p) and p >= 0.0):
         raise ParameterError(f"p must be >= 0, got {p!r}")
     n = params.n_subcarriers
     total = n * params.jam_power_budget
-    rng = cfg.seed.generator()
+    rng = seed.generator()
     rows = max(1, ORACLE_BLOCK_VALUES // n)
 
     def blocks():
         yield np.vstack([np.full((1, n), params.jam_power_budget), np.eye(n) * total])
         # Filled in sequence, the blocks hold the values of one big draw.
-        for start in range(0, cfg.allocation_samples, rows):
-            spacings = rng.standard_exponential((min(rows, cfg.allocation_samples - start), n))
+        for start in range(0, samples, rows):
+            spacings = rng.standard_exponential((min(rows, samples - start), n))
             yield spacings / spacings.sum(axis=1, keepdims=True) * total
 
     best, best_value = None, math.nan
@@ -211,12 +173,10 @@ def oracle_jammer_br(
         # np.argmin's order across blocks: a NaN beats every number, a tie keeps the earlier.
         if best is None or (not math.isnan(best_value) and (values[i] < best_value or math.isnan(values[i]))):
             best, best_value = block[i], float(values[i])
-    return PowerAllocation.from_values(best, params), best_value
+    return PowerAllocation(tuple(best), params.jam_power_budget), best_value
 
 
-def oracle_stackelberg(
-    params: SystemParams, cfg: OracleConfig
-) -> Tuple[float, float]:
+def oracle_stackelberg(params: SystemParams) -> Tuple[float, float]:
     """Grid search over the leader's power with the follower's exact response.
 
     The induced payoff is discontinuous at the sensing threshold, so the grid
@@ -225,7 +185,7 @@ def oracle_stackelberg(
     """
     budget = params.max_pilot_power
     threshold = params.sense_threshold
-    grid = np.linspace(0.0, budget, cfg.leader_grid_points)
+    grid = np.linspace(0.0, budget, LEADER_GRID_POINTS)
     extras = [0.0, budget]
     if threshold <= budget:
         extras.append(threshold)

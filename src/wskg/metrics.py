@@ -81,32 +81,12 @@ def _rows(params: SystemParams, field: str, values) -> List[SweepRow]:
     return [SweepRow(*row) for row in zip(*(column.tolist() for column in columns))]
 
 
-def _point(params: SystemParams) -> SweepRow:
-    return _rows(params, "max_pilot_power", [params.max_pilot_power])[0]
-
-
-def full_power_deviation_loss(params: SystemParams) -> float:
-    """Relative sum rate lost if the leader leaves the equilibrium and
-    transmits at full budget while the jammer spends its whole budget."""
-    return _point(params).f
-
-
-def threshold_deviation_loss(params: SystemParams) -> float:
-    """Relative sum rate lost if the leader deviates to the sensing threshold,
-    staying undetected.
-
-    A threshold above the leader budget is not a playable power, so the
-    deviation power is capped at the budget (the deviation then coincides
-    with the equilibrium and the loss is zero).
-    """
-    return _point(params).d
-
-
 def strategic_threshold_gain(params: SystemParams) -> float:
     """Relative payoff the jammer gains by choosing its sensing threshold
-    strategically instead of keeping it fixed; equals
-    :func:`full_power_deviation_loss` in this model."""
-    return _point(params).e
+    strategically instead of keeping it fixed: column ``e`` of the sweep row
+    at ``params``, which equals the full-power deviation loss ``f`` in this
+    model."""
+    return _rows(params, "max_pilot_power", [params.max_pilot_power])[0].e
 
 
 def _knee_value(params: SystemParams, variable: str) -> float | None:

@@ -8,9 +8,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Optional, Tuple
-
-import numpy as np
+from typing import Optional, Tuple
 
 from .errors import NumericalError, ParameterError
 
@@ -76,28 +74,6 @@ class SystemParams:
 
 
 @dataclass(frozen=True)
-class LeaderStrategy:
-    """Pilot power the leader commits to, within its admissible range [0, budget]."""
-
-    pilot_power: float
-    budget: float
-
-    def __post_init__(self) -> None:
-        power = _require_real("pilot_power", self.pilot_power)
-        budget = _require_real("budget", self.budget)
-        if not (math.isfinite(power) and math.isfinite(budget)):
-            raise ParameterError("pilot_power and budget must be finite")
-        if budget < 0.0:
-            raise ParameterError(f"budget must be >= 0, got {budget}")
-        if not 0.0 <= power <= budget:
-            raise ParameterError(
-                f"pilot_power must lie in [0, {budget}], got {power}"
-            )
-        object.__setattr__(self, "pilot_power", power)
-        object.__setattr__(self, "budget", budget)
-
-
-@dataclass(frozen=True)
 class PowerAllocation:
     """Per-subcarrier jamming powers under an average-power budget.
 
@@ -145,36 +121,16 @@ class PowerAllocation:
         """No jamming power anywhere."""
         return cls((0.0,) * params.n_subcarriers, params.jam_power_budget)
 
-    @classmethod
-    def from_values(
-        cls, values: Iterable[float], params: SystemParams
-    ) -> "PowerAllocation":
-        return cls(tuple(values), params.jam_power_budget)
-
-    def as_array(self) -> np.ndarray:
-        return np.asarray(self.gamma, dtype=float)
-
-    @property
-    def total(self) -> float:
-        return math.fsum(self.gamma)
-
 
 @dataclass(frozen=True)
-class JammerStrategy:
-    """Jammer's move: an allocation, plus a sensing threshold when that
-    threshold is itself part of the strategy."""
+class Profile:
+    """One strategy profile: the leader's pilot power, the jammer's
+    allocation, and its sensing threshold when that threshold is itself part
+    of the jammer's strategy."""
 
+    pilot_power: float
     allocation: PowerAllocation
     threshold: Optional[float] = None
-
-    def __post_init__(self) -> None:
-        if self.threshold is not None:
-            threshold = _require_real("threshold", self.threshold)
-            if not math.isfinite(threshold) or threshold < 0.0:
-                raise ParameterError(
-                    f"threshold must be finite and >= 0, got {threshold}"
-                )
-            object.__setattr__(self, "threshold", threshold)
 
 
 @dataclass(frozen=True)
@@ -186,13 +142,11 @@ class EquilibriumResult:
     where the leader budget equals the critical power and two profiles tie.
     """
 
-    profiles: Tuple[Tuple[LeaderStrategy, JammerStrategy], ...]
+    profiles: Tuple[Profile, ...]
     payoff: float
     unique: bool
     boundary_case: bool
 
     def __post_init__(self) -> None:
-        if not self.profiles:
-            raise ParameterError("equilibrium must contain at least one profile")
         if not math.isfinite(self.payoff):
             raise NumericalError(f"equilibrium payoff is not finite: {self.payoff!r}")

@@ -9,9 +9,8 @@ and reducing the injection to plain uncorrelated jamming.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Optional
 
 import numpy as np
 
@@ -58,27 +57,6 @@ def randomize_trials(
     z_b += np.multiply(y, w, out=noise_a)
     z_b += np.multiply(y, noise_b, out=noise_b)
     return TwoLookBatch(z_a=z_a, z_b=z_b, injected=w)
-
-
-def product_pdf(
-    z: Union[float, np.ndarray], pilot_power: float, channel_var: float
-) -> Union[float, np.ndarray]:
-    """Density of (pilot real part) * (channel real part).
-
-    A symmetric two-point pilot component times an independent zero-mean
-    Gaussian is again Gaussian; the closed form
-    sqrt(2) * exp(-2 z^2 / (P * s^2)) / (sqrt(pi * P) * s)
-    equals the normal density with variance P * s^2 / 4.
-    """
-    if not (math.isfinite(pilot_power) and pilot_power > 0.0):
-        raise ParameterError(f"pilot_power must be > 0, got {pilot_power!r}")
-    if not (math.isfinite(channel_var) and channel_var > 0.0):
-        raise ParameterError(f"channel_var must be > 0, got {channel_var!r}")
-    sigma = math.sqrt(channel_var)
-    z = np.asarray(z, dtype=float)
-    coeff = math.sqrt(2.0) / (math.sqrt(math.pi * pilot_power) * sigma)
-    out = coeff * np.exp(-2.0 * z * z / (pilot_power * channel_var))
-    return float(out) if out.ndim == 0 else out
 
 
 @dataclass(frozen=True)

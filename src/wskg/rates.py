@@ -15,8 +15,10 @@ _LN2 = math.log(2.0)
 ArrayLike = Union[float, np.ndarray]
 
 
-# b*(b + 2a) overflows to inf for jam budgets near 1e308, where the rate is 0.
-@np.errstate(over="ignore")
+# b*(b + 2a) overflows to inf for jam budgets near 1e308, where the rate is 0,
+# and a*a / (b*(b + 2a)) is inf/inf for pilot powers near 1e308; callers
+# reject the resulting non-finite payoffs themselves.
+@np.errstate(over="ignore", invalid="ignore")
 def rate_array(p: ArrayLike, gamma: ArrayLike, sigma2: float, sigmaj2: float) -> np.ndarray:
     """Key rate in bits per channel use; broadcasts over pilot and jam powers.
 
@@ -30,26 +32,10 @@ def rate_array(p: ArrayLike, gamma: ArrayLike, sigma2: float, sigmaj2: float) ->
     return np.log1p(a * a / (b * (b + 2.0 * a))) / _LN2
 
 
-def skg_rate(p: float, gamma: float, sigma2: float, sigmaj2: float) -> float:
-    """Key rate on one subcarrier: pilot power ``p`` against jam power ``gamma``.
-
-    The rate depends on the channel gains only through their variances
-    ``sigma2`` (legitimate link) and ``sigmaj2`` (jammer link); it vanishes
-    continuously as ``p`` goes to 0.
-    """
-    for name, value in (("p", p), ("gamma", gamma)):
-        if not (math.isfinite(value) and value >= 0.0):
-            raise ParameterError(f"{name} must be finite and >= 0, got {value!r}")
-    for name, value in (("sigma2", sigma2), ("sigmaj2", sigmaj2)):
-        if not (math.isfinite(value) and value > 0.0):
-            raise ParameterError(f"{name} must be > 0, got {value!r}")
-    return float(rate_array(p, gamma, sigma2, sigmaj2))
-
-
 def sum_rate(p: float, allocation: PowerAllocation, params: SystemParams) -> float:
     """Sum of the per-subcarrier rates under the given jamming allocation."""
-    gammas = allocation.as_array()
-    if gammas.ndim != 1 or gammas.size != params.n_subcarriers:
+    gammas = np.asarray(allocation.gamma, dtype=float)
+    if gammas.size != params.n_subcarriers:
         raise ParameterError(
             f"allocation length {gammas.size} does not match "
             f"n_subcarriers {params.n_subcarriers}"

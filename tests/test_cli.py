@@ -1,10 +1,13 @@
+import ast
 import importlib
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
+from pathlib import Path
 
 import pytest
 
@@ -31,16 +34,14 @@ EXPECTED_FLAGS = {
 
 #: Every name ``wskg`` exports.
 EXPECTED_EXPORTS = {
-    "ALLOCATION_SUM_RTOL", "EquilibriumResult", "JammerStrategy", "LeaderStrategy",
-    "NotPositiveSemidefinite", "NumericalError", "OracleConfig", "ParameterError",
-    "PowerAllocation", "RngSeed", "SystemParams", "ZeroEquilibriumPayoff",
-    "coincidence_precoder", "critical_power", "full_power_deviation_loss",
-    "gaussian_mi_from_cov", "gram", "jammer_br_strategic", "ks_test_normal",
-    "leakage_after_randomization", "leakage_bound", "mi_from_gram", "oracle_jammer_br",
-    "oracle_stackelberg", "product_pdf", "randomize_trials", "rate_array",
-    "sample_complex_gaussian", "sample_qpsk_pilot", "simulate_two_look", "skg_rate",
-    "stackelberg_fixed", "stackelberg_strategic", "strategic_threshold_gain", "sum_rate",
-    "sweep", "threshold_deviation_loss", "verify_randomization",
+    "ALLOCATION_SUM_RTOL", "EquilibriumResult", "NotPositiveSemidefinite", "NumericalError",
+    "ParameterError", "PowerAllocation", "RngSeed", "SystemParams", "ZeroEquilibriumPayoff",
+    "coincidence_precoder", "critical_power", "gaussian_mi_from_cov", "gram",
+    "jammer_br_strategic", "ks_test_normal", "leakage_after_randomization", "leakage_bound",
+    "mi_from_gram", "oracle_jammer_br", "oracle_stackelberg", "randomize_trials", "rate_array",
+    "sample_complex_gaussian", "sample_qpsk_pilot", "simulate_two_look", "stackelberg_fixed",
+    "stackelberg_strategic", "strategic_threshold_gain", "sum_rate", "sweep",
+    "verify_randomization",
 }
 
 
@@ -267,14 +268,25 @@ def test_huge_jam_budget_allocation_does_not_overflow(capsys):
     assert "Traceback" not in err
 
 
-def test_huge_jam_budget_prints_no_warning():
+@pytest.mark.parametrize(
+    "flag, code, stderr",
+    [
+        ("--gamma", 0, ""),
+        ("--p-max", 2, "numerical failure: equilibrium payoff is not finite: nan\n"),
+    ],
+    ids=["jam-budget", "pilot-budget"],
+)
+def test_huge_budget_prints_no_warning(flag, code, stderr):
     proc = run_fresh(
         "import sys; from wskg.cli import main; sys.exit(main(sys.argv[1:]))",
-        "solve-strategic", "--gamma", "1e308",
+        "solve-strategic", flag, "1e308",
     )
-    assert proc.returncode == 0
-    assert json.loads(proc.stdout)["payoff"] == 0.0
-    assert proc.stderr == ""
+    assert proc.returncode == code
+    assert proc.stderr == stderr
+    if code == 0:
+        assert json.loads(proc.stdout)["payoff"] == 0.0
+    else:
+        assert proc.stdout == ""
 
 
 _SCIPY_PROBE = """
@@ -442,6 +454,32 @@ def test_leakage_too_few_trials_exits_1(capsys):
 
 def test_public_names_are_pinned():
     assert set(wskg.__all__) == EXPECTED_EXPORTS
+
+
+def test_every_public_name_has_a_caller():
+    """Each exported name is read by library code besides its definition, or
+    by the benchmark in ``perfbench/``; a name that only tests read is not
+    public."""
+    used = set()
+    for path in Path(wskg.__file__).parent.glob("*.py"):
+        if path.name == "__init__.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+            elif isinstance(node, ast.alias):
+                used.add(node.name)
+    bench = "\n".join(
+        path.read_text(encoding="utf-8")
+        for path in (Path(__file__).resolve().parents[1] / "perfbench").glob("*.py")
+    )
+    unused = {
+        name for name in wskg.__all__
+        if name not in used and not re.search(rf"\b{name}\b", bench)
+    }
+    assert unused == set()
 
 
 def test_command_flags_are_pinned():

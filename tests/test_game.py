@@ -6,7 +6,6 @@ import pytest
 
 from wskg import game
 from wskg import (
-    OracleConfig,
     ParameterError,
     PowerAllocation,
     RngSeed,
@@ -16,7 +15,6 @@ from wskg import (
     oracle_jammer_br,
     oracle_stackelberg,
     rate_array,
-    skg_rate,
     stackelberg_fixed,
     stackelberg_strategic,
     sum_rate,
@@ -42,12 +40,11 @@ def test_fixed_br_boundary_is_not_sensed():
     # A pilot at exactly the threshold goes unjammed, in the closed form and the oracle.
     params = params_with(2.0)
     result = stackelberg_fixed(params)
-    leader, jammer = result.profiles[0]
+    profile = result.profiles[0]
     assert result.unique
-    assert leader.pilot_power == 2.0
-    assert jammer.allocation.gamma == (0.0,) * 10
-    cfg = OracleConfig(leader_grid_points=1001, allocation_samples=1, seed=RngSeed(3))
-    assert oracle_stackelberg(params, cfg) == (2.0, result.payoff)
+    assert profile.pilot_power == 2.0
+    assert profile.allocation.gamma == (0.0,) * 10
+    assert oracle_stackelberg(params) == (2.0, result.payoff)
 
 
 def test_critical_power_values(ref_params):
@@ -59,18 +56,18 @@ def test_critical_power_values(ref_params):
 def test_fixed_equilibrium_below_knee(ref_params):
     result = stackelberg_fixed(ref_params)
     assert result.unique and not result.boundary_case
-    leader, jammer = result.profiles[0]
-    assert leader.pilot_power == 2.0
-    assert jammer.allocation.gamma == (0.0,) * 10
+    profile = result.profiles[0]
+    assert profile.pilot_power == 2.0
+    assert profile.allocation.gamma == (0.0,) * 10
     assert result.payoff == pytest.approx(10 * math.log2(1.8), rel=1e-12)
     assert result.payoff == pytest.approx(8.47997, abs=1e-4)
 
 
 def test_fixed_equilibrium_above_knee():
     result = stackelberg_fixed(params_with(20.0))
-    leader, jammer = result.profiles[0]
-    assert leader.pilot_power == 20.0
-    assert jammer.allocation.gamma == (4.0,) * 10
+    profile = result.profiles[0]
+    assert profile.pilot_power == 20.0
+    assert profile.allocation.gamma == (4.0,) * 10
     assert result.payoff == pytest.approx(10 * math.log2(1 + 20 / 11.25), rel=1e-12)
     assert result.payoff == pytest.approx(14.7393, abs=1e-3)
 
@@ -78,21 +75,21 @@ def test_fixed_equilibrium_above_knee():
 def test_fixed_equilibrium_at_knee_has_two_profiles():
     result = stackelberg_fixed(params_with(10.0))
     assert result.boundary_case and not result.unique
-    powers = sorted(leader.pilot_power for leader, _ in result.profiles)
+    powers = sorted(profile.pilot_power for profile in result.profiles)
     assert powers == [2.0, 10.0]
     assert result.payoff == pytest.approx(8.47997, abs=1e-4)
     payoffs = [
-        sum_rate(leader.pilot_power, jammer.allocation, params_with(10.0))
-        for leader, jammer in result.profiles
+        sum_rate(profile.pilot_power, profile.allocation, params_with(10.0))
+        for profile in result.profiles
     ]
     assert payoffs[0] == pytest.approx(payoffs[1], rel=1e-9)
 
 
 def test_fixed_equilibrium_trivial_when_budget_below_threshold():
     result = stackelberg_fixed(params_with(1.5))
-    leader, jammer = result.profiles[0]
-    assert leader.pilot_power == 1.5
-    assert jammer.allocation.gamma == (0.0,) * 10
+    profile = result.profiles[0]
+    assert profile.pilot_power == 1.5
+    assert profile.allocation.gamma == (0.0,) * 10
     assert result.unique
 
 
@@ -100,24 +97,25 @@ def test_fixed_equilibrium_knee_selection_is_sharp():
     knee = critical_power(params_with(20.0))
     below = stackelberg_fixed(params_with(knee * (1 - 1e-6)))
     above = stackelberg_fixed(params_with(knee * (1 + 1e-6)))
-    assert below.profiles[0][0].pilot_power == 2.0
-    assert above.profiles[0][0].pilot_power == knee * (1 + 1e-6)
+    assert below.profiles[0].pilot_power == 2.0
+    assert above.profiles[0].pilot_power == knee * (1 + 1e-6)
 
 
 def test_strategic_br_jams_any_positive_power(ref_params):
-    response = jammer_br_strategic(5.0, ref_params, 0.5)
-    assert response.jammed
-    assert response.threshold == pytest.approx(2.5)
-    assert response.allocation.gamma == (4.0,) * 10
+    profile = jammer_br_strategic(5.0, ref_params, 0.5)
+    assert profile.pilot_power == 5.0
+    assert profile.allocation == PowerAllocation.uniform(ref_params)
+    assert profile.threshold == pytest.approx(2.5)
     # sensed even below the fixed threshold parameter
-    assert jammer_br_strategic(0.5, ref_params, 0.5).jammed
+    low = jammer_br_strategic(0.5, ref_params, 0.5)
+    assert low.allocation == PowerAllocation.uniform(ref_params)
 
 
 def test_strategic_br_zero_power(ref_params):
-    response = jammer_br_strategic(0.0, ref_params, 0.5)
-    assert not response.jammed
-    assert response.threshold == 0.0
-    assert response.allocation.gamma == (0.0,) * 10
+    profile = jammer_br_strategic(0.0, ref_params, 0.5)
+    assert profile.pilot_power == 0.0
+    assert profile.allocation == PowerAllocation.silent(ref_params)
+    assert profile.threshold == 0.0
 
 
 def test_strategic_br_validates_policy(ref_params):
@@ -129,9 +127,9 @@ def test_strategic_br_validates_policy(ref_params):
 def test_strategic_equilibrium_reference(ref_params):
     result = stackelberg_strategic(ref_params, 0.5)
     assert not result.unique
-    leader, jammer = result.profiles[0]
-    assert leader.pilot_power == 5.0
-    assert jammer.threshold == pytest.approx(2.5)
+    profile = result.profiles[0]
+    assert profile.pilot_power == 5.0
+    assert profile.threshold == pytest.approx(2.5)
     assert result.payoff == pytest.approx(10 * math.log2(4 / 3), rel=1e-12)
     assert result.payoff == pytest.approx(4.15037, abs=1e-4)
 
@@ -146,7 +144,7 @@ def test_strategic_equilibrium_zero_budget_jammer_is_harmless():
     params = params_with(5.0, gamma=0.0)
     result = stackelberg_strategic(params, 0.5)
     assert result.payoff == pytest.approx(
-        10 * skg_rate(5.0, 0.0, 1.0, 1.0), rel=1e-12
+        10 * float(rate_array(5.0, 0.0, 1.0, 1.0)), rel=1e-12
     )
 
 
@@ -172,8 +170,7 @@ def test_fixed_payoff_monotone_in_budgets():
 
 def test_oracle_br_prefers_uniform_allocation():
     params = SystemParams(2, 5.0, 1.0, 2.0, 1.0, 1.0)
-    cfg = OracleConfig(leader_grid_points=101, allocation_samples=2000, seed=RngSeed(1))
-    best, value = oracle_jammer_br(5.0, params, cfg)
+    best, value = oracle_jammer_br(5.0, params, 2000, RngSeed(1))
     uniform_value = sum_rate(5.0, PowerAllocation.uniform(params), params)
     lopsided_value = sum_rate(5.0, PowerAllocation((2.0, 0.0), 1.0), params)
     assert value == pytest.approx(uniform_value, rel=1e-12)
@@ -183,25 +180,23 @@ def test_oracle_br_prefers_uniform_allocation():
 
 def test_oracle_br_single_subcarrier():
     params = SystemParams(1, 5.0, 3.0, 2.0, 1.0, 1.0)
-    cfg = OracleConfig(leader_grid_points=101, allocation_samples=500, seed=RngSeed(2))
-    best, value = oracle_jammer_br(5.0, params, cfg)
+    best, value = oracle_jammer_br(5.0, params, 500, RngSeed(2))
     assert best.gamma == pytest.approx((3.0,))
-    assert value == pytest.approx(skg_rate(5.0, 3.0, 1.0, 1.0), rel=1e-12)
+    assert value == pytest.approx(float(rate_array(5.0, 3.0, 1.0, 1.0)), rel=1e-12)
 
 
 def test_oracle_br_jensen_dominance(ref_params):
-    cfg = OracleConfig(leader_grid_points=101, allocation_samples=5000, seed=RngSeed(3))
-    _, value = oracle_jammer_br(5.0, ref_params, cfg)
+    _, value = oracle_jammer_br(5.0, ref_params, 5000, RngSeed(3))
     uniform_value = sum_rate(5.0, PowerAllocation.uniform(ref_params), ref_params)
     assert uniform_value <= value + 1e-9
 
 
-def ref_oracle_jammer_br(p, params, cfg, rate=rate_array):
+def ref_oracle_jammer_br(p, params, samples, seed, rate=rate_array):
     """The one-shot search: every candidate in one array, one argmin."""
     n = params.n_subcarriers
     total = n * params.jam_power_budget
-    rng = cfg.seed.generator()
-    spacings = rng.standard_exponential((cfg.allocation_samples, n))
+    rng = seed.generator()
+    spacings = rng.standard_exponential((samples, n))
     simplex = spacings / spacings.sum(axis=1, keepdims=True) * total
     candidates = np.vstack(
         [
@@ -212,7 +207,7 @@ def ref_oracle_jammer_br(p, params, cfg, rate=rate_array):
     )
     values = rate(p, candidates, params.legit_channel_var, params.jam_channel_var).sum(axis=1)
     best = int(np.argmin(values))
-    return PowerAllocation.from_values(candidates[best], params), float(values[best])
+    return PowerAllocation(tuple(candidates[best]), params.jam_power_budget), float(values[best])
 
 
 def assert_same_bits(got, want):
@@ -230,8 +225,8 @@ def test_streamed_oracle_matches_one_shot_search(n, blocks, extra):
     count = blocks * max(1, game.ORACLE_BLOCK_VALUES // n) + extra
     params = params_with(5.0, n=n)
     for seed, p in ((0, 5.0), (1, 1.5), (2, 0.0), (3, 5.0)):
-        cfg = OracleConfig(leader_grid_points=2, allocation_samples=count, seed=RngSeed(seed, seed))
-        assert_same_bits(oracle_jammer_br(p, params, cfg), ref_oracle_jammer_br(p, params, cfg))
+        args = (p, params, count, RngSeed(seed, seed))
+        assert_same_bits(oracle_jammer_br(*args), ref_oracle_jammer_br(*args))
 
 
 def test_streamed_oracle_keeps_argmins_order_across_blocks(monkeypatch):
@@ -246,19 +241,17 @@ def test_streamed_oracle_keeps_argmins_order_across_blocks(monkeypatch):
     params = params_with(5.0, n=2)
     for samples in (3, 40, 4000):
         for seed in range(4):
-            cfg = OracleConfig(leader_grid_points=2, allocation_samples=samples, seed=RngSeed(seed))
-            got = oracle_jammer_br(5.0, params, cfg)
-            assert_same_bits(got, ref_oracle_jammer_br(5.0, params, cfg, coarse))
+            got = oracle_jammer_br(5.0, params, samples, RngSeed(seed))
+            assert_same_bits(got, ref_oracle_jammer_br(5.0, params, samples, RngSeed(seed), coarse))
     assert math.isnan(got[1])
 
 
 def test_oracle_memory_does_not_grow_with_samples(ref_params):
     peaks = {}
     for samples in (100_000, 400_000):
-        cfg = OracleConfig(leader_grid_points=2, allocation_samples=samples, seed=RngSeed(8))
         tracemalloc.start()
         try:
-            oracle_jammer_br(5.0, ref_params, cfg)
+            oracle_jammer_br(5.0, ref_params, samples, RngSeed(8))
             peaks[samples] = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -266,24 +259,21 @@ def test_oracle_memory_does_not_grow_with_samples(ref_params):
 
 
 def test_oracle_grid_search_below_knee(ref_params):
-    cfg = OracleConfig(leader_grid_points=1001, allocation_samples=1, seed=RngSeed(4))
-    p_best, value = oracle_stackelberg(ref_params, cfg)
+    p_best, value = oracle_stackelberg(ref_params)
     assert p_best == 2.0
     assert value == pytest.approx(stackelberg_fixed(ref_params).payoff, rel=1e-12)
 
 
 def test_oracle_grid_search_above_knee():
     params = params_with(20.0)
-    cfg = OracleConfig(leader_grid_points=1001, allocation_samples=1, seed=RngSeed(5))
-    p_best, value = oracle_stackelberg(params, cfg)
+    p_best, value = oracle_stackelberg(params)
     assert p_best == 20.0
     assert value == pytest.approx(14.7393, abs=1e-3)
 
 
 def test_oracle_grid_search_sees_both_knee_optima():
     params = params_with(10.0)
-    cfg = OracleConfig(leader_grid_points=1001, allocation_samples=1, seed=RngSeed(6))
-    _, value = oracle_stackelberg(params, cfg)
+    _, value = oracle_stackelberg(params)
     threshold_payoff = sum_rate(2.0, PowerAllocation.silent(params), params)
     full_payoff = sum_rate(10.0, PowerAllocation.uniform(params), params)
     assert abs(threshold_payoff - value) <= 1e-9 * value
@@ -292,16 +282,13 @@ def test_oracle_grid_search_sees_both_knee_optima():
 
 def test_closed_form_matches_oracle_on_random_draws():
     rng = np.random.default_rng(909)
-    cfg = OracleConfig(leader_grid_points=1001, allocation_samples=1, seed=RngSeed(7))
     for _ in range(50):
         params = random_params(rng)
         closed = stackelberg_fixed(params).payoff
-        _, oracle = oracle_stackelberg(params, cfg)
+        _, oracle = oracle_stackelberg(params)
         assert oracle == pytest.approx(closed, rel=1e-6)
 
 
-def test_oracle_config_validation():
-    with pytest.raises(ParameterError):
-        OracleConfig(leader_grid_points=1)
-    with pytest.raises(ParameterError):
-        OracleConfig(allocation_samples=0)
+def test_oracle_config_validation(ref_params):
+    with pytest.raises(ParameterError, match="allocation_samples must be >= 1, got 0"):
+        oracle_jammer_br(5.0, ref_params, 0, RngSeed(0))

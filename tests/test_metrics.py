@@ -9,44 +9,48 @@ from wskg import (
     SystemParams,
     ZeroEquilibriumPayoff,
     critical_power,
-    full_power_deviation_loss,
     stackelberg_fixed,
     stackelberg_strategic,
     strategic_threshold_gain,
     sum_rate,
     sweep,
-    threshold_deviation_loss,
 )
 from wskg.cli import main
+from wskg.metrics import _rows
 
 
 def params_with(p_max, gamma=4.0, p_th=2.0, sigma2=1.0, sigmaj2=1.0, n=10):
     return SystemParams(n, p_max, gamma, p_th, sigma2, sigmaj2)
 
 
+def row_at(params):
+    """The one-row sweep at ``params``: payoffs and the metrics f, d, e."""
+    return _rows(params, "max_pilot_power", [params.max_pilot_power])[0]
+
+
 def test_full_power_loss_reference_values():
-    assert full_power_deviation_loss(params_with(2.5)) == pytest.approx(
+    assert row_at(params_with(2.5)).f == pytest.approx(
         0.79961, abs=1e-4
     )
-    assert full_power_deviation_loss(params_with(2.0 + 1e-9)) == pytest.approx(
+    assert row_at(params_with(2.0 + 1e-9)).f == pytest.approx(
         0.8551, abs=1e-3
     )
     # above the knee the equilibrium already uses full power
-    assert full_power_deviation_loss(params_with(20.0)) == 0.0
+    assert row_at(params_with(20.0)).f == 0.0
 
 
 def test_threshold_loss_reference_values():
-    assert threshold_deviation_loss(params_with(5.0)) == 0.0
-    assert threshold_deviation_loss(params_with(20.0)) == pytest.approx(
+    assert row_at(params_with(5.0)).d == 0.0
+    assert row_at(params_with(20.0)).d == pytest.approx(
         0.42467, abs=1e-4
     )
-    assert abs(threshold_deviation_loss(params_with(10.0))) <= 1e-12
+    assert abs(row_at(params_with(10.0)).d) <= 1e-12
 
 
 def test_threshold_loss_caps_deviation_at_budget():
     # the sensing threshold exceeds the leader budget: the only playable
     # deviation is the budget itself, which is the equilibrium
-    assert threshold_deviation_loss(params_with(1.5, p_th=2.0)) == 0.0
+    assert row_at(params_with(1.5, p_th=2.0)).d == 0.0
 
 
 def test_strategic_gain_reference_values():
@@ -78,7 +82,7 @@ def test_strategic_gain_is_full_power_loss():
                 critical_power(params), gamma, p_th, params.legit_channel_var,
                 params.jam_channel_var, params.n_subcarriers,
             )
-        f = full_power_deviation_loss(params)
+        f = row_at(params).f
         assert strategic_threshold_gain(params) == f
         c_se = stackelberg_fixed(params).payoff
         for delta in (0.1, 0.5, 0.9):
@@ -121,7 +125,7 @@ def test_sweep_rejects_out_of_domain_swept_values(capsys, variable, lo, message)
 
 def test_metrics_require_positive_equilibrium_payoff():
     with pytest.raises(ZeroEquilibriumPayoff):
-        full_power_deviation_loss(params_with(0.0))
+        row_at(params_with(0.0))
     with pytest.raises(ZeroEquilibriumPayoff):
         strategic_threshold_gain(params_with(0.0))
 
@@ -137,11 +141,8 @@ def test_metrics_stay_in_unit_interval():
             float(rng.uniform(0.2, 3.0)),
             float(rng.uniform(0.2, 3.0)),
         )
-        for value in (
-            full_power_deviation_loss(params),
-            threshold_deviation_loss(params),
-            strategic_threshold_gain(params),
-        ):
+        row = row_at(params)
+        for value in (row.f, row.d, strategic_threshold_gain(params)):
             assert -1e-12 <= value <= 1.0
 
 
@@ -160,8 +161,8 @@ def test_exactly_one_deviation_loss_vanishes_off_knee():
         knee = critical_power(params)
         if abs(params.max_pilot_power - knee) < 0.01 * max(knee, 1.0):
             continue
-        f = full_power_deviation_loss(params)
-        d = threshold_deviation_loss(params)
+        row = row_at(params)
+        f, d = row.f, row.d
         assert (f <= 1e-12) != (d <= 1e-12)
         checked += 1
 

@@ -2,7 +2,6 @@ import math
 
 import numpy as np
 import pytest
-import scipy.integrate
 import scipy.stats
 
 from wskg import (
@@ -12,7 +11,6 @@ from wskg import (
     ks_test_normal,
     leakage_after_randomization,
     leakage_bound,
-    product_pdf,
     randomize_trials,
     sample_complex_gaussian,
     sample_qpsk_pilot,
@@ -69,35 +67,6 @@ def test_injected_value_decorrelates_from_observations():
         for z_part in (batch.z_a.real, batch.z_a.imag, batch.z_b.real, batch.z_b.imag):
             cov = np.mean(w_part * z_part) - np.mean(w_part) * np.mean(z_part)
             assert abs(cov) < bound
-
-
-def test_product_pdf_reference_value_and_symmetry():
-    assert product_pdf(0.0, 2.0, 1.0) == pytest.approx(1.0 / math.sqrt(math.pi), abs=1e-12)
-    z = np.linspace(-4.0, 4.0, 101)
-    assert np.allclose(product_pdf(z, 2.0, 1.0), product_pdf(-z, 2.0, 1.0))
-
-
-def test_product_pdf_normalizes_to_one():
-    power, s2 = 2.0, 1.5
-    limit = 10.0 * math.sqrt(s2 * power)
-    integral, _ = scipy.integrate.quad(
-        lambda z: product_pdf(z, power, s2), -limit, limit
-    )
-    assert integral == pytest.approx(1.0, abs=1e-8)
-
-
-def test_product_pdf_equals_quarter_variance_normal():
-    power, s2 = 3.0, 0.7
-    z = np.linspace(-5, 5, 201)
-    expected = scipy.stats.norm.pdf(z, scale=math.sqrt(power * s2 / 4.0))
-    assert np.allclose(product_pdf(z, power, s2), expected, atol=1e-12)
-
-
-def test_product_pdf_rejects_nonpositive_parameters():
-    with pytest.raises(ParameterError):
-        product_pdf(0.0, 0.0, 1.0)
-    with pytest.raises(ParameterError):
-        product_pdf(0.0, 1.0, -1.0)
 
 
 def test_product_histogram_matches_density():
