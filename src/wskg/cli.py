@@ -13,9 +13,8 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass, fields
-from functools import partial
-from typing import List, Optional, Tuple
+from dataclasses import asdict, fields
+from typing import List, Optional
 
 import click
 import numpy as np
@@ -40,25 +39,6 @@ KS_SIGNIFICANCE = 0.001
 CSV_HEADER = "swept_value,c_se,c_full,c_threshold,f,d,e"
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Fully resolved invocation of one harness command."""
-
-    command: str
-    params: SystemParams
-    seed: Optional[RngSeed] = None
-    output_path: Optional[str] = None
-    format: str = "json"
-    sweep_spec: Optional[Tuple[str, float, float, int]] = None
-    trials: int = 100_000
-    delta: float = 0.5
-    workers: Optional[int] = None
-
-    def __post_init__(self) -> None:
-        if self.trials < 1:
-            raise ParameterError(f"trials must be >= 1, got {self.trials}")
-
-
 def _profile_dict(profile) -> dict:
     return {
         "pilot_power": profile.pilot_power,
@@ -67,10 +47,8 @@ def _profile_dict(profile) -> dict:
     }
 
 
-def _equilibrium_payload(command: str, config: RunConfig, result: EquilibriumResult) -> dict:
+def _equilibrium_payload(result: EquilibriumResult) -> dict:
     return {
-        "command": command,
-        "params": config.params.to_dict(),
         "p_se": result.profiles[0].pilot_power,
         "payoff": result.payoff,
         "unique": result.unique,
@@ -79,109 +57,82 @@ def _equilibrium_payload(command: str, config: RunConfig, result: EquilibriumRes
     }
 
 
-def _cmd_solve_fixed(config: RunConfig) -> Tuple[dict, int]:
-    return _equilibrium_payload("solve-fixed", config, stackelberg_fixed(config.params)), 0
+def _cmd_solve_fixed(params: SystemParams) -> dict:
+    return _equilibrium_payload(stackelberg_fixed(params))
 
 
-def _cmd_solve_strategic(config: RunConfig) -> Tuple[dict, int]:
-    result = stackelberg_strategic(config.params, config.delta)
-    payload = _equilibrium_payload("solve-strategic", config, result)
-    payload["delta"] = config.delta
-    payload["epsilon_interval"] = f"[0, {config.params.max_pilot_power:.12g})"
-    return payload, 0
+def _cmd_solve_strategic(params: SystemParams, delta: float) -> dict:
+    payload = _equilibrium_payload(stackelberg_strategic(params, delta))
+    payload["delta"] = delta
+    payload["epsilon_interval"] = f"[0, {params.max_pilot_power:.12g})"
+    return payload
 
 
-def _cmd_verify_randomization(config: RunConfig) -> Tuple[dict, int]:
+def _cmd_verify_randomization(params: SystemParams, seed: RngSeed, trials: int) -> dict:
     from .randomization import verify_randomization
 
-    report = verify_randomization(config.params, config.trials, config.seed)
-    accepted = (
-        report.ks_product.p_value > KS_SIGNIFICANCE
-        and report.ks_source.p_value > KS_SIGNIFICANCE
-    )
-    power = config.params.max_pilot_power
-    s2 = config.params.legit_channel_var
-    payload = {
-        "command": "verify-randomization",
-        "params": config.params.to_dict(),
-        "seed": config.seed.seed,
-        "stream": config.seed.stream,
-        "trials": config.trials,
+    report = verify_randomization(params, trials, seed)
+    power = params.max_pilot_power
+    return {
+        "trials": trials,
         "ks_product": asdict(report.ks_product),
         "ks_source": asdict(report.ks_source),
         "source_real_var": report.source_real_var,
-        "expected_source_real_var": power * power * s2 / 2.0,
+        "expected_source_real_var": power * power * params.legit_channel_var / 2.0,
         "significance": KS_SIGNIFICANCE,
-        "accepted": accepted,
+        "accepted": (
+            report.ks_product.p_value > KS_SIGNIFICANCE
+            and report.ks_source.p_value > KS_SIGNIFICANCE
+        ),
     }
-    return payload, 0 if accepted else 3
 
 
-def _cmd_simulate_injection(config: RunConfig) -> Tuple[dict, int]:
+def _cmd_simulate_injection(params: SystemParams, seed: RngSeed, trials: int, workers: Optional[int]) -> dict:
     from .injection import CHUNK_TRIALS, chunked_grams, simulate_two_look
 
-    (stage,) = chunked_grams(
-        config.params, config.trials, config.seed, (simulate_two_look,), config.workers
-    )
-    moments = stage.total / config.trials
+    (stage,) = chunked_grams(params, trials, seed, (simulate_two_look,), workers)
+    moments = stage.total / trials
     cov = moments[1:, 1:] - np.outer(moments[0, 1:], moments[0, 1:])
-    nominal = config.params.jam_channel_var * config.params.jam_power_budget
-    payload = {
-        "command": "simulate-injection",
-        "params": config.params.to_dict(),
-        "seed": config.seed.seed,
-        "stream": config.seed.stream,
-        "trials": config.trials,
+    return {
+        "trials": trials,
         "chunk_trials": CHUNK_TRIALS,
         "injected_variance": float(cov[0, 0] + cov[1, 1]),
-        "nominal_injected_variance": nominal,
+        "nominal_injected_variance": params.jam_channel_var * params.jam_power_budget,
         "observation_variance": float(cov[2, 2] + cov[3, 3]),
         "observation_cross_moment": float(moments[3, 5] + moments[4, 6]),
         "resampled_draws": stage.resampled,
     }
-    return payload, 0
 
 
-def _cmd_leakage(config: RunConfig) -> Tuple[dict, int]:
+def _cmd_leakage(params: SystemParams, seed: RngSeed, trials: int, workers: Optional[int]) -> dict:
     from .injection import CHUNK_TRIALS, chunked_grams, mi_from_gram, simulate_two_look
     from .randomization import randomize_trials
 
     # One pool runs both stages; the randomized chunks continue on the
     # substreams after the static ones.
     static, randomized = chunked_grams(
-        config.params, config.trials, config.seed, (simulate_two_look, randomize_trials), config.workers
+        params, trials, seed, (simulate_two_look, randomize_trials), workers
     )
-    payload = {
-        "command": "leakage",
-        "params": config.params.to_dict(),
-        "seed": config.seed.seed,
-        "stream": config.seed.stream,
-        "trials": config.trials,
+    return {
+        "trials": trials,
         "chunk_trials": CHUNK_TRIALS,
         "resampled_draws": static.resampled,
         "static_pilot_leakage_bits": mi_from_gram(static.total),
         "randomized_pilot_leakage_bits": mi_from_gram(randomized.total),
     }
-    return payload, 0
 
 
-def _cmd_oracle_check(config: RunConfig) -> Tuple[dict, int]:
-    params = config.params
+def _cmd_oracle_check(params: SystemParams, seed: RngSeed, trials: int) -> dict:
     closed = stackelberg_fixed(params)
     p_best, oracle_value = oracle_stackelberg(params)
     gap = abs(closed.payoff - oracle_value) / max(abs(closed.payoff), 1e-300)
-    _, best_value = oracle_jammer_br(params.max_pilot_power, params, config.trials, config.seed)
+    _, best_value = oracle_jammer_br(params.max_pilot_power, params, trials, seed)
     uniform_value = sum_rate(
         params.max_pilot_power, PowerAllocation.uniform(params), params
     )
     jensen_ok = uniform_value <= best_value + 1e-9
-    accepted = gap <= 1e-6 and jensen_ok
-    payload = {
-        "command": "oracle-check",
-        "params": params.to_dict(),
-        "seed": config.seed.seed,
-        "stream": config.seed.stream,
-        "allocation_samples": config.trials,
+    return {
+        "allocation_samples": trials,
         "leader_grid_points": LEADER_GRID_POINTS,
         "closed_form_payoff": closed.payoff,
         "oracle_payoff": oracle_value,
@@ -190,24 +141,20 @@ def _cmd_oracle_check(config: RunConfig) -> Tuple[dict, int]:
         "uniform_allocation_value": uniform_value,
         "best_sampled_allocation_value": best_value,
         "jensen_dominance": jensen_ok,
-        "accepted": accepted,
+        "accepted": gap <= 1e-6 and jensen_ok,
     }
-    return payload, 0 if accepted else 3
 
 
-def _cmd_sweep(config: RunConfig) -> Tuple[dict, int]:
-    variable, lo, hi, steps = config.sweep_spec
-    rows = run_sweep(config.params, variable, lo, hi, steps)
-    payload = {
-        "command": "sweep",
-        "params": config.params.to_dict(),
+def _cmd_sweep(params: SystemParams, variable: str, lo: float, hi: float, steps: int) -> dict:
+    variable = "p_max" if variable == "P" else variable
+    rows = run_sweep(params, variable, lo, hi, steps)
+    return {
         "variable": variable,
         "lo": lo,
         "hi": hi,
         "steps": steps,
         "rows": [vars(row).copy() for row in rows],
     }
-    return payload, 0
 
 
 _COMMON_OPTIONS = (
@@ -273,37 +220,35 @@ def _csv_text(rows: List[dict]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def run(config: RunConfig) -> int:
+def run(command: str, output_path: Optional[str] = None, format: str = "json", **options) -> int:
     """Execute one command, emit its artifact, and return the exit status.
 
-    Configuration and numerical errors propagate; ``main`` maps them to exit
-    codes.
+    ``options`` are the command's flags by parameter name: the six model
+    flags, which become the run's :class:`SystemParams`, and the command's
+    own. Every artifact names its command and parameters, and a seeded one
+    its seed and stream. The status is 0, or 3 when the command's
+    ``accepted`` check fails. Configuration and numerical errors propagate;
+    ``main`` maps them to exit codes.
     """
-    payload, code = _COMMANDS[config.command][0](config)
+    params = SystemParams(**{field.name: options.pop(field.name) for field in fields(SystemParams)})
+    header = {"command": command, "params": asdict(params)}
+    if "seed" in options:
+        if options["trials"] < 1:
+            raise ParameterError(f"trials must be >= 1, got {options['trials']}")
+        seed = options["seed"] = RngSeed(options["seed"], options.pop("stream"))
+        header.update(seed=seed.seed, stream=seed.stream)
+    payload = {**header, **_COMMANDS[command][0](params, **options)}
     _ensure_finite(payload)
-    if config.format == "csv":
+    if format == "csv":
         text = _csv_text(payload["rows"])
     else:
         text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
-    if config.output_path:
-        with open(config.output_path, "w", encoding="utf-8", newline="\n") as handle:
+    if output_path:
+        with open(output_path, "w", encoding="utf-8", newline="\n") as handle:
             handle.write(text)
     else:
         click.echo(text, nl=False)
-    return code
-
-
-def _invoke(command: str, **values) -> int:
-    """Click callback shared by every command: build the run and execute it."""
-    params = SystemParams(**{field.name: values.pop(field.name) for field in fields(SystemParams)})
-    seed, stream = values.pop("seed", None), values.pop("stream", 0)
-    if command == "sweep":
-        variable = values.pop("variable")
-        values["sweep_spec"] = (
-            "p_max" if variable == "P" else variable, values.pop("lo"), values.pop("hi"), values.pop("steps")
-        )
-    rng_seed = None if seed is None else RngSeed(seed, stream)
-    return run(RunConfig(command=command, params=params, seed=rng_seed, **values))
+    return 0 if payload.get("accepted", True) else 3
 
 
 @click.group()
@@ -312,8 +257,15 @@ def cli() -> None:
 
 
 for _name, (_, _help, _extra) in _COMMANDS.items():
+    # The callback reads ``run`` from the module at call time, so a wrapper
+    # installed over ``cli.run`` sees every command.
     cli.add_command(
-        click.Command(_name, params=[*_COMMON_OPTIONS, *_extra], callback=partial(_invoke, _name), help=_help)
+        click.Command(
+            _name,
+            params=[*_COMMON_OPTIONS, *_extra],
+            callback=lambda _command=_name, **values: run(_command, **values),
+            help=_help,
+        )
     )
 
 
@@ -331,7 +283,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     except (ParameterError, ZeroEquilibriumPayoff) as exc:
         click.echo(f"error: {exc}", err=True)
         return 1
-    except (NumericalError, NotPositiveSemidefinite, FloatingPointError) as exc:
+    except (NumericalError, NotPositiveSemidefinite) as exc:
         click.echo(f"numerical failure: {exc}", err=True)
         return 2
     return int(result) if isinstance(result, int) else 0

@@ -9,6 +9,7 @@ direct search so every closed-form branch is verified independently.
 from __future__ import annotations
 
 import math
+from dataclasses import astuple
 from typing import Tuple
 
 import numpy as np
@@ -53,7 +54,7 @@ def _fixed_payoffs(n, p_max, gamma, p_th, sigma2, sigmaj2):
     payoff of the unjammed deviation to min(p_th, p_max), whether the leader
     plays that deviation, and the knife-edge flag where both profiles tie.
     The arguments follow the field order of :class:`SystemParams`, so
-    ``_fixed_payoffs(*params.to_dict().values())`` solves one point.
+    ``_fixed_payoffs(*astuple(params))`` solves one point.
     Overflow is silent here: callers reject non-finite payoffs themselves.
     """
 
@@ -96,7 +97,7 @@ def stackelberg_fixed(params: SystemParams) -> EquilibriumResult:
     knife edge both profiles tie and are both returned.
     """
     budget = params.max_pilot_power
-    c_se, _, _, threshold_wins, boundary = _fixed_payoffs(*params.to_dict().values())
+    c_se, _, _, threshold_wins, boundary = _fixed_payoffs(*astuple(params))
     profiles = ()
     if threshold_wins:
         deviation = min(params.sense_threshold, budget)
@@ -160,7 +161,12 @@ def oracle_jammer_br(
     rows = max(1, ORACLE_BLOCK_VALUES // n)
 
     def blocks():
-        yield np.vstack([np.full((1, n), params.jam_power_budget), np.eye(n) * total])
+        yield np.full((1, n), params.jam_power_budget)
+        for start in range(0, n, rows):
+            count = min(rows, n - start)
+            vertices = np.zeros((count, n))
+            vertices[np.arange(count), start + np.arange(count)] = total
+            yield vertices
         # Filled in sequence, the blocks hold the values of one big draw.
         for start in range(0, samples, rows):
             spacings = rng.standard_exponential((min(rows, samples - start), n))

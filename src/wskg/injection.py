@@ -17,13 +17,15 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .errors import ParameterError
+from .errors import NumericalError, ParameterError
 from .params import SystemParams
 from .stochastic import RngSeed, _complex_normal, gaussian_mi_from_cov
 
 #: Scale of the singularity rejection floor for the precoder denominator.
 #: Equality of the two first-antenna gains has probability zero under the
-#: continuous channel law, but finite precision still needs a floor.
+#: continuous channel law, but finite precision still needs a floor. The
+#: floor is relative, ``scale * (|h_a1| + |h_b1|)``, so it rejects the same
+#: draws at every jammer channel variance.
 _SINGULARITY_FLOOR_SCALE = 1e-9
 
 #: Monte Carlo trials per chunk; chunk ``i`` draws from substream ``stream + i``.
@@ -33,7 +35,6 @@ CHUNK_TRIALS = 1 << 16
 def _coincidence_floor(h_a1, h_b1, out=None, scratch=None):
     floor = np.abs(h_a1, out=out)
     floor += np.abs(h_b1, out=scratch)
-    floor += 1.0
     floor *= _SINGULARITY_FLOOR_SCALE
     return floor
 
@@ -178,6 +179,7 @@ def simulate_two_look(
     return TwoLookBatch(z_a=z_a, z_b=z_b, injected=injected, resampled=resampled)
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def gram(batch: TwoLookBatch, buffers: Optional[ChunkBuffers] = None) -> np.ndarray:
     """7x7 raw-moment matrix of ``(1, injected, z_a, z_b)`` in real coordinates.
 
@@ -187,6 +189,7 @@ def gram(batch: TwoLookBatch, buffers: Optional[ChunkBuffers] = None) -> np.ndar
     :func:`simulate_two_look` and the post-multiplied looks of
     ``randomize_trials``.
     The stacked coordinates are written into ``buffers`` when given.
+    Overflow is silent here: :func:`mi_from_gram` rejects a non-finite matrix.
     """
     n = batch.injected.size
     rows = (ChunkBuffers(n, ("gram",)) if buffers is None else buffers).take("gram", n)
@@ -290,6 +293,8 @@ def mi_from_gram(g: np.ndarray) -> float:
         raise ParameterError(
             f"n_trials must be >= 10000 for covariance estimation, got {int(n_trials)}"
         )
+    if not np.isfinite(g).all():
+        raise NumericalError("moment matrix is not finite")
     sums = g[0, 1:]
     cov = (g[1:, 1:] - np.outer(sums, sums) / n_trials) / (n_trials - 1.0)
     return gaussian_mi_from_cov(cov, target_dim=2)

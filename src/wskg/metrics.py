@@ -13,7 +13,7 @@ full-power deviation.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from typing import List
 
 import numpy as np
@@ -68,7 +68,7 @@ def _rows(params: SystemParams, field: str, values) -> List[SweepRow]:
     the other fields held at ``params``, in one array pass."""
     values = np.asarray(values, dtype=float)
     c_se, c_full, c_threshold, _, _ = _fixed_payoffs(
-        *{**params.to_dict(), field: values}.values()
+        *{**asdict(params), field: values}.values()
     )
     f = (c_se - c_full) / c_se
     d = (c_se - c_threshold) / c_se

@@ -7,7 +7,7 @@ immutable after construction, so values can be shared freely across workers.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Optional, Tuple
 
 from .errors import NumericalError, ParameterError
@@ -15,15 +15,6 @@ from .errors import NumericalError, ParameterError
 #: Relative slack on the allocation sum constraint, absorbing float accumulation
 #: when budget-tight vectors are assembled in floating point.
 ALLOCATION_SUM_RTOL = 1e-12
-
-_FIELD_ORDER = (
-    "n_subcarriers",
-    "max_pilot_power",
-    "jam_power_budget",
-    "sense_threshold",
-    "legit_channel_var",
-    "jam_channel_var",
-)
 
 
 def _require_real(name: str, value: object) -> float:
@@ -57,7 +48,7 @@ class SystemParams:
             raise ParameterError(f"n_subcarriers must be an integer, got {n!r}")
         if n < 1:
             raise ParameterError(f"n_subcarriers must be >= 1, got {n}")
-        for name in _FIELD_ORDER[1:]:
+        for name in (field.name for field in fields(self)[1:]):
             value = _require_real(name, getattr(self, name))
             if not math.isfinite(value):
                 raise ParameterError(f"{name} must be finite, got {value!r}")
@@ -68,9 +59,6 @@ class SystemParams:
         for name in ("legit_channel_var", "jam_channel_var"):
             if getattr(self, name) <= 0.0:
                 raise ParameterError(f"{name} must be > 0, got {getattr(self, name)}")
-
-    def to_dict(self) -> dict:
-        return {name: getattr(self, name) for name in _FIELD_ORDER}
 
 
 @dataclass(frozen=True)

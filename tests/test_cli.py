@@ -268,25 +268,51 @@ def test_huge_jam_budget_allocation_does_not_overflow(capsys):
     assert "Traceback" not in err
 
 
+_NOT_FINITE = "numerical failure: moment matrix is not finite\n"
+
+
 @pytest.mark.parametrize(
-    "flag, code, stderr",
+    "argv, code, stderr, expected",
     [
-        ("--gamma", 0, ""),
-        ("--p-max", 2, "numerical failure: equilibrium payoff is not finite: nan\n"),
+        (("solve-strategic", "--gamma", "1e308"), 0, "", {"payoff": 0.0}),
+        (
+            ("solve-strategic", "--p-max", "1e308"), 2,
+            "numerical failure: equilibrium payoff is not finite: nan\n", {},
+        ),
+        (
+            ("oracle-check", "--seed", "1", "--gamma", "1e308"), 0, "",
+            {"accepted": True, "best_sampled_allocation_value": 0.0},
+        ),
+        (("leakage", "--seed", "1", "--gamma", "1e308"), 2, _NOT_FINITE, {}),
+        (("leakage", "--seed", "1", "--sigma2", "1e308"), 2, _NOT_FINITE, {}),
+        (
+            ("simulate-injection", "--seed", "1", "--gamma", "1e308"), 2,
+            "numerical failure: non-finite value at result.injected_variance: inf\n", {},
+        ),
     ],
-    ids=["jam-budget", "pilot-budget"],
+    ids=["jam-budget", "pilot-budget", "oracle-jam-budget", "leakage-jam-budget",
+         "leakage-legit-variance", "injection-jam-budget"],
 )
-def test_huge_budget_prints_no_warning(flag, code, stderr):
-    proc = run_fresh(
-        "import sys; from wskg.cli import main; sys.exit(main(sys.argv[1:]))",
-        "solve-strategic", flag, "1e308",
-    )
+def test_huge_budget_prints_no_warning(argv, code, stderr, expected):
+    proc = run_fresh("import sys; from wskg.cli import main; sys.exit(main(sys.argv[1:]))", *argv)
     assert proc.returncode == code
     assert proc.stderr == stderr
     if code == 0:
-        assert json.loads(proc.stdout)["payoff"] == 0.0
+        payload = json.loads(proc.stdout)
+        assert {key: payload[key] for key in expected} == expected
     else:
         assert proc.stdout == ""
+
+
+def test_tiny_jammer_variance_finishes():
+    # An absolute singularity floor redrew nearly every channel set here and
+    # did not finish in two minutes.
+    proc = run_fresh(
+        "import sys; from wskg.cli import main; sys.exit(main(sys.argv[1:]))",
+        "leakage", "--sigmaj2", "1e-300", "--trials", "10000", "--seed", "1",
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["resampled_draws"] == 0
 
 
 _SCIPY_PROBE = """
@@ -480,6 +506,30 @@ def test_every_public_name_has_a_caller():
         if name not in used and not re.search(rf"\b{name}\b", bench)
     }
     assert unused == set()
+
+
+def test_every_command_runs_through_the_module_run(capsys, monkeypatch):
+    """perfbench times each command by replacing ``wskg.cli.run`` with a
+    wrapper, so the click callbacks must look ``run`` up when called."""
+    seen = []
+    original = wskg.cli.run
+
+    def recorder(command, **options):
+        seen.append(command)
+        return original(command, **options)
+
+    monkeypatch.setattr(wskg.cli, "run", recorder)
+    for argv in (
+        ["solve-fixed"],
+        ["solve-strategic"],
+        ["verify-randomization", "--p-max", "2", "--trials", "10000", "--seed", "7"],
+        ["simulate-injection", "--trials", "10000", "--seed", "5"],
+        ["leakage", "--trials", "10000", "--seed", "5"],
+        ["oracle-check", "--trials", "1000", "--seed", "1"],
+        ["sweep", "--variable", "gamma", "--lo", "0", "--hi", "8", "--steps", "5"],
+    ):
+        assert run_cli(capsys, *argv)[0] == 0, argv
+    assert seen == list(EXPECTED_FLAGS)
 
 
 def test_command_flags_are_pinned():

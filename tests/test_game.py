@@ -238,12 +238,14 @@ def test_streamed_oracle_keeps_argmins_order_across_blocks(monkeypatch):
 
     monkeypatch.setattr(game, "ORACLE_BLOCK_VALUES", 8)
     monkeypatch.setattr(game, "rate_array", coarse)
-    params = params_with(5.0, n=2)
-    for samples in (3, 40, 4000):
-        for seed in range(4):
-            got = oracle_jammer_br(5.0, params, samples, RngSeed(seed))
-            assert_same_bits(got, ref_oracle_jammer_br(5.0, params, samples, RngSeed(seed), coarse))
-    assert math.isnan(got[1])
+    # With three or five subcarriers the vertices span two or five blocks.
+    for n in (2, 3, 5):
+        params = params_with(5.0, n=n)
+        for samples in (3, 40, 4000):
+            for seed in range(4):
+                got = oracle_jammer_br(5.0, params, samples, RngSeed(seed))
+                assert_same_bits(got, ref_oracle_jammer_br(5.0, params, samples, RngSeed(seed), coarse))
+        assert math.isnan(got[1])
 
 
 def test_oracle_memory_does_not_grow_with_samples(ref_params):
@@ -256,6 +258,17 @@ def test_oracle_memory_does_not_grow_with_samples(ref_params):
         finally:
             tracemalloc.stop()
     assert peaks[400_000] <= 1.25 * peaks[100_000]
+
+
+def test_oracle_memory_does_not_grow_with_subcarriers_squared():
+    # The n vertices come in blocks too; all n at once took 32 MB at n = 1024.
+    tracemalloc.start()
+    try:
+        oracle_jammer_br(5.0, params_with(5.0, n=1024), 100, RngSeed(8))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 << 20
 
 
 def test_oracle_grid_search_below_knee(ref_params):

@@ -62,15 +62,13 @@ def ref_simulate_two_look(params, n_trials, seed):
     h = ref_complex_normal(rng, params.legit_channel_var, n_trials)
     h_a1, h_a2, h_b1, h_b2 = (ref_complex_normal(rng, entry_var, n_trials) for _ in range(4))
     resampled = 0
-    floor = injection._SINGULARITY_FLOOR_SCALE * (np.abs(h_a1) + np.abs(h_b1) + 1.0)
+    floor = injection._SINGULARITY_FLOOR_SCALE * (np.abs(h_a1) + np.abs(h_b1))
     bad = np.flatnonzero(np.abs(h_a1 - h_b1) < floor)
     while bad.size:
         resampled += bad.size
         for arr in (h_a1, h_a2, h_b1, h_b2):
             arr[bad] = ref_complex_normal(rng, entry_var, bad.size)
-        floor_bad = injection._SINGULARITY_FLOOR_SCALE * (
-            np.abs(h_a1[bad]) + np.abs(h_b1[bad]) + 1.0
-        )
+        floor_bad = injection._SINGULARITY_FLOOR_SCALE * (np.abs(h_a1[bad]) + np.abs(h_b1[bad]))
         bad = bad[np.abs(h_a1[bad] - h_b1[bad]) < floor_bad]
     ratio = (h_b2 - h_a2) / (h_a1 - h_b1)
     unit_gain = (h_a1 * ratio + h_a2) / np.sqrt(1.0 + np.abs(ratio) ** 2)
@@ -297,10 +295,19 @@ def test_resampling_keeps_only_draws_above_the_floor(monkeypatch):
     batch = simulate_two_look(params, 10_000, SEED)
     z_a, z_b, injected, resampled, h_a1, h_b1 = ref_simulate_two_look(params, 10_000, SEED)
     assert batch.resampled == resampled > 0
-    assert np.all(np.abs(h_a1 - h_b1) >= 0.3 * (np.abs(h_a1) + np.abs(h_b1) + 1.0))
+    assert np.all(np.abs(h_a1 - h_b1) >= 0.3 * (np.abs(h_a1) + np.abs(h_b1)))
     assert same_bits(batch.z_a, z_a)
     assert same_bits(batch.z_b, z_b)
     assert same_bits(batch.injected, injected)
+
+
+def test_floor_scales_with_the_jammer_gains():
+    # A floor with an absolute term rejects most draws once the jammer's
+    # gains are that small, and conditions the channel law on the redraws.
+    unit = simulate_two_look(SystemParams(10, 2.0, 3.0, 2.0, 1.7, 1.0), 10_000, SEED)
+    tiny = simulate_two_look(SystemParams(10, 2.0, 3.0, 2.0, 1.7, 1e-18), 10_000, SEED)
+    assert tiny.resampled == unit.resampled == 0
+    np.testing.assert_allclose(tiny.injected, unit.injected * 1e-9, rtol=1e-12)
 
 
 # 150000 trials are three chunks; the last one is ragged, so it runs in
