@@ -11,13 +11,13 @@ Exit codes: 0 success, 1 invalid configuration, 2 numerical failure
 
 from __future__ import annotations
 
-import json
+import argparse
 import math
+import os
+import re
+import sys
 from dataclasses import asdict, fields
-from typing import List, Optional
-
-import click
-import numpy as np
+from typing import TYPE_CHECKING, List, Optional
 
 from .errors import (
     NotPositiveSemidefinite,
@@ -25,18 +25,17 @@ from .errors import (
     ParameterError,
     ZeroEquilibriumPayoff,
 )
-# The Monte Carlo modules, injection and randomization, are imported by the
-# commands that run them, so the closed-form commands start without them.
-from .game import LEADER_GRID_POINTS, oracle_jammer_br, oracle_stackelberg, stackelberg_fixed, stackelberg_strategic
-from .metrics import sweep as run_sweep
 from .params import EquilibriumResult, PowerAllocation, SystemParams
-from .rates import sum_rate
-from .stochastic import RngSeed
+
+if TYPE_CHECKING:
+    from .stochastic import RngSeed
+
+# Each command imports what it runs when it runs: the closed-form commands
+# never load the Monte Carlo modules or numpy.random, the Monte Carlo commands
+# never load game, rates or metrics, and only sweep loads metrics.
 
 #: Significance level for the self-checking verification commands.
 KS_SIGNIFICANCE = 0.001
-
-CSV_HEADER = "swept_value,c_se,c_full,c_threshold,f,d,e"
 
 
 def _profile_dict(profile) -> dict:
@@ -58,10 +57,14 @@ def _equilibrium_payload(result: EquilibriumResult) -> dict:
 
 
 def _cmd_solve_fixed(params: SystemParams) -> dict:
+    from .game import stackelberg_fixed
+
     return _equilibrium_payload(stackelberg_fixed(params))
 
 
 def _cmd_solve_strategic(params: SystemParams, delta: float) -> dict:
+    from .game import stackelberg_strategic
+
     payload = _equilibrium_payload(stackelberg_strategic(params, delta))
     payload["delta"] = delta
     payload["epsilon_interval"] = f"[0, {params.max_pilot_power:.12g})"
@@ -88,6 +91,8 @@ def _cmd_verify_randomization(params: SystemParams, seed: RngSeed, trials: int) 
 
 
 def _cmd_simulate_injection(params: SystemParams, seed: RngSeed, trials: int, workers: Optional[int]) -> dict:
+    import numpy as np
+
     from .injection import CHUNK_TRIALS, chunked_grams, simulate_two_look
 
     (stage,) = chunked_grams(params, trials, seed, (simulate_two_look,), workers)
@@ -123,6 +128,9 @@ def _cmd_leakage(params: SystemParams, seed: RngSeed, trials: int, workers: Opti
 
 
 def _cmd_oracle_check(params: SystemParams, seed: RngSeed, trials: int) -> dict:
+    from .game import LEADER_GRID_POINTS, oracle_jammer_br, oracle_stackelberg, stackelberg_fixed
+    from .rates import sum_rate
+
     closed = stackelberg_fixed(params)
     p_best, oracle_value = oracle_stackelberg(params)
     gap = abs(closed.payoff - oracle_value) / max(abs(closed.payoff), 1e-300)
@@ -146,46 +154,57 @@ def _cmd_oracle_check(params: SystemParams, seed: RngSeed, trials: int) -> dict:
 
 
 def _cmd_sweep(params: SystemParams, variable: str, lo: float, hi: float, steps: int) -> dict:
+    from .metrics import sweep
+
     variable = "p_max" if variable == "P" else variable
-    rows = run_sweep(params, variable, lo, hi, steps)
+    rows = sweep(params, variable, lo, hi, steps)
     return {
         "variable": variable,
         "lo": lo,
         "hi": hi,
         "steps": steps,
-        "rows": [vars(row).copy() for row in rows],
+        "rows": [row._asdict() for row in rows],
     }
 
 
+def _output_file(path: str) -> str:
+    """``--output``'s type: any path but an existing directory."""
+    if os.path.isdir(path):
+        raise argparse.ArgumentTypeError(f"{path!r} is a directory")
+    return path
+
+
 _COMMON_OPTIONS = (
-    click.Option(["--n", "n_subcarriers"], type=int, default=10, show_default=True, help="Number of subcarriers."),
-    click.Option(["--p-max", "max_pilot_power"], type=float, default=5.0, show_default=True, help="Leader pilot power budget."),
-    click.Option(["--gamma", "jam_power_budget"], type=float, default=4.0, show_default=True, help="Jammer average power budget per subcarrier."),
-    click.Option(["--p-th", "sense_threshold"], type=float, default=2.0, show_default=True, help="Jammer sensing threshold."),
-    click.Option(["--sigma2", "legit_channel_var"], type=float, default=1.0, show_default=True, help="Legitimate channel gain variance."),
-    click.Option(["--sigmaj2", "jam_channel_var"], type=float, default=1.0, show_default=True, help="Jammer channel gain variance."),
-    click.Option(["--output", "output_path"], type=click.Path(dir_okay=False), default=None, help="Write the artifact to this file instead of stdout."),
+    ("--n", dict(dest="n_subcarriers", type=int, default=10, help="Number of subcarriers.")),
+    ("--p-max", dict(dest="max_pilot_power", type=float, default=5.0, help="Leader pilot power budget.")),
+    ("--gamma", dict(dest="jam_power_budget", type=float, default=4.0, help="Jammer average power budget per subcarrier.")),
+    ("--p-th", dict(dest="sense_threshold", type=float, default=2.0, help="Jammer sensing threshold.")),
+    ("--sigma2", dict(dest="legit_channel_var", type=float, default=1.0, help="Legitimate channel gain variance.")),
+    ("--sigmaj2", dict(dest="jam_channel_var", type=float, default=1.0, help="Jammer channel gain variance.")),
+    ("--output", dict(dest="output_path", type=_output_file, help="Write the artifact to this file instead of stdout.")),
 )
 
 _RNG_OPTIONS = (
-    click.Option(["--seed"], type=int, required=True, help="RNG seed."),
-    click.Option(["--stream"], type=int, default=0, show_default=True, help="RNG substream id."),
-    click.Option(["--trials"], type=int, default=100_000, show_default=True, help="Monte Carlo trials / oracle samples."),
+    ("--seed", dict(type=int, required=True, help="RNG seed.")),
+    ("--stream", dict(type=int, default=0, help="RNG substream id.")),
+    ("--trials", dict(type=int, default=100_000, help="Monte Carlo trials / oracle samples.")),
 )
 
-_WORKERS_OPTION = click.Option(
-    ["--workers"], type=int, default=None, show_default="usable CPU count",
-    help="Monte Carlo chunks run at once, capped at min(workers, chunks, usable CPUs); the output does not depend on it.",
-)
+_WORKERS_OPTION = ("--workers", dict(
+    type=int,
+    help="Monte Carlo chunks run at once, capped at min(workers, chunks, usable CPUs); "
+         "the output does not depend on it (default: usable CPU count).",
+))
 
-_DELTA_OPTION = click.Option(["--delta"], type=float, default=0.5, show_default=True, help="Representative-threshold policy in (0, 1).")
+_DELTA_OPTION = ("--delta", dict(type=float, default=0.5, help="Representative-threshold policy in (0, 1)."))
 
 _SWEEP_OPTIONS = (
-    click.Option(["--format"], type=click.Choice(["csv", "json"]), default="json", show_default=True, help="Output format."),
-    click.Option(["--variable"], type=click.Choice(("p_max", "P", "gamma", "sigma2", "p_th")), required=True, help="Parameter to sweep (P is an alias for p_max)."),
-    click.Option(["--lo"], type=float, required=True, help="Lower end of the sweep range."),
-    click.Option(["--hi"], type=float, required=True, help="Upper end of the sweep range."),
-    click.Option(["--steps"], type=int, required=True, help="Number of grid points (endpoints included)."),
+    ("--format", dict(choices=("csv", "json"), default="json", help="Output format.")),
+    ("--variable", dict(choices=("p_max", "P", "gamma", "sigma2", "p_th"), required=True,
+                        help="Parameter to sweep (P is an alias for p_max).")),
+    ("--lo", dict(type=float, required=True, help="Lower end of the sweep range.")),
+    ("--hi", dict(type=float, required=True, help="Upper end of the sweep range.")),
+    ("--steps", dict(type=int, required=True, help="Number of grid points (endpoints included).")),
 )
 
 #: Command name -> (payload builder, help text, options beyond _COMMON_OPTIONS).
@@ -213,6 +232,8 @@ def _ensure_finite(value, path="result") -> None:
 
 
 def _csv_text(rows: List[dict]) -> str:
+    from .metrics import CSV_HEADER
+
     columns = CSV_HEADER.split(",")
     lines = [CSV_HEADER]
     for row in rows:
@@ -233,6 +254,8 @@ def run(command: str, output_path: Optional[str] = None, format: str = "json", *
     params = SystemParams(**{field.name: options.pop(field.name) for field in fields(SystemParams)})
     header = {"command": command, "params": asdict(params)}
     if "seed" in options:
+        from .stochastic import RngSeed
+
         if options["trials"] < 1:
             raise ParameterError(f"trials must be >= 1, got {options['trials']}")
         seed = options["seed"] = RngSeed(options["seed"], options.pop("stream"))
@@ -242,51 +265,65 @@ def run(command: str, output_path: Optional[str] = None, format: str = "json", *
     if format == "csv":
         text = _csv_text(payload["rows"])
     else:
+        import json
+
         text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
     if output_path:
-        with open(output_path, "w", encoding="utf-8", newline="\n") as handle:
-            handle.write(text)
+        try:
+            with open(output_path, "w", encoding="utf-8", newline="\n") as handle:
+                handle.write(text)
+        except OSError as exc:
+            raise ParameterError(f"cannot write {output_path}: {exc.strerror or exc}") from exc
     else:
-        click.echo(text, nl=False)
+        sys.stdout.write(text)
     return 0 if payload.get("accepted", True) else 3
 
 
-@click.group()
-def cli() -> None:
-    """Simulation and game-solving toolkit for key generation under attack."""
+#: A negative number in any form ``float`` reads (``-1e5``, ``-inf``), which
+#: argparse would otherwise take for an option and refuse as a value.
+_NEGATIVE_NUMBER = re.compile(r"-(\d|\.\d|inf|nan)", re.IGNORECASE)
 
 
-for _name, (_, _help, _extra) in _COMMANDS.items():
-    # The callback reads ``run`` from the module at call time, so a wrapper
-    # installed over ``cli.run`` sees every command.
-    cli.add_command(
-        click.Command(
-            _name,
-            params=[*_COMMON_OPTIONS, *_extra],
-            callback=lambda _command=_name, **values: run(_command, **values),
-            help=_help,
-        )
+def build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
+    """The ``wskg`` parser: one subcommand per entry of ``_COMMANDS``.
+
+    Given the name of a command, only that subcommand gets its flags (the
+    others stay empty), which spares a few milliseconds of setup per run.
+    """
+    parser = argparse.ArgumentParser(
+        prog="wskg",
+        description="Simulation and game-solving toolkit for key generation under attack.",
+        allow_abbrev=False,
     )
+    commands = parser.add_subparsers(dest="command", metavar="COMMAND", required=True)
+    for name, (_, description, extra) in _COMMANDS.items():
+        subparser = commands.add_parser(name, help=description, description=description, allow_abbrev=False)
+        if command not in _COMMANDS or command == name:
+            subparser._negative_number_matcher = _NEGATIVE_NUMBER
+            for flag, spec in (*_COMMON_OPTIONS, *extra):
+                if spec.get("default") is not None:
+                    spec = {**spec, "help": spec["help"] + " (default: %(default)s)"}
+                subparser.add_argument(flag, **spec)
+    return parser
 
 
 def main(argv: Optional[List[str]] = None) -> int:
     """Invoke the CLI; returns the exit status instead of raising SystemExit."""
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        result = cli.main(args=argv, standalone_mode=False)
-    except click.exceptions.Exit as exc:
-        return int(exc.exit_code)
-    except click.ClickException as exc:
-        exc.show()
-        return 1
-    except click.Abort:
-        return 1
+        options = vars(build_parser(argv[0] if argv else None).parse_args(argv))
+    except SystemExit as exc:  # argparse printed the help (0) or a usage error
+        return 1 if exc.code else 0
+    try:
+        # ``run`` is read from the module at call time, so a wrapper
+        # installed over ``cli.run`` sees every command.
+        return run(options.pop("command"), **options)
     except (ParameterError, ZeroEquilibriumPayoff) as exc:
-        click.echo(f"error: {exc}", err=True)
+        print(f"error: {exc}", file=sys.stderr)
         return 1
     except (NumericalError, NotPositiveSemidefinite) as exc:
-        click.echo(f"numerical failure: {exc}", err=True)
+        print(f"numerical failure: {exc}", file=sys.stderr)
         return 2
-    return int(result) if isinstance(result, int) else 0
 
 
 def entry() -> None:

@@ -10,14 +10,19 @@ from __future__ import annotations
 
 import math
 from dataclasses import astuple
-from typing import Tuple
+from typing import TYPE_CHECKING, Tuple
 
 import numpy as np
 
+# rates' functions are read through the module at call time, so a wrapper
+# installed over them (perfbench's span tracer) sees game's calls and is gone
+# after its removal, even when game is first imported while it is installed.
+from . import rates
 from .errors import NumericalError, ParameterError
 from .params import EquilibriumResult, PowerAllocation, Profile, SystemParams
-from .rates import rate_array, sum_rate
-from .stochastic import RngSeed
+
+if TYPE_CHECKING:
+    from .stochastic import RngSeed
 
 #: Relative width of the knife-edge band where the leader budget is treated
 #: as equal to the critical power and both equilibria are reported.
@@ -29,6 +34,22 @@ ORACLE_BLOCK_VALUES = 1 << 16
 #: Evenly spaced leader powers :func:`oracle_stackelberg` searches, before
 #: the exact breakpoints are added.
 LEADER_GRID_POINTS = 1001
+
+
+def sorted_union(grid, extras) -> np.ndarray:
+    """The distinct values of ``grid`` and ``extras``, sorted.
+
+    For NaN-free input these are the bits of
+    ``np.unique(np.append(grid, extras))``: the same sort, then the first
+    value and every value that differs from its predecessor. ``np.unique``
+    itself would import ``numpy.ma`` on numpy 2.4.
+    """
+    values = np.append(grid, extras)
+    values.sort()
+    keep = np.empty(values.shape, dtype=bool)
+    keep[:1] = True
+    np.not_equal(values[1:], values[:-1], out=keep[1:])
+    return values[keep]
 
 
 def _knee(p_th, gamma, sigmaj2):
@@ -61,7 +82,7 @@ def _fixed_payoffs(n, p_max, gamma, p_th, sigma2, sigmaj2):
     def total(p, g):
         # Summing n equal rates over an explicit axis rounds exactly as
         # sum_rate does over an n-vector allocation; n * rate does not.
-        return np.repeat(rate_array(p, g, sigma2, sigmaj2)[..., None], n, -1).sum(-1)
+        return np.repeat(rates.rate_array(p, g, sigma2, sigmaj2)[..., None], n, -1).sum(-1)
 
     p_max = np.asarray(p_max, dtype=float)
     knee = _knee(p_th, gamma, sigmaj2)
@@ -137,7 +158,7 @@ def stackelberg_strategic(params: SystemParams, delta: float) -> EquilibriumResu
     """
     budget = params.max_pilot_power
     profile = jammer_br_strategic(budget, params, delta)
-    payoff = sum_rate(budget, profile.allocation, params)
+    payoff = rates.sum_rate(budget, profile.allocation, params)
     return EquilibriumResult((profile,), payoff, unique=False, boundary_case=False)
 
 
@@ -174,7 +195,7 @@ def oracle_jammer_br(
 
     best, best_value = None, math.nan
     for block in blocks():
-        values = rate_array(p, block, params.legit_channel_var, params.jam_channel_var).sum(axis=1)
+        values = rates.rate_array(p, block, params.legit_channel_var, params.jam_channel_var).sum(axis=1)
         i = int(np.argmin(values))
         # np.argmin's order across blocks: a NaN beats every number, a tie keeps the earlier.
         if best is None or (not math.isnan(best_value) and (values[i] < best_value or math.isnan(values[i]))):
@@ -198,10 +219,10 @@ def oracle_stackelberg(params: SystemParams) -> Tuple[float, float]:
     knee = critical_power(params)
     if knee <= budget:
         extras.append(knee)
-    grid = np.unique(np.append(grid, extras))
+    grid = sorted_union(grid, extras)
     s2, j2 = params.legit_channel_var, params.jam_channel_var
-    jammed = rate_array(grid, params.jam_power_budget, s2, j2)
-    silent = rate_array(grid, 0.0, s2, j2)
+    jammed = rates.rate_array(grid, params.jam_power_budget, s2, j2)
+    silent = rates.rate_array(grid, 0.0, s2, j2)
     payoffs = params.n_subcarriers * np.where(grid > threshold, jammed, silent)
     best = int(np.argmax(payoffs))
     return float(grid[best]), float(payoffs[best])

@@ -13,13 +13,13 @@ full-power deviation.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, replace
-from typing import List
+from dataclasses import asdict, replace
+from typing import List, NamedTuple
 
 import numpy as np
 
 from .errors import NumericalError, ParameterError, ZeroEquilibriumPayoff
-from .game import _fixed_payoffs, critical_power
+from .game import _fixed_payoffs, critical_power, sorted_union
 from .params import SystemParams
 
 _SWEEP_FIELDS = {
@@ -33,8 +33,7 @@ _SWEEP_FIELDS = {
 _METRIC_FLOOR = -1e-9
 
 
-@dataclass(frozen=True)
-class SweepRow:
+class SweepRow(NamedTuple):
     """One operating point: payoffs of the equilibrium and both deviations,
     plus the three relative metrics."""
 
@@ -45,6 +44,10 @@ class SweepRow:
     f: float
     d: float
     e: float
+
+
+#: The sweep CSV's header: the row fields in order.
+CSV_HEADER = ",".join(SweepRow._fields)
 
 
 def _reject_point(c_se: float, c_full: float, f: float, d: float) -> None:
@@ -78,7 +81,7 @@ def _rows(params: SystemParams, field: str, values) -> List[SweepRow]:
         i = int(np.argmin(ok))
         _reject_point(c_se[i].item(), c_full[i].item(), f[i].item(), d[i].item())
     columns = (values, c_se, c_full, c_threshold, f, d, f)
-    return [SweepRow(*row) for row in zip(*(column.tolist() for column in columns))]
+    return list(map(SweepRow._make, zip(*(column.tolist() for column in columns))))
 
 
 def strategic_threshold_gain(params: SystemParams) -> float:
@@ -128,5 +131,5 @@ def sweep(
     grid = np.linspace(lo, hi, int(steps))
     knee = _knee_value(params, variable)
     if knee is not None and lo < knee < hi:
-        grid = np.unique(np.append(grid, knee))
+        grid = sorted_union(grid, knee)
     return _rows(params, field, grid)

@@ -12,8 +12,9 @@ from pathlib import Path
 import pytest
 
 import wskg
-from wskg.cli import CSV_HEADER, cli, main
+from wskg.cli import build_parser, main
 from wskg.injection import CHUNK_TRIALS
+from wskg.metrics import CSV_HEADER
 from wskg.randomization import RandomizationReport
 from wskg.stochastic import KsReport
 
@@ -58,6 +59,10 @@ def run_fresh(script, *argv):
     return subprocess.run(
         [sys.executable, "-c", script, *argv], env=env, capture_output=True, text=True, timeout=120
     )
+
+
+#: A ``run_fresh`` script that runs the CLI on its arguments.
+_MAIN = "import sys; from wskg.cli import main; sys.exit(main(sys.argv[1:]))"
 
 
 def test_solve_fixed_reference_output(capsys):
@@ -294,7 +299,7 @@ _NOT_FINITE = "numerical failure: moment matrix is not finite\n"
          "leakage-legit-variance", "injection-jam-budget"],
 )
 def test_huge_budget_prints_no_warning(argv, code, stderr, expected):
-    proc = run_fresh("import sys; from wskg.cli import main; sys.exit(main(sys.argv[1:]))", *argv)
+    proc = run_fresh(_MAIN, *argv)
     assert proc.returncode == code
     assert proc.stderr == stderr
     if code == 0:
@@ -308,7 +313,7 @@ def test_tiny_jammer_variance_finishes():
     # An absolute singularity floor redrew nearly every channel set here and
     # did not finish in two minutes.
     proc = run_fresh(
-        "import sys; from wskg.cli import main; sys.exit(main(sys.argv[1:]))",
+        _MAIN,
         "leakage", "--sigmaj2", "1e-300", "--trials", "10000", "--seed", "1",
     )
     assert proc.returncode == 0, proc.stderr
@@ -358,33 +363,58 @@ import wskg
 bare = sorted(name for name in sys.modules if name.startswith("wskg."))
 from wskg.cli import main
 
-def run(*argv):
-    with contextlib.redirect_stdout(io.StringIO()):
-        code = main(list(argv))
-    return [code, [name for name in ("wskg.injection", "wskg.randomization", "wskg.kstest",
-                                     "concurrent.futures") if name in sys.modules]]
-
-steps = {argv[0]: run(*argv) for argv in (
-    ["solve-fixed"],
-    ["solve-strategic"],
-    ["sweep", "--variable", "gamma", "--lo", "0", "--hi", "8", "--steps", "50"],
-    ["oracle-check", "--seed", "1", "--trials", "1000"],
-    ["leakage", "--workers", "2", "--trials", "150000", "--seed", "5"],
-)}
-print(json.dumps({"bare": bare, "steps": steps, "cpus": wskg.injection.usable_cpus()}))
+with contextlib.redirect_stdout(io.StringIO()):
+    code = main(sys.argv[1:])
+watched = ("click", "numpy.ma", "numpy.random", "concurrent.futures")
+print(json.dumps({
+    "bare": bare,
+    "code": code,
+    "loaded": sorted(name for name in sys.modules if name.startswith("wskg.") or name in watched),
+    "cpus": wskg.injection.usable_cpus() if "wskg.injection" in sys.modules else None,
+}))
 """
+
+_CORE = ["wskg.cli", "wskg.errors", "wskg.params"]
+_SEEDED = ["numpy.random", "wskg.stochastic"]
+_GAME = ["wskg.game", "wskg.rates"]
+
+#: Per command: an argv, and the wskg modules and watched packages it loads.
+_LOADS = {
+    "solve-fixed": (["solve-fixed"], _CORE + _GAME),
+    "solve-strategic": (["solve-strategic"], _CORE + _GAME),
+    "verify-randomization": (
+        ["verify-randomization", "--trials", "10000", "--seed", "7"],
+        _CORE + _SEEDED + ["wskg.injection", "wskg.kstest", "wskg.randomization"],
+    ),
+    "simulate-injection": (
+        ["simulate-injection", "--workers", "2", "--trials", "150000", "--seed", "5"],
+        _CORE + _SEEDED + ["wskg.injection"],
+    ),
+    "leakage": (
+        ["leakage", "--workers", "2", "--trials", "150000", "--seed", "5"],
+        _CORE + _SEEDED + ["wskg.injection", "wskg.randomization"],
+    ),
+    "oracle-check": (["oracle-check", "--seed", "1", "--trials", "1000"], _CORE + _GAME + _SEEDED),
+    "sweep": (
+        ["sweep", "--variable", "gamma", "--lo", "0", "--hi", "8", "--steps", "50"],
+        _CORE + _GAME + ["wskg.metrics"],
+    ),
+}
 
 
 def test_each_command_loads_only_the_modules_it_runs():
-    proc = run_fresh(_MODULE_PROBE)
-    assert proc.returncode == 0, proc.stderr
-    probe = json.loads(proc.stdout)
-    assert set(probe["bare"]) <= {"wskg.errors"}
-    for command in ("solve-fixed", "solve-strategic", "sweep", "oracle-check"):
-        assert probe["steps"][command] == [0, []], command
-    # With one usable CPU the chunks run on the calling thread, without a pool.
-    pool = ["concurrent.futures"] if probe["cpus"] > 1 else []
-    assert probe["steps"]["leakage"] == [0, ["wskg.injection", "wskg.randomization", *pool]]
+    """Each command in a fresh interpreter: ``import wskg`` loads no
+    submodule, and the command loads only the modules it runs."""
+    assert set(_LOADS) == set(EXPECTED_FLAGS)
+    for command, (argv, loaded) in _LOADS.items():
+        proc = run_fresh(_MODULE_PROBE, *argv)
+        assert proc.returncode == 0, proc.stderr
+        probe = json.loads(proc.stdout)
+        assert set(probe["bare"]) <= {"wskg.errors"}
+        assert probe["code"] == 0, command
+        # With one usable CPU the chunks run on the calling thread, without a pool.
+        pool = ["concurrent.futures"] if "--workers" in argv and probe["cpus"] > 1 else []
+        assert probe["loaded"] == sorted(loaded + pool), command
 
 
 def test_package_names_are_their_defining_modules_objects(monkeypatch):
@@ -434,7 +464,7 @@ def test_csv_unsupported_for_solver_exits_1(capsys):
     code, out, err = run_cli(capsys, "solve-fixed", "--format", "csv")
     assert code == 1
     assert out == ""
-    assert "No such option" in err
+    assert "--format" in err
 
 
 def test_invalid_sweep_range_exits_1(capsys):
@@ -532,9 +562,102 @@ def test_every_command_runs_through_the_module_run(capsys, monkeypatch):
     assert seen == list(EXPECTED_FLAGS)
 
 
+_TRACER_PROBE = """
+import json, sys
+sys.path.insert(0, sys.argv[1])
+from spans import Tracer, installed_wrappers
+import wskg.cli
+
+tracer = Tracer()
+tracer.install()  # imports the traced modules that wskg.cli did not load
+tracer.uninstall()
+print(json.dumps(installed_wrappers()))
+"""
+
+
+def test_span_tracer_leaves_no_wrapper_behind():
+    """perfbench installs its span wrappers after ``import wskg.cli``, which
+    loads neither ``game`` nor ``rates``; removing them must leave no module
+    bound to a wrapper."""
+    bench = Path(__file__).resolve().parents[1] / "perfbench"
+    proc = run_fresh(_TRACER_PROBE, str(bench))
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == []
+
+
+def _subparsers():
+    (commands,) = (action for action in build_parser()._actions if action.choices)
+    return commands.choices
+
+
 def test_command_flags_are_pinned():
     accepted = {
-        name: {flag for param in command.params for flag in param.opts + param.secondary_opts}
-        for name, command in cli.commands.items()
+        name: {flag for action in command._actions for flag in action.option_strings} - {"-h", "--help"}
+        for name, command in _subparsers().items()
     }
     assert accepted == EXPECTED_FLAGS
+
+
+@pytest.mark.parametrize("command", list(EXPECTED_FLAGS))
+def test_command_help_lists_its_flags(capsys, command):
+    code, out, err = run_cli(capsys, command, "--help")
+    assert code == 0
+    assert err == ""
+    listed = set(re.findall(r"--[a-z][a-z0-9-]*", out)) - {"--help"}
+    assert listed == EXPECTED_FLAGS[command]
+
+
+@pytest.mark.parametrize(
+    "argv, named",
+    [
+        ([], "COMMAND"),
+        (["bogus"], "bogus"),
+        (["oracle-check", "--p-m", "3", "--seed", "1"], "--p-m"),
+        (["solve-fixed", "--p-ma", "3"], "--p-ma"),
+        (["sweep", "--variable", "gamma", "--lo", "0", "--hi", "8", "--steps", "2.5"], "--steps"),
+        (["solve-fixed", "--n", "ten"], "--n"),
+    ],
+    ids=["no-arguments", "unknown-command", "abbreviated-flag", "abbreviated-flag-unique",
+         "non-integer-steps", "non-integer-n"],
+)
+def test_usage_error_exits_1(capsys, argv, named):
+    # Flags are never abbreviated: argparse would read an unambiguous prefix as the flag.
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert named in err
+
+
+def test_help_exits_0(capsys):
+    code, out, _ = run_cli(capsys, "--help")
+    assert code == 0
+    assert all(command in out for command in EXPECTED_FLAGS)
+
+
+def test_negative_numbers_are_values(capsys):
+    """A negative number in exponent form is read as the flag's value, as
+    ``float`` reads it, not taken for an unknown option."""
+    code, out, err = run_cli(capsys, "solve-fixed", "--p-max", "-1e5")
+    assert (code, out) == (1, "")
+    assert "max_pilot_power must be >= 0, got -100000.0" in err
+    code, out, _ = run_cli(
+        capsys, "sweep", "--variable", "gamma", "--lo", "-0e0", "--hi", "8", "--steps", "3",
+    )
+    assert code == 0
+    assert json.loads(out)["lo"] == 0.0
+
+
+def test_output_into_missing_directory_exits_1(tmp_path):
+    target = tmp_path / "missing" / "x.json"
+    proc = run_fresh(_MAIN, "solve-fixed", "--output", str(target))
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert proc.stderr == f"error: cannot write {target}: No such file or directory\n"
+
+
+def test_output_naming_a_directory_exits_1(tmp_path):
+    proc = run_fresh(_MAIN, "solve-fixed", "--output", str(tmp_path))
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert "--output" in proc.stderr and str(tmp_path) in proc.stderr
+    assert "Traceback" not in proc.stderr

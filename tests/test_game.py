@@ -3,6 +3,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wskg import game
 from wskg import (
@@ -237,7 +239,7 @@ def test_streamed_oracle_keeps_argmins_order_across_blocks(monkeypatch):
         return np.where((gamma > 7.0) & (gamma < 7.05), np.nan, values)
 
     monkeypatch.setattr(game, "ORACLE_BLOCK_VALUES", 8)
-    monkeypatch.setattr(game, "rate_array", coarse)
+    monkeypatch.setattr("wskg.rates.rate_array", coarse)
     # With three or five subcarriers the vertices span two or five blocks.
     for n in (2, 3, 5):
         params = params_with(5.0, n=n)
@@ -305,3 +307,28 @@ def test_closed_form_matches_oracle_on_random_draws():
 def test_oracle_config_validation(ref_params):
     with pytest.raises(ParameterError, match="allocation_samples must be >= 1, got 0"):
         oracle_jammer_br(5.0, ref_params, 0, RngSeed(0))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_sorted_union_matches_np_unique_bits(data):
+    lo = data.draw(st.sampled_from([0.0, -0.0, -1.0]) | st.floats(-1e3, 1e3))
+    grid = np.linspace(lo, lo + data.draw(st.floats(1e-9, 1e3)), data.draw(st.integers(2, 1100)))
+    point = st.one_of(
+        st.integers(0, grid.size - 1).map(lambda i: float(grid[i])),  # an interior point or an endpoint
+        st.sampled_from([0.0, -0.0]),
+        st.floats(-2e3, 2e3),
+    )
+    extras = data.draw(st.lists(point, max_size=8))
+    if extras:
+        extras += data.draw(st.lists(st.sampled_from(extras), max_size=3))  # duplicates
+    expected = np.unique(np.append(grid, extras))
+    assert game.sorted_union(grid, extras).tobytes() == expected.tobytes()
+
+
+def test_sorted_union_takes_a_scalar_and_keeps_one_zero():
+    grid = np.linspace(0.0, 4.0, 5)
+    for extras in (2.5, -0.0, [-0.0, 0.0, 4.0, 4.0]):
+        expected = np.unique(np.append(grid, extras))
+        assert game.sorted_union(grid, extras).tobytes() == expected.tobytes()
+    assert game.sorted_union(grid, [-0.0, 0.0]).size == 5
