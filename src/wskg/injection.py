@@ -13,7 +13,7 @@ import math
 import os
 import threading
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -58,45 +58,43 @@ def coincidence_precoder(h_a2, h_b2, denom, scratch=None):
     return ratio, np.sqrt(norm, out=norm)
 
 
-#: The work arrays of one buffer set: key -> (dtype, values per trial). Keys
-#: 0 to 6 hold a kernel's draws and results. Wider dtypes come first, so
-#: every array of the one allocation is aligned.
+#: The arrays of one buffer set: key -> (offset in bytes per trial, dtype,
+#: values per trial). Keys 0 to 6 are complex slots; every kernel leaves its
+#: results in slots 0 to 2. The Gram rows lie over slots 3 to 6, and the
+#: static kernel's floor and mask over slot 6, which it draws nothing into.
 _BUFFER_LAYOUT = {
-    **{key: (complex, 1) for key in range(7)},
-    "gram": (float, 7),
-    "scratch": (float, 1),
-    "floor": (float, 1),
-    "mask": (bool, 1),
+    **{key: (16 * key, complex, 1) for key in range(7)},
+    "gram": (48, float, 7),
+    "floor": (96, float, 1),
+    "mask": (104, bool, 1),
+    "scratch": (112, float, 1),
 }
+
+#: Bytes per trial of one buffer set: seven complex slots and ``scratch``.
+BUFFER_BYTES_PER_TRIAL = 120
 
 
 class ChunkBuffers:
     """Work arrays for Monte Carlo chunks of up to ``size`` trials.
 
-    The set holds one array per key in ``keys`` (by default every key of
-    ``_BUFFER_LAYOUT``, 185 bytes per trial), all views into one allocation,
-    so repeated calls reuse one heap block instead of faulting in fresh
-    pages per array. ``take`` hands out the first ``n`` trials of one of
-    them, so a set serves chunk after chunk. A kernel reuses a key only once
-    the key's previous contents are dead.
+    Every array of ``_BUFFER_LAYOUT`` is a view into one allocation of
+    ``BUFFER_BYTES_PER_TRIAL`` bytes per trial, so repeated calls reuse one
+    heap block instead of faulting in fresh pages per array. ``take`` hands
+    out the first ``n`` trials of one of them, so a set serves chunk after
+    chunk. Arrays that overlap are never live at once: a kernel reuses a
+    slot only once the slot's previous contents are dead.
     """
 
-    def __init__(self, size: int, keys: Sequence = tuple(_BUFFER_LAYOUT)) -> None:
+    def __init__(self, size: int) -> None:
         self.size = size
-        layout = [(key, *_BUFFER_LAYOUT[key]) for key in _BUFFER_LAYOUT if key in keys]
-        widths = [np.dtype(dtype).itemsize * per_trial * size for _, dtype, per_trial in layout]
-        block = np.empty(sum(widths), dtype=np.uint8)
-        self._arrays: Dict[object, np.ndarray] = {}
-        offset = 0
-        for (key, dtype, _), width in zip(layout, widths):
-            self._arrays[key] = block[offset : offset + width].view(dtype)
-            offset += width
+        self._block = np.empty(BUFFER_BYTES_PER_TRIAL * size, dtype=np.uint8)
 
     def take(self, key, n: int) -> np.ndarray:
         """First ``n`` trials of the array under ``key``: a C-contiguous
         ``(values per trial, n)`` block when that is more than one."""
-        per_trial = _BUFFER_LAYOUT[key][1]
-        view = self._arrays[key][: per_trial * n]
+        offset, dtype, per_trial = _BUFFER_LAYOUT[key]
+        start = offset * self.size
+        view = self._block[start : start + np.dtype(dtype).itemsize * per_trial * n].view(dtype)
         return view.reshape(per_trial, n) if per_trial > 1 else view
 
 
@@ -141,17 +139,17 @@ def simulate_two_look(
     rng = seed.generator()
     entry_var = params.jam_channel_var / 2.0
     if buffers is None:
-        buffers = ChunkBuffers(n_trials, (0, 1, 2, 3, 4, 5, "scratch", "floor", "mask"))
+        buffers = ChunkBuffers(n_trials)
     scratch = buffers.take("scratch", n_trials)
 
     def draw(key: int, variance: float) -> np.ndarray:
         return _complex_normal(rng, variance, n_trials, buffers.take(key, n_trials), scratch)
 
-    h = draw(0, params.legit_channel_var)
-    h_a1, h_a2, h_b1, h_b2 = (draw(key, entry_var) for key in (1, 2, 3, 4))
+    h = draw(3, params.legit_channel_var)
+    h_a1, h_a2, h_b1, h_b2 = (draw(key, entry_var) for key in (0, 4, 5, 1))
 
     resampled = 0
-    denom = np.subtract(h_a1, h_b1, out=buffers.take(5, n_trials))
+    denom = np.subtract(h_a1, h_b1, out=buffers.take(2, n_trials))
     floor = _coincidence_floor(h_a1, h_b1, buffers.take("floor", n_trials), scratch)
     below = np.less(np.abs(denom, out=scratch), floor, out=buffers.take("mask", n_trials))
     bad = np.flatnonzero(below)
@@ -170,9 +168,9 @@ def simulate_two_look(
     np.multiply(2.0 * math.sqrt(params.jam_power_budget), injected, out=injected)
     injected *= 1.0 + 0.0j  # the attack symbol xj; the product sets the sign of zero parts
 
-    # h_a2 and h_b1 are dead: the noises reuse their arrays.
-    z_a = draw(2, 1.0)
-    z_b = draw(3, 1.0)
+    # The ratio and denom are dead: the noises reuse their slots.
+    z_a = draw(1, 1.0)
+    z_b = draw(2, 1.0)
     common = np.add(np.multiply(math.sqrt(params.max_pilot_power), h, out=h), injected, out=h)
     z_a += common
     z_b += common
@@ -188,11 +186,12 @@ def gram(batch: TwoLookBatch, buffers: Optional[ChunkBuffers] = None) -> np.ndar
     Serves both observation models: the static-pilot looks of
     :func:`simulate_two_look` and the post-multiplied looks of
     ``randomize_trials``.
-    The stacked coordinates are written into ``buffers`` when given.
+    The stacked coordinates are written into ``buffers`` when given, over
+    slots 3 to 6, so the batch must lie in slots 0 to 2.
     Overflow is silent here: :func:`mi_from_gram` rejects a non-finite matrix.
     """
     n = batch.injected.size
-    rows = (ChunkBuffers(n, ("gram",)) if buffers is None else buffers).take("gram", n)
+    rows = np.empty((7, n)) if buffers is None else buffers.take("gram", n)
     rows[0] = 1.0
     for i, values in enumerate((batch.injected, batch.z_a, batch.z_b)):
         rows[1 + 2 * i] = values.real

@@ -9,6 +9,7 @@ and reducing the injection to plain uncorrelated jamming.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -17,7 +18,15 @@ import numpy as np
 from .errors import ParameterError
 from .injection import ChunkBuffers, TwoLookBatch, chunked_grams, mi_from_gram
 from .params import SystemParams
-from .stochastic import KsReport, RngSeed, _complex_normal, _qpsk, _qpsk_points, ks_test_normal
+from .stochastic import (
+    KsReport,
+    RngSeed,
+    _complex_normal,
+    _qpsk,
+    _qpsk_points,
+    _scaled_normal,
+    ks_test_normal,
+)
 
 
 def randomize_trials(
@@ -35,21 +44,21 @@ def randomize_trials(
         raise ParameterError(f"n_trials must be >= 1, got {n_trials}")
     rng = seed.generator()
     if buffers is None:
-        buffers = ChunkBuffers(n_trials, (0, 1, 2, 3, 4, 5, 6, "scratch"))
+        buffers = ChunkBuffers(n_trials)
     scratch = buffers.take("scratch", n_trials)
     power = params.max_pilot_power
-    x = _qpsk(rng, power, n_trials, buffers.take(0, n_trials))
-    y = _qpsk(rng, power, n_trials, buffers.take(1, n_trials))
+    x = _qpsk(rng, power, n_trials, buffers.take(3, n_trials))
+    y = _qpsk(rng, power, n_trials, buffers.take(4, n_trials))
 
     def draw(key: int, variance: float) -> np.ndarray:
         return _complex_normal(rng, variance, n_trials, buffers.take(key, n_trials), scratch)
 
-    h = draw(2, params.legit_channel_var)
-    w = draw(3, params.jam_channel_var * params.jam_power_budget)
-    noise_a = draw(4, 1.0)
-    noise_b = draw(5, 1.0)
+    h = draw(1, params.legit_channel_var)
+    w = draw(0, params.jam_channel_var * params.jam_power_budget)
+    noise_a = draw(5, 1.0)
+    noise_b = draw(6, 1.0)
     # In place, in the operation order of z_a = x y h + x w + x noise_a, etc.
-    z_b = np.multiply(x, y, out=buffers.take(6, n_trials))
+    z_b = np.multiply(x, y, out=buffers.take(2, n_trials))
     z_b *= h
     z_a = np.multiply(x, w, out=h)
     z_a += z_b
@@ -74,6 +83,23 @@ class RandomizationReport:
     source_real_var: float
 
 
+#: Samples per block of :func:`verify_randomization`'s streamed draws.
+VERIFY_BLOCK = 1 << 14
+
+
+def _pilot_indices(rng: np.random.Generator, n: int) -> np.ndarray:
+    """``2 * re + im`` of ``n`` QPSK pilots as bytes, indices into
+    :func:`~wskg.stochastic._qpsk_points`, from the bits of two whole
+    ``rng.integers(0, 2, n)`` draws: Philox keeps the spare half of a 64-bit
+    word in its state, so draws in blocks give the bits of one draw."""
+    index = np.zeros(n, dtype=np.uint8)
+    for weight in (2, 1):
+        for start in range(0, n, VERIFY_BLOCK):
+            part = index[start : start + VERIFY_BLOCK]
+            part += weight * rng.integers(0, 2, part.size).astype(np.uint8)
+    return index
+
+
 def verify_randomization(
     params: SystemParams, n_samples: int, seed: RngSeed
 ) -> RandomizationReport:
@@ -85,26 +111,35 @@ def verify_randomization(
     s2 = params.legit_channel_var
     if power <= 0.0:
         raise ParameterError("max_pilot_power must be > 0 to verify the defense")
-    # Only the pilot bits and h are held whole; complex pilots are built per
-    # chunk. Products stay complex: numpy may fuse a*c - b*d into one rounding.
+    # The draws of _qpsk and _complex_normal, streamed: only the pilot
+    # indices and the two tested arrays are held whole. h's real parts are
+    # drawn whole into ``product``, its imaginary parts one block at a time.
+    # Products stay complex: numpy may fuse a*c - b*d into one rounding.
     rng = seed.generator()
-    x_re, x_im, y_re, y_im = (rng.integers(0, 2, n_samples).astype(bool) for _ in range(4))
-    h = _complex_normal(rng, s2, n_samples)
-    points, chunk = _qpsk_points(power), 1 << 14
-    product, source_real = np.empty((2, n_samples))
-    for start in range(0, n_samples, chunk):
-        s = slice(start, start + chunk)
-        x = points[2 * x_re[s] + x_im[s]]
-        y = points[2 * y_re[s] + y_im[s]]
-        product[s] = x.real * h[s].real
-        source_real[s] = (x * y * h[s]).real
-    del x_re, x_im, y_re, y_im, h
-    ks_product = ks_test_normal(product, power * s2 / 4.0)
-    ks_source = ks_test_normal(source_real, power * power * s2 / 2.0)
+    x_index, y_index = _pilot_indices(rng, n_samples), _pilot_indices(rng, n_samples)
+    product, source_real = np.empty(n_samples), np.empty(n_samples)
+    scale = math.sqrt(s2 / 2.0)
+    _scaled_normal(rng, scale, product)
+    points = _qpsk_points(power)
+    h = np.empty(VERIFY_BLOCK, dtype=complex)
+    for start in range(0, n_samples, VERIFY_BLOCK):
+        s = slice(start, start + VERIFY_BLOCK)
+        hs = h[: product[s].size]
+        hs.real = product[s]
+        hs.imag = _scaled_normal(rng, scale, np.empty(hs.size))
+        x, y = points[x_index[s]], points[y_index[s]]
+        # Named operands: numpy may multiply a temporary operand in place
+        # with the operands swapped, and a fused complex multiply is not
+        # symmetric in its last bit.
+        source_real[s] = (x * y * hs).real
+        product[s] = x.real * hs.real
+    del x_index, y_index
+    ks_product = ks_test_normal(product, power * s2 / 4.0, overwrite_input=True)
+    del product
+    source_real_var = float(np.var(source_real))  # before the sort: the sum order sets its bits
+    ks_source = ks_test_normal(source_real, power * power * s2 / 2.0, overwrite_input=True)
     return RandomizationReport(
-        ks_product=ks_product,
-        ks_source=ks_source,
-        source_real_var=float(np.var(source_real)),
+        ks_product=ks_product, ks_source=ks_source, source_real_var=source_real_var
     )
 
 

@@ -44,9 +44,8 @@ def _complex_normal(
     """Circularly-symmetric complex normal draws; variance 0 yields zeros.
 
     Writes into ``out`` and draws through ``scratch`` (``count`` complex and
-    real entries) when given; allocates them otherwise. ``Generator.normal``
-    returns ``loc + scale * z``, so adding 0.0 after the scaling keeps its
-    bits, signs of zero included.
+    real entries) when given; allocates them otherwise. The real parts are
+    drawn first, then the imaginary parts, by :func:`_scaled_normal`.
     """
     out = np.empty(count, dtype=complex) if out is None else out
     if variance == 0.0:
@@ -54,15 +53,21 @@ def _complex_normal(
         return out
     scale = math.sqrt(variance / 2.0)
     z = np.empty(count) if scratch is None else scratch
-
-    def draw() -> np.ndarray:
-        rng.standard_normal(out=z)
-        np.multiply(z, scale, out=z)
-        return np.add(z, 0.0, out=z)
-
-    out.real = draw()
-    out.imag = draw()
+    out.real = _scaled_normal(rng, scale, z)
+    out.imag = _scaled_normal(rng, scale, z)
     return out
+
+
+def _scaled_normal(rng: np.random.Generator, scale: float, out: np.ndarray) -> np.ndarray:
+    """``out.size`` draws of ``Generator.normal(0.0, scale)``, in place.
+
+    ``Generator.normal`` returns ``loc + scale * z``, so adding 0.0 after the
+    scaling keeps its bits, signs of zero included. Consecutive calls give
+    the draws of one call over their total size.
+    """
+    rng.standard_normal(out=out)
+    np.multiply(out, scale, out=out)
+    return np.add(out, 0.0, out=out)
 
 
 def _qpsk(
@@ -115,13 +120,19 @@ class KsReport:
     n: int
 
 
-def ks_test_normal(samples: np.ndarray, variance: float) -> KsReport:
+def ks_test_normal(
+    samples: np.ndarray, variance: float, overwrite_input: bool = False
+) -> KsReport:
     """One-sample KS test of real samples against the zero-mean normal law.
 
     The p-value comes from the asymptotic Kolmogorov distribution, which is
     accurate in the large-sample regime this toolkit operates in. The normal
     CDF and the p-value give the bits of ``scipy.special.ndtr`` and
     ``scipy.special.kolmogorov`` (see :mod:`wskg.kstest`).
+
+    As in ``np.median``, ``overwrite_input=True`` lets the test sort and
+    scale a float ``samples`` array in place instead of a copy; its contents
+    are then undefined. The report is the same either way.
     """
     # Imported here so that only callers of this test load and compile it.
     from .kstest import kolmogorov_sf, ks_statistic
@@ -132,7 +143,11 @@ def ks_test_normal(samples: np.ndarray, variance: float) -> KsReport:
         raise ParameterError("samples must be non-empty")
     if not (math.isfinite(variance) and variance > 0.0):
         raise ParameterError(f"variance must be > 0, got {variance!r}")
-    a = np.sort(x, axis=None)
+    if overwrite_input:
+        a = x.reshape(-1)
+        a.sort()
+    else:
+        a = np.sort(x, axis=None)
     if not (math.isfinite(a[0]) and math.isfinite(a[-1])):  # NaNs sort last
         raise ParameterError("samples must be finite")
     statistic = ks_statistic(np.divide(a, math.sqrt(variance), out=a))
@@ -163,10 +178,12 @@ def gaussian_mi_from_cov(cov_joint: np.ndarray, target_dim: int) -> float:
         raise ParameterError(
             f"target_dim must be in [1, {dim - 1}], got {target_dim}"
         )
+    # Rounding error grows with the matrix's scale, so the tolerance does too.
     eigenvalues = np.linalg.eigvalsh(c)
-    if float(eigenvalues.min()) < -1e-9:
+    tolerance = 1e-9 * max(1.0, float(eigenvalues.max()))
+    if float(eigenvalues.min()) < -tolerance:
         raise NotPositiveSemidefinite(
-            f"covariance has eigenvalue {eigenvalues.min()} below -1e-9"
+            f"covariance has eigenvalue {eigenvalues.min()} below -{tolerance:.6g}"
         )
     cross = c[:target_dim, target_dim:]
     if not cross.any():

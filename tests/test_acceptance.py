@@ -17,6 +17,7 @@ from wskg import (
     critical_power,
     leakage_after_randomization,
     leakage_bound,
+    oracle_jammer_br,
     oracle_stackelberg,
     rate_array,
     stackelberg_fixed,
@@ -214,4 +215,33 @@ def test_criterion_9_rate_kernel_shape():
     mid = rate_array(p, (g_lo + g_hi) / 2.0, s2, j2)
     avg = (rate_array(p, g_lo, s2, j2) + rate_array(p, g_hi, s2, j2)) / 2.0
     ok &= bool(np.all(mid <= avg + 1e-12))
+    crit.finish(ok)
+
+
+def test_criterion_10_reactive_jammer_never_beats_proactive():
+    # A proactive jammer cannot sense the pilot, so it plays its best
+    # allocation against the full budget p_max. The oracle never beats
+    # uniform jamming there, and the reactive (fixed-threshold) equilibrium
+    # payoff is never below it: in this model the reactive jammer never hurts
+    # the legitimate pair more than a proactive one.
+    crit = _Criterion(10, "reactive jammer never beats proactive", 10.0)
+    rng = np.random.default_rng(1010)
+    ok = True
+    for i in range(50):
+        params = SystemParams(
+            int(rng.integers(1, 13)),
+            float(rng.uniform(0.2, 30.0)),
+            float(rng.uniform(0.0, 6.0)),
+            float(rng.uniform(0.05, 6.0)),
+            float(rng.uniform(0.2, 3.0)),
+            float(rng.uniform(0.2, 3.0)),
+        )
+        proactive = params.n_subcarriers * float(
+            rate_array(params.max_pilot_power, params.jam_power_budget,
+                       params.legit_channel_var, params.jam_channel_var)
+        )
+        _, oracle_value = oracle_jammer_br(params.max_pilot_power, params, 2000, SEED.with_stream(i))
+        tol = 1e-12 * proactive
+        ok &= proactive <= oracle_value + tol
+        ok &= stackelberg_fixed(params).payoff >= proactive - tol
     crit.finish(ok)

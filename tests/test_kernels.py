@@ -191,9 +191,16 @@ def test_randomize_trials_matches_reference(n_trials, gamma, p_max):
     assert batch.resampled == 0
 
 
-@pytest.mark.parametrize("n_samples", SIZES)
-@pytest.mark.parametrize("p_max", P_MAX)
-def test_verify_randomization_matches_reference(n_samples, p_max):
+# 10_001 is odd, so a block boundary falls on a pilot bit drawn from the
+# spare 32-bit half of a Philox word; the others sit around the edges of the
+# 16384-sample blocks and of the KS test's 65536-value blocks.
+VERIFY_CASES = [(p_max, n) for n in SIZES + (10_001,) for p_max in P_MAX] + [
+    (2.0, n) for n in (16_385, 65_536, 131_073)
+]
+
+
+@pytest.mark.parametrize("p_max, n_samples", VERIFY_CASES)
+def test_verify_randomization_matches_reference(p_max, n_samples):
     params = make_params(p_max)
     assert verify_randomization(params, n_samples, SEED) == ref_verify_randomization(
         params, n_samples, SEED
@@ -212,6 +219,14 @@ def test_ks_test_matches_reference(n, variance, seed):
     before = samples.copy()
     assert ks_test_normal(samples, variance) == ref_ks_test_normal(samples, variance)
     assert same_bits(samples, before)
+
+
+@pytest.mark.parametrize("n", KS_SIZES)
+def test_ks_overwrite_input_gives_the_same_report(n):
+    samples = np.random.default_rng(n).normal(0.0, 1.3, n)
+    assert ks_test_normal(samples.copy(), 1.5, overwrite_input=True) == ks_test_normal(
+        samples, 1.5
+    )
 
 
 def test_ks_recheck_covers_near_ties():
@@ -410,11 +425,39 @@ def peak_bytes_per_trial(fn, n):
 
 
 def test_verify_randomization_peak_memory_per_sample():
-    # The 36 bytes per sample of h, the pilot bits and both sample arrays set
-    # the peak; the KS test adds one sorted copy and blocks of fixed size.
+    # The two tested arrays (16 bytes per sample) and the two pilot index
+    # arrays (2) set the peak, with blocks of fixed size: the KS tests sort
+    # in place. About 19.4 bytes per sample at 1e6 samples.
     params = make_params(2.0)
     peak = peak_bytes_per_trial(lambda n: verify_randomization(params, n, SEED), 1_000_000)
-    assert peak <= 38.0
+    assert peak <= 21.0
+
+
+def test_full_chunk_buffer_set_is_120_bytes_per_trial():
+    tracemalloc.start()
+    try:
+        buffers = injection.ChunkBuffers(injection.CHUNK_TRIALS)
+        size = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert injection.BUFFER_BYTES_PER_TRIAL * injection.CHUNK_TRIALS == 7_864_320
+    assert 7_864_320 <= size < 7_864_320 + 4096
+    assert buffers.take("gram", injection.CHUNK_TRIALS).shape == (7, injection.CHUNK_TRIALS)
+
+
+@pytest.mark.parametrize("n_trials", (injection.CHUNK_TRIALS, ENGINE_TRIALS % injection.CHUNK_TRIALS))
+@pytest.mark.parametrize("kernel", (simulate_two_look, randomize_trials))
+def test_gram_rows_overlay_no_result(kernel, n_trials):
+    # The Gram rows lie over the kernels' dead slots, never over their results.
+    params = make_params(2.0)
+    buffers = injection.ChunkBuffers(injection.CHUNK_TRIALS)
+    batch = kernel(params, n_trials, SEED, buffers)
+    results = (batch.z_a, batch.z_b, batch.injected)
+    rows = buffers.take("gram", n_trials)
+    assert not any(np.shares_memory(rows, values) for values in results)
+    before = [values.copy() for values in results]
+    assert same_bits(injection.gram(batch, buffers), ref_gram(*before))
+    assert all(same_bits(a, b) for a, b in zip(results, before))
 
 
 def test_simulate_two_look_peak_memory_per_trial():

@@ -141,3 +141,15 @@ def test_gaussian_mi_input_validation():
         gaussian_mi_from_cov(np.eye(3), 3)
     with pytest.raises(NotPositiveSemidefinite):
         gaussian_mi_from_cov(np.array([[1.0, 2.0], [2.0, 1.0]]), 1)
+
+
+def test_psd_tolerance_scales_with_the_covariance():
+    # A rank-3 PSD matrix at 1e20 scale: eigvalsh's rounding gives its zero
+    # eigenvalues magnitudes far above 1e-9, which an absolute tolerance
+    # rejected. The singular joint covariance means +inf bits.
+    factor = np.random.default_rng(3).normal(size=(7, 3))
+    cov = factor @ factor.T * 1e20
+    assert np.linalg.eigvalsh(cov).min() < -1e-9
+    assert gaussian_mi_from_cov(cov, 2) == math.inf
+    with pytest.raises(NotPositiveSemidefinite, match="below"):
+        gaussian_mi_from_cov(np.array([[1.0, 2.0], [2.0, 1.0]]) * 1e20, 1)
