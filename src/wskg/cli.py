@@ -31,8 +31,9 @@ if TYPE_CHECKING:
     from .stochastic import RngSeed
 
 # Each command imports what it runs when it runs: the closed-form commands
-# never load the Monte Carlo modules or numpy.random, the Monte Carlo commands
-# never load game, rates or metrics, and only sweep loads metrics.
+# (solve-fixed, solve-strategic, sweep) never load numpy, oracle-check loads
+# numpy but not the Monte Carlo modules, the Monte Carlo commands never load
+# game, rates or metrics, and only sweep loads metrics.
 
 #: Significance level for the self-checking verification commands.
 KS_SIGNIFICANCE = 0.001

@@ -4,15 +4,17 @@ The legitimate pair commits to a pilot power first; a power-sensing jammer
 observes it and responds. The follower's best response and the resulting
 equilibria have closed forms, and the oracle routines re-derive them by
 direct search so every closed-form branch is verified independently.
+
+The closed forms run on floats, in numpy's summation order and on
+``np.linspace``'s grid, so this module imports numpy only inside the two
+oracles.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import astuple
-from typing import TYPE_CHECKING, Tuple
-
-import numpy as np
+from typing import TYPE_CHECKING, List, Tuple
 
 # rates' functions are read through the module at call time, so a wrapper
 # installed over them (perfbench's span tracer) sees game's calls and is gone
@@ -36,20 +38,47 @@ ORACLE_BLOCK_VALUES = 1 << 16
 LEADER_GRID_POINTS = 1001
 
 
-def sorted_union(grid, extras) -> np.ndarray:
-    """The distinct values of ``grid`` and ``extras``, sorted.
+def linspace(lo: float, hi: float, num: int) -> List[float]:
+    """The bits of ``np.linspace(lo, hi, num).tolist()`` for ``num >= 2``.
+
+    numpy computes ``i * step + lo`` with ``step = (hi - lo) / (num - 1)``,
+    or ``i / (num - 1) * (hi - lo) + lo`` when the step underflows to zero,
+    and sets the last point to ``hi``.
+    """
+    lo, hi, div = float(lo), float(hi), num - 1
+    delta = hi - lo
+    step = delta / div
+    if step == 0.0:
+        values = [i / div * delta + lo for i in range(num)]
+    else:
+        values = [i * step + lo for i in range(num)]
+    values[-1] = hi
+    return values
+
+
+def sorted_union(grid, extras) -> List[float]:
+    """The distinct values of ``grid`` and ``extras`` (a number or numbers),
+    sorted.
 
     For NaN-free input these are the bits of
-    ``np.unique(np.append(grid, extras))``: the same sort, then the first
-    value and every value that differs from its predecessor. ``np.unique``
-    itself would import ``numpy.ma`` on numpy 2.4.
+    ``np.unique(np.append(grid, extras))``: the sorted values, keeping the
+    first of each run of equal ones. Python's sort is stable and numpy's is
+    not, but only 0.0 and -0.0 are equal with different bits, so the two
+    sorts differ only in which zero comes first; input holding both is
+    sorted by numpy.
     """
-    values = np.append(grid, extras)
-    values.sort()
-    keep = np.empty(values.shape, dtype=bool)
-    keep[:1] = True
-    np.not_equal(values[1:], values[:-1], out=keep[1:])
-    return values[keep]
+    values = [*grid, *((extras,) if isinstance(extras, (int, float)) else extras)]
+    if len({math.copysign(1.0, v) for v in values if v == 0.0}) == 2:
+        import numpy as np
+
+        values = np.sort(values).tolist()
+    else:
+        values.sort()
+    union = values[:1]
+    for value in values[1:]:
+        if value != union[-1]:
+            union.append(value)
+    return union
 
 
 def _knee(p_th, gamma, sigmaj2):
@@ -66,9 +95,8 @@ def critical_power(params: SystemParams) -> float:
     return _knee(params.sense_threshold, params.jam_power_budget, params.jam_channel_var)
 
 
-@np.errstate(over="ignore", invalid="ignore")
 def _fixed_payoffs(n, p_max, gamma, p_th, sigma2, sigmaj2):
-    """Fixed-threshold game payoffs, broadcast over array-valued parameters.
+    """Fixed-threshold game payoffs at one point.
 
     Returns ``(c_se, c_full, c_threshold, threshold_wins, boundary)``: the
     equilibrium payoff, the payoff of full power under uniform jamming, the
@@ -80,31 +108,24 @@ def _fixed_payoffs(n, p_max, gamma, p_th, sigma2, sigmaj2):
     """
 
     def total(p, g):
-        # Summing n equal rates over an explicit axis rounds exactly as
-        # sum_rate does over an n-vector allocation; n * rate does not.
-        return np.repeat(rates.rate_array(p, g, sigma2, sigmaj2)[..., None], n, -1).sum(-1)
+        # Summing n equal rates rounds exactly as sum_rate does over an
+        # n-entry allocation; n * rate does not.
+        return rates._repeated_sum(rates._rate(p, g, sigma2, sigmaj2, math.log1p), n)
 
-    p_max = np.asarray(p_max, dtype=float)
     knee = _knee(p_th, gamma, sigmaj2)
-    c_full, c_threshold = np.broadcast_arrays(
-        total(p_max, gamma), total(np.minimum(p_th, p_max), 0.0)
-    )
+    c_full = total(p_max, gamma)
+    c_threshold = total(min(p_th, p_max), 0.0)
     # Below the threshold the leader is never sensed and plays its budget.
     jammed = p_max > p_th
     # An overflowed knee is no knife edge: every finite budget lies below it.
-    boundary = jammed & np.isfinite(knee) & (
-        np.abs(p_max - knee) <= BOUNDARY_RTOL * np.maximum(np.abs(p_max), np.abs(knee))
+    boundary = jammed and math.isfinite(knee) and (
+        abs(p_max - knee) <= BOUNDARY_RTOL * max(abs(p_max), abs(knee))
     )
-    scale = np.maximum(np.maximum(np.abs(c_threshold), np.abs(c_full)), 1e-300)
-    disagree = boundary & (np.abs(c_threshold - c_full) > 1e-9 * scale)
-    if disagree.any():
-        i = np.argmax(disagree)
-        raise NumericalError(
-            "tied equilibria disagree on payoff: "
-            f"{float(c_threshold.flat[i])} vs {float(c_full.flat[i])}"
-        )
-    threshold_wins = ~jammed | boundary | (p_max < knee)
-    c_se = np.where(threshold_wins, c_threshold, c_full)
+    scale = max(abs(c_threshold), abs(c_full), 1e-300)
+    if boundary and abs(c_threshold - c_full) > 1e-9 * scale:
+        raise NumericalError(f"tied equilibria disagree on payoff: {c_threshold} vs {c_full}")
+    threshold_wins = not jammed or boundary or p_max < knee
+    c_se = c_threshold if threshold_wins else c_full
     return c_se, c_full, c_threshold, threshold_wins, boundary
 
 
@@ -125,9 +146,7 @@ def stackelberg_fixed(params: SystemParams) -> EquilibriumResult:
         profiles += (Profile(deviation, PowerAllocation.silent(params)),)
     if boundary or not threshold_wins:
         profiles += (Profile(budget, PowerAllocation.uniform(params)),)
-    return EquilibriumResult(
-        profiles, float(c_se), unique=not boundary, boundary_case=bool(boundary)
-    )
+    return EquilibriumResult(profiles, c_se, unique=not boundary, boundary_case=boundary)
 
 
 def jammer_br_strategic(p: float, params: SystemParams, delta: float) -> Profile:
@@ -176,6 +195,8 @@ def oracle_jammer_br(
         raise ParameterError(f"allocation_samples must be >= 1, got {samples}")
     if not (math.isfinite(p) and p >= 0.0):
         raise ParameterError(f"p must be >= 0, got {p!r}")
+    import numpy as np
+
     n = params.n_subcarriers
     total = n * params.jam_power_budget
     rng = seed.generator()
@@ -210,16 +231,18 @@ def oracle_stackelberg(params: SystemParams) -> Tuple[float, float]:
     always contains 0, the budget, and (when admissible) the threshold and the
     critical power exactly. Ties resolve to the smaller power.
     """
+    import numpy as np
+
     budget = params.max_pilot_power
     threshold = params.sense_threshold
-    grid = np.linspace(0.0, budget, LEADER_GRID_POINTS)
+    grid = linspace(0.0, budget, LEADER_GRID_POINTS)
     extras = [0.0, budget]
     if threshold <= budget:
         extras.append(threshold)
     knee = critical_power(params)
     if knee <= budget:
         extras.append(knee)
-    grid = sorted_union(grid, extras)
+    grid = np.array(sorted_union(grid, extras))
     s2, j2 = params.legit_channel_var, params.jam_channel_var
     jammed = rates.rate_array(grid, params.jam_power_budget, s2, j2)
     silent = rates.rate_array(grid, 0.0, s2, j2)

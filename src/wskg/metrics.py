@@ -16,10 +16,8 @@ import math
 from dataclasses import asdict, replace
 from typing import List, NamedTuple
 
-import numpy as np
-
 from .errors import NumericalError, ParameterError, ZeroEquilibriumPayoff
-from .game import _fixed_payoffs, critical_power, sorted_union
+from .game import _fixed_payoffs, critical_power, linspace, sorted_union
 from .params import SystemParams
 
 _SWEEP_FIELDS = {
@@ -50,8 +48,9 @@ class SweepRow(NamedTuple):
 CSV_HEADER = ",".join(SweepRow._fields)
 
 
-def _reject_point(c_se: float, c_full: float, f: float, d: float) -> None:
-    """Raise the first failed check of one operating point, in solve order."""
+def _row(value: float, c_se: float, c_full: float, c_threshold: float) -> SweepRow:
+    """The sweep row of one operating point; raises its first failed check,
+    in solve order."""
     if not math.isfinite(c_se):
         raise NumericalError(f"equilibrium payoff is not finite: {c_se!r}")
     if c_se <= 0.0:
@@ -60,28 +59,28 @@ def _reject_point(c_se: float, c_full: float, f: float, d: float) -> None:
         )
     if not math.isfinite(c_full):
         raise NumericalError(f"equilibrium payoff is not finite: {c_full!r}")
-    for name, value in (("f", f), ("d", d)):
-        if not _METRIC_FLOOR <= value <= 1.0:
-            raise NumericalError(f"metric {name} out of [0, 1]: {value!r}")
-
-
-@np.errstate(divide="ignore", invalid="ignore")
-def _rows(params: SystemParams, field: str, values) -> List[SweepRow]:
-    """Payoffs and the three relative metrics at each value of one field,
-    the other fields held at ``params``, in one array pass."""
-    values = np.asarray(values, dtype=float)
-    c_se, c_full, c_threshold, _, _ = _fixed_payoffs(
-        *{**asdict(params), field: values}.values()
-    )
     f = (c_se - c_full) / c_se
     d = (c_se - c_threshold) / c_se
-    # A zero or non-finite payoff makes f or d fall outside [0, 1] as well.
-    ok = (f >= _METRIC_FLOOR) & (f <= 1.0) & (d >= _METRIC_FLOOR) & (d <= 1.0)
-    if not ok.all():
-        i = int(np.argmin(ok))
-        _reject_point(c_se[i].item(), c_full[i].item(), f[i].item(), d[i].item())
-    columns = (values, c_se, c_full, c_threshold, f, d, f)
-    return list(map(SweepRow._make, zip(*(column.tolist() for column in columns))))
+    for name, metric in (("f", f), ("d", d)):
+        if not _METRIC_FLOOR <= metric <= 1.0:
+            raise NumericalError(f"metric {name} out of [0, 1]: {metric!r}")
+    return SweepRow(value, c_se, c_full, c_threshold, f, d, f)
+
+
+def _rows(params: SystemParams, field: str, values) -> List[SweepRow]:
+    """Payoffs and the three relative metrics at each value of one field,
+    the other fields held at ``params``.
+
+    Every point is solved before any row is checked, so a knife-edge
+    disagreement anywhere is reported before a failed check at an earlier
+    point, and failed checks in point order.
+    """
+    fixed = asdict(params)
+    payoffs = [
+        (value, *_fixed_payoffs(*{**fixed, field: value}.values())[:3])
+        for value in map(float, values)
+    ]
+    return [_row(*payoff) for payoff in payoffs]
 
 
 def strategic_threshold_gain(params: SystemParams) -> float:
@@ -128,7 +127,7 @@ def sweep(
     # Every field's domain is bounded below and lo is the smallest grid
     # value, so validating it validates the whole grid.
     replace(params, **{field: float(lo)})
-    grid = np.linspace(lo, hi, int(steps))
+    grid = linspace(lo, hi, int(steps))
     knee = _knee_value(params, variable)
     if knee is not None and lo < knee < hi:
         grid = sorted_union(grid, knee)

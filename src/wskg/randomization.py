@@ -22,6 +22,7 @@ from .stochastic import (
     KsReport,
     RngSeed,
     _complex_normal,
+    _pilot_indices,
     _qpsk,
     _qpsk_points,
     _scaled_normal,
@@ -47,8 +48,8 @@ def randomize_trials(
         buffers = ChunkBuffers(n_trials)
     scratch = buffers.take("scratch", n_trials)
     power = params.max_pilot_power
-    x = _qpsk(rng, power, n_trials, buffers.take(3, n_trials))
-    y = _qpsk(rng, power, n_trials, buffers.take(4, n_trials))
+    x = _qpsk(rng, power, n_trials, buffers.take(3, n_trials), scratch)
+    y = _qpsk(rng, power, n_trials, buffers.take(4, n_trials), scratch)
 
     def draw(key: int, variance: float) -> np.ndarray:
         return _complex_normal(rng, variance, n_trials, buffers.take(key, n_trials), scratch)
@@ -85,19 +86,6 @@ class RandomizationReport:
 
 #: Samples per block of :func:`verify_randomization`'s streamed draws.
 VERIFY_BLOCK = 1 << 14
-
-
-def _pilot_indices(rng: np.random.Generator, n: int) -> np.ndarray:
-    """``2 * re + im`` of ``n`` QPSK pilots as bytes, indices into
-    :func:`~wskg.stochastic._qpsk_points`, from the bits of two whole
-    ``rng.integers(0, 2, n)`` draws: Philox keeps the spare half of a 64-bit
-    word in its state, so draws in blocks give the bits of one draw."""
-    index = np.zeros(n, dtype=np.uint8)
-    for weight in (2, 1):
-        for start in range(0, n, VERIFY_BLOCK):
-            part = index[start : start + VERIFY_BLOCK]
-            part += weight * rng.integers(0, 2, part.size).astype(np.uint8)
-    return index
 
 
 def verify_randomization(

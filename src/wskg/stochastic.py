@@ -70,17 +70,54 @@ def _scaled_normal(rng: np.random.Generator, scale: float, out: np.ndarray) -> n
     return np.add(out, 0.0, out=out)
 
 
-def _qpsk(
-    rng: np.random.Generator, power: float, count: int, out: Optional[np.ndarray] = None
+#: Bits per ``rng.integers`` call of :func:`_pilot_indices` (512 KB of int64).
+PILOT_BLOCK = 1 << 16
+
+
+def _pilot_indices(
+    rng: np.random.Generator, count: int, out: Optional[np.ndarray] = None
 ) -> np.ndarray:
-    """Uniform draws from the four constant-modulus points +-r +-jr, r=sqrt(power/2)."""
+    """``2 * re + im`` of ``count`` QPSK pilots, indices into
+    :func:`_qpsk_points`, from the bits of two whole ``rng.integers(0, 2,
+    count)`` draws, ``re`` first.
+
+    Philox keeps the spare half of a 64-bit word in its state, so the
+    ``2 * count`` bits can be drawn in blocks that straddle the two draws.
+    Written into ``out`` (``count`` integers of any type) when given, and
+    into bytes otherwise.
+    """
+    index = np.empty(count, dtype=np.uint8) if out is None else out
+    for start in range(0, 2 * count, PILOT_BLOCK):
+        bits = rng.integers(0, 2, min(PILOT_BLOCK, 2 * count - start))
+        split = max(0, min(count - start, bits.size))
+        re, im = bits[:split], bits[split:]
+        np.add(re, re, out=index[start : start + split], casting="unsafe")
+        # Empty when the block holds no im bits.
+        part = index[start + split - count : start + bits.size - count]
+        np.add(part, im, out=part, casting="unsafe")
+        del bits, re, im  # one block alive at a time
+    return index
+
+
+def _qpsk(
+    rng: np.random.Generator,
+    power: float,
+    count: int,
+    out: Optional[np.ndarray] = None,
+    scratch: Optional[np.ndarray] = None,
+) -> np.ndarray:
+    """Uniform draws from the four constant-modulus points +-r +-jr, r=sqrt(power/2).
+
+    Writes into ``out`` and keeps the point indices in the bytes of
+    ``scratch`` (``count`` complex and real entries) when given; allocates
+    them otherwise.
+    """
     out = np.empty(count, dtype=complex) if out is None else out
     if power == 0.0:
         out.fill(0.0)
         return out
-    index = rng.integers(0, 2, count)
-    index *= 2
-    index += rng.integers(0, 2, count)
+    scratch = np.empty(count) if scratch is None else scratch
+    index = _pilot_indices(rng, count, scratch.view(np.intp)[:count])
     return np.take(_qpsk_points(power), index, out=out, mode="clip")  # mode "raise" copies through a buffer
 
 

@@ -3,7 +3,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from wskg import game
@@ -323,12 +323,33 @@ def test_sorted_union_matches_np_unique_bits(data):
     if extras:
         extras += data.draw(st.lists(st.sampled_from(extras), max_size=3))  # duplicates
     expected = np.unique(np.append(grid, extras))
-    assert game.sorted_union(grid, extras).tobytes() == expected.tobytes()
+    assert np.array(game.sorted_union(grid, extras)).tobytes() == expected.tobytes()
 
 
 def test_sorted_union_takes_a_scalar_and_keeps_one_zero():
     grid = np.linspace(0.0, 4.0, 5)
     for extras in (2.5, -0.0, [-0.0, 0.0, 4.0, 4.0]):
         expected = np.unique(np.append(grid, extras))
-        assert game.sorted_union(grid, extras).tobytes() == expected.tobytes()
-    assert game.sorted_union(grid, [-0.0, 0.0]).size == 5
+        assert np.array(game.sorted_union(grid, extras)).tobytes() == expected.tobytes()
+    assert len(game.sorted_union(grid, [-0.0, 0.0])) == 5
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    lo=st.floats(-1e6, 1e6),
+    width=st.floats(1e-9, 1e6),
+    num=st.integers(2, 3000),
+)
+def test_linspace_matches_np_linspace_bits(lo, width, num):
+    hi = lo + width
+    assume(lo < hi)
+    assert np.array(game.linspace(lo, hi, num)).tobytes() == np.linspace(lo, hi, num).tobytes()
+
+
+@pytest.mark.parametrize(
+    "lo, hi, num",
+    [(0.0, 5e-324, 3), (0.0, 1e-320, 3000), (-0.0, 1.0, 2), (-1e-300, 1e-300, 7), (2.001, 20.0, 1000)],
+)
+def test_linspace_edges_match_np_linspace_bits(lo, hi, num):
+    # The first two take numpy's branch for a step that underflows to zero.
+    assert np.array(game.linspace(lo, hi, num)).tobytes() == np.linspace(lo, hi, num).tobytes()

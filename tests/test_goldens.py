@@ -5,11 +5,15 @@ goldens are only read here, never written.
 """
 
 import importlib.util
+import json
+import os
+import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
+import wskg
 from wskg.cli import main
 
 
@@ -39,3 +43,35 @@ def test_cli_output_matches_golden(tmp_path, name):
     out = tmp_path / name
     assert main([*GOLDEN_COMMANDS[name], "--output", str(out)]) == 0
     assert out.read_bytes() == (workloads.GOLDEN / name).read_bytes()
+
+
+#: Runs the CLI once per ``[output path, *argv]`` of the JSON list in its
+#: first argument, with every import of numpy failing.
+_WITHOUT_NUMPY = """
+import json, sys
+
+class BlockNumpy:
+    def find_spec(self, name, path=None, target=None):
+        if name == "numpy" or name.startswith("numpy."):
+            raise ImportError(f"{name} is blocked")
+        return None
+
+sys.meta_path.insert(0, BlockNumpy())
+from wskg.cli import main
+
+for output, *argv in json.loads(sys.argv[1]):
+    assert main([*argv, "--output", output]) == 0, argv
+assert "numpy" not in sys.modules
+"""
+
+
+def test_closed_form_goldens_without_numpy(tmp_path):
+    runs = [[str(tmp_path / name), *argv] for name, argv in sorted(GOLDEN_COMMANDS.items())]
+    env = {**os.environ, "PYTHONPATH": str(Path(wskg.__file__).resolve().parents[1])}
+    proc = subprocess.run(
+        [sys.executable, "-c", _WITHOUT_NUMPY, json.dumps(runs)],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    for name in GOLDEN_COMMANDS:
+        assert (tmp_path / name).read_bytes() == (workloads.GOLDEN / name).read_bytes(), name

@@ -424,6 +424,14 @@ def peak_bytes_per_trial(fn, n):
         tracemalloc.stop()
 
 
+def test_randomize_trials_peak_memory_per_trial():
+    # Its 120-byte buffer set, the pilot indices kept in the set's scratch
+    # array and one block of index bits: about 120.5 bytes per trial at 1e6.
+    params = make_params(2.0)
+    peak = peak_bytes_per_trial(lambda n: randomize_trials(params, n, SEED), 1_000_000)
+    assert peak <= 121.0
+
+
 def test_verify_randomization_peak_memory_per_sample():
     # The two tested arrays (16 bytes per sample) and the two pilot index
     # arrays (2) set the peak, with blocks of fixed size: the KS tests sort

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from wskg import (
+    NumericalError,
     ParameterError,
     PowerAllocation,
     SystemParams,
@@ -15,6 +16,7 @@ from wskg import (
     sum_rate,
     sweep,
 )
+from wskg import game
 from wskg.cli import main
 from wskg.metrics import _rows
 
@@ -236,3 +238,31 @@ def test_sweep_max_full_power_loss_near_threshold(ref_params):
     rows = sweep(ref_params, "p_max", 2.0001, 20.0, 200)
     worst = max(max(row.f, row.d) for row in rows)
     assert worst == pytest.approx(0.8551, abs=0.01)
+
+
+@pytest.mark.parametrize(
+    "lo, error, message",
+    [
+        (0.0, ZeroEquilibriumPayoff, "equilibrium payoff is zero; relative metrics are undefined"),
+        (1.0, NumericalError, "equilibrium payoff is not finite: nan"),
+    ],
+)
+def test_sweep_reports_its_first_failing_point(ref_params, lo, error, message):
+    # Budgets near 1e308 overflow the rate to nan; a zero budget has zero payoff.
+    with pytest.raises(error) as caught:
+        sweep(ref_params, "p_max", lo, 1e308, 3)
+    assert str(caught.value) == message
+
+
+def test_knife_edge_disagreement_is_reported_before_earlier_failures(ref_params, monkeypatch):
+    # A knife-edge band of 10% puts 9.0 on the edge, where the two tied
+    # payoffs differ; every point is solved before the zero payoff at 0 is
+    # checked.
+    monkeypatch.setattr(game, "BOUNDARY_RTOL", 0.1)
+    threshold = sum_rate(2.0, PowerAllocation.silent(ref_params), ref_params)
+    full = sum_rate(9.0, PowerAllocation.uniform(ref_params), ref_params)
+    with pytest.raises(NumericalError) as caught:
+        sweep(ref_params, "p_max", 0.0, 20.0, 41)
+    assert str(caught.value) == f"tied equilibria disagree on payoff: {threshold} vs {full}"
+    code = main(["sweep", "--variable", "p_max", "--lo", "0", "--hi", "20", "--steps", "41"])
+    assert code == 2

@@ -2,8 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from wskg import ParameterError, PowerAllocation, SystemParams, rate_array, sum_rate
+from wskg import ParameterError, PowerAllocation, SystemParams, rate_array, rates, sum_rate
 
 
 def raw_rate(p, gamma, sigma2, sigmaj2):
@@ -105,3 +107,41 @@ def test_budget_scaling_identity():
         lhs = float(rate_array(p_th * (j2 * gamma + 1.0), gamma, s2, j2))
         rhs = float(rate_array(p_th, 0.0, s2, j2))
         assert lhs == pytest.approx(rhs, rel=1e-9)
+
+
+def test_pairwise_sum_matches_np_sum_bits():
+    # numpy's order changes at 8 and 128 values; a sequential sum differs
+    # from it in the last bit for most of these vectors.
+    rng = np.random.default_rng(31)
+    for n in [*range(1, 301), 1000, 4099, 65_536, 1_000_003]:
+        for values in (
+            rng.random(n) * 10.0 ** rng.uniform(-3.0, 3.0, n),
+            rng.standard_normal(n),
+        ):
+            assert rates._pairwise_sum(values.tolist()).hex() == float(np.sum(values)).hex(), n
+        value = rng.uniform(0.0, 20.0)
+        expected = float(np.sum(np.full(n, value))).hex()
+        assert rates._pairwise_sum([value] * n).hex() == expected, n
+        assert rates._repeated_sum(value, n).hex() == expected, n
+
+
+@settings(max_examples=500, deadline=None)
+@given(
+    p=st.floats(0.0, 1e100),
+    gamma=st.floats(0.0, 1e100),
+    sigma2=st.floats(1e-3, 1e3),
+    sigmaj2=st.floats(1e-3, 1e3),
+)
+def test_scalar_rate_is_rate_array_up_to_log1p(p, gamma, sigma2, sigmaj2):
+    """The closed forms' rate differs from rate_array only in its log1p,
+    libm's instead of numpy's. The two agree within 1 ulp; dividing by ln 2
+    can stretch one ulp of log1p to two of the rate."""
+    a = p * sigma2
+    b = 1.0 + gamma * sigmaj2
+    argument = a * a / (b * (b + 2.0 * a))
+    libm, numpy_log1p = math.log1p(argument), float(np.log1p(argument))
+    assert abs(libm - numpy_log1p) <= math.ulp(numpy_log1p)
+    scalar = rates._rate(p, gamma, sigma2, sigmaj2, math.log1p)
+    array = float(rate_array(p, gamma, sigma2, sigmaj2))
+    assert scalar == libm / rates._LN2 and array == numpy_log1p / rates._LN2
+    assert abs(scalar - array) <= 2.0 * math.ulp(array)
