@@ -16,7 +16,6 @@ import math
 import os
 import re
 import sys
-from dataclasses import asdict, fields
 from typing import TYPE_CHECKING, List, Optional
 
 from .errors import (
@@ -31,7 +30,8 @@ if TYPE_CHECKING:
     from .stochastic import RngSeed
 
 # Each command imports what it runs when it runs: the closed-form commands
-# (solve-fixed, solve-strategic, sweep) never load numpy, oracle-check loads
+# (solve-fixed, solve-strategic, sweep) never load numpy, dataclasses or
+# inspect (params' records are named tuples), oracle-check loads
 # numpy but not the Monte Carlo modules, the Monte Carlo commands never load
 # game, rates or metrics, and only sweep loads metrics.
 
@@ -73,6 +73,8 @@ def _cmd_solve_strategic(params: SystemParams, delta: float) -> dict:
 
 
 def _cmd_verify_randomization(params: SystemParams, seed: RngSeed, trials: int) -> dict:
+    from dataclasses import asdict
+
     from .randomization import verify_randomization
 
     report = verify_randomization(params, trials, seed)
@@ -98,16 +100,18 @@ def _cmd_simulate_injection(params: SystemParams, seed: RngSeed, trials: int, wo
 
     (stage,) = chunked_grams(params, trials, seed, (simulate_two_look,), workers)
     moments = stage.total / trials
-    cov = moments[1:, 1:] - np.outer(moments[0, 1:], moments[0, 1:])
-    return {
-        "trials": trials,
-        "chunk_trials": CHUNK_TRIALS,
-        "injected_variance": float(cov[0, 0] + cov[1, 1]),
-        "nominal_injected_variance": params.jam_channel_var * params.jam_power_budget,
-        "observation_variance": float(cov[2, 2] + cov[3, 3]),
-        "observation_cross_moment": float(moments[3, 5] + moments[4, 6]),
-        "resampled_draws": stage.resampled,
-    }
+    # Overflow is silent here: run rejects a non-finite payload.
+    with np.errstate(over="ignore", invalid="ignore"):
+        cov = moments[1:, 1:] - np.outer(moments[0, 1:], moments[0, 1:])
+        return {
+            "trials": trials,
+            "chunk_trials": CHUNK_TRIALS,
+            "injected_variance": float(cov[0, 0] + cov[1, 1]),
+            "nominal_injected_variance": params.jam_channel_var * params.jam_power_budget,
+            "observation_variance": float(cov[2, 2] + cov[3, 3]),
+            "observation_cross_moment": float(moments[3, 5] + moments[4, 6]),
+            "resampled_draws": stage.resampled,
+        }
 
 
 def _cmd_leakage(params: SystemParams, seed: RngSeed, trials: int, workers: Optional[int]) -> dict:
@@ -252,8 +256,8 @@ def run(command: str, output_path: Optional[str] = None, format: str = "json", *
     ``accepted`` check fails. Configuration and numerical errors propagate;
     ``main`` maps them to exit codes.
     """
-    params = SystemParams(**{field.name: options.pop(field.name) for field in fields(SystemParams)})
-    header = {"command": command, "params": asdict(params)}
+    params = SystemParams(**{name: options.pop(name) for name in SystemParams._fields})
+    header = {"command": command, "params": params._asdict()}
     if "seed" in options:
         from .stochastic import RngSeed
 

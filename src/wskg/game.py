@@ -13,7 +13,6 @@ oracles.
 from __future__ import annotations
 
 import math
-from dataclasses import astuple
 from typing import TYPE_CHECKING, List, Tuple
 
 # rates' functions are read through the module at call time, so a wrapper
@@ -103,7 +102,7 @@ def _fixed_payoffs(n, p_max, gamma, p_th, sigma2, sigmaj2):
     payoff of the unjammed deviation to min(p_th, p_max), whether the leader
     plays that deviation, and the knife-edge flag where both profiles tie.
     The arguments follow the field order of :class:`SystemParams`, so
-    ``_fixed_payoffs(*astuple(params))`` solves one point.
+    ``_fixed_payoffs(*params)`` solves one point.
     Overflow is silent here: callers reject non-finite payoffs themselves.
     """
 
@@ -139,7 +138,7 @@ def stackelberg_fixed(params: SystemParams) -> EquilibriumResult:
     knife edge both profiles tie and are both returned.
     """
     budget = params.max_pilot_power
-    c_se, _, _, threshold_wins, boundary = _fixed_payoffs(*astuple(params))
+    c_se, _, _, threshold_wins, boundary = _fixed_payoffs(*params)
     profiles = ()
     if threshold_wins:
         deviation = min(params.sense_threshold, budget)

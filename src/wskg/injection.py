@@ -114,6 +114,7 @@ class TwoLookBatch:
     resampled: int = 0
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def simulate_two_look(
     params: SystemParams, n_trials: int, seed: RngSeed, buffers: Optional[ChunkBuffers] = None
 ) -> TwoLookBatch:
@@ -132,7 +133,8 @@ def simulate_two_look(
     that the injected value has variance jam_channel_var * jam_power_budget,
     the nominal attack model.
 
-    The returned arrays are views into ``buffers`` when given.
+    The returned arrays are views into ``buffers`` when given. Overflow is
+    silent here: callers reject the non-finite moments it leads to.
     """
     if n_trials < 1:
         raise ParameterError(f"n_trials must be >= 1, got {n_trials}")

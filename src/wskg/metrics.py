@@ -13,7 +13,6 @@ full-power deviation.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, replace
 from typing import List, NamedTuple
 
 from .errors import NumericalError, ParameterError, ZeroEquilibriumPayoff
@@ -27,7 +26,8 @@ _SWEEP_FIELDS = {
     "p_th": "sense_threshold",
 }
 
-#: Numerical slack allowed below 0 for the relative metrics.
+#: Numerical slack allowed below 0 for the relative metrics; a value in
+#: the slack is round-off at the knee and is emitted as 0.0.
 _METRIC_FLOOR = -1e-9
 
 
@@ -64,6 +64,7 @@ def _row(value: float, c_se: float, c_full: float, c_threshold: float) -> SweepR
     for name, metric in (("f", f), ("d", d)):
         if not _METRIC_FLOOR <= metric <= 1.0:
             raise NumericalError(f"metric {name} out of [0, 1]: {metric!r}")
+    f, d = max(f, 0.0), max(d, 0.0)
     return SweepRow(value, c_se, c_full, c_threshold, f, d, f)
 
 
@@ -75,7 +76,7 @@ def _rows(params: SystemParams, field: str, values) -> List[SweepRow]:
     disagreement anywhere is reported before a failed check at an earlier
     point, and failed checks in point order.
     """
-    fixed = asdict(params)
+    fixed = params._asdict()
     payoffs = [
         (value, *_fixed_payoffs(*{**fixed, field: value}.values())[:3])
         for value in map(float, values)
@@ -125,8 +126,9 @@ def sweep(
         raise ParameterError(f"steps must be >= 2, got {steps}")
     field = _SWEEP_FIELDS[variable]
     # Every field's domain is bounded below and lo is the smallest grid
-    # value, so validating it validates the whole grid.
-    replace(params, **{field: float(lo)})
+    # value, so validating it validates the whole grid. Built through the
+    # class: ``_replace`` would skip the validation.
+    SystemParams(**{**params._asdict(), field: float(lo)})
     grid = linspace(lo, hi, int(steps))
     knee = _knee_value(params, variable)
     if knee is not None and lo < knee < hi:

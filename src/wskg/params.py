@@ -2,13 +2,16 @@
 
 All power and variance quantities are linear (never dB). Every type here is
 immutable after construction, so values can be shared freely across workers.
+
+The records are named tuples: they iterate in field order and have
+``_asdict``. The validating ones check their fields in ``__new__``, which
+``_make`` and ``_replace`` skip, so build them through the class.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
-from typing import Optional, Tuple
+from typing import NamedTuple, Optional, Tuple
 
 from .errors import NumericalError, ParameterError
 
@@ -23,8 +26,19 @@ def _require_real(name: str, value: object) -> float:
     return float(value)
 
 
-@dataclass(frozen=True)
-class SystemParams:
+# A NamedTuple class may not define ``__new__``, so each validating record
+# subclasses a tuple of its fields; the base's ``__new__`` binds the
+# arguments, positional or keyword, before the subclass checks them.
+class _SystemParams(NamedTuple):
+    n_subcarriers: int
+    max_pilot_power: float
+    jam_power_budget: float
+    sense_threshold: float
+    legit_channel_var: float
+    jam_channel_var: float
+
+
+class SystemParams(_SystemParams):
     """Scalar model parameters of the jammed key-generation channel.
 
     n_subcarriers: number of parallel fading blocks probed per round.
@@ -35,51 +49,51 @@ class SystemParams:
     jam_channel_var: variance scale of the fading gains on the jammer's links.
     """
 
-    n_subcarriers: int
-    max_pilot_power: float
-    jam_power_budget: float
-    sense_threshold: float
-    legit_channel_var: float
-    jam_channel_var: float
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        n = self.n_subcarriers
+    def __new__(cls, *args, **kwargs) -> "SystemParams":
+        n, *raw = super().__new__(cls, *args, **kwargs)
         if isinstance(n, bool) or not isinstance(n, int):
             raise ParameterError(f"n_subcarriers must be an integer, got {n!r}")
         if n < 1:
             raise ParameterError(f"n_subcarriers must be >= 1, got {n}")
-        for name in (field.name for field in fields(self)[1:]):
-            value = _require_real(name, getattr(self, name))
+        values = {}
+        for name, value in zip(cls._fields[1:], raw):
+            value = values[name] = _require_real(name, value)
             if not math.isfinite(value):
                 raise ParameterError(f"{name} must be finite, got {value!r}")
-            object.__setattr__(self, name, value)
         for name in ("max_pilot_power", "jam_power_budget", "sense_threshold"):
-            if getattr(self, name) < 0.0:
-                raise ParameterError(f"{name} must be >= 0, got {getattr(self, name)}")
+            if values[name] < 0.0:
+                raise ParameterError(f"{name} must be >= 0, got {values[name]}")
         for name in ("legit_channel_var", "jam_channel_var"):
-            if getattr(self, name) <= 0.0:
-                raise ParameterError(f"{name} must be > 0, got {getattr(self, name)}")
+            if values[name] <= 0.0:
+                raise ParameterError(f"{name} must be > 0, got {values[name]}")
+        return super().__new__(cls, n, *values.values())
 
 
-@dataclass(frozen=True)
-class PowerAllocation:
+class _PowerAllocation(NamedTuple):
+    gamma: Tuple[float, ...]
+    budget: float
+
+
+class PowerAllocation(_PowerAllocation):
     """Per-subcarrier jamming powers under an average-power budget.
 
     The sum constraint ``sum(gamma) <= len(gamma) * budget`` is enforced at
     construction with a small relative slack (:data:`ALLOCATION_SUM_RTOL`).
     """
 
-    gamma: Tuple[float, ...]
-    budget: float
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
+    def __new__(cls, *args, **kwargs) -> "PowerAllocation":
+        gamma, budget = super().__new__(cls, *args, **kwargs)
         try:
-            gamma = tuple(float(g) for g in self.gamma)
+            gamma = tuple(float(g) for g in gamma)
         except (TypeError, ValueError) as exc:
             raise ParameterError(f"allocation entries must be real numbers: {exc}")
         if not gamma:
             raise ParameterError("allocation must cover at least one subcarrier")
-        budget = _require_real("budget", self.budget)
+        budget = _require_real("budget", budget)
         if not math.isfinite(budget) or budget < 0.0:
             raise ParameterError(f"budget must be finite and >= 0, got {budget}")
         for g in gamma:
@@ -93,8 +107,7 @@ class PowerAllocation:
             raise ParameterError(
                 f"allocation sum {mean * len(gamma)} exceeds budget {len(gamma)} * {budget}"
             )
-        object.__setattr__(self, "gamma", gamma)
-        object.__setattr__(self, "budget", budget)
+        return super().__new__(cls, gamma, budget)
 
     @classmethod
     def uniform(cls, params: SystemParams) -> "PowerAllocation":
@@ -110,8 +123,7 @@ class PowerAllocation:
         return cls((0.0,) * params.n_subcarriers, params.jam_power_budget)
 
 
-@dataclass(frozen=True)
-class Profile:
+class Profile(NamedTuple):
     """One strategy profile: the leader's pilot power, the jammer's
     allocation, and its sensing threshold when that threshold is itself part
     of the jammer's strategy."""
@@ -121,8 +133,14 @@ class Profile:
     threshold: Optional[float] = None
 
 
-@dataclass(frozen=True)
-class EquilibriumResult:
+class _EquilibriumResult(NamedTuple):
+    profiles: Tuple[Profile, ...]
+    payoff: float
+    unique: bool
+    boundary_case: bool
+
+
+class EquilibriumResult(_EquilibriumResult):
     """Stackelberg solution: one or more strategy profiles sharing a payoff.
 
     ``payoff`` is the sum rate over all subcarriers, in bits per
@@ -130,11 +148,10 @@ class EquilibriumResult:
     where the leader budget equals the critical power and two profiles tie.
     """
 
-    profiles: Tuple[Profile, ...]
-    payoff: float
-    unique: bool
-    boundary_case: bool
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not math.isfinite(self.payoff):
-            raise NumericalError(f"equilibrium payoff is not finite: {self.payoff!r}")
+    def __new__(cls, *args, **kwargs) -> "EquilibriumResult":
+        result = super().__new__(cls, *args, **kwargs)
+        if not math.isfinite(result.payoff):
+            raise NumericalError(f"equilibrium payoff is not finite: {result.payoff!r}")
+        return result

@@ -10,12 +10,13 @@ and reducing the injection to plain uncorrelated jamming.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
-from .errors import ParameterError
+from .errors import NumericalError, ParameterError
 from .injection import ChunkBuffers, TwoLookBatch, chunked_grams, mi_from_gram
 from .params import SystemParams
 from .stochastic import (
@@ -30,6 +31,7 @@ from .stochastic import (
 )
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def randomize_trials(
     params: SystemParams, n_trials: int, seed: RngSeed, buffers: Optional[ChunkBuffers] = None
 ) -> TwoLookBatch:
@@ -39,7 +41,8 @@ def randomize_trials(
     gain H ~ CN(0, legit_channel_var), an injected value
     W ~ CN(0, jam_channel_var * jam_power_budget), and unit-variance noises.
     Returns Z~_a = XYH + XW + X N_a and Z~_b = XYH + YW + Y N_b, as views into
-    ``buffers`` when given.
+    ``buffers`` when given. Overflow is silent here: callers reject the
+    non-finite moments it leads to.
     """
     if n_trials < 1:
         raise ParameterError(f"n_trials must be >= 1, got {n_trials}")
@@ -99,6 +102,16 @@ def verify_randomization(
     s2 = params.legit_channel_var
     if power <= 0.0:
         raise ParameterError("max_pilot_power must be > 0 to verify the defense")
+    product_var, source_var = power * s2 / 4.0, power * power * s2 / 2.0
+    # The QPSK points and h are drawn with scales sqrt(p_max / 2) and
+    # sqrt(sigma2 / 2), and the samples are tested against the two laws'
+    # variances. If any of these is not a normal float, a draw or a sample
+    # overflows or loses the bits the test resolves (every h is 0 once
+    # sigma2 / 2 underflows): a numerical failure, not a rejection.
+    for name, value in (("p_max / 2", power / 2.0), ("sigma2 / 2", s2 / 2.0),
+                        ("product variance", product_var), ("source variance", source_var)):
+        if not sys.float_info.min <= value <= sys.float_info.max:
+            raise NumericalError(f"{name} is not a normal float: {value!r}")
     # The draws of _qpsk and _complex_normal, streamed: only the pilot
     # indices and the two tested arrays are held whole. h's real parts are
     # drawn whole into ``product``, its imaginary parts one block at a time.
@@ -122,10 +135,11 @@ def verify_randomization(
         source_real[s] = (x * y * hs).real
         product[s] = x.real * hs.real
     del x_index, y_index
-    ks_product = ks_test_normal(product, power * s2 / 4.0, overwrite_input=True)
+    ks_product = ks_test_normal(product, product_var, overwrite_input=True)
     del product
-    source_real_var = float(np.var(source_real))  # before the sort: the sum order sets its bits
-    ks_source = ks_test_normal(source_real, power * power * s2 / 2.0, overwrite_input=True)
+    with np.errstate(over="ignore"):  # an overflowed variance is returned as inf
+        source_real_var = float(np.var(source_real))  # before the sort: the sum order sets its bits
+    ks_source = ks_test_normal(source_real, source_var, overwrite_input=True)
     return RandomizationReport(
         ks_product=ks_product, ks_source=ks_source, source_real_var=source_real_var
     )

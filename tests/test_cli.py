@@ -360,14 +360,17 @@ _MODULE_PROBE = """
 import contextlib, io, json, sys
 import wskg
 
-bare = sorted(name for name in sys.modules if name.startswith("wskg."))
+watched = ("click", "numpy", "numpy.ma", "numpy.random", "concurrent.futures",
+           "dataclasses", "inspect")
+bare = sorted(name for name in sys.modules if name.startswith("wskg.") or name in watched)
 from wskg.cli import main
 
+cli = sorted(name for name in sys.modules if name in watched)
 with contextlib.redirect_stdout(io.StringIO()):
     code = main(sys.argv[1:])
-watched = ("click", "numpy", "numpy.ma", "numpy.random", "concurrent.futures")
 print(json.dumps({
     "bare": bare,
+    "cli": cli,
     "code": code,
     "loaded": sorted(name for name in sys.modules if name.startswith("wskg.") or name in watched),
     "cpus": wskg.injection.usable_cpus() if "wskg.injection" in sys.modules else None,
@@ -375,7 +378,7 @@ print(json.dumps({
 """
 
 _CORE = ["wskg.cli", "wskg.errors", "wskg.params"]
-_SEEDED = ["numpy", "numpy.random", "wskg.stochastic"]
+_SEEDED = ["dataclasses", "inspect", "numpy", "numpy.random", "wskg.stochastic"]
 _GAME = ["wskg.game", "wskg.rates"]
 
 #: Per command: an argv, and the wskg modules and watched packages it loads.
@@ -404,14 +407,16 @@ _LOADS = {
 
 def test_each_command_loads_only_the_modules_it_runs():
     """Each command in a fresh interpreter: ``import wskg`` loads no
-    submodule, and the command loads only the modules it runs. The
-    closed-form commands do not load numpy."""
+    submodule, ``import wskg.cli`` loads none of the watched packages, and
+    the command loads only the modules it runs. The closed-form commands
+    load none of numpy, dataclasses and inspect."""
     assert set(_LOADS) == set(EXPECTED_FLAGS)
     for command, (argv, loaded) in _LOADS.items():
         proc = run_fresh(_MODULE_PROBE, *argv)
         assert proc.returncode == 0, proc.stderr
         probe = json.loads(proc.stdout)
         assert set(probe["bare"]) <= {"wskg.errors"}
+        assert probe["cli"] == []
         assert probe["code"] == 0, command
         # With one usable CPU the chunks run on the calling thread, without a pool.
         pool = ["concurrent.futures"] if "--workers" in argv and probe["cpus"] > 1 else []
@@ -500,6 +505,29 @@ def test_non_finite_result_exits_2(capsys, monkeypatch):
     assert code == 2
     assert out == ""
     assert "non-finite" in err
+
+
+#: Valid flags whose Monte Carlo run overflows or underflows, and the one
+#: line each prints.
+_NUMERICAL_FAILURES = [
+    (["verify-randomization", "--n", "1", "--p-max", "1e200", "--p-th", "1", "--sigma2", "1e308",
+      "--seed", "-5", "--trials", "10000"], "product variance is not a normal float: inf"),
+    # Every h underflows to 0: not a rejection by the KS test (exit 3).
+    (["verify-randomization", "--gamma", "1e20", "--p-th", "1e-12", "--sigma2", "5e-324",
+      "--seed", "1", "--trials", "10000"], "sigma2 / 2 is not a normal float: 0.0"),
+    (["leakage", "--p-max", "1e308", "--sigmaj2", "1e6", "--seed", "1", "--trials", "10000"],
+     "moment matrix is not finite"),
+    (["simulate-injection", "--p-max", "1e200", "--sigma2", "1e200", "--seed", "1", "--trials", "10000"],
+     "non-finite value at result.observation_variance: nan"),
+]
+
+
+@pytest.mark.parametrize("argv, message", _NUMERICAL_FAILURES)
+def test_monte_carlo_overflow_exits_2_without_warnings(argv, message):
+    proc = run_fresh(_MAIN, *argv)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr == f"numerical failure: {message}\n"
 
 
 def test_leakage_too_few_trials_exits_1(capsys):

@@ -1,5 +1,3 @@
-import dataclasses
-
 import numpy as np
 import pytest
 
@@ -88,7 +86,8 @@ def test_strategic_gain_is_full_power_loss():
         assert strategic_threshold_gain(params) == f
         c_se = stackelberg_fixed(params).payoff
         for delta in (0.1, 0.5, 0.9):
-            assert (c_se - stackelberg_strategic(params, delta).payoff) / c_se == f
+            # Round-off below 0 at the knee is emitted as 0 in the row.
+            assert max((c_se - stackelberg_strategic(params, delta).payoff) / c_se, 0.0) == f
 
 
 @pytest.mark.parametrize("variable", ["p_max", "gamma", "sigma2", "p_th"])
@@ -97,7 +96,7 @@ def test_sweep_rows_match_pointwise_sum_rates(ref_params, variable):
              "sigma2": "legit_channel_var", "p_th": "sense_threshold"}[variable]
     rows = sweep(ref_params, variable, 0.1, 8.0, 40)
     for row in rows:
-        point = dataclasses.replace(ref_params, **{field: row.swept_value})
+        point = SystemParams(**{**ref_params._asdict(), field: row.swept_value})
         p_max = point.max_pilot_power
         assert row.c_full == sum_rate(p_max, PowerAllocation.uniform(point), point)
         deviation = min(point.sense_threshold, p_max)
@@ -167,6 +166,25 @@ def test_exactly_one_deviation_loss_vanishes_off_knee():
         f, d = row.f, row.d
         assert (f <= 1e-12) != (d <= 1e-12)
         checked += 1
+
+
+def test_knee_round_off_is_emitted_as_zero(capsys):
+    # At the injected knee the two tied payoffs differ in their last bit, so
+    # (c_se - c_full) / c_se is -1.54e-16: inside the metric floor, emitted as 0.
+    params = SystemParams(7, 19.22, 1.48, 1.08, 0.92, 3.22)
+    knee = sweep(params, "p_max", 0.1, 20.0, 2)[1]
+    assert knee.swept_value == critical_power(params)
+    assert -1e-15 < (knee.c_se - knee.c_full) / knee.c_se < 0.0
+    assert (knee.f, knee.d, knee.e) == (0.0, 0.0, 0.0)
+    code = main([
+        "sweep", "--n", "7", "--p-max", "19.22", "--gamma", "1.48", "--p-th", "1.08",
+        "--sigma2", "0.92", "--sigmaj2", "3.22", "--variable", "p_max", "--lo", "0.1",
+        "--hi", "20", "--steps", "2", "--format", "csv",
+    ])
+    assert code == 0
+    assert capsys.readouterr().out.splitlines()[2] == (
+        "6.226848,2.88370679991,2.88370679991,2.88370679991,0,0,0"
+    )
 
 
 def test_sweep_over_leader_budget_shows_knee(ref_params):

@@ -1,14 +1,17 @@
-import dataclasses
 import math
 
 import pytest
 
 from wskg import (
     ALLOCATION_SUM_RTOL,
+    EquilibriumResult,
+    NumericalError,
     ParameterError,
     PowerAllocation,
     SystemParams,
+    sweep,
 )
+from wskg.params import Profile
 
 
 def make(**overrides):
@@ -71,8 +74,74 @@ def test_bool_values_rejected():
 
 
 def test_params_are_immutable(ref_params):
-    with pytest.raises(dataclasses.FrozenInstanceError):
+    with pytest.raises(AttributeError):
         ref_params.max_pilot_power = 1.0
+
+
+#: Each validating record's fields at a valid point.
+_VALID = {
+    SystemParams: {"n_subcarriers": 10, "max_pilot_power": 5.0, "jam_power_budget": 4.0,
+                   "sense_threshold": 2.0, "legit_channel_var": 1.0, "jam_channel_var": 1.0},
+    PowerAllocation: {"gamma": (4.0,) * 10, "budget": 4.0},
+    EquilibriumResult: {"profiles": (), "payoff": 1.0, "unique": True, "boundary_case": False},
+}
+
+#: (record, field, bad value, error, message).
+_BAD_FIELDS = [
+    (SystemParams, "n_subcarriers", 0, ParameterError, "n_subcarriers must be >= 1, got 0"),
+    (SystemParams, "n_subcarriers", True, ParameterError, "n_subcarriers must be an integer, got True"),
+    (SystemParams, "max_pilot_power", -1.0, ParameterError, "max_pilot_power must be >= 0, got -1.0"),
+    (SystemParams, "jam_power_budget", math.nan, ParameterError, "jam_power_budget must be finite, got nan"),
+    (SystemParams, "sense_threshold", "2", ParameterError, "sense_threshold must be a real number, got '2'"),
+    (SystemParams, "legit_channel_var", 0.0, ParameterError, "legit_channel_var must be > 0, got 0.0"),
+    (SystemParams, "jam_channel_var", -math.inf, ParameterError, "jam_channel_var must be finite, got -inf"),
+    (PowerAllocation, "gamma", (), ParameterError, "allocation must cover at least one subcarrier"),
+    (PowerAllocation, "gamma", (4.0,) * 9 + (-0.1,), ParameterError, "allocation entries must be >= 0, got -0.1"),
+    (PowerAllocation, "budget", 3.0, ParameterError, "allocation sum 40.0 exceeds budget 10 * 3.0"),
+    (EquilibriumResult, "payoff", math.inf, NumericalError, "equilibrium payoff is not finite: inf"),
+]
+
+
+@pytest.mark.parametrize("record, field, value, error, message", _BAD_FIELDS)
+def test_records_validate_positional_and_keyword_construction(record, field, value, error, message):
+    values = {**_VALID[record], field: value}
+    for build in (lambda: record(*values.values()), lambda: record(**values)):
+        with pytest.raises(error) as caught:
+            build()
+        assert str(caught.value) == message
+
+
+@pytest.mark.parametrize("variable, field, lo", [
+    ("p_max", "max_pilot_power", -1.0),
+    ("gamma", "jam_power_budget", -1e-300),
+    ("p_th", "sense_threshold", -2.0),
+    ("sigma2", "legit_channel_var", 0.0),
+])
+def test_sweep_validates_its_lowest_point_through_the_class(ref_params, variable, field, lo):
+    with pytest.raises(ParameterError) as direct:
+        SystemParams(**{**ref_params._asdict(), field: lo})
+    with pytest.raises(ParameterError) as swept:
+        sweep(ref_params, variable, lo, 8.0, 5)
+    assert str(swept.value) == str(direct.value)
+
+
+def test_records_coerce_to_float():
+    params = SystemParams(3, 5, 4, 2, 1, 1)
+    assert [type(value) for value in params] == [int] + [float] * 5
+    allocation = PowerAllocation([1, 2], 2)
+    assert allocation == ((1.0, 2.0), 2.0)
+    assert type(allocation.gamma) is tuple and type(allocation.budget) is float
+
+
+@pytest.mark.parametrize("record", [*_VALID, Profile])
+def test_record_fields_cannot_be_assigned(record):
+    values = _VALID.get(record, {"pilot_power": 1.0, "allocation": PowerAllocation((1.0,), 1.0)})
+    built = record(**values)
+    for field in record._fields:
+        with pytest.raises(AttributeError):
+            setattr(built, field, getattr(built, field))
+    with pytest.raises(AttributeError):
+        built.extra = 1.0
 
 
 def test_allocation_accepts_budget_tight_vector(ref_params):
