@@ -94,24 +94,20 @@ def _cmd_verify_randomization(params: SystemParams, seed: RngSeed, trials: int) 
 
 
 def _cmd_simulate_injection(params: SystemParams, seed: RngSeed, trials: int, workers: Optional[int]) -> dict:
-    import numpy as np
+    from .injection import CHUNK_TRIALS, chunked_grams, covariance, simulate_two_look
 
-    from .injection import CHUNK_TRIALS, chunked_grams, simulate_two_look
-
-    (stage,) = chunked_grams(params, trials, seed, (simulate_two_look,), workers)
-    moments = stage.total / trials
-    # Overflow is silent here: run rejects a non-finite payload.
-    with np.errstate(over="ignore", invalid="ignore"):
-        cov = moments[1:, 1:] - np.outer(moments[0, 1:], moments[0, 1:])
-        return {
-            "trials": trials,
-            "chunk_trials": CHUNK_TRIALS,
-            "injected_variance": float(cov[0, 0] + cov[1, 1]),
-            "nominal_injected_variance": params.jam_channel_var * params.jam_power_budget,
-            "observation_variance": float(cov[2, 2] + cov[3, 3]),
-            "observation_cross_moment": float(moments[3, 5] + moments[4, 6]),
-            "resampled_draws": stage.resampled,
-        }
+    ((total, resampled),) = chunked_grams(params, trials, seed, (simulate_two_look,), workers)
+    # Python floats, so an overflowing sum is a silent inf that run rejects.
+    cov = covariance(total).tolist()
+    return {
+        "trials": trials,
+        "chunk_trials": CHUNK_TRIALS,
+        "injected_variance": cov[0][0] + cov[1][1],
+        "nominal_injected_variance": params.jam_channel_var * params.jam_power_budget,
+        "observation_variance": cov[2][2] + cov[3][3],
+        "observation_cross_moment": cov[2][4] + cov[3][5],
+        "resampled_draws": resampled,
+    }
 
 
 def _cmd_leakage(params: SystemParams, seed: RngSeed, trials: int, workers: Optional[int]) -> dict:
@@ -120,15 +116,15 @@ def _cmd_leakage(params: SystemParams, seed: RngSeed, trials: int, workers: Opti
 
     # One pool runs both stages; the randomized chunks continue on the
     # substreams after the static ones.
-    static, randomized = chunked_grams(
+    (static, resampled), (randomized, _) = chunked_grams(
         params, trials, seed, (simulate_two_look, randomize_trials), workers
     )
     return {
         "trials": trials,
         "chunk_trials": CHUNK_TRIALS,
-        "resampled_draws": static.resampled,
-        "static_pilot_leakage_bits": mi_from_gram(static.total),
-        "randomized_pilot_leakage_bits": mi_from_gram(randomized.total),
+        "resampled_draws": resampled,
+        "static_pilot_leakage_bits": mi_from_gram(static),
+        "randomized_pilot_leakage_bits": mi_from_gram(randomized),
     }
 
 

@@ -201,16 +201,6 @@ def gram(batch: TwoLookBatch, buffers: Optional[ChunkBuffers] = None) -> np.ndar
     return rows @ rows.T
 
 
-@dataclass(frozen=True)
-class ChunkedGram:
-    """One stage of :func:`chunked_grams`: the :func:`gram` of each chunk in
-    chunk order, their sum, and the channel draws the chunks resampled."""
-
-    chunks: Tuple[np.ndarray, ...]
-    total: np.ndarray
-    resampled: int
-
-
 def usable_cpus() -> int:
     """CPUs this process may run on."""
     try:
@@ -235,8 +225,10 @@ def chunked_grams(
     seed: RngSeed,
     kernels: Sequence[Callable],
     workers: Optional[int] = None,
-) -> List[ChunkedGram]:
-    """Chunked Monte Carlo engine: one :class:`ChunkedGram` per kernel.
+) -> List[Tuple[np.ndarray, int]]:
+    """Chunked Monte Carlo engine: one ``(total, resampled)`` pair per kernel,
+    the sum of its chunks' :func:`gram` matrices and the channel draws they
+    resampled.
 
     Each kernel (:func:`simulate_two_look` or ``randomize_trials``) runs
     ``n_trials`` trials in chunks of ``CHUNK_TRIALS``. Chunk ``i`` of kernel
@@ -275,29 +267,37 @@ def chunked_grams(
 
         with ThreadPoolExecutor(max_workers=threads) as pool:
             results = list(pool.map(run, jobs))
-    stages = []
-    for k in range(len(kernels)):
-        grams, resampled = zip(*results[k * len(counts) : (k + 1) * len(counts)])
-        stages.append(ChunkedGram(chunks=grams, total=sum(grams), resampled=sum(resampled)))
-    return stages
+    stages = [zip(*results[k * len(counts) : (k + 1) * len(counts)]) for k in range(len(kernels))]
+    return [(sum(grams), sum(resampled)) for grams, resampled in stages]
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def covariance(g: np.ndarray) -> np.ndarray:
+    """Sample covariance, divided by ``n - 1``, of the coordinates of a
+    (summed) :func:`gram` matrix of ``n`` trials.
+
+    Subtracting the outer product of the sums from the raw moments is
+    accurate here because every coordinate is zero-mean by construction.
+    Overflow is silent here: callers reject a non-finite covariance.
+    """
+    n_trials = g[0, 0]
+    if n_trials < 2:
+        raise ParameterError(f"a sample covariance needs >= 2 trials, got {int(n_trials)}")
+    sums = g[0, 1:]
+    return (g[1:, 1:] - np.outer(sums, sums) / n_trials) / (n_trials - 1.0)
 
 
 def mi_from_gram(g: np.ndarray) -> float:
-    """Gaussian MI estimate, in bits, between the injected value and both looks.
-
-    Takes a (summed) :func:`gram` matrix. Subtracting the outer product of the
-    sums from the raw moments is accurate here because every coordinate is
-    zero-mean by construction.
-    """
+    """Gaussian MI estimate, in bits, between the injected value and both
+    looks, from the :func:`covariance` of a (summed) :func:`gram` matrix."""
     n_trials = g[0, 0]
     if n_trials < 10_000:
         raise ParameterError(
             f"n_trials must be >= 10000 for covariance estimation, got {int(n_trials)}"
         )
-    if not np.isfinite(g).all():
+    cov = covariance(g)
+    if not np.isfinite(cov).all():
         raise NumericalError("moment matrix is not finite")
-    sums = g[0, 1:]
-    cov = (g[1:, 1:] - np.outer(sums, sums) / n_trials) / (n_trials - 1.0)
     return gaussian_mi_from_cov(cov, target_dim=2)
 
 
@@ -308,5 +308,5 @@ def leakage_bound(params: SystemParams, n_trials: int, seed: RngSeed) -> float:
     over stacked real coordinates, with :func:`chunked_grams`, and evaluates
     the jointly-Gaussian mutual information closed form.
     """
-    (static,) = chunked_grams(params, n_trials, seed, (simulate_two_look,))
-    return mi_from_gram(static.total)
+    ((total, _),) = chunked_grams(params, n_trials, seed, (simulate_two_look,))
+    return mi_from_gram(total)

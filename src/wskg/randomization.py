@@ -153,5 +153,5 @@ def leakage_after_randomization(params: SystemParams, n_trials: int, seed: RngSe
     Runs on :func:`~wskg.injection.chunked_grams`, as the ``leakage``
     command's randomized stage does.
     """
-    (randomized,) = chunked_grams(params, n_trials, seed, (randomize_trials,))
-    return mi_from_gram(randomized.total)
+    ((total, _),) = chunked_grams(params, n_trials, seed, (randomize_trials,))
+    return mi_from_gram(total)

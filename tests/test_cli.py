@@ -9,6 +9,7 @@ import sys
 import tracemalloc
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import wskg
@@ -219,6 +220,27 @@ def test_workers_sharding_is_deterministic(capsys):
         assert payload["resampled_draws"] == 0
 
 
+def test_simulate_injection_reads_the_sample_covariance(capsys):
+    code, out, _ = run_cli(
+        capsys, "simulate-injection", "--p-max", "2", "--trials", "150000", "--seed", "5",
+    )
+    assert code == 0
+    payload = json.loads(out)
+    # Reference: np.cov (divisor n - 1) of the coordinates of the three
+    # chunks, the last one ragged, each on its own substream.
+    params = wskg.SystemParams(10, 2.0, 4.0, 2.0, 1.0, 1.0)
+    counts = (CHUNK_TRIALS, CHUNK_TRIALS, 150_000 - 2 * CHUNK_TRIALS)
+    batches = [wskg.simulate_two_look(params, n, wskg.RngSeed(5, i)) for i, n in enumerate(counts)]
+    rows = []
+    for name in ("injected", "z_a", "z_b"):
+        values = np.concatenate([getattr(batch, name) for batch in batches])
+        rows += [values.real, values.imag]
+    cov = np.cov(np.vstack(rows), ddof=1)
+    assert payload["injected_variance"] == pytest.approx(cov[0, 0] + cov[1, 1], rel=1e-9)
+    assert payload["observation_variance"] == pytest.approx(cov[2, 2] + cov[3, 3], rel=1e-9)
+    assert payload["observation_cross_moment"] == pytest.approx(cov[2, 4] + cov[3, 5], rel=1e-9)
+
+
 def test_leakage_command_runs_the_library_estimators(capsys):
     # Above CHUNK_TRIALS the library functions chunk as the command does.
     code, out, _ = run_cli(capsys, "leakage", "--p-max", "2", "--trials", "150000", "--seed", "5")
@@ -292,7 +314,7 @@ _NOT_FINITE = "numerical failure: moment matrix is not finite\n"
         (("leakage", "--seed", "1", "--sigma2", "1e308"), 2, _NOT_FINITE, {}),
         (
             ("simulate-injection", "--seed", "1", "--gamma", "1e308"), 2,
-            "numerical failure: non-finite value at result.injected_variance: inf\n", {},
+            "numerical failure: non-finite value at result.injected_variance: nan\n", {},
         ),
     ],
     ids=["jam-budget", "pilot-budget", "oracle-jam-budget", "leakage-jam-budget",
@@ -497,6 +519,14 @@ def test_zero_trials_exits_1(capsys, command):
     assert "trials must be >= 1" in err
 
 
+def test_one_trial_simulate_injection_exits_1(capsys):
+    # One sample has no sample variance: no success with variances of 0.
+    code, out, err = run_cli(capsys, "simulate-injection", "--trials", "1", "--seed", "1")
+    assert code == 1
+    assert out == ""
+    assert err == "error: a sample covariance needs >= 2 trials, got 1\n"
+
+
 def test_non_finite_result_exits_2(capsys, monkeypatch):
     monkeypatch.setattr("wskg.injection.mi_from_gram", lambda g: float("nan"))
     code, out, err = run_cli(
@@ -519,6 +549,9 @@ _NUMERICAL_FAILURES = [
      "moment matrix is not finite"),
     (["simulate-injection", "--p-max", "1e200", "--sigma2", "1e200", "--seed", "1", "--trials", "10000"],
      "non-finite value at result.observation_variance: nan"),
+    # Finite moments whose sums' outer product overflows.
+    (["leakage", "--sigma2", "1e303", "--seed", "2", "--trials", "10000"],
+     "moment matrix is not finite"),
 ]
 
 

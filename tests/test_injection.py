@@ -15,6 +15,7 @@ from wskg import (
     randomize_trials,
     simulate_two_look,
 )
+from wskg.injection import covariance
 
 SEED = RngSeed(77001)
 
@@ -152,7 +153,9 @@ def test_gram_of_chunks_sums_to_the_mean_centred_covariance(simulate):
 
     # Reference: np.cov of the concatenated real coordinates.
     rows = np.vstack(coordinates("injected") + coordinates("z_a") + coordinates("z_b"))
-    expected = gaussian_mi_from_cov(np.cov(rows), target_dim=2)
+    reference = np.cov(rows)
+    np.testing.assert_allclose(covariance(total), reference, rtol=1e-9, atol=0)
+    expected = gaussian_mi_from_cov(reference, target_dim=2)
     assert mi_from_gram(total) == pytest.approx(expected, rel=1e-9, abs=1e-12)
 
 

@@ -1,4 +1,5 @@
 import math
+from statistics import NormalDist
 
 import numpy as np
 import pytest
@@ -61,12 +62,19 @@ def test_qpsk_constellation_exact_power():
         sample_qpsk_pilot(-2.0, 10, SEED)
 
 
+#: Family-wise false-rejection level of ``test_qpsk_points_equiprobable``'s
+#: four per-point checks, each run at a quarter of it (Bonferroni).
+QPSK_FAMILY_LEVEL = 0.001
+
+
 def test_qpsk_points_equiprobable():
-    n = 400_000
+    n, p = 400_000, 0.25
+    z = NormalDist().inv_cdf(1.0 - QPSK_FAMILY_LEVEL / 4 / 2)  # two-sided, about 3.66
+    bound = z * math.sqrt(p * (1.0 - p) / n)
     x = sample_qpsk_pilot(2.0, n, SEED.with_stream(7))
     for point in (1 + 1j, 1 - 1j, -1 + 1j, -1 - 1j):
         freq = np.mean(x == point)
-        assert abs(freq - 0.25) <= 0.005 * 0.25
+        assert abs(freq - p) <= bound
 
 
 def test_independent_pilots_have_zero_cross_moment():
