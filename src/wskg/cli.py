@@ -164,7 +164,7 @@ def _cmd_sweep(params: SystemParams, variable: str, lo: float, hi: float, steps:
         "lo": lo,
         "hi": hi,
         "steps": steps,
-        "rows": [row._asdict() for row in rows],
+        "rows": rows,
     }
 
 
@@ -187,7 +187,8 @@ _COMMON_OPTIONS = (
 
 _RNG_OPTIONS = (
     ("--seed", dict(type=int, required=True, help="RNG seed.")),
-    ("--stream", dict(type=int, default=0, help="RNG substream id.")),
+    ("--stream", dict(type=int, default=0, help="RNG substream id. The chunked commands draw chunk i from substream stream + i, so "
+                      "independent replicates need different seeds, or streams as far apart as a run's substreams.")),
     ("--trials", dict(type=int, default=100_000, help="Monte Carlo trials / oracle samples.")),
 )
 
@@ -224,6 +225,9 @@ def _ensure_finite(value, path="result") -> None:
     if isinstance(value, float):
         if not math.isfinite(value):
             raise NumericalError(f"non-finite value at {path}: {value!r}")
+    elif hasattr(value, "_fields"):  # a sweep row: all floats, walked only to name a failure
+        if not all(map(math.isfinite, value)):
+            _ensure_finite(value._asdict(), path)
     elif isinstance(value, dict):
         for key, item in value.items():
             _ensure_finite(item, f"{path}.{key}")
@@ -232,14 +236,11 @@ def _ensure_finite(value, path="result") -> None:
             _ensure_finite(item, f"{path}[{i}]")
 
 
-def _csv_text(rows: List[dict]) -> str:
-    from .metrics import CSV_HEADER
+def _csv_text(rows: List[tuple]) -> str:
+    from .metrics import CSV_HEADER, SweepRow
 
-    columns = CSV_HEADER.split(",")
-    lines = [CSV_HEADER]
-    for row in rows:
-        lines.append(",".join(format(row[name], ".12g") for name in columns))
-    return "\n".join(lines) + "\n"
+    template = ",".join(["%.12g"] * len(SweepRow._fields))
+    return "\n".join([CSV_HEADER, *(template % row for row in rows)]) + "\n"
 
 
 def run(command: str, output_path: Optional[str] = None, format: str = "json", **options) -> int:
@@ -268,6 +269,8 @@ def run(command: str, output_path: Optional[str] = None, format: str = "json", *
     else:
         import json
 
+        if "rows" in payload:
+            payload["rows"] = [row._asdict() for row in payload["rows"]]
         text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
     if output_path:
         try:

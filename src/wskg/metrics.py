@@ -76,11 +76,11 @@ def _rows(params: SystemParams, field: str, values) -> List[SweepRow]:
     disagreement anywhere is reported before a failed check at an earlier
     point, and failed checks in point order.
     """
-    fixed = params._asdict()
-    payoffs = [
-        (value, *_fixed_payoffs(*{**fixed, field: value}.values())[:3])
-        for value in map(float, values)
-    ]
+    args, slot = list(params), SystemParams._fields.index(field)
+    payoffs = []
+    for value in map(float, values):
+        args[slot] = value
+        payoffs.append((value, *_fixed_payoffs(*args)[:3]))
     return [_row(*payoff) for payoff in payoffs]
 
 

@@ -70,20 +70,29 @@ def _pairwise_sum(values: Sequence[float]) -> float:
 
 
 def _repeated_sum(value: float, n: int) -> float:
-    """``_pairwise_sum([value] * n)`` in O(log n) additions: the sum of a
-    block of equal values depends only on its length, and the halving
-    makes few distinct lengths."""
-    sums = {}
+    """``_pairwise_sum([value] * n)`` without the list: up to 128 values,
+    numpy's eight accumulators all hold the same ``n // 8``-term sum. Above,
+    a block's sum depends only on its length and each halving level has at
+    most three distinct lengths, so each is summed once, in O(log n) adds."""
+    if n > 128:
+        sums = {}
 
-    def block(m: int) -> float:
-        if m not in sums:
-            if m <= 128:
-                sums[m] = _pairwise_sum([value] * m)
-            else:
-                sums[m] = block(_half(m)) + block(m - _half(m))
-        return sums[m]
+        def block(m: int) -> float:
+            if m not in sums:
+                half = _half(m)
+                sums[m] = _repeated_sum(value, m) if m <= 128 else block(half) + block(m - half)
+            return sums[m]
 
-    return block(n)
+        return block(n)
+    total, tail = 0.0, n
+    if n >= 8:
+        r = value
+        for _ in range(n // 8 - 1):
+            r += value
+        total, tail = ((r + r) + (r + r)) + ((r + r) + (r + r)), n % 8
+    for _ in range(tail):
+        total += value
+    return total
 
 
 def rate_array(p, gamma, sigma2: float, sigmaj2: float) -> np.ndarray:

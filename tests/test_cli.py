@@ -537,6 +537,19 @@ def test_non_finite_result_exits_2(capsys, monkeypatch):
     assert "non-finite" in err
 
 
+def test_non_finite_sweep_row_names_its_field(capsys, monkeypatch):
+    from wskg.metrics import SweepRow
+
+    rows = [SweepRow(1.0, 2.0, 1.0, 2.0, 0.5, 0.0, 0.5), SweepRow(2.0, 2.0, 1.0, math.inf, 0.5, 0.0, 0.5)]
+    monkeypatch.setattr("wskg.metrics.sweep", lambda *args: rows)
+    for fmt in ("csv", "json"):
+        code, out, err = run_cli(
+            capsys, "sweep", "--variable", "p_max", "--lo", "1", "--hi", "2", "--steps", "2", "--format", fmt
+        )
+        assert (code, out) == (2, "")
+        assert err == "numerical failure: non-finite value at result.rows[1].c_threshold: inf\n"
+
+
 #: Valid flags whose Monte Carlo run overflows or underflows, and the one
 #: line each prints.
 _NUMERICAL_FAILURES = [

@@ -125,6 +125,20 @@ def test_pairwise_sum_matches_np_sum_bits():
         assert rates._repeated_sum(value, n).hex() == expected, n
 
 
+@pytest.mark.parametrize(
+    "value", [0.0, -0.0, 5e-324, 1e-310, 1 / 3, 1e308, 1.7e308, math.inf, -math.inf, math.nan]
+)
+def test_repeated_sum_matches_pairwise_sum_bits(value):
+    # Signed zeros, subnormals, overflow (1.7e308 doubles to inf) and
+    # non-finite values, through all three of numpy's summation regimes.
+    for n in [*range(1, 301), 1000, 4097, 65_536, 10**6]:
+        got, expected = rates._repeated_sum(value, n), rates._pairwise_sum([value] * n)
+        if math.isnan(expected):
+            assert math.isnan(got), n
+        else:
+            assert got.hex() == expected.hex(), n
+
+
 @settings(max_examples=500, deadline=None)
 @given(
     p=st.floats(0.0, 1e100),

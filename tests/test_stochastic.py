@@ -26,23 +26,41 @@ def test_same_seed_is_bit_identical():
     assert np.array_equal(qa, qb)
 
 
+#: Family-wise false-rejection level of each sampler test below; a test
+#: with k checks runs each at level / k (Bonferroni).
+SAMPLER_FAMILY_LEVEL = 0.001
+
+
+def _two_sided_z(checks: int) -> float:
+    """z of a two-sided normal check at ``SAMPLER_FAMILY_LEVEL / checks``."""
+    return NormalDist().inv_cdf(1.0 - SAMPLER_FAMILY_LEVEL / checks / 2)
+
+
 def test_distinct_streams_are_uncorrelated():
     n = 1_000_000
     a = sample_complex_gaussian(1.0, n, SEED.with_stream(0)).real
     b = sample_complex_gaussian(1.0, n, SEED.with_stream(1)).real
     assert not np.array_equal(a, b)
     corr = np.corrcoef(a, b)[0, 1]
-    assert abs(corr) < 0.005
+    # The sample correlation of independent draws has standard error 1/sqrt(n).
+    assert abs(corr) <= _two_sided_z(1) / math.sqrt(n)  # about 3.29 / 1000
 
 
 def test_complex_gaussian_moments():
-    n = 1_000_000
+    # Four checks. A complex variance v has standard error v / sqrt(n), a
+    # real coordinate's variance s2 one of s2 sqrt(2 / n), and each
+    # coordinate's mean one of sqrt(s2 / n); the modulus of the complex mean
+    # is then Rayleigh in those units, exceeding z with probability
+    # exp(-z^2 / 2).
+    n, checks = 1_000_000, 4
+    z_var = _two_sided_z(checks)  # about 3.66
     z = sample_complex_gaussian(1.0, n, SEED)
-    assert np.var(z) == pytest.approx(1.0, rel=0.01)
+    assert abs(np.var(z) - 1.0) <= z_var * 1.0 / math.sqrt(n)
     z4 = sample_complex_gaussian(4.0, n, SEED.with_stream(3))
-    assert np.var(z4.real) == pytest.approx(2.0, rel=0.01)
-    assert np.var(z4.imag) == pytest.approx(2.0, rel=0.01)
-    assert abs(np.mean(z4)) < 0.01
+    for coordinate in (z4.real, z4.imag):
+        assert abs(np.var(coordinate) - 2.0) <= z_var * 2.0 * math.sqrt(2.0 / n)
+    z_mean = math.sqrt(2.0 * math.log(checks / SAMPLER_FAMILY_LEVEL))  # about 4.07
+    assert abs(np.mean(z4)) <= z_mean * math.sqrt(2.0 / n)
 
 
 def test_complex_gaussian_rejects_bad_variance():
