@@ -25,12 +25,13 @@ _EXPORTS = {
         "injection": ("coincidence_precoder", "gram", "leakage_bound", "mi_from_gram",
                       "simulate_two_look"),
         "metrics": ("strategic_threshold_gain", "sweep"),
-        "params": ("ALLOCATION_SUM_RTOL", "EquilibriumResult", "PowerAllocation", "SystemParams"),
+        "params": ("ALLOCATION_SUM_RTOL", "EquilibriumResult", "PowerAllocation", "RngSeed",
+                   "SystemParams"),
         "randomization": ("leakage_after_randomization", "randomize_trials",
                           "verify_randomization"),
         "rates": ("rate_array", "sum_rate"),
-        "stochastic": ("RngSeed", "gaussian_mi_from_cov", "ks_test_normal",
-                       "sample_complex_gaussian", "sample_qpsk_pilot"),
+        "stochastic": ("gaussian_mi_from_cov", "ks_test_normal", "sample_complex_gaussian",
+                       "sample_qpsk_pilot"),
     }.items()
     for name in names
 }

@@ -13,24 +13,21 @@ oracles.
 from __future__ import annotations
 
 import math
-from typing import TYPE_CHECKING, List, Tuple
+from typing import List, Tuple
 
 # rates' functions are read through the module at call time, so a wrapper
 # installed over them (perfbench's span tracer) sees game's calls and is gone
 # after its removal, even when game is first imported while it is installed.
 from . import rates
 from .errors import NumericalError, ParameterError
-from .params import EquilibriumResult, PowerAllocation, Profile, SystemParams
-
-if TYPE_CHECKING:
-    from .stochastic import RngSeed
+from .params import EquilibriumResult, PowerAllocation, Profile, RngSeed, SystemParams
 
 #: Relative width of the knife-edge band where the leader budget is treated
 #: as equal to the critical power and both equilibria are reported.
 BOUNDARY_RTOL = 1e-12
 
 #: Simplex sample values :func:`oracle_jammer_br` draws and evaluates at once.
-ORACLE_BLOCK_VALUES = 1 << 16
+ORACLE_BLOCK_VALUES = 1 << 14
 
 #: Evenly spaced leader powers :func:`oracle_stackelberg` searches, before
 #: the exact breakpoints are added.
@@ -198,28 +195,33 @@ def oracle_jammer_br(
 
     n = params.n_subcarriers
     total = n * params.jam_power_budget
+    s2, j2 = params.legit_channel_var, params.jam_channel_var
     rng = seed.generator()
-    rows = max(1, ORACLE_BLOCK_VALUES // n)
+    width = max(1, ORACLE_BLOCK_VALUES // n)
+    # A block is an (n, count) array, one candidate per column, stored
+    # column-major, so a sum over subcarriers is n / 8 + 8 vector adds (with
+    # the bits of numpy's sum along a row) rather than numpy's reduction of
+    # count short rows.
 
     def blocks():
-        yield np.full((1, n), params.jam_power_budget)
-        for start in range(0, n, rows):
-            count = min(rows, n - start)
-            vertices = np.zeros((count, n))
-            vertices[np.arange(count), start + np.arange(count)] = total
+        yield np.full((n, 1), params.jam_power_budget)
+        for start in range(0, n, width):
+            count = min(width, n - start)
+            vertices = np.zeros((n, count))
+            vertices[start + np.arange(count), np.arange(count)] = total
             yield vertices
         # Filled in sequence, the blocks hold the values of one big draw.
-        for start in range(0, samples, rows):
-            spacings = rng.standard_exponential((min(rows, samples - start), n))
-            yield spacings / spacings.sum(axis=1, keepdims=True) * total
+        for start in range(0, samples, width):
+            spacings = rng.standard_exponential((min(width, samples - start), n)).T.copy()
+            yield spacings / rates._pairwise_sum(spacings) * total
 
     best, best_value = None, math.nan
     for block in blocks():
-        values = rates.rate_array(p, block, params.legit_channel_var, params.jam_channel_var).sum(axis=1)
+        values = rates._pairwise_sum(rates.rate_array(p, block, s2, j2))
         i = int(np.argmin(values))
         # np.argmin's order across blocks: a NaN beats every number, a tie keeps the earlier.
         if best is None or (not math.isnan(best_value) and (values[i] < best_value or math.isnan(values[i]))):
-            best, best_value = block[i], float(values[i])
+            best, best_value = block[:, i], float(values[i])
     return PowerAllocation(tuple(best), params.jam_power_budget), best_value
 
 

@@ -18,8 +18,8 @@ from typing import Callable, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .errors import NumericalError, ParameterError
-from .params import SystemParams
-from .stochastic import RngSeed, _complex_normal, gaussian_mi_from_cov
+from .params import RngSeed, SystemParams
+from .stochastic import _complex_normal, gaussian_mi_from_cov
 
 #: Scale of the singularity rejection floor for the precoder denominator.
 #: Equality of the two first-antenna gains has probability zero under the

@@ -11,13 +11,18 @@ The records are named tuples: they iterate in field order and have
 from __future__ import annotations
 
 import math
-from typing import NamedTuple, Optional, Tuple
+from typing import TYPE_CHECKING, NamedTuple, Optional, Tuple
 
 from .errors import NumericalError, ParameterError
+
+if TYPE_CHECKING:
+    import numpy as np
 
 #: Relative slack on the allocation sum constraint, absorbing float accumulation
 #: when budget-tight vectors are assembled in floating point.
 ALLOCATION_SUM_RTOL = 1e-12
+
+_U64 = 1 << 64
 
 
 def _require_real(name: str, value: object) -> float:
@@ -121,6 +126,26 @@ class PowerAllocation(_PowerAllocation):
     def silent(cls, params: SystemParams) -> "PowerAllocation":
         """No jamming power anywhere."""
         return cls((0.0,) * params.n_subcarriers, params.jam_power_budget)
+
+
+class RngSeed(NamedTuple):
+    """Seed plus substream id addressing one stream of a counter-based RNG.
+
+    A named tuple, so it equals the plain tuple ``(seed, stream)``.
+    """
+
+    seed: int
+    stream: int = 0
+
+    def generator(self) -> np.random.Generator:
+        """Fresh generator for this (seed, stream); same pair, same output."""
+        import numpy as np
+
+        key = ((self.stream % _U64) << 64) | (self.seed % _U64)
+        return np.random.Generator(np.random.Philox(key=key))
+
+    def with_stream(self, stream: int) -> "RngSeed":
+        return RngSeed(self.seed, stream)
 
 
 class Profile(NamedTuple):

@@ -18,10 +18,9 @@ import numpy as np
 
 from .errors import NumericalError, ParameterError
 from .injection import ChunkBuffers, TwoLookBatch, chunked_grams, mi_from_gram
-from .params import SystemParams
+from .params import RngSeed, SystemParams
 from .stochastic import (
     KsReport,
-    RngSeed,
     _complex_normal,
     _pilot_indices,
     _qpsk,

@@ -42,31 +42,39 @@ def _half(n: int) -> int:
     return half - half % 8
 
 
-def _pairwise_sum(values: Sequence[float]) -> float:
+def _pairwise_sum(values: Sequence):
     """``np.sum`` of a float64 vector, in its order and so with its bits.
 
     numpy adds fewer than 8 values in sequence, up to 128 values in eight
     interleaved accumulators folded as a tree, and more by summing two
-    halves (the first a multiple of 8 long) and adding the results.
+    halves (the first a multiple of 8 long) and adding the results. Each
+    sum starts from 0.0, which turns only an all -0.0 sum into 0.0.
+
+    ``values`` holds floats, or float64 arrays of one shape, such as the
+    rows of a 2-D array: then each element of the result has the bits of
+    ``.sum(axis=1)`` over the C-contiguous array whose columns they are.
+    The arrays are not changed.
     """
     n = len(values)
-    if n < 8:
-        total = 0.0
-        for value in values:
-            total += value
-        return total
-    if n <= 128:
-        r = list(values[:8])
+    if n > 128:
+        half = _half(n)
+        return _pairwise_sum(values[:half]) + _pairwise_sum(values[half:])
+    total, tail = 0.0, 0
+    if n >= 8:
         tail = n - n % 8
-        for i in range(8, tail, 8):
-            for j in range(8):
-                r[j] += values[i + j]
-        total = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
-        for value in values[tail:]:
-            total += value
-        return total
-    half = _half(n)
-    return _pairwise_sum(values[:half]) + _pairwise_sum(values[half:])
+        if hasattr(values, "shape"):  # an array: its eight accumulators as one slab
+            r = values[:8]
+            for i in range(8, tail, 8):
+                r = r + values[i : i + 8]
+        else:
+            r = list(values[:8])
+            for i in range(8, tail, 8):
+                for j in range(8):
+                    r[j] += values[i + j]
+        total += ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
+    for value in values[tail:]:
+        total += value
+    return total
 
 
 def _repeated_sum(value: float, n: int) -> float:
@@ -89,7 +97,7 @@ def _repeated_sum(value: float, n: int) -> float:
         r = value
         for _ in range(n // 8 - 1):
             r += value
-        total, tail = ((r + r) + (r + r)) + ((r + r) + (r + r)), n % 8
+        total, tail = total + (((r + r) + (r + r)) + ((r + r) + (r + r))), n % 8
     for _ in range(tail):
         total += value
     return total

@@ -14,24 +14,9 @@ from typing import Optional
 import numpy as np
 
 from .errors import NotPositiveSemidefinite, ParameterError
+from .params import RngSeed  # re-exported: its home is params, which loads no numpy
 
 _LN2 = math.log(2.0)
-_U64 = 1 << 64
-
-@dataclass(frozen=True)
-class RngSeed:
-    """Seed plus substream id addressing one stream of a counter-based RNG."""
-
-    seed: int
-    stream: int = 0
-
-    def generator(self) -> np.random.Generator:
-        """Fresh generator for this (seed, stream); same pair, same output."""
-        key = ((self.stream % _U64) << 64) | (self.seed % _U64)
-        return np.random.Generator(np.random.Philox(key=key))
-
-    def with_stream(self, stream: int) -> "RngSeed":
-        return RngSeed(self.seed, stream)
 
 
 def _complex_normal(

@@ -1,6 +1,18 @@
+from statistics import NormalDist
+
 import pytest
 
 from wskg import SystemParams
+
+#: Family-wise false-rejection level of each statistical test of the
+#: samplers and the randomized observations; a test with k checks runs each
+#: at level / k (Bonferroni).
+SAMPLER_FAMILY_LEVEL = 0.001
+
+
+def _two_sided_z(checks: int) -> float:
+    """z of a two-sided normal check at ``SAMPLER_FAMILY_LEVEL / checks``."""
+    return NormalDist().inv_cdf(1.0 - SAMPLER_FAMILY_LEVEL / checks / 2)
 
 
 @pytest.fixture

@@ -13,10 +13,12 @@ import numpy as np
 import pytest
 
 import wskg
-from wskg.cli import build_parser, main
+from wskg.cli import _cmd_oracle_check, build_parser, main
 from wskg.injection import CHUNK_TRIALS
 from wskg.metrics import CSV_HEADER
+from wskg.params import PowerAllocation, RngSeed, SystemParams
 from wskg.randomization import RandomizationReport
+from wskg.rates import sum_rate
 from wskg.stochastic import KsReport
 
 
@@ -192,6 +194,51 @@ def test_oracle_check_accepts(capsys):
     assert payload["accepted"] is True
     assert payload["relative_gap"] <= 1e-6
     assert payload["jensen_dominance"] is True
+
+
+#: ``oracle-check`` artifacts, byte for byte, per argv.
+ORACLE_GOLDENS = {
+    "oracle-check-seed5.json": ["--trials", "100000", "--seed", "5"],
+    "oracle-check-n37.json": ["--n", "37", "--p-max", "1.5", "--trials", "20000", "--seed", "3"],
+}
+
+
+@pytest.mark.parametrize("golden", sorted(ORACLE_GOLDENS))
+def test_oracle_check_prints_its_golden_bytes(capsys, golden):
+    code, out, _ = run_cli(capsys, "oracle-check", *ORACLE_GOLDENS[golden])
+    assert code == 0
+    assert out == (Path(__file__).parent / "golden" / golden).read_text(encoding="utf-8")
+
+
+@pytest.mark.parametrize("p_max", ["1e-6", "5"])
+def test_jensen_check_rejects_a_half_value_oracle(capsys, monkeypatch, p_max):
+    # At --p-max 1e-6 the sum rate is about 6e-13 bits, so only a slack
+    # relative to the value can see an oracle that halves it.
+    def half_value_oracle(p, params, samples, seed):
+        uniform = PowerAllocation.uniform(params)
+        return uniform, sum_rate(p, uniform, params) / 2
+
+    monkeypatch.setattr("wskg.game.oracle_jammer_br", half_value_oracle)
+    code, out, _ = run_cli(capsys, "oracle-check", "--p-max", p_max, "--trials", "10", "--seed", "1")
+    payload = json.loads(out)
+    assert code == 3
+    assert payload["jensen_dominance"] is False
+    assert payload["accepted"] is False
+
+
+def test_jensen_check_accepts_the_real_oracle_over_random_params():
+    rng = np.random.default_rng(2029)
+    for i in range(1000):
+        params = SystemParams(
+            int(rng.integers(1, 65)),
+            float(10.0 ** rng.uniform(-8.0, 6.0)),
+            float(10.0 ** rng.uniform(-6.0, 6.0)),
+            float(10.0 ** rng.uniform(-6.0, 6.0)),
+            float(10.0 ** rng.uniform(-3.0, 3.0)),
+            float(10.0 ** rng.uniform(-3.0, 3.0)),
+        )
+        payload = _cmd_oracle_check(params, RngSeed(i), 50)
+        assert payload["jensen_dominance"] is True, params
 
 
 def test_simulate_injection_reports_model_variance(capsys):
@@ -419,7 +466,10 @@ _LOADS = {
         ["leakage", "--workers", "2", "--trials", "150000", "--seed", "5"],
         _CORE + _SEEDED + ["wskg.injection", "wskg.randomization"],
     ),
-    "oracle-check": (["oracle-check", "--seed", "1", "--trials", "1000"], _CORE + _GAME + _SEEDED),
+    "oracle-check": (
+        ["oracle-check", "--seed", "1", "--trials", "1000"],
+        _CORE + _GAME + ["inspect", "numpy", "numpy.random"],
+    ),
     "sweep": (
         ["sweep", "--variable", "gamma", "--lo", "0", "--hi", "8", "--steps", "50"],
         _CORE + _GAME + ["wskg.metrics"],

@@ -231,6 +231,28 @@ def test_streamed_oracle_matches_one_shot_search(n, blocks, extra):
         assert_same_bits(oracle_jammer_br(*args), ref_oracle_jammer_br(*args))
 
 
+def wavy_rate(p, gamma, sigma2, sigmaj2):
+    """Neither convex nor concave, so a sampled allocation is the argmin,
+    where the real rate always picks the uniform one."""
+    return np.sin(1.7 * np.asarray(gamma))
+
+
+@pytest.mark.parametrize("n", [1, 2, 10, 37, 130, 300])
+def test_oracle_matches_one_shot_search_at_any_block_size(monkeypatch, n):
+    # Blocks of any width, the vertices and samples straddling their edges,
+    # on both sides of numpy's 128-value summation leaf.
+    params = params_with(5.0, n=n)
+    for block_values in sorted({1, max(1, n - 1), n, 7 * n + 3, 1 << 14, 1 << 16}):
+        monkeypatch.setattr(game, "ORACLE_BLOCK_VALUES", block_values)
+        for seed, (p, samples) in enumerate(((5.0, 1), (1.5, 300), (5.0, 2000))):
+            args = (p, params, samples, RngSeed(seed, n))
+            assert_same_bits(oracle_jammer_br(*args), ref_oracle_jammer_br(*args))
+            with monkeypatch.context() as patch:
+                patch.setattr("wskg.rates.rate_array", wavy_rate)
+                got = oracle_jammer_br(*args)
+            assert_same_bits(got, ref_oracle_jammer_br(*args, wavy_rate))
+
+
 def test_streamed_oracle_keeps_argmins_order_across_blocks(monkeypatch):
     # Coarse values tie across blocks, and a band of samples is NaN; with
     # four rows a block both land in blocks after the first.

@@ -125,6 +125,27 @@ def test_pairwise_sum_matches_np_sum_bits():
         assert rates._repeated_sum(value, n).hex() == expected, n
 
 
+def test_pairwise_sum_of_rows_matches_row_sums_bits():
+    # Summed as rows, the columns of an (n, m) array give the bits of
+    # .sum(axis=1) over the C-contiguous (m, n) array it was transposed from,
+    # through numpy's three regimes and with signed zeros, subnormals,
+    # overflow and non-finite values; the first two columns are all -0.0
+    # and all 0.0.
+    rng = np.random.default_rng(47)
+    edges = np.array([0.0, -0.0, 5e-324, 1e308, math.inf, math.nan])
+    for n in [*range(1, 301), 1024, 4097]:
+        drawn = rng.standard_normal((7, n)) * 10.0 ** rng.uniform(-3.0, 3.0, (7, n))
+        edged = np.where(rng.random((7, n)) < 0.3, rng.choice(edges, (7, n)), drawn)
+        array = np.vstack([np.full(n, -0.0), np.zeros(n), drawn, edged])
+        rows = array.T.copy()
+        before = rows.copy()
+        with np.errstate(over="ignore", invalid="ignore"):
+            got, expected = rates._pairwise_sum(rows), array.sum(axis=1)
+        assert got.shape == expected.shape
+        assert got.view(np.int64).tolist() == expected.view(np.int64).tolist(), n
+        assert rows.view(np.int64).tolist() == before.view(np.int64).tolist(), n
+
+
 @pytest.mark.parametrize(
     "value", [0.0, -0.0, 5e-324, 1e-310, 1 / 3, 1e308, 1.7e308, math.inf, -math.inf, math.nan]
 )

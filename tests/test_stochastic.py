@@ -14,6 +14,8 @@ from wskg import (
     sample_qpsk_pilot,
 )
 
+from conftest import SAMPLER_FAMILY_LEVEL, _two_sided_z
+
 SEED = RngSeed(20240815)
 
 
@@ -24,16 +26,6 @@ def test_same_seed_is_bit_identical():
     qa = sample_qpsk_pilot(2.0, 1000, SEED)
     qb = sample_qpsk_pilot(2.0, 1000, SEED)
     assert np.array_equal(qa, qb)
-
-
-#: Family-wise false-rejection level of each sampler test below; a test
-#: with k checks runs each at level / k (Bonferroni).
-SAMPLER_FAMILY_LEVEL = 0.001
-
-
-def _two_sided_z(checks: int) -> float:
-    """z of a two-sided normal check at ``SAMPLER_FAMILY_LEVEL / checks``."""
-    return NormalDist().inv_cdf(1.0 - SAMPLER_FAMILY_LEVEL / checks / 2)
 
 
 def test_distinct_streams_are_uncorrelated():
