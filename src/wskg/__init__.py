@@ -24,7 +24,7 @@ _EXPORTS = {
                  "oracle_stackelberg", "stackelberg_fixed", "stackelberg_strategic"),
         "injection": ("coincidence_precoder", "gram", "leakage_bound", "mi_from_gram",
                       "simulate_two_look"),
-        "metrics": ("strategic_threshold_gain", "sweep"),
+        "metrics": ("sweep",),
         "params": ("ALLOCATION_SUM_RTOL", "EquilibriumResult", "PowerAllocation", "RngSeed",
                    "SystemParams"),
         "randomization": ("leakage_after_randomization", "randomize_trials",

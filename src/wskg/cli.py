@@ -18,12 +18,7 @@ import re
 import sys
 from typing import List, Optional
 
-from .errors import (
-    NotPositiveSemidefinite,
-    NumericalError,
-    ParameterError,
-    ZeroEquilibriumPayoff,
-)
+from .errors import NumericalError, ParameterError
 from .params import EquilibriumResult, PowerAllocation, RngSeed, SystemParams
 
 # Each command imports what it runs when it runs: the closed-form commands
@@ -321,10 +316,10 @@ def main(argv: Optional[List[str]] = None) -> int:
         # ``run`` is read from the module at call time, so a wrapper
         # installed over ``cli.run`` sees every command.
         return run(options.pop("command"), **options)
-    except (ParameterError, ZeroEquilibriumPayoff) as exc:
+    except ParameterError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (NumericalError, NotPositiveSemidefinite) as exc:
+    except NumericalError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 2
 

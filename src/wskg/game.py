@@ -53,8 +53,7 @@ def linspace(lo: float, hi: float, num: int) -> List[float]:
 
 
 def sorted_union(grid, extras) -> List[float]:
-    """The distinct values of ``grid`` and ``extras`` (a number or numbers),
-    sorted.
+    """The distinct values of the sequences ``grid`` and ``extras``, sorted.
 
     For NaN-free input these are the bits of
     ``np.unique(np.append(grid, extras))``: the sorted values, keeping the
@@ -63,7 +62,7 @@ def sorted_union(grid, extras) -> List[float]:
     sorts differ only in which zero comes first; input holding both is
     sorted by numpy.
     """
-    values = [*grid, *((extras,) if isinstance(extras, (int, float)) else extras)]
+    values = [*grid, *extras]
     if len({math.copysign(1.0, v) for v in values if v == 0.0}) == 2:
         import numpy as np
 

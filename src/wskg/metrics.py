@@ -84,14 +84,6 @@ def _rows(params: SystemParams, field: str, values) -> List[SweepRow]:
     return [_row(*payoff) for payoff in payoffs]
 
 
-def strategic_threshold_gain(params: SystemParams) -> float:
-    """Relative payoff the jammer gains by choosing its sensing threshold
-    strategically instead of keeping it fixed: column ``e`` of the sweep row
-    at ``params``, which equals the full-power deviation loss ``f`` in this
-    model."""
-    return _rows(params, "max_pilot_power", [params.max_pilot_power])[0].e
-
-
 def _knee_value(params: SystemParams, variable: str) -> float | None:
     """Swept value at which the leader budget equals the critical power."""
     j2 = params.jam_channel_var
@@ -132,5 +124,5 @@ def sweep(
     grid = linspace(lo, hi, int(steps))
     knee = _knee_value(params, variable)
     if knee is not None and lo < knee < hi:
-        grid = sorted_union(grid, knee)
+        grid = sorted_union(grid, (knee,))
     return _rows(params, field, grid)

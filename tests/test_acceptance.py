@@ -21,12 +21,12 @@ from wskg import (
     oracle_stackelberg,
     rate_array,
     stackelberg_fixed,
-    strategic_threshold_gain,
     sum_rate,
     sweep,
     verify_randomization,
 )
 from wskg.injection import _coincidence_floor
+from wskg.metrics import _rows
 
 SEED = RngSeed(20250811)
 
@@ -166,9 +166,14 @@ def test_criterion_7_deviation_loss_profile():
     crit.finish(ok)
 
 
+def strategic_gain(params):
+    """Column ``e`` of the one-row sweep at ``params``."""
+    return _rows(params, "max_pilot_power", [params.max_pilot_power])[0].e
+
+
 def test_criterion_8_strategic_jammer_dominance():
     crit = _Criterion(8, "strategic-jammer dominance", 5.0)
-    spot = strategic_threshold_gain(reference_params(5.0))
+    spot = strategic_gain(reference_params(5.0))
     ok = abs(spot - 0.51057) <= 1e-4
     rng = np.random.default_rng(808)
     checked = 0
@@ -184,7 +189,7 @@ def test_criterion_8_strategic_jammer_dominance():
         knee = critical_power(params)
         if abs(params.max_pilot_power - knee) <= 1e-9 * knee:
             continue
-        gain = strategic_threshold_gain(params)
+        gain = strategic_gain(params)
         ok &= gain >= -1e-12
         if params.max_pilot_power >= knee:
             ok &= gain == 0.0

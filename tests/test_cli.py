@@ -13,7 +13,9 @@ import numpy as np
 import pytest
 
 import wskg
+from wskg import errors
 from wskg.cli import _cmd_oracle_check, build_parser, main
+from wskg.errors import NotPositiveSemidefinite, NumericalError, ParameterError
 from wskg.injection import CHUNK_TRIALS
 from wskg.metrics import CSV_HEADER
 from wskg.params import PowerAllocation, RngSeed, SystemParams
@@ -44,8 +46,7 @@ EXPECTED_EXPORTS = {
     "jammer_br_strategic", "ks_test_normal", "leakage_after_randomization", "leakage_bound",
     "mi_from_gram", "oracle_jammer_br", "oracle_stackelberg", "randomize_trials", "rate_array",
     "sample_complex_gaussian", "sample_qpsk_pilot", "simulate_two_look", "stackelberg_fixed",
-    "stackelberg_strategic", "strategic_threshold_gain", "sum_rate", "sweep",
-    "verify_randomization",
+    "stackelberg_strategic", "sum_rate", "sweep", "verify_randomization",
 }
 
 
@@ -585,6 +586,22 @@ def test_non_finite_result_exits_2(capsys, monkeypatch):
     assert code == 2
     assert out == ""
     assert "non-finite" in err
+
+
+def test_not_positive_semidefinite_exits_2(capsys, monkeypatch):
+    def refuse(cov, target_dim):
+        raise NotPositiveSemidefinite("x")
+
+    monkeypatch.setattr("wskg.injection.gaussian_mi_from_cov", refuse)
+    code, out, err = run_cli(capsys, "leakage", "--trials", "10000", "--seed", "1")
+    assert (code, out, err) == (2, "", "numerical failure: x\n")
+
+
+def test_every_error_has_an_exit_code_base():
+    """``main`` maps errors to exit codes by two bases alone."""
+    classes = [obj for obj in vars(errors).values() if isinstance(obj, type) and issubclass(obj, Exception)]
+    assert len(classes) >= 4
+    assert all(issubclass(cls, (ParameterError, NumericalError)) for cls in classes)
 
 
 def test_non_finite_sweep_row_names_its_field(capsys, monkeypatch):

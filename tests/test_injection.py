@@ -17,6 +17,8 @@ from wskg import (
 )
 from wskg.injection import covariance
 
+from conftest import SAMPLER_FAMILY_LEVEL, _two_sided_z
+
 SEED = RngSeed(77001)
 
 
@@ -83,20 +85,29 @@ def test_simulation_is_deterministic():
 
 
 def test_simulated_injection_variance_matches_model():
+    # Three checks. |W|^2 is exponential with mean q = gamma sigmaj2 and
+    # |d|^2, for the look difference d, with mean 2, so each complex
+    # variance v has standard error v / sqrt(n). W and d are independent
+    # with E|d|^2 |W|^2 = 2 q, so each coordinate of mean(d conj(W)) has
+    # standard error sqrt(q / n) and its modulus is Rayleigh in those units.
     params = make_params(gamma=4.0, sigmaj2=1.0)
-    batch = simulate_two_look(params, 200_000, SEED)
-    assert np.var(batch.injected) == pytest.approx(4.0, rel=0.02)
+    n, checks, q = 200_000, 3, 4.0
+    batch = simulate_two_look(params, n, SEED)
+    z_var = _two_sided_z(checks)  # about 3.59
+    assert abs(np.var(batch.injected) - q) <= z_var * q / math.sqrt(n)
     # the injected value cancels between the looks, leaving only noise
     diff = batch.z_a - batch.z_b
-    assert np.var(diff) == pytest.approx(2.0, rel=0.02)
-    assert abs(np.mean(diff * np.conj(batch.injected))) < 0.05
+    assert abs(np.var(diff) - 2.0) <= z_var * 2.0 / math.sqrt(n)
+    z_mean = math.sqrt(2.0 * math.log(checks / SAMPLER_FAMILY_LEVEL))  # about 4.00
+    assert abs(np.mean(diff * np.conj(batch.injected))) <= z_mean * math.sqrt(q / n)
 
 
 def test_zero_budget_simulation_is_noise_only():
     params = make_params(gamma=0.0)
-    batch = simulate_two_look(params, 100_000, SEED)
+    n = 100_000
+    batch = simulate_two_look(params, n, SEED)
     assert np.all(batch.injected == 0.0)
-    assert np.var(batch.z_a - batch.z_b) == pytest.approx(2.0, rel=0.02)
+    assert abs(np.var(batch.z_a - batch.z_b) - 2.0) <= _two_sided_z(1) * 2.0 / math.sqrt(n)
 
 
 def test_simulate_rejects_bad_trial_count():

@@ -10,7 +10,6 @@ from wskg import (
     critical_power,
     stackelberg_fixed,
     stackelberg_strategic,
-    strategic_threshold_gain,
     sum_rate,
     sweep,
 )
@@ -54,11 +53,11 @@ def test_threshold_loss_caps_deviation_at_budget():
 
 
 def test_strategic_gain_reference_values():
-    assert strategic_threshold_gain(params_with(5.0)) == pytest.approx(
+    assert row_at(params_with(5.0)).e == pytest.approx(
         0.51057, abs=1e-4
     )
-    assert strategic_threshold_gain(params_with(20.0)) == 0.0
-    assert strategic_threshold_gain(params_with(5.0, gamma=0.0)) == 0.0
+    assert row_at(params_with(20.0)).e == 0.0
+    assert row_at(params_with(5.0, gamma=0.0)).e == 0.0
 
 
 def test_strategic_gain_is_full_power_loss():
@@ -82,8 +81,9 @@ def test_strategic_gain_is_full_power_loss():
                 critical_power(params), gamma, p_th, params.legit_channel_var,
                 params.jam_channel_var, params.n_subcarriers,
             )
-        f = row_at(params).f
-        assert strategic_threshold_gain(params) == f
+        row = row_at(params)
+        f = row.f
+        assert row.e == f
         c_se = stackelberg_fixed(params).payoff
         for delta in (0.1, 0.5, 0.9):
             # Round-off below 0 at the knee is emitted as 0 in the row.
@@ -114,6 +114,8 @@ def test_sweep_rows_match_pointwise_sum_rates(ref_params, variable):
         ("gamma", "-1e-300", "jam_power_budget must be >= 0, got -1e-300"),
         ("p_th", "-1", "sense_threshold must be >= 0, got -1.0"),
         ("sigma2", "-1", "legit_channel_var must be > 0, got -1.0"),
+        # A ZeroEquilibriumPayoff exits 1 through its base, ParameterError.
+        ("p_max", "0", "equilibrium payoff is zero; relative metrics are undefined"),
     ],
 )
 def test_sweep_rejects_out_of_domain_swept_values(capsys, variable, lo, message):
@@ -128,7 +130,7 @@ def test_metrics_require_positive_equilibrium_payoff():
     with pytest.raises(ZeroEquilibriumPayoff):
         row_at(params_with(0.0))
     with pytest.raises(ZeroEquilibriumPayoff):
-        strategic_threshold_gain(params_with(0.0))
+        sweep(params_with(0.0), "gamma", 0.0, 1.0, 2)
 
 
 def test_metrics_stay_in_unit_interval():
@@ -143,7 +145,7 @@ def test_metrics_stay_in_unit_interval():
             float(rng.uniform(0.2, 3.0)),
         )
         row = row_at(params)
-        for value in (row.f, row.d, strategic_threshold_gain(params)):
+        for value in (row.f, row.d, row.e):
             assert -1e-12 <= value <= 1.0
 
 
