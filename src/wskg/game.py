@@ -5,15 +5,14 @@ observes it and responds. The follower's best response and the resulting
 equilibria have closed forms, and the oracle routines re-derive them by
 direct search so every closed-form branch is verified independently.
 
-The closed forms run on floats, in numpy's summation order and on
-``np.linspace``'s grid, so this module imports numpy only inside the two
-oracles.
+The closed forms run on floats, in numpy's summation order, so this module
+imports numpy only inside the two oracles.
 """
 
 from __future__ import annotations
 
 import math
-from typing import List, Tuple
+from typing import Tuple
 
 # rates' functions are read through the module at call time, so a wrapper
 # installed over them (perfbench's span tracer) sees game's calls and is gone
@@ -32,48 +31,6 @@ ORACLE_BLOCK_VALUES = 1 << 14
 #: Evenly spaced leader powers :func:`oracle_stackelberg` searches, before
 #: the exact breakpoints are added.
 LEADER_GRID_POINTS = 1001
-
-
-def linspace(lo: float, hi: float, num: int) -> List[float]:
-    """The bits of ``np.linspace(lo, hi, num).tolist()`` for ``num >= 2``.
-
-    numpy computes ``i * step + lo`` with ``step = (hi - lo) / (num - 1)``,
-    or ``i / (num - 1) * (hi - lo) + lo`` when the step underflows to zero,
-    and sets the last point to ``hi``.
-    """
-    lo, hi, div = float(lo), float(hi), num - 1
-    delta = hi - lo
-    step = delta / div
-    if step == 0.0:
-        values = [i / div * delta + lo for i in range(num)]
-    else:
-        values = [i * step + lo for i in range(num)]
-    values[-1] = hi
-    return values
-
-
-def sorted_union(grid, extras) -> List[float]:
-    """The distinct values of the sequences ``grid`` and ``extras``, sorted.
-
-    For NaN-free input these are the bits of
-    ``np.unique(np.append(grid, extras))``: the sorted values, keeping the
-    first of each run of equal ones. Python's sort is stable and numpy's is
-    not, but only 0.0 and -0.0 are equal with different bits, so the two
-    sorts differ only in which zero comes first; input holding both is
-    sorted by numpy.
-    """
-    values = [*grid, *extras]
-    if len({math.copysign(1.0, v) for v in values if v == 0.0}) == 2:
-        import numpy as np
-
-        values = np.sort(values).tolist()
-    else:
-        values.sort()
-    union = values[:1]
-    for value in values[1:]:
-        if value != union[-1]:
-            union.append(value)
-    return union
 
 
 def _knee(p_th, gamma, sigmaj2):
@@ -229,20 +186,21 @@ def oracle_stackelberg(params: SystemParams) -> Tuple[float, float]:
 
     The induced payoff is discontinuous at the sensing threshold, so the grid
     always contains 0, the budget, and (when admissible) the threshold and the
-    critical power exactly. Ties resolve to the smaller power.
+    critical power exactly. The grid is sorted, not deduplicated: equal
+    powers sit side by side and ``np.argmax`` keeps the first of equal
+    payoffs, so ties resolve to the smaller power.
     """
     import numpy as np
 
     budget = params.max_pilot_power
     threshold = params.sense_threshold
-    grid = linspace(0.0, budget, LEADER_GRID_POINTS)
     extras = [0.0, budget]
     if threshold <= budget:
         extras.append(threshold)
     knee = critical_power(params)
     if knee <= budget:
         extras.append(knee)
-    grid = np.array(sorted_union(grid, extras))
+    grid = np.sort(np.append(np.linspace(0.0, budget, LEADER_GRID_POINTS), extras))
     s2, j2 = params.legit_channel_var, params.jam_channel_var
     jammed = rates.rate_array(grid, params.jam_power_budget, s2, j2)
     silent = rates.rate_array(grid, 0.0, s2, j2)

@@ -16,7 +16,7 @@ import math
 from typing import List, NamedTuple
 
 from .errors import NumericalError, ParameterError, ZeroEquilibriumPayoff
-from .game import _fixed_payoffs, critical_power, linspace, sorted_union
+from .game import _fixed_payoffs, critical_power
 from .params import SystemParams
 
 _SWEEP_FIELDS = {
@@ -46,6 +46,44 @@ class SweepRow(NamedTuple):
 
 #: The sweep CSV's header: the row fields in order.
 CSV_HEADER = ",".join(SweepRow._fields)
+
+
+def linspace(lo: float, hi: float, num: int) -> List[float]:
+    """The bits of ``np.linspace(lo, hi, num).tolist()`` for ``num >= 2``.
+
+    numpy computes ``i * step + lo`` with ``step = (hi - lo) / (num - 1)``,
+    or ``i / (num - 1) * (hi - lo) + lo`` when the step underflows to zero,
+    and sets the last point to ``hi``.
+    """
+    lo, hi, div = float(lo), float(hi), num - 1
+    delta = hi - lo
+    step = delta / div
+    if step == 0.0:
+        values = [i / div * delta + lo for i in range(num)]
+    else:
+        values = [i * step + lo for i in range(num)]
+    values[-1] = hi
+    return values
+
+
+def sorted_union(grid, extras) -> List[float]:
+    """The distinct values of the sequences ``grid`` and ``extras``, sorted.
+
+    For NaN-free input that does not hold both 0.0 and -0.0, these are the
+    bits of ``np.unique(np.append(grid, extras))``: Python's stable sort and
+    numpy's differ only in the order of equal values with different bits,
+    which only the two zeros are. A sweep never holds both: its field is
+    validated at ``lo``, so ``lo >= -0.0``; :func:`linspace`'s first point
+    ``0 * step + lo`` is then +0.0 and its later points are positive; and
+    the knee is added only strictly inside ``(lo, hi)``.
+    """
+    values = [*grid, *extras]
+    values.sort()
+    union = values[:1]
+    for value in values[1:]:
+        if value != union[-1]:
+            union.append(value)
+    return union
 
 
 def _row(value: float, c_se: float, c_full: float, c_threshold: float) -> SweepRow:

@@ -496,6 +496,48 @@ def test_each_command_loads_only_the_modules_it_runs():
         assert probe["loaded"] == sorted(loaded + pool), command
 
 
+def numpy_import_sites(module):
+    """Qualified names of the scopes in ``wskg.<module>`` that import numpy
+    at run time, skipping ``if TYPE_CHECKING:`` blocks."""
+    sites = []
+
+    def visit(node, scope):
+        if isinstance(node, ast.If) and ast.unparse(node.test) == "TYPE_CHECKING":
+            return
+        if isinstance(node, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+            scope = f"{scope}.{node.name}"
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            names = [node.module or ""]
+        else:
+            names = []
+        if any(name == "numpy" or name.startswith("numpy.") for name in names):
+            sites.append(scope)
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope)
+
+    path = Path(wskg.__file__).parent / f"{module}.py"
+    visit(ast.parse(path.read_text(encoding="utf-8")), module)
+    return sites
+
+
+def test_closed_form_modules_import_numpy_only_where_they_need_it():
+    """The modules the closed-form commands load import numpy only inside
+    the functions that work on arrays."""
+    sites = [
+        site
+        for module in ("params", "rates", "game", "metrics", "cli", "errors")
+        for site in numpy_import_sites(module)
+    ]
+    assert sites == [
+        "params.RngSeed.generator",
+        "rates.rate_array",
+        "game.oracle_jammer_br",
+        "game.oracle_stackelberg",
+    ]
+
+
 def test_package_names_are_their_defining_modules_objects(monkeypatch):
     for name in wskg.__all__:
         module = importlib.import_module(f"wskg.{wskg._EXPORTS[name]}")

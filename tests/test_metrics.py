@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -214,6 +216,21 @@ def test_sweep_over_jam_budget_gain_is_monotone(ref_params):
     assert all(a <= b + 1e-12 for a, b in zip(gains, gains[1:]))
     # the knee in the jam budget is injected: P = p_th * (1 + g * j2) at g = 1.5
     assert any(row.swept_value == pytest.approx(1.5, abs=1e-12) for row in rows)
+
+
+@pytest.mark.parametrize("variable", ["gamma", "p_th"])
+def test_sweep_from_negative_zero_matches_positive_zero_bits(ref_params, variable):
+    # The grid's first point is 0 * step + lo = +0.0 from either zero, so no
+    # sweep hands sorted_union both zeros.
+    rows = sweep(ref_params, variable, -0.0, 8.0, 1000)
+    assert np.array(rows).tobytes() == np.array(sweep(ref_params, variable, 0.0, 8.0, 1000)).tobytes()
+    assert not any(math.copysign(1.0, row.swept_value) < 0.0 for row in rows)
+
+
+@pytest.mark.parametrize("lo", [0.0, -0.0])
+def test_sweep_over_leader_budget_from_zero_has_zero_payoff(ref_params, lo):
+    with pytest.raises(ZeroEquilibriumPayoff):
+        sweep(ref_params, "p_max", lo, 8.0, 1000)
 
 
 def test_sweep_endpoints_only(ref_params):
