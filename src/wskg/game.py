@@ -171,12 +171,12 @@ def oracle_jammer_br(
             spacings = rng.standard_exponential((min(width, samples - start), n)).T.copy()
             yield spacings / rates._pairwise_sum(spacings) * total
 
-    best, best_value = None, math.nan
+    best = None
     for block in blocks():
         values = rates._pairwise_sum(rates.rate_array(p, block, s2, j2))
         i = int(np.argmin(values))
         # np.argmin's order across blocks: a NaN beats every number, a tie keeps the earlier.
-        if best is None or (not math.isnan(best_value) and (values[i] < best_value or math.isnan(values[i]))):
+        if best is None or np.argmin((best_value, values[i])) == 1:
             best, best_value = block[:, i], float(values[i])
     return PowerAllocation(tuple(best), params.jam_power_budget), best_value
 

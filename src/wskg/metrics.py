@@ -66,26 +66,6 @@ def linspace(lo: float, hi: float, num: int) -> List[float]:
     return values
 
 
-def sorted_union(grid, extras) -> List[float]:
-    """The distinct values of the sequences ``grid`` and ``extras``, sorted.
-
-    For NaN-free input that does not hold both 0.0 and -0.0, these are the
-    bits of ``np.unique(np.append(grid, extras))``: Python's stable sort and
-    numpy's differ only in the order of equal values with different bits,
-    which only the two zeros are. A sweep never holds both: its field is
-    validated at ``lo``, so ``lo >= -0.0``; :func:`linspace`'s first point
-    ``0 * step + lo`` is then +0.0 and its later points are positive; and
-    the knee is added only strictly inside ``(lo, hi)``.
-    """
-    values = [*grid, *extras]
-    values.sort()
-    union = values[:1]
-    for value in values[1:]:
-        if value != union[-1]:
-            union.append(value)
-    return union
-
-
 def _row(value: float, c_se: float, c_full: float, c_threshold: float) -> SweepRow:
     """The sweep row of one operating point; raises its first failed check,
     in solve order."""
@@ -162,5 +142,7 @@ def sweep(
     grid = linspace(lo, hi, int(steps))
     knee = _knee_value(params, variable)
     if knee is not None and lo < knee < hi:
-        grid = sorted_union(grid, (knee,))
+        # The grid holds no -0.0 (its first point is 0 * step + lo), so the
+        # set drops only copies with the same bits, as np.unique does.
+        grid = sorted({*grid, knee})
     return _rows(params, field, grid)

@@ -111,22 +111,23 @@ def verify_randomization(
                         ("product variance", product_var), ("source variance", source_var)):
         if not sys.float_info.min <= value <= sys.float_info.max:
             raise NumericalError(f"{name} is not a normal float: {value!r}")
-    # The draws of _qpsk and _complex_normal, streamed: only the pilot
-    # indices and the two tested arrays are held whole. h's real parts are
-    # drawn whole into ``product``, its imaginary parts one block at a time.
+    # The draws of _qpsk and _complex_normal: only the pilot indices and the
+    # two tested arrays are held whole. h's real and imaginary parts are
+    # drawn whole into ``product`` and ``source_real``, and each block
+    # overwrites its own draws.
     # Products stay complex: numpy may fuse a*c - b*d into one rounding.
     rng = seed.generator()
     x_index, y_index = _pilot_indices(rng, n_samples), _pilot_indices(rng, n_samples)
     product, source_real = np.empty(n_samples), np.empty(n_samples)
     scale = math.sqrt(s2 / 2.0)
     _scaled_normal(rng, scale, product)
+    _scaled_normal(rng, scale, source_real)
     points = _qpsk_points(power)
     h = np.empty(VERIFY_BLOCK, dtype=complex)
     for start in range(0, n_samples, VERIFY_BLOCK):
         s = slice(start, start + VERIFY_BLOCK)
         hs = h[: product[s].size]
-        hs.real = product[s]
-        hs.imag = _scaled_normal(rng, scale, np.empty(hs.size))
+        hs.real, hs.imag = product[s], source_real[s]
         x, y = points[x_index[s]], points[y_index[s]]
         # Named operands: numpy may multiply a temporary operand in place
         # with the operands swapped, and a fused complex multiply is not

@@ -66,21 +66,18 @@ def _pilot_indices(
     :func:`_qpsk_points`, from the bits of two whole ``rng.integers(0, 2,
     count)`` draws, ``re`` first.
 
-    Philox keeps the spare half of a 64-bit word in its state, so the
-    ``2 * count`` bits can be drawn in blocks that straddle the two draws.
-    Written into ``out`` (``count`` integers of any type) when given, and
-    into bytes otherwise.
+    Each draw is taken ``PILOT_BLOCK`` bits at a time: Philox keeps the
+    spare half of a 64-bit word in its state, so the blocks give the bits of
+    one call. The bits go unnamed, so one block is alive at a time. Written
+    into ``out`` (``count`` integers of any type) when given, and into bytes
+    otherwise.
     """
     index = np.empty(count, dtype=np.uint8) if out is None else out
-    for start in range(0, 2 * count, PILOT_BLOCK):
-        bits = rng.integers(0, 2, min(PILOT_BLOCK, 2 * count - start))
-        split = max(0, min(count - start, bits.size))
-        re, im = bits[:split], bits[split:]
-        np.add(re, re, out=index[start : start + split], casting="unsafe")
-        # Empty when the block holds no im bits.
-        part = index[start + split - count : start + bits.size - count]
-        np.add(part, im, out=part, casting="unsafe")
-        del bits, re, im  # one block alive at a time
+    blocks = [index[start : start + PILOT_BLOCK] for start in range(0, count, PILOT_BLOCK)]
+    for part in blocks:
+        np.multiply(rng.integers(0, 2, part.size), 2, out=part, casting="unsafe")
+    for part in blocks:
+        np.add(part, rng.integers(0, 2, part.size), out=part, casting="unsafe")
     return index
 
 

@@ -724,7 +724,7 @@ def test_every_public_name_has_a_caller():
 
 def test_every_command_runs_through_the_module_run(capsys, monkeypatch):
     """perfbench times each command by replacing ``wskg.cli.run`` with a
-    wrapper, so the click callbacks must look ``run`` up when called."""
+    wrapper, so ``main`` must look ``run`` up when it dispatches."""
     seen = []
     original = wskg.cli.run
 

@@ -374,35 +374,6 @@ def test_oracle_config_validation(ref_params):
 
 
 @settings(max_examples=300, deadline=None)
-@given(st.data())
-def test_sorted_union_matches_np_unique_bits(data):
-    lo = data.draw(st.sampled_from([0.0, -0.0, -1.0]) | st.floats(-1e3, 1e3))
-    grid = np.linspace(lo, lo + data.draw(st.floats(1e-9, 1e3)), data.draw(st.integers(2, 1100)))
-    # sorted_union's precondition: the input never holds both 0.0 and -0.0.
-    zeros = {math.copysign(0.0, v) for v in grid.tolist() if v == 0.0}
-    zero = zeros.pop() if zeros else data.draw(st.sampled_from([0.0, -0.0]))
-    assert not zeros
-    point = st.one_of(
-        st.integers(0, grid.size - 1).map(lambda i: float(grid[i])),  # an interior point or an endpoint
-        st.just(zero),
-        st.floats(-2e3, 2e3).map(lambda v: v or zero),
-    )
-    extras = data.draw(st.lists(point, max_size=8))
-    if extras:
-        extras += data.draw(st.lists(st.sampled_from(extras), max_size=3))  # duplicates
-    expected = np.unique(np.append(grid, extras))
-    assert np.array(metrics.sorted_union(grid, extras)).tobytes() == expected.tobytes()
-
-
-def test_sorted_union_keeps_one_zero():
-    grid = np.linspace(0.0, 4.0, 5)
-    for extras in ([2.5], [-0.0], [-0.0, 0.0, 4.0, 4.0]):
-        expected = np.unique(np.append(grid, extras))
-        assert np.array(metrics.sorted_union(grid, extras)).tobytes() == expected.tobytes()
-    assert len(metrics.sorted_union(grid, [-0.0, 0.0])) == 5
-
-
-@settings(max_examples=300, deadline=None)
 @given(
     lo=st.floats(-1e6, 1e6),
     width=st.floats(1e-9, 1e6),

@@ -239,6 +239,37 @@ def test_ks_recheck_covers_near_ties():
     assert ks_test_normal(samples, 1.5) == ref_ks_test_normal(samples, 1.5)
 
 
+# Quantile samples of size 3 * BLOCK - 1, every exact deviation 0.5 / n, with
+# the samples below index k shifted down (the largest deviation is then
+# i/n - F) or from index k on shifted up (then F - (i-1)/n). A small shift
+# puts the largest deviation next to k, a large one near the quantile of
+# -+shift / 2.
+@pytest.mark.parametrize(
+    "side, k, shift, first_block",
+    [
+        ("upper", 30_000, 0.05, True),
+        ("upper", 186_607, 2.0, False),
+        ("lower", 10_000, 2.0, True),
+        ("lower", 150_000, 0.05, False),
+    ],
+)
+def test_ks_statistic_from_either_side_in_any_block(side, k, shift, first_block):
+    n = 3 * kstest.BLOCK - 1
+    samples = scipy.special.ndtri((np.arange(n) + 0.5) / n)
+    if side == "upper":
+        samples[:k] -= shift
+    else:
+        samples[k:] += shift
+    cdf = scipy.special.ndtr(samples)
+    steps = np.arange(1, n + 1) / n
+    deviations = {"upper": steps - cdf, "lower": cdf - (steps - 1.0 / n)}
+    other = deviations.pop("lower" if side == "upper" else "upper")
+    top = int(np.argmax(deviations[side]))
+    assert deviations[side][top] > other.max()
+    assert (top < kstest.BLOCK) == first_block
+    assert ks_test_normal(samples, 1.0) == ref_ks_test_normal(samples, 1.0)
+
+
 def assert_ndtr_matches_scipy(a):
     """The port gives scipy's bits; the bulk CDF stays within half the KS
     test's recheck margin."""

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wskg import (
     NumericalError,
@@ -17,7 +19,7 @@ from wskg import (
 )
 from wskg import game
 from wskg.cli import main
-from wskg.metrics import _rows
+from wskg.metrics import _knee_value, _rows
 
 
 def params_with(p_max, gamma=4.0, p_th=2.0, sigma2=1.0, sigmaj2=1.0, n=10):
@@ -220,11 +222,34 @@ def test_sweep_over_jam_budget_gain_is_monotone(ref_params):
 
 @pytest.mark.parametrize("variable", ["gamma", "p_th"])
 def test_sweep_from_negative_zero_matches_positive_zero_bits(ref_params, variable):
-    # The grid's first point is 0 * step + lo = +0.0 from either zero, so no
-    # sweep hands sorted_union both zeros.
+    # The grid's first point is 0 * step + lo = +0.0 from either zero, so the
+    # set that adds the knee never holds both zeros.
     rows = sweep(ref_params, variable, -0.0, 8.0, 1000)
     assert np.array(rows).tobytes() == np.array(sweep(ref_params, variable, 0.0, 8.0, 1000)).tobytes()
     assert not any(math.copysign(1.0, row.swept_value) < 0.0 for row in rows)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    variable=st.sampled_from(["p_max", "gamma", "p_th"]),
+    below=st.floats(0.01, 1.0, exclude_max=True),
+    above=st.floats(1.0, 4.0, exclude_min=True),
+    steps=st.integers(2, 300),
+)
+def test_sweep_adds_the_knee_as_np_unique_does(variable, below, above, steps):
+    params = params_with(5.0)
+    knee = _knee_value(params, variable)
+    lo, hi = below * knee, above * knee
+    values = [row.swept_value for row in sweep(params, variable, lo, hi, steps)]
+    expected = np.unique(np.append(np.linspace(lo, hi, steps), knee))
+    assert np.array(values).tobytes() == expected.tobytes()
+
+
+def test_sweep_knee_on_a_grid_point_appears_once():
+    # The knee, 10.0, is the grid's fifth point: 4 * 2.0 + 2.0.
+    values = [row.swept_value for row in sweep(params_with(5.0), "p_max", 2.0, 20.0, 10)]
+    assert len(values) == 10
+    assert values.count(10.0) == 1
 
 
 @pytest.mark.parametrize("lo", [0.0, -0.0])
