@@ -326,7 +326,16 @@ def main(argv: Optional[List[str]] = None) -> int:
 
 def entry() -> None:
     """Console-script entry point."""
-    raise SystemExit(main())
+    import gc
+
+    status = main()
+    # The process is about to exit, so the interpreter's final collections
+    # need not walk the objects numpy and the package loaded. atexit
+    # handlers, stream flushing and module teardown still run; only the
+    # cyclic collector skips the frozen heap. ``main`` never freezes, since
+    # tests and library callers run it many times in one process.
+    gc.freeze()
+    raise SystemExit(status)
 
 
 if __name__ == "__main__":

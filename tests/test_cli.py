@@ -1,4 +1,5 @@
 import ast
+import gc
 import importlib
 import json
 import math
@@ -690,6 +691,45 @@ def test_leakage_too_few_trials_exits_1(capsys):
     assert code == 1
     assert out == ""
     assert "10000" in err
+
+
+#: A ``run_fresh`` script that runs the console entry point on its arguments,
+#: with an atexit hook that reports the collector's frozen object count.
+_ENTRY = """
+import atexit, gc, sys
+atexit.register(lambda: print(f"frozen {gc.get_freeze_count()}", file=sys.stderr))
+from wskg.cli import entry
+entry()
+"""
+
+
+@pytest.mark.parametrize(
+    "argv, status",
+    [
+        (["sweep", "--format", "json", "--steps", "1000", "--variable", "p_max", "--lo", "2.001",
+          "--hi", "20"], 0),
+        (["sweep", "--variable", "p_max", "--lo", "0", "--hi", "1", "--steps", "2"], 1),
+        (["solve-fixed", "--p-max", "1e308"], 2),
+    ],
+    ids=["sweep-json", "zero-payoff", "non-finite"],
+)
+def test_console_exit_keeps_pythons_contract(capsys, argv, status):
+    """``entry`` freezes the collector before it exits: stdout, stderr and
+    the status are ``main``'s, and atexit handlers still run."""
+    code, out, err = run_cli(capsys, *argv)
+    proc = run_fresh(_ENTRY, *argv)
+    assert (code, proc.returncode) == (status, status)
+    assert proc.stdout == out
+    *lines, frozen = proc.stderr.splitlines(keepends=True)
+    assert "".join(lines) == err
+    assert re.fullmatch(r"frozen [1-9]\d*\n", frozen)
+
+
+def test_main_leaves_the_collector_unfrozen(capsys):
+    before = gc.get_freeze_count()
+    for argv in (["solve-fixed"], ["leakage", "--trials", "10000", "--seed", "1"]):
+        assert run_cli(capsys, *argv)[0] == 0
+        assert gc.get_freeze_count() == before
 
 
 def test_public_names_are_pinned():
