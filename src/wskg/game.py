@@ -138,9 +138,11 @@ def oracle_jammer_br(
 ) -> Tuple[PowerAllocation, float]:
     """Brute-force search for the sum-rate-minimizing feasible allocation.
 
-    Samples the budget-tight simplex face uniformly (exponential spacings),
-    and always includes the uniform point and every vertex, so both interior
-    and extreme allocations are covered: ``samples`` draws from ``seed``.
+    Samples the budget-tight simplex face uniformly (exponential spacings):
+    ``samples`` draws from ``seed``. It always includes the uniform point and,
+    for the extreme allocations, the vertex on subcarrier 0; every subcarrier
+    shares one rate function, so the other vertices' sum rates differ from it
+    only by rounding.
     Returns the best allocation found and its sum rate.
     """
     if samples < 1:
@@ -160,12 +162,9 @@ def oracle_jammer_br(
     # count short rows.
 
     def blocks():
-        yield np.full((n, 1), params.jam_power_budget)
-        for start in range(0, n, width):
-            count = min(width, n - start)
-            vertices = np.zeros((n, count))
-            vertices[start + np.arange(count), np.arange(count)] = total
-            yield vertices
+        first = np.zeros((n, 2))
+        first[:, 0], first[0, 1] = params.jam_power_budget, total
+        yield first
         # Filled in sequence, the blocks hold the values of one big draw.
         for start in range(0, samples, width):
             spacings = rng.standard_exponential((min(width, samples - start), n)).T.copy()
@@ -202,8 +201,7 @@ def oracle_stackelberg(params: SystemParams) -> Tuple[float, float]:
         extras.append(knee)
     grid = np.sort(np.append(np.linspace(0.0, budget, LEADER_GRID_POINTS), extras))
     s2, j2 = params.legit_channel_var, params.jam_channel_var
-    jammed = rates.rate_array(grid, params.jam_power_budget, s2, j2)
-    silent = rates.rate_array(grid, 0.0, s2, j2)
-    payoffs = params.n_subcarriers * np.where(grid > threshold, jammed, silent)
+    response = np.where(grid > threshold, params.jam_power_budget, 0.0)
+    payoffs = params.n_subcarriers * rates.rate_array(grid, response, s2, j2)
     best = int(np.argmax(payoffs))
     return float(grid[best]), float(payoffs[best])

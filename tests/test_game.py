@@ -196,6 +196,20 @@ def test_oracle_br_jensen_dominance(ref_params):
     assert uniform_value <= value + slack
 
 
+def test_vertex_sum_rates_agree_across_subcarriers():
+    # oracle_jammer_br searches the vertex on subcarrier 0 alone: every
+    # subcarrier shares one rate function, so the others differ by rounding.
+    rng = np.random.default_rng(2424)
+    for _ in range(50):
+        n = int(rng.integers(1, 301))
+        params = SystemParams(n, *random_params(rng)[1:])
+        vertices = np.eye(n) * n * params.jam_power_budget
+        sums = rate_array(
+            params.max_pilot_power, vertices, params.legit_channel_var, params.jam_channel_var
+        ).sum(axis=1)
+        assert np.max(np.abs(sums - sums[0])) <= n * sys.float_info.epsilon * sums[0], params
+
+
 def ref_oracle_jammer_br(p, params, samples, seed, rate=rate_array):
     """The one-shot search: every candidate in one array, one argmin."""
     n = params.n_subcarriers
@@ -206,7 +220,7 @@ def ref_oracle_jammer_br(p, params, samples, seed, rate=rate_array):
     candidates = np.vstack(
         [
             np.full((1, n), params.jam_power_budget),
-            np.eye(n) * total,
+            np.eye(1, n) * total,
             simplex,
         ]
     )
@@ -244,32 +258,44 @@ def test_streamed_oracle_matches_one_shot_search(monkeypatch, n, blocks, extra):
             assert_same_bits(oracle_jammer_br(*args), ref_oracle_jammer_br(*args, rate))
 
 
-@pytest.mark.parametrize("n", [1, 2, 10, 37, 130, 300])
+def concave_rate(p, gamma, sigma2, sigmaj2):
+    """Concave, so a vertex is the exact argmin over the simplex."""
+    return np.sqrt(gamma)
+
+
+@pytest.mark.parametrize("n", [1, 2, 10, 37, 130, 300, 1024])
 def test_oracle_matches_one_shot_search_at_any_block_size(monkeypatch, n):
-    # Blocks of any width, the vertices and samples straddling their edges,
-    # on both sides of numpy's 128-value summation leaf.
+    # Sample blocks of any width, a draw straddling their edges, on both
+    # sides of numpy's 128-value summation leaf.
     params = params_with(5.0, n=n)
-    for block_values in sorted({1, max(1, n - 1), n, 7 * n + 3, 1 << 14, 1 << 16}):
+    total = n * params.jam_power_budget
+    block_sizes = {1, max(1, n - 1), n, 7 * n + 3, 1 << 14, 1 << 16}
+    if n > 300:  # blocks of 16 and 64 samples; narrower ones take seconds here
+        block_sizes = {1 << 14, 1 << 16}
+    for block_values in sorted(block_sizes):
         monkeypatch.setattr(game, "ORACLE_BLOCK_VALUES", block_values)
         for seed, (p, samples) in enumerate(((5.0, 1), (1.5, 300), (5.0, 2000))):
             args = (p, params, samples, RngSeed(seed, n))
             assert_same_bits(oracle_jammer_br(*args), ref_oracle_jammer_br(*args))
-            with monkeypatch.context() as patch:
-                patch.setattr("wskg.rates.rate_array", wavy_rate)
-                got = oracle_jammer_br(*args)
-            assert_same_bits(got, ref_oracle_jammer_br(*args, wavy_rate))
+            for rate in (wavy_rate, concave_rate):
+                with monkeypatch.context() as patch:
+                    patch.setattr("wskg.rates.rate_array", rate)
+                    got = oracle_jammer_br(*args)
+                assert_same_bits(got, ref_oracle_jammer_br(*args, rate))
+            # Under the concave rate the one vertex must still be found.
+            assert sorted(got[0].gamma, reverse=True) == [total] + [0.0] * (n - 1)
 
 
 def test_streamed_oracle_keeps_argmins_order_across_blocks(monkeypatch):
-    # Coarse values tie across blocks, and a band of samples is NaN; with
-    # four rows a block both land in blocks after the first.
+    # Coarse values tie across sample blocks, and a band of samples is NaN;
+    # with one to four samples a block, the first NaN and the tied minima
+    # lie several sample blocks in.
     def coarse(p, gamma, sigma2, sigmaj2):
         values = np.round(rate_array(p, gamma, sigma2, sigmaj2), 1)
         return np.where((gamma > 7.0) & (gamma < 7.05), np.nan, values)
 
     monkeypatch.setattr(game, "ORACLE_BLOCK_VALUES", 8)
     monkeypatch.setattr("wskg.rates.rate_array", coarse)
-    # With three or five subcarriers the vertices span two or five blocks.
     for n in (2, 3, 5):
         params = params_with(5.0, n=n)
         for samples in (3, 40, 4000):
@@ -292,7 +318,8 @@ def test_oracle_memory_does_not_grow_with_samples(ref_params):
 
 
 def test_oracle_memory_does_not_grow_with_subcarriers_squared():
-    # The n vertices come in blocks too; all n at once took 32 MB at n = 1024.
+    # The search holds the uniform point, one vertex and one sample block,
+    # never an n-by-n array of vertices, which alone is 8 MB at n = 1024.
     tracemalloc.start()
     try:
         oracle_jammer_br(5.0, params_with(5.0, n=1024), 100, RngSeed(8))
