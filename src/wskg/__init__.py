@@ -23,12 +23,11 @@ _EXPORTS = {
         "game": ("critical_power", "jammer_br_strategic", "oracle_jammer_br",
                  "oracle_stackelberg", "stackelberg_fixed", "stackelberg_strategic"),
         "injection": ("coincidence_precoder", "gram", "leakage_bound", "mi_from_gram",
-                      "simulate_two_look"),
+                      "randomize_trials", "simulate_two_look"),
         "metrics": ("sweep",),
         "params": ("ALLOCATION_SUM_RTOL", "EquilibriumResult", "PowerAllocation", "RngSeed",
                    "SystemParams"),
-        "randomization": ("leakage_after_randomization", "randomize_trials",
-                          "verify_randomization"),
+        "randomization": ("leakage_after_randomization", "verify_randomization"),
         "rates": ("rate_array", "sum_rate"),
         "stochastic": ("gaussian_mi_from_cov", "ks_test_normal", "sample_complex_gaussian",
                        "sample_qpsk_pilot"),

@@ -19,7 +19,7 @@ import sys
 from typing import List, Optional
 
 from .errors import NumericalError, ParameterError
-from .params import EquilibriumResult, PowerAllocation, RngSeed, SystemParams
+from .params import EquilibriumResult, RngSeed, SystemParams
 
 # Each command imports what it runs when it runs: the closed-form commands
 # (solve-fixed, solve-strategic, sweep) never load numpy, dataclasses or
@@ -104,8 +104,7 @@ def _cmd_simulate_injection(params: SystemParams, seed: RngSeed, trials: int, wo
 
 
 def _cmd_leakage(params: SystemParams, seed: RngSeed, trials: int, workers: Optional[int]) -> dict:
-    from .injection import CHUNK_TRIALS, chunked_grams, mi_from_gram, simulate_two_look
-    from .randomization import randomize_trials
+    from .injection import CHUNK_TRIALS, chunked_grams, mi_from_gram, randomize_trials, simulate_two_look
 
     # One pool runs both stages; the randomized chunks continue on the
     # substreams after the static ones.
@@ -122,19 +121,17 @@ def _cmd_leakage(params: SystemParams, seed: RngSeed, trials: int, workers: Opti
 
 
 def _cmd_oracle_check(params: SystemParams, seed: RngSeed, trials: int) -> dict:
-    from .game import LEADER_GRID_POINTS, oracle_jammer_br, oracle_stackelberg, stackelberg_fixed
-    from .rates import sum_rate
+    from .game import LEADER_GRID_POINTS, _uniform_sum_rate, oracle_jammer_br, oracle_stackelberg, stackelberg_fixed
 
     closed = stackelberg_fixed(params)
     p_best, oracle_value = oracle_stackelberg(params)
     gap = abs(closed.payoff - oracle_value) / max(abs(closed.payoff), 1e-300)
     _, best_value = oracle_jammer_br(params.max_pilot_power, params, trials, seed)
-    uniform_value = sum_rate(
-        params.max_pilot_power, PowerAllocation.uniform(params), params
-    )
-    # Each of sum_rate's rates may lie 2 ulps from rate_array's, and the two
+    n, p_max, gamma, _, s2, j2 = params
+    uniform_value = _uniform_sum_rate(n, p_max, gamma, s2, j2)
+    # Each of the closed-form rates may lie 2 ulps from rate_array's, and the two
     # sums round apart, by at most (n + 1) eps of the value; allow 2 n eps.
-    slack = 2 * params.n_subcarriers * sys.float_info.epsilon * uniform_value
+    slack = 2 * n * sys.float_info.epsilon * uniform_value
     jensen_ok = uniform_value <= best_value + slack
     return {
         "allocation_samples": trials,

@@ -47,6 +47,12 @@ def critical_power(params: SystemParams) -> float:
     return _knee(params.sense_threshold, params.jam_power_budget, params.jam_channel_var)
 
 
+def _uniform_sum_rate(n, p, g, sigma2, sigmaj2):
+    """Sum rate at pilot power ``p`` of ``n`` subcarriers jammed at ``g`` each, with
+    the bits of ``rates.sum_rate`` over that allocation (n * rate has others)."""
+    return rates._repeated_sum(rates._rate(p, g, sigma2, sigmaj2, math.log1p), n)
+
+
 def _fixed_payoffs(n, p_max, gamma, p_th, sigma2, sigmaj2):
     """Fixed-threshold game payoffs at one point.
 
@@ -58,15 +64,9 @@ def _fixed_payoffs(n, p_max, gamma, p_th, sigma2, sigmaj2):
     ``_fixed_payoffs(*params)`` solves one point.
     Overflow is silent here: callers reject non-finite payoffs themselves.
     """
-
-    def total(p, g):
-        # Summing n equal rates rounds exactly as sum_rate does over an
-        # n-entry allocation; n * rate does not.
-        return rates._repeated_sum(rates._rate(p, g, sigma2, sigmaj2, math.log1p), n)
-
     knee = _knee(p_th, gamma, sigmaj2)
-    c_full = total(p_max, gamma)
-    c_threshold = total(min(p_th, p_max), 0.0)
+    c_full = _uniform_sum_rate(n, p_max, gamma, sigma2, sigmaj2)
+    c_threshold = _uniform_sum_rate(n, min(p_th, p_max), 0.0, sigma2, sigmaj2)
     # Below the threshold the leader is never sensed and plays its budget.
     jammed = p_max > p_th
     # An overflowed knee is no knife edge: every finite budget lies below it.
@@ -129,7 +129,8 @@ def stackelberg_strategic(params: SystemParams, delta: float) -> EquilibriumResu
     """
     budget = params.max_pilot_power
     profile = jammer_br_strategic(budget, params, delta)
-    payoff = rates.sum_rate(budget, profile.allocation, params)
+    s2, j2 = params.legit_channel_var, params.jam_channel_var
+    payoff = _uniform_sum_rate(params.n_subcarriers, budget, profile.allocation.gamma[0], s2, j2)
     return EquilibriumResult((profile,), payoff, unique=False, boundary_case=False)
 
 

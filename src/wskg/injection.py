@@ -1,10 +1,14 @@
-"""Coincident-signal injection attack: precoding, two-look simulation, leakage.
+"""Coincident-signal injection attack: precoding, both Monte Carlo kernels, leakage.
 
 A two-antenna attacker with knowledge of both of its channel vectors can
 precode its transmission so the identical waveform arrives at both legitimate
 receivers, planting attacker-chosen material in their shared randomness. The
 leakage bound quantifies, in bits, how much of the distilled key material the
 attacker controls when the probing pilots are deterministic.
+
+Both Monte Carlo kernels live here, beside the buffer layout they write into:
+:func:`simulate_two_look` (static pilots) and :func:`randomize_trials`
+(the randomized-probing defense of :mod:`wskg.randomization`).
 """
 
 from __future__ import annotations
@@ -19,7 +23,7 @@ import numpy as np
 
 from .errors import NumericalError, ParameterError
 from .params import RngSeed, SystemParams
-from .stochastic import _complex_normal, gaussian_mi_from_cov
+from .stochastic import _complex_normal, _qpsk, gaussian_mi_from_cov
 
 #: Scale of the singularity rejection floor for the precoder denominator.
 #: Equality of the two first-antenna gains has probability zero under the
@@ -71,7 +75,8 @@ _BUFFER_LAYOUT = {
 }
 
 #: Bytes per trial of one buffer set: seven complex slots and ``scratch``.
-BUFFER_BYTES_PER_TRIAL = 120
+BUFFER_BYTES_PER_TRIAL = max(offset + np.dtype(dtype).itemsize * count
+                             for offset, dtype, count in _BUFFER_LAYOUT.values())
 
 
 class ChunkBuffers:
@@ -96,6 +101,13 @@ class ChunkBuffers:
         start = offset * self.size
         view = self._block[start : start + np.dtype(dtype).itemsize * per_trial * n].view(dtype)
         return view.reshape(per_trial, n) if per_trial > 1 else view
+
+
+def _draw(rng, buffers: ChunkBuffers, key: int, variance: float, n_trials: int) -> np.ndarray:
+    """``n_trials`` complex normal draws into slot ``key``, through the set's
+    scratch array."""
+    scratch = buffers.take("scratch", n_trials)
+    return _complex_normal(rng, variance, n_trials, buffers.take(key, n_trials), scratch)
 
 
 @dataclass(frozen=True)
@@ -143,12 +155,8 @@ def simulate_two_look(
     if buffers is None:
         buffers = ChunkBuffers(n_trials)
     scratch = buffers.take("scratch", n_trials)
-
-    def draw(key: int, variance: float) -> np.ndarray:
-        return _complex_normal(rng, variance, n_trials, buffers.take(key, n_trials), scratch)
-
-    h = draw(3, params.legit_channel_var)
-    h_a1, h_a2, h_b1, h_b2 = (draw(key, entry_var) for key in (0, 4, 5, 1))
+    h = _draw(rng, buffers, 3, params.legit_channel_var, n_trials)
+    h_a1, h_a2, h_b1, h_b2 = (_draw(rng, buffers, key, entry_var, n_trials) for key in (0, 4, 5, 1))
 
     resampled = 0
     denom = np.subtract(h_a1, h_b1, out=buffers.take(2, n_trials))
@@ -171,12 +179,46 @@ def simulate_two_look(
     injected *= 1.0 + 0.0j  # the attack symbol xj; the product sets the sign of zero parts
 
     # The ratio and denom are dead: the noises reuse their slots.
-    z_a = draw(1, 1.0)
-    z_b = draw(2, 1.0)
+    z_a, z_b = (_draw(rng, buffers, key, 1.0, n_trials) for key in (1, 2))
     common = np.add(np.multiply(math.sqrt(params.max_pilot_power), h, out=h), injected, out=h)
     z_a += common
     z_b += common
     return TwoLookBatch(z_a=z_a, z_b=z_b, injected=injected, resampled=resampled)
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def randomize_trials(
+    params: SystemParams, n_trials: int, seed: RngSeed, buffers: Optional[ChunkBuffers] = None
+) -> TwoLookBatch:
+    """Monte Carlo trials of both parties' post-multiplied observations.
+
+    Per trial: independent QPSK pilots X and Y at full pilot power, a channel
+    gain H ~ CN(0, legit_channel_var), an injected value
+    W ~ CN(0, jam_channel_var * jam_power_budget), and unit-variance noises.
+    Returns Z~_a = XYH + XW + X N_a and Z~_b = XYH + YW + Y N_b, as views into
+    ``buffers`` when given. Overflow is silent here: callers reject the
+    non-finite moments it leads to.
+    """
+    if n_trials < 1:
+        raise ParameterError(f"n_trials must be >= 1, got {n_trials}")
+    rng = seed.generator()
+    if buffers is None:
+        buffers = ChunkBuffers(n_trials)
+    scratch = buffers.take("scratch", n_trials)
+    x, y = (_qpsk(rng, params.max_pilot_power, n_trials, buffers.take(key, n_trials), scratch)
+            for key in (3, 4))
+    h = _draw(rng, buffers, 1, params.legit_channel_var, n_trials)
+    w = _draw(rng, buffers, 0, params.jam_channel_var * params.jam_power_budget, n_trials)
+    noise_a, noise_b = (_draw(rng, buffers, key, 1.0, n_trials) for key in (5, 6))
+    # In place, in the operation order of z_a = x y h + x w + x noise_a, etc.
+    z_b = np.multiply(x, y, out=buffers.take(2, n_trials))
+    z_b *= h
+    z_a = np.multiply(x, w, out=h)
+    z_a += z_b
+    z_a += np.multiply(x, noise_a, out=noise_a)
+    z_b += np.multiply(y, w, out=noise_a)
+    z_b += np.multiply(y, noise_b, out=noise_b)
+    return TwoLookBatch(z_a=z_a, z_b=z_b, injected=w)
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -187,7 +229,7 @@ def gram(batch: TwoLookBatch, buffers: Optional[ChunkBuffers] = None) -> np.ndar
     so the matrices of disjoint batches add up to the matrix of their union.
     Serves both observation models: the static-pilot looks of
     :func:`simulate_two_look` and the post-multiplied looks of
-    ``randomize_trials``.
+    :func:`randomize_trials`.
     The stacked coordinates are written into ``buffers`` when given, over
     slots 3 to 6, so the batch must lie in slots 0 to 2.
     Overflow is silent here: :func:`mi_from_gram` rejects a non-finite matrix.
@@ -230,7 +272,7 @@ def chunked_grams(
     the sum of its chunks' :func:`gram` matrices and the channel draws they
     resampled.
 
-    Each kernel (:func:`simulate_two_look` or ``randomize_trials``) runs
+    Each kernel (:func:`simulate_two_look` or :func:`randomize_trials`) runs
     ``n_trials`` trials in chunks of ``CHUNK_TRIALS``. Chunk ``i`` of kernel
     ``k`` uses substream ``stream + k * n_chunks + i``, so each kernel
     continues on the substreams after the previous one. All chunks share one

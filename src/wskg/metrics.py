@@ -76,7 +76,7 @@ def _row(value: float, c_se: float, c_full: float, c_threshold: float) -> SweepR
             "equilibrium payoff is zero; relative metrics are undefined"
         )
     if not math.isfinite(c_full):
-        raise NumericalError(f"equilibrium payoff is not finite: {c_full!r}")
+        raise NumericalError(f"full-power payoff is not finite: {c_full!r}")
     f = (c_se - c_full) / c_se
     d = (c_se - c_threshold) / c_se
     for name, metric in (("f", f), ("d", d)):

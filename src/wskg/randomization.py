@@ -5,6 +5,9 @@ post-multiply their observation by their own pilot. The common term X Y H
 remains exactly complex Gaussian, while the injected term decorrelates from
 both post-multiplied observations, collapsing the attacker's leakage to zero
 and reducing the injection to plain uncorrelated jamming.
+
+Its Monte Carlo kernel, ``randomize_trials``, lives in :mod:`wskg.injection`,
+beside the other kernel and the buffer layout both write into.
 """
 
 from __future__ import annotations
@@ -12,63 +15,13 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
 from .errors import NumericalError, ParameterError
-from .injection import ChunkBuffers, TwoLookBatch, chunked_grams, mi_from_gram
+from .injection import chunked_grams, mi_from_gram, randomize_trials
 from .params import RngSeed, SystemParams
-from .stochastic import (
-    KsReport,
-    _complex_normal,
-    _pilot_indices,
-    _qpsk,
-    _qpsk_points,
-    _scaled_normal,
-    ks_test_normal,
-)
-
-
-@np.errstate(over="ignore", invalid="ignore")
-def randomize_trials(
-    params: SystemParams, n_trials: int, seed: RngSeed, buffers: Optional[ChunkBuffers] = None
-) -> TwoLookBatch:
-    """Monte Carlo trials of both parties' post-multiplied observations.
-
-    Per trial: independent QPSK pilots X and Y at full pilot power, a channel
-    gain H ~ CN(0, legit_channel_var), an injected value
-    W ~ CN(0, jam_channel_var * jam_power_budget), and unit-variance noises.
-    Returns Z~_a = XYH + XW + X N_a and Z~_b = XYH + YW + Y N_b, as views into
-    ``buffers`` when given. Overflow is silent here: callers reject the
-    non-finite moments it leads to.
-    """
-    if n_trials < 1:
-        raise ParameterError(f"n_trials must be >= 1, got {n_trials}")
-    rng = seed.generator()
-    if buffers is None:
-        buffers = ChunkBuffers(n_trials)
-    scratch = buffers.take("scratch", n_trials)
-    power = params.max_pilot_power
-    x = _qpsk(rng, power, n_trials, buffers.take(3, n_trials), scratch)
-    y = _qpsk(rng, power, n_trials, buffers.take(4, n_trials), scratch)
-
-    def draw(key: int, variance: float) -> np.ndarray:
-        return _complex_normal(rng, variance, n_trials, buffers.take(key, n_trials), scratch)
-
-    h = draw(1, params.legit_channel_var)
-    w = draw(0, params.jam_channel_var * params.jam_power_budget)
-    noise_a = draw(5, 1.0)
-    noise_b = draw(6, 1.0)
-    # In place, in the operation order of z_a = x y h + x w + x noise_a, etc.
-    z_b = np.multiply(x, y, out=buffers.take(2, n_trials))
-    z_b *= h
-    z_a = np.multiply(x, w, out=h)
-    z_a += z_b
-    z_a += np.multiply(x, noise_a, out=noise_a)
-    z_b += np.multiply(y, w, out=noise_a)
-    z_b += np.multiply(y, noise_b, out=noise_b)
-    return TwoLookBatch(z_a=z_a, z_b=z_b, injected=w)
+from .stochastic import KsReport, _pilot_indices, _qpsk_points, _scaled_normal, ks_test_normal
 
 
 @dataclass(frozen=True)
@@ -128,7 +81,7 @@ def verify_randomization(
         s = slice(start, start + VERIFY_BLOCK)
         hs = h[: product[s].size]
         hs.real, hs.imag = product[s], source_real[s]
-        x, y = points[x_index[s]], points[y_index[s]]
+        x, y = points.take(x_index[s]), points.take(y_index[s])
         # Named operands: numpy may multiply a temporary operand in place
         # with the operands swapped, and a fused complex multiply is not
         # symmetric in its last bit.

@@ -466,7 +466,7 @@ _LOADS = {
     ),
     "leakage": (
         ["leakage", "--workers", "2", "--trials", "150000", "--seed", "5"],
-        _CORE + _SEEDED + ["wskg.injection", "wskg.randomization"],
+        _CORE + _SEEDED + ["wskg.injection"],
     ),
     "oracle-check": (
         ["oracle-check", "--seed", "1", "--trials", "1000"],

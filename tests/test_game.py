@@ -22,6 +22,7 @@ from wskg import (
     stackelberg_strategic,
     sum_rate,
 )
+from wskg.cli import _cmd_oracle_check
 
 
 def params_with(p_max, gamma=4.0, p_th=2.0, sigma2=1.0, sigmaj2=1.0, n=10):
@@ -158,6 +159,30 @@ def test_strategic_jammer_dominates_fixed_jammer():
         fixed = stackelberg_fixed(params).payoff
         strategic = stackelberg_strategic(params, 0.5).payoff
         assert strategic <= fixed + 1e-12
+
+
+def test_uniformly_jammed_payoff_has_one_path():
+    # The strategic payoff and oracle-check's uniform value are the fixed
+    # game's full-power payoff, bit for bit, as is sum_rate over the uniform
+    # allocation: below and above numpy's 128-value summation leaf, and at
+    # zero pilot and jam budgets.
+    rng = np.random.default_rng(2031)
+    for i in range(300):
+        p_max, gamma = (float(10.0 ** rng.uniform(-8.0, 6.0)) for _ in range(2))
+        params = SystemParams(
+            int(rng.integers(1, 129) if i % 2 else rng.integers(129, 2049)),
+            0.0 if i % 5 == 0 else p_max,
+            0.0 if i % 7 == 0 else gamma,
+            float(10.0 ** rng.uniform(-6.0, 6.0)),
+            float(10.0 ** rng.uniform(-3.0, 3.0)),
+            float(10.0 ** rng.uniform(-3.0, 3.0)),
+        )
+        expected = game._fixed_payoffs(*params)[1].hex()
+        uniform = PowerAllocation.uniform(params)
+        assert sum_rate(params.max_pilot_power, uniform, params).hex() == expected, params
+        assert stackelberg_strategic(params, 0.5).payoff.hex() == expected, params
+        oracle_check = _cmd_oracle_check(params, RngSeed(i), 1)
+        assert oracle_check["uniform_allocation_value"].hex() == expected, params
 
 
 def test_fixed_payoff_monotone_in_budgets():

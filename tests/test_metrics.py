@@ -316,6 +316,21 @@ def test_sweep_reports_its_first_failing_point(ref_params, lo, error, message):
     assert str(caught.value) == message
 
 
+def test_non_finite_full_power_payoff_is_named(capsys):
+    # At a budget of 1e200 the full-power payoff is inf / inf = nan, while the
+    # threshold payoff, the equilibrium's below the knee, is finite.
+    params = params_with(1e200)
+    with pytest.raises(NumericalError) as caught:
+        sweep(params, "gamma", 6e199, 7e199, 2)
+    assert str(caught.value) == "full-power payoff is not finite: nan"
+    code = main(["sweep", "--variable", "gamma", "--lo", "6e199", "--hi", "7e199",
+                 "--steps", "2", "--p-max", "1e200"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == "numerical failure: full-power payoff is not finite: nan\n"
+
+
 def test_knife_edge_disagreement_is_reported_before_earlier_failures(ref_params, monkeypatch):
     # A knife-edge band of 10% puts 9.0 on the edge, where the two tied
     # payoffs differ; every point is solved before the zero payoff at 0 is
