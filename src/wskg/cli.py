@@ -129,8 +129,10 @@ def _cmd_oracle_check(params: SystemParams, seed: RngSeed, trials: int) -> dict:
     _, best_value = oracle_jammer_br(params.max_pilot_power, params, trials, seed)
     n, p_max, gamma, _, s2, j2 = params
     uniform_value = _uniform_sum_rate(n, p_max, gamma, s2, j2)
-    # Each of the closed-form rates may lie 2 ulps from rate_array's, and the two
-    # sums round apart, by at most (n + 1) eps of the value; allow 2 n eps.
+    # n * rate rounds once (eps / 2); the oracle's row sum of the uniform point adds
+    # n rates, each within 2 ulps of that rate, and rounds by at most (n - 1) eps / 2.
+    # Together (n / 2 + 2) eps of the value, within 2 n eps for n >= 2; at n = 1
+    # both sums are exact and the rates' 2 ulps are within 2 eps.
     slack = 2 * n * sys.float_info.epsilon * uniform_value
     jensen_ok = uniform_value <= best_value + slack
     return {

@@ -5,8 +5,8 @@ observes it and responds. The follower's best response and the resulting
 equilibria have closed forms, and the oracle routines re-derive them by
 direct search so every closed-form branch is verified independently.
 
-The closed forms run on floats, in numpy's summation order, so this module
-imports numpy only inside the two oracles.
+The closed forms run on floats and round each sum of rates once, so this
+module imports numpy only inside the two oracles, which sum with numpy.
 """
 
 from __future__ import annotations
@@ -48,9 +48,9 @@ def critical_power(params: SystemParams) -> float:
 
 
 def _uniform_sum_rate(n, p, g, sigma2, sigmaj2):
-    """Sum rate at pilot power ``p`` of ``n`` subcarriers jammed at ``g`` each, with
-    the bits of ``rates.sum_rate`` over that allocation (n * rate has others)."""
-    return rates._repeated_sum(rates._rate(p, g, sigma2, sigmaj2, math.log1p), n)
+    """Sum rate at pilot power ``p`` of ``n`` subcarriers jammed at ``g`` each:
+    ``n * rate`` rounds the exact sum once, as ``rates.sum_rate`` does."""
+    return n * rates._rate(p, g, sigma2, sigmaj2, math.log1p)
 
 
 def _fixed_payoffs(n, p_max, gamma, p_th, sigma2, sigmaj2):
@@ -157,27 +157,26 @@ def oracle_jammer_br(
     s2, j2 = params.legit_channel_var, params.jam_channel_var
     rng = seed.generator()
     width = max(1, ORACLE_BLOCK_VALUES // n)
-    # A block is an (n, count) array, one candidate per column, stored
-    # column-major, so a sum over subcarriers is n / 8 + 8 vector adds (with
-    # the bits of numpy's sum along a row) rather than numpy's reduction of
-    # count short rows.
+    # A block is a C-contiguous (count, n) array, one candidate per row, and
+    # each sum over subcarriers is numpy's sum along a row: its bits depend
+    # on the row alone, not on how many rows share the block.
 
     def blocks():
-        first = np.zeros((n, 2))
-        first[:, 0], first[0, 1] = params.jam_power_budget, total
+        first = np.zeros((2, n))
+        first[0], first[1, 0] = params.jam_power_budget, total
         yield first
         # Filled in sequence, the blocks hold the values of one big draw.
         for start in range(0, samples, width):
-            spacings = rng.standard_exponential((min(width, samples - start), n)).T.copy()
-            yield spacings / rates._pairwise_sum(spacings) * total
+            spacings = rng.standard_exponential((min(width, samples - start), n))
+            yield spacings / spacings.sum(axis=1, keepdims=True) * total
 
     best = None
     for block in blocks():
-        values = rates._pairwise_sum(rates.rate_array(p, block, s2, j2))
+        values = rates.rate_array(p, block, s2, j2).sum(axis=1)
         i = int(np.argmin(values))
         # np.argmin's order across blocks: a NaN beats every number, a tie keeps the earlier.
         if best is None or np.argmin((best_value, values[i])) == 1:
-            best, best_value = block[:, i], float(values[i])
+            best, best_value = block[i], float(values[i])
     return PowerAllocation(tuple(best), params.jam_power_budget), best_value
 
 

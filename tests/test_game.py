@@ -164,8 +164,8 @@ def test_strategic_jammer_dominates_fixed_jammer():
 def test_uniformly_jammed_payoff_has_one_path():
     # The strategic payoff and oracle-check's uniform value are the fixed
     # game's full-power payoff, bit for bit, as is sum_rate over the uniform
-    # allocation: below and above numpy's 128-value summation leaf, and at
-    # zero pilot and jam budgets.
+    # allocation: each rounds the exact sum once. For n on both sides of 128
+    # and at zero pilot and jam budgets.
     rng = np.random.default_rng(2031)
     for i in range(300):
         p_max, gamma = (float(10.0 ** rng.uniform(-8.0, 6.0)) for _ in range(2))
@@ -290,13 +290,14 @@ def concave_rate(p, gamma, sigma2, sigmaj2):
 
 @pytest.mark.parametrize("n", [1, 2, 10, 37, 130, 300, 1024])
 def test_oracle_matches_one_shot_search_at_any_block_size(monkeypatch, n):
-    # Sample blocks of any width, a draw straddling their edges, on both
-    # sides of numpy's 128-value summation leaf.
+    # Sample blocks of any width, one sample wide included, and a draw
+    # straddling their edges: a row sums to the same bits in any block, on
+    # both sides of the 128 values where numpy's row sum starts halving.
     params = params_with(5.0, n=n)
     total = n * params.jam_power_budget
     block_sizes = {1, max(1, n - 1), n, 7 * n + 3, 1 << 14, 1 << 16}
-    if n > 300:  # blocks of 16 and 64 samples; narrower ones take seconds here
-        block_sizes = {1 << 14, 1 << 16}
+    if n > 300:  # blocks of 1, 16 and 64 samples, to stay under 2 s here
+        block_sizes = {1, n - 1, 1 << 14, 1 << 16}
     for block_values in sorted(block_sizes):
         monkeypatch.setattr(game, "ORACLE_BLOCK_VALUES", block_values)
         for seed, (p, samples) in enumerate(((5.0, 1), (1.5, 300), (5.0, 2000))):

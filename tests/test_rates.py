@@ -1,11 +1,12 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wskg import ParameterError, PowerAllocation, SystemParams, rate_array, rates, sum_rate
+from wskg import ParameterError, PowerAllocation, SystemParams, game, rate_array, rates, sum_rate
 
 
 def raw_rate(p, gamma, sigma2, sigmaj2):
@@ -109,55 +110,34 @@ def test_budget_scaling_identity():
         assert lhs == pytest.approx(rhs, rel=1e-9)
 
 
-def test_pairwise_sum_matches_np_sum_bits():
-    # numpy's order changes at 8 and 128 values; a sequential sum differs
-    # from it in the last bit for most of these vectors.
+def test_closed_form_sums_round_once():
+    # n * rate and sum_rate are the exact sum of the rates rounded once, for
+    # n on both sides of 128 and at zero pilot and jam budgets; an inf rate
+    # sums to inf and a nan rate to nan.
     rng = np.random.default_rng(31)
-    for n in [*range(1, 301), 1000, 4099, 65_536, 1_000_003]:
-        for values in (
-            rng.random(n) * 10.0 ** rng.uniform(-3.0, 3.0, n),
-            rng.standard_normal(n),
-        ):
-            assert rates._pairwise_sum(values.tolist()).hex() == float(np.sum(values)).hex(), n
-        value = rng.uniform(0.0, 20.0)
-        expected = float(np.sum(np.full(n, value))).hex()
-        assert rates._pairwise_sum([value] * n).hex() == expected, n
-        assert rates._repeated_sum(value, n).hex() == expected, n
-
-
-def test_pairwise_sum_of_rows_matches_row_sums_bits():
-    # Summed as rows, the columns of an (n, m) array give the bits of
-    # .sum(axis=1) over the C-contiguous (m, n) array it was transposed from,
-    # through numpy's three regimes and with signed zeros, subnormals,
-    # overflow and non-finite values; the first two columns are all -0.0
-    # and all 0.0.
-    rng = np.random.default_rng(47)
-    edges = np.array([0.0, -0.0, 5e-324, 1e308, math.inf, math.nan])
-    for n in [*range(1, 301), 1024, 4097]:
-        drawn = rng.standard_normal((7, n)) * 10.0 ** rng.uniform(-3.0, 3.0, (7, n))
-        edged = np.where(rng.random((7, n)) < 0.3, rng.choice(edges, (7, n)), drawn)
-        array = np.vstack([np.full(n, -0.0), np.zeros(n), drawn, edged])
-        rows = array.T.copy()
-        before = rows.copy()
-        with np.errstate(over="ignore", invalid="ignore"):
-            got, expected = rates._pairwise_sum(rows), array.sum(axis=1)
-        assert got.shape == expected.shape
-        assert got.view(np.int64).tolist() == expected.view(np.int64).tolist(), n
-        assert rows.view(np.int64).tolist() == before.view(np.int64).tolist(), n
-
-
-@pytest.mark.parametrize(
-    "value", [0.0, -0.0, 5e-324, 1e-310, 1 / 3, 1e308, 1.7e308, math.inf, -math.inf, math.nan]
-)
-def test_repeated_sum_matches_pairwise_sum_bits(value):
-    # Signed zeros, subnormals, overflow (1.7e308 doubles to inf) and
-    # non-finite values, through all three of numpy's summation regimes.
-    for n in [*range(1, 301), 1000, 4097, 65_536, 10**6]:
-        got, expected = rates._repeated_sum(value, n), rates._pairwise_sum([value] * n)
-        if math.isnan(expected):
-            assert math.isnan(got), n
-        else:
-            assert got.hex() == expected.hex(), n
+    for i in range(2000):
+        n = int(rng.integers(1, 129) if i % 2 else rng.integers(129, 5001))
+        p = 0.0 if i % 5 == 0 else float(10.0 ** rng.uniform(-8.0, 6.0))
+        gamma = 0.0 if i % 7 == 0 else float(10.0 ** rng.uniform(-8.0, 6.0))
+        s2, j2 = (float(10.0 ** rng.uniform(-3.0, 3.0)) for _ in range(2))
+        r = rates._rate(p, gamma, s2, j2, math.log1p)
+        assert game._uniform_sum_rate(n, p, gamma, s2, j2) == float(Fraction(r) * n), (n, p, gamma)
+    for i in range(300):
+        n = int(rng.integers(1, 129) if i % 2 else rng.integers(129, 2049))
+        p = 0.0 if i % 5 == 0 else float(10.0 ** rng.uniform(-8.0, 6.0))
+        budget = 0.0 if i % 7 == 0 else float(10.0 ** rng.uniform(-8.0, 6.0))
+        params = SystemParams(n, p, budget, 1.0, *(10.0 ** rng.uniform(-3.0, 3.0, 2)))
+        allocation = PowerAllocation(tuple(budget * rng.random(n)), budget)
+        s2, j2 = params.legit_channel_var, params.jam_channel_var
+        exact = sum(Fraction(rates._rate(p, g, s2, j2, math.log1p)) for g in allocation.gamma)
+        assert sum_rate(p, allocation, params) == float(exact), params
+    # p * sigma2 = 1e200: the rate's numerator overflows to inf, and a jam
+    # power of 1e300 makes its denominator inf too, so that rate is nan.
+    assert game._uniform_sum_rate(3, 1e200, 4.0, 1.0, 1.0) == math.inf
+    assert math.isnan(game._uniform_sum_rate(3, 1e200, 1e300, 1.0, 1.0))
+    params = SystemParams(3, 1e200, 1e300, 2.0, 1.0, 1.0)
+    assert sum_rate(1e200, PowerAllocation((4.0, 0.0, 8.0), 4.0), params) == math.inf
+    assert math.isnan(sum_rate(1e200, PowerAllocation((4.0, 1e300, 8.0), 1e300), params))
 
 
 @settings(max_examples=500, deadline=None)
