@@ -164,7 +164,9 @@ def _cmd_sweep(params: SystemParams, variable: str, lo: float, hi: float, steps:
 
 
 def _output_file(path: str) -> str:
-    """``--output``'s type: any path but an existing directory."""
+    """``--output``'s type: any path but the empty one or an existing directory."""
+    if not path:
+        raise argparse.ArgumentTypeError("the path is empty")
     if os.path.isdir(path):
         raise argparse.ArgumentTypeError(f"{path!r} is a directory")
     return path
@@ -265,7 +267,7 @@ def run(command: str, output_path: Optional[str] = None, format: str = "json", *
         if "rows" in payload:
             payload["rows"] = [row._asdict() for row in payload["rows"]]
         text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
-    if output_path:
+    if output_path is not None:
         try:
             with open(output_path, "w", encoding="utf-8", newline="\n") as handle:
                 handle.write(text)

@@ -17,8 +17,9 @@ import math
 
 import numpy as np
 
-#: Values per block of the CDF and deviation arrays.
-BLOCK = 1 << 16
+#: Values per block of the CDF and deviation arrays: 128 KB of float64 per
+#: block temporary.
+BLOCK = 1 << 14
 
 
 def ks_statistic(a: np.ndarray) -> float:

@@ -39,8 +39,9 @@ class RandomizationReport:
     source_real_var: float
 
 
-#: Samples per block of :func:`verify_randomization`'s streamed draws.
-VERIFY_BLOCK = 1 << 14
+#: Samples per block of :func:`verify_randomization`'s streamed draws: 128 KB
+#: of complex values per block temporary.
+VERIFY_BLOCK = 1 << 13
 
 
 def verify_randomization(
@@ -64,13 +65,17 @@ def verify_randomization(
                         ("product variance", product_var), ("source variance", source_var)):
         if not sys.float_info.min <= value <= sys.float_info.max:
             raise NumericalError(f"{name} is not a normal float: {value!r}")
-    # The draws of _qpsk and _complex_normal: only the pilot indices and the
-    # two tested arrays are held whole. h's real and imaginary parts are
-    # drawn whole into ``product`` and ``source_real``, and each block
-    # overwrites its own draws.
+    # The draws of _qpsk and _complex_normal. x's point indices are drawn
+    # whole and shifted left by 2, then y's are drawn and ORed in: only one
+    # byte per pilot pair (4 * x + y) and the two tested arrays are held
+    # whole, and y's own bytes live only before those arrays exist. h's real
+    # and imaginary parts are drawn whole into ``product`` and
+    # ``source_real``, and each block overwrites its own draws.
     # Products stay complex: numpy may fuse a*c - b*d into one rounding.
     rng = seed.generator()
-    x_index, y_index = _pilot_indices(rng, n_samples), _pilot_indices(rng, n_samples)
+    pilots = _pilot_indices(rng, n_samples)
+    pilots <<= 2
+    pilots |= _pilot_indices(rng, n_samples)
     product, source_real = np.empty(n_samples), np.empty(n_samples)
     scale = math.sqrt(s2 / 2.0)
     _scaled_normal(rng, scale, product)
@@ -81,13 +86,13 @@ def verify_randomization(
         s = slice(start, start + VERIFY_BLOCK)
         hs = h[: product[s].size]
         hs.real, hs.imag = product[s], source_real[s]
-        x, y = points.take(x_index[s]), points.take(y_index[s])
+        x, y = points.take(pilots[s] >> 2), points.take(pilots[s] & 3)
         # Named operands: numpy may multiply a temporary operand in place
         # with the operands swapped, and a fused complex multiply is not
         # symmetric in its last bit.
         source_real[s] = (x * y * hs).real
         product[s] = x.real * hs.real
-    del x_index, y_index
+    del pilots
     ks_product = ks_test_normal(product, product_var, overwrite_input=True)
     del product
     with np.errstate(over="ignore"):  # an overflowed variance is returned as inf

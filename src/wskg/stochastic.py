@@ -55,8 +55,8 @@ def _scaled_normal(rng: np.random.Generator, scale: float, out: np.ndarray) -> n
     return np.add(out, 0.0, out=out)
 
 
-#: Bits per ``rng.integers`` call of :func:`_pilot_indices` (512 KB of int64).
-PILOT_BLOCK = 1 << 16
+#: Bits per ``rng.integers`` call of :func:`_pilot_indices` (128 KB of int64).
+PILOT_BLOCK = 1 << 14
 
 
 def _pilot_indices(
@@ -68,9 +68,9 @@ def _pilot_indices(
 
     Each draw is taken ``PILOT_BLOCK`` bits at a time: Philox keeps the
     spare half of a 64-bit word in its state, so the blocks give the bits of
-    one call. The bits go unnamed, so one block is alive at a time. Written
-    into ``out`` (``count`` integers of any type) when given, and into bytes
-    otherwise.
+    one call. The bits go unnamed, so one block, 128 KB of int64, is alive
+    at a time. Written into ``out`` (``count`` integers of any type) when
+    given, and into bytes otherwise.
     """
     index = np.empty(count, dtype=np.uint8) if out is None else out
     blocks = [index[start : start + PILOT_BLOCK] for start in range(0, count, PILOT_BLOCK)]

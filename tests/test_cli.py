@@ -885,3 +885,12 @@ def test_output_naming_a_directory_exits_1(tmp_path):
     assert proc.stdout == ""
     assert "--output" in proc.stderr and str(tmp_path) in proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+def test_empty_output_path_exits_1():
+    # An empty path names no file: it must not fall back to stdout.
+    proc = run_fresh(_MAIN, "solve-fixed", "--output", "")
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert "--output" in proc.stderr and "empty" in proc.stderr
+    assert "Traceback" not in proc.stderr
