@@ -1,9 +1,13 @@
 """Command-line harness: solvers, verifications, simulations, and sweeps.
 
-Every command is a deterministic function of its option values; commands that
-draw random numbers require an explicit ``--seed`` (there is no wall-clock
-default). JSON output has sorted keys and CSV numbers carry 12 significant
-digits, so identical invocations produce byte-identical artifacts.
+Each command's builder turns its flags into a payload and reads every number
+from the module that owns it: ``oracle-check``'s verdict is
+``game.oracle_check``, and ``simulate-injection`` and ``leakage`` share one
+builder of the static stage's statistics. Every command is a deterministic
+function of its option values; commands that draw random numbers require an
+explicit ``--seed`` (there is no wall-clock default). JSON output has sorted
+keys and CSV numbers carry 12 significant digits, so identical invocations
+produce byte-identical artifacts.
 
 Exit codes: 0 success, 1 invalid configuration, 2 numerical failure
 (non-finite result), 3 a verification command rejected its own check.
@@ -32,21 +36,14 @@ from .params import EquilibriumResult, RngSeed, SystemParams
 KS_SIGNIFICANCE = 0.001
 
 
-def _profile_dict(profile) -> dict:
-    return {
-        "pilot_power": profile.pilot_power,
-        "allocation": [float(g) for g in profile.allocation.gamma],
-        "threshold": profile.threshold,
-    }
-
-
 def _equilibrium_payload(result: EquilibriumResult) -> dict:
     return {
         "p_se": result.profiles[0].pilot_power,
         "payoff": result.payoff,
         "unique": result.unique,
         "boundary_case": result.boundary_case,
-        "profiles": [_profile_dict(profile) for profile in result.profiles],
+        # Each params.Profile as {pilot_power, allocation, threshold}.
+        "profiles": [{**profile._asdict(), "allocation": list(profile.allocation.gamma)} for profile in result.profiles],
     }
 
 
@@ -86,10 +83,10 @@ def _cmd_verify_randomization(params: SystemParams, seed: RngSeed, trials: int) 
     }
 
 
-def _cmd_simulate_injection(params: SystemParams, seed: RngSeed, trials: int, workers: Optional[int]) -> dict:
-    from .injection import CHUNK_TRIALS, chunked_grams, covariance, simulate_two_look
+def _static_stage(params: SystemParams, trials: int, total, resampled: int) -> dict:
+    """Statistics of the static stage from its summed moment matrix and resampled draws."""
+    from .injection import CHUNK_TRIALS, covariance
 
-    ((total, resampled),) = chunked_grams(params, trials, seed, (simulate_two_look,), workers)
     # Python floats, so an overflowing sum is a silent inf that run rejects.
     cov = covariance(total).tolist()
     return {
@@ -103,50 +100,28 @@ def _cmd_simulate_injection(params: SystemParams, seed: RngSeed, trials: int, wo
     }
 
 
-def _cmd_leakage(params: SystemParams, seed: RngSeed, trials: int, workers: Optional[int]) -> dict:
-    from .injection import CHUNK_TRIALS, chunked_grams, mi_from_gram, randomize_trials, simulate_two_look
+def _cmd_simulate_injection(params: SystemParams, seed: RngSeed, trials: int, workers: Optional[int]) -> dict:
+    from .injection import chunked_grams, simulate_two_look
 
-    # One pool runs both stages; the randomized chunks continue on the
-    # substreams after the static ones.
-    (static, resampled), (randomized, _) = chunked_grams(
-        params, trials, seed, (simulate_two_look, randomize_trials), workers
-    )
-    return {
-        "trials": trials,
-        "chunk_trials": CHUNK_TRIALS,
-        "resampled_draws": resampled,
-        "static_pilot_leakage_bits": mi_from_gram(static),
-        "randomized_pilot_leakage_bits": mi_from_gram(randomized),
-    }
+    ((static, resampled),) = chunked_grams(params, trials, seed, (simulate_two_look,), workers)
+    return _static_stage(params, trials, static, resampled)
+
+
+def _cmd_leakage(params: SystemParams, seed: RngSeed, trials: int, workers: Optional[int]) -> dict:
+    from .injection import chunked_grams, mi_from_gram, randomize_trials, simulate_two_look
+
+    # One pool runs both stages; the randomized chunks continue on the substreams after the static ones.
+    stages = chunked_grams(params, trials, seed, (simulate_two_look, randomize_trials), workers)
+    # The estimates come first: they reject too few trials and a non-finite matrix.
+    static_bits, randomized_bits = [mi_from_gram(total) for total, _ in stages]
+    return {**_static_stage(params, trials, *stages[0]), "static_pilot_leakage_bits": static_bits,
+            "randomized_pilot_leakage_bits": randomized_bits}
 
 
 def _cmd_oracle_check(params: SystemParams, seed: RngSeed, trials: int) -> dict:
-    from .game import LEADER_GRID_POINTS, _uniform_sum_rate, oracle_jammer_br, oracle_stackelberg, stackelberg_fixed
+    from .game import oracle_check
 
-    closed = stackelberg_fixed(params)
-    p_best, oracle_value = oracle_stackelberg(params)
-    gap = abs(closed.payoff - oracle_value) / max(abs(closed.payoff), 1e-300)
-    _, best_value = oracle_jammer_br(params.max_pilot_power, params, trials, seed)
-    n, p_max, gamma, _, s2, j2 = params
-    uniform_value = _uniform_sum_rate(n, p_max, gamma, s2, j2)
-    # n * rate rounds once (eps / 2); the oracle's row sum of the uniform point adds
-    # n rates, each within 2 ulps of that rate, and rounds by at most (n - 1) eps / 2.
-    # Together (n / 2 + 2) eps of the value, within 2 n eps for n >= 2; at n = 1
-    # both sums are exact and the rates' 2 ulps are within 2 eps.
-    slack = 2 * n * sys.float_info.epsilon * uniform_value
-    jensen_ok = uniform_value <= best_value + slack
-    return {
-        "allocation_samples": trials,
-        "leader_grid_points": LEADER_GRID_POINTS,
-        "closed_form_payoff": closed.payoff,
-        "oracle_payoff": oracle_value,
-        "oracle_p_best": p_best,
-        "relative_gap": gap,
-        "uniform_allocation_value": uniform_value,
-        "best_sampled_allocation_value": best_value,
-        "jensen_dominance": jensen_ok,
-        "accepted": gap <= 1e-6 and jensen_ok,
-    }
+    return oracle_check(params, trials, seed)
 
 
 def _cmd_sweep(params: SystemParams, variable: str, lo: float, hi: float, steps: int) -> dict:
@@ -183,9 +158,10 @@ _COMMON_OPTIONS = (
 )
 
 _RNG_OPTIONS = (
-    ("--seed", dict(type=int, required=True, help="RNG seed.")),
-    ("--stream", dict(type=int, default=0, help="RNG substream id. The chunked commands draw chunk i from substream stream + i, so "
-                      "independent replicates need different seeds, or streams as far apart as a run's substreams.")),
+    ("--seed", dict(type=int, required=True, help="RNG seed, in [0, 2**64).")),
+    ("--stream", dict(type=int, default=0, help="RNG substream id, in [0, 2**64). The chunked commands draw chunk i from substream "
+                      "stream + i, up to 2**64 - 1, so independent replicates need different seeds, or streams as far "
+                      "apart as a run's substreams.")),
     ("--trials", dict(type=int, default=100_000, help="Monte Carlo trials / oracle samples.")),
 )
 

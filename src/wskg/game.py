@@ -4,6 +4,8 @@ The legitimate pair commits to a pilot power first; a power-sensing jammer
 observes it and responds. The follower's best response and the resulting
 equilibria have closed forms, and the oracle routines re-derive them by
 direct search so every closed-form branch is verified independently.
+:func:`oracle_check` holds ``wskg oracle-check``'s verdict on the two, with
+the rounding argument behind its tolerances.
 
 The closed forms run on floats and round each sum of rates once, so this
 module imports numpy only inside the two oracles, which sum with numpy.
@@ -12,6 +14,7 @@ module imports numpy only inside the two oracles, which sum with numpy.
 from __future__ import annotations
 
 import math
+import sys
 from typing import Tuple
 
 # rates' functions are read through the module at call time, so a wrapper
@@ -108,7 +111,8 @@ def jammer_br_strategic(p: float, params: SystemParams, delta: float) -> Profile
     Any positive pilot power is sensed and uniformly jammed, since the jammer
     can place its threshold anywhere in [0, p). That interval is open, so it
     has no maximal element; the returned threshold is the representative
-    p * (1 - delta) with delta in (0, 1).
+    p * (1 - delta) with delta in (0, 1). A ``delta`` that rounds it up to
+    ``p`` (below about 1.1e-16, or at a subnormal ``p``) is a ParameterError.
     """
     if not (0.0 < delta < 1.0):
         raise ParameterError(f"delta must lie in (0, 1), got {delta!r}")
@@ -116,7 +120,11 @@ def jammer_br_strategic(p: float, params: SystemParams, delta: float) -> Profile
         raise ParameterError(f"p must be >= 0, got {p!r}")
     if p == 0.0:
         return Profile(p, PowerAllocation.silent(params), 0.0)
-    return Profile(p, PowerAllocation.uniform(params), p * (1.0 - delta))
+    # A jammer at threshold p would not sense p: the threshold must round below it.
+    threshold = p * (1.0 - delta)
+    if not threshold < p:
+        raise ParameterError(f"delta {delta!r} rounds the threshold p * (1 - delta) up to p = {p!r}")
+    return Profile(p, PowerAllocation.uniform(params), threshold)
 
 
 def stackelberg_strategic(params: SystemParams, delta: float) -> EquilibriumResult:
@@ -205,3 +213,39 @@ def oracle_stackelberg(params: SystemParams) -> Tuple[float, float]:
     payoffs = params.n_subcarriers * rates.rate_array(grid, response, s2, j2)
     best = int(np.argmax(payoffs))
     return float(grid[best]), float(payoffs[best])
+
+
+def oracle_check(params: SystemParams, samples: int, seed: RngSeed) -> dict:
+    """Verdict of ``wskg oracle-check``: the closed-form equilibrium against
+    :func:`oracle_stackelberg`, and uniform jamming against
+    :func:`oracle_jammer_br`'s ``samples`` allocations drawn from ``seed``.
+
+    Returns the command's ten payload fields. ``accepted`` needs the grid
+    search's payoff within a relative ``1e-6`` of the closed form and no
+    sampled allocation below the uniform point's sum rate by more than the
+    rounding slack (``jensen_dominance``).
+    """
+    closed = stackelberg_fixed(params)
+    p_best, oracle_value = oracle_stackelberg(params)
+    gap = abs(closed.payoff - oracle_value) / max(abs(closed.payoff), 1e-300)
+    _, best_value = oracle_jammer_br(params.max_pilot_power, params, samples, seed)
+    n, p_max, gamma, _, s2, j2 = params
+    uniform_value = _uniform_sum_rate(n, p_max, gamma, s2, j2)
+    # n * rate rounds once (eps / 2); the oracle's row sum of the uniform point adds
+    # n rates, each within 2 ulps of that rate, and rounds by at most (n - 1) eps / 2.
+    # Together (n / 2 + 2) eps of the value, within 2 n eps for n >= 2; at n = 1
+    # both sums are exact and the rates' 2 ulps are within 2 eps.
+    slack = 2 * n * sys.float_info.epsilon * uniform_value
+    jensen_ok = uniform_value <= best_value + slack
+    return {
+        "allocation_samples": samples,
+        "leader_grid_points": LEADER_GRID_POINTS,
+        "closed_form_payoff": closed.payoff,
+        "oracle_payoff": oracle_value,
+        "oracle_p_best": p_best,
+        "relative_gap": gap,
+        "uniform_allocation_value": uniform_value,
+        "best_sampled_allocation_value": best_value,
+        "jensen_dominance": jensen_ok,
+        "accepted": gap <= 1e-6 and jensen_ok,
+    }

@@ -275,7 +275,8 @@ def chunked_grams(
     Each kernel (:func:`simulate_two_look` or :func:`randomize_trials`) runs
     ``n_trials`` trials in chunks of ``CHUNK_TRIALS``. Chunk ``i`` of kernel
     ``k`` uses substream ``stream + k * n_chunks + i``, so each kernel
-    continues on the substreams after the previous one. All chunks share one
+    continues on the substreams after the previous one, and the last of them
+    must not pass ``2**64 - 1``, the last stream a seed has. All chunks share one
     pool of :func:`pool_size` threads, and each thread writes every chunk it
     runs into one buffer set sized to the largest chunk: one allocation per
     thread and call, freed when the call returns. One thread, or one
@@ -285,6 +286,9 @@ def chunked_grams(
     if n_trials < 1:
         raise ParameterError(f"n_trials must be >= 1, got {n_trials}")
     counts = [min(CHUNK_TRIALS, n_trials - start) for start in range(0, n_trials, CHUNK_TRIALS)]
+    last = seed.stream + len(kernels) * len(counts) - 1
+    if last >= 1 << 64:
+        raise ParameterError(f"substreams {seed.stream} to {last} pass 2**64 - 1")
     jobs = [
         (kernel, count, seed.with_stream(seed.stream + k * len(counts) + i))
         for k, kernel in enumerate(kernels)

@@ -138,11 +138,17 @@ class RngSeed(NamedTuple):
     stream: int = 0
 
     def generator(self) -> np.random.Generator:
-        """Fresh generator for this (seed, stream); same pair, same output."""
+        """Fresh generator for this (seed, stream); same pair, same output.
+
+        Both numbers must lie in ``[0, 2**64)``: they are the two words of a
+        Philox key, and a number outside would alias one inside.
+        """
+        for name, value in zip(self._fields, self):
+            if not 0 <= value < _U64:
+                raise ParameterError(f"{name} must lie in [0, 2**64), got {value}")
         import numpy as np
 
-        key = ((self.stream % _U64) << 64) | (self.seed % _U64)
-        return np.random.Generator(np.random.Philox(key=key))
+        return np.random.Generator(np.random.Philox(key=(self.stream << 64) | self.seed))
 
     def with_stream(self, stream: int) -> "RngSeed":
         return RngSeed(self.seed, stream)

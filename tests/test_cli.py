@@ -15,8 +15,9 @@ import pytest
 
 import wskg
 from wskg import errors
-from wskg.cli import _cmd_oracle_check, build_parser, main
+from wskg.cli import build_parser, main
 from wskg.errors import NotPositiveSemidefinite, NumericalError, ParameterError
+from wskg.game import oracle_check
 from wskg.injection import CHUNK_TRIALS
 from wskg.metrics import CSV_HEADER
 from wskg.params import PowerAllocation, RngSeed, SystemParams
@@ -239,7 +240,7 @@ def test_jensen_check_accepts_the_real_oracle_over_random_params():
             float(10.0 ** rng.uniform(-3.0, 3.0)),
             float(10.0 ** rng.uniform(-3.0, 3.0)),
         )
-        payload = _cmd_oracle_check(params, RngSeed(i), 50)
+        payload = oracle_check(params, 50, RngSeed(i))
         assert payload["jensen_dominance"] is True, params
 
 
@@ -301,6 +302,22 @@ def test_leakage_command_runs_the_library_estimators(capsys):
     randomized = wskg.leakage_after_randomization(params, 150_000, wskg.RngSeed(5, 3))
     assert payload["static_pilot_leakage_bits"] == static
     assert payload["randomized_pilot_leakage_bits"] == randomized
+
+
+@pytest.mark.parametrize("workers", ["1", "2"])
+@pytest.mark.parametrize("trials", ["10000", "140001"], ids=["1-chunk", "3-chunks"])
+def test_leakage_carries_simulate_injections_statistics(capsys, trials, workers):
+    # One builder gives both commands the static stage's statistics, drawn
+    # from the same substreams.
+    args = ("--p-max", "2", "--trials", trials, "--seed", "5", "--workers", workers)
+    runs = [run_cli(capsys, command, *args) for command in ("simulate-injection", "leakage")]
+    assert [code for code, _, _ in runs] == [0, 0]
+    injection, leakage = (json.loads(out) for _, out, _ in runs)
+    del injection["command"]
+    assert {key: leakage[key] for key in injection} == injection
+    assert set(leakage) - set(injection) == {
+        "command", "static_pilot_leakage_bits", "randomized_pilot_leakage_bits",
+    }
 
 
 def test_zero_workers_exits_1(capsys):
@@ -539,6 +556,20 @@ def test_closed_form_modules_import_numpy_only_where_they_need_it():
     ]
 
 
+def test_cli_imports_no_private_name_from_the_package():
+    """Each command's numbers come from the module that owns them: the CLI
+    reads no ``_``-prefixed name of another wskg module."""
+    tree = ast.parse((Path(wskg.__file__).parent / "cli.py").read_text(encoding="utf-8"))
+    private = [
+        f"{node.module}.{alias.name}"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and (node.level or node.module.split(".")[0] == "wskg")
+        for alias in node.names
+        if alias.name.startswith("_")
+    ]
+    assert private == []
+
+
 def test_package_names_are_their_defining_modules_objects(monkeypatch):
     for name in wskg.__all__:
         module = importlib.import_module(f"wskg.{wskg._EXPORTS[name]}")
@@ -603,6 +634,48 @@ def test_bad_delta_exits_1(capsys):
         assert code == 1
         assert out == ""
         assert f"delta must lie in (0, 1), got {float(delta)!r}" in err
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["--delta", "1e-17"], "delta 1e-17 rounds the threshold p * (1 - delta) up to p = 5.0"),
+        (["--p-max", "5e-324", "--delta", "0.3"],
+         "delta 0.3 rounds the threshold p * (1 - delta) up to p = 5e-324"),
+    ],
+    ids=["tiny-delta", "subnormal-budget"],
+)
+def test_threshold_rounding_up_to_the_budget_exits_1(capsys, argv, message):
+    # A jammer jams strictly above its threshold, so one at p_max would not
+    # sense the leader's budget, against the printed interval [0, p_max).
+    code, out, err = run_cli(capsys, "solve-strategic", *argv)
+    assert (code, out, err) == (1, "", f"error: {message}\n")
+
+
+_U64 = 2**64
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["leakage", "--seed", "-1", "--trials", "10000"], "seed must lie in [0, 2**64), got -1"),
+        (["leakage", "--seed", str(_U64), "--trials", "10000"], f"seed must lie in [0, 2**64), got {_U64}"),
+        (["verify-randomization", "--seed", "1", "--stream", str(_U64), "--trials", "10000"],
+         f"stream must lie in [0, 2**64), got {_U64}"),
+        (["oracle-check", "--seed", "1", "--stream", "-1", "--trials", "10"],
+         "stream must lie in [0, 2**64), got -1"),
+        # Three chunks a stage: the run's six substreams would wrap to 0.
+        (["leakage", "--seed", "1", "--stream", str(_U64 - 1), "--trials", "140001"],
+         f"substreams {_U64 - 1} to {_U64 + 4} pass 2**64 - 1"),
+        (["simulate-injection", "--seed", "1", "--stream", str(_U64 - 2), "--trials", "140001"],
+         f"substreams {_U64 - 2} to {_U64} pass 2**64 - 1"),
+    ],
+    ids=["negative-seed", "seed-2**64", "stream-2**64", "negative-stream", "leakage-wraps",
+         "injection-wraps"],
+)
+def test_seed_and_stream_outside_64_bits_exit_1(capsys, argv, message):
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out, err) == (1, "", f"error: {message}\n")
 
 
 @pytest.mark.parametrize("command", ("verify-randomization", "simulate-injection", "leakage", "oracle-check"))

@@ -22,7 +22,6 @@ from wskg import (
     stackelberg_strategic,
     sum_rate,
 )
-from wskg.cli import _cmd_oracle_check
 
 
 def params_with(p_max, gamma=4.0, p_th=2.0, sigma2=1.0, sigmaj2=1.0, n=10):
@@ -181,8 +180,8 @@ def test_uniformly_jammed_payoff_has_one_path():
         uniform = PowerAllocation.uniform(params)
         assert sum_rate(params.max_pilot_power, uniform, params).hex() == expected, params
         assert stackelberg_strategic(params, 0.5).payoff.hex() == expected, params
-        oracle_check = _cmd_oracle_check(params, RngSeed(i), 1)
-        assert oracle_check["uniform_allocation_value"].hex() == expected, params
+        verdict = game.oracle_check(params, 1, RngSeed(i))
+        assert verdict["uniform_allocation_value"].hex() == expected, params
 
 
 def test_fixed_payoff_monotone_in_budgets():

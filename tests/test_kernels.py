@@ -453,6 +453,23 @@ def test_one_chunk_runs_inline_in_buffers_of_its_size():
     assert runs == [(threading.get_ident(), 10_000)]
 
 
+def test_substreams_past_the_last_stream_are_rejected_before_any_chunk():
+    # Three chunks a kernel: two kernels take substreams stream to stream + 5.
+    params = make_params(2.0)
+    streams = []
+
+    def recording(params, n_trials, seed, buffers):
+        streams.append(seed.stream)
+        return simulate_two_look(params, n_trials, seed, buffers)
+
+    last = 2**64 - 1
+    with pytest.raises(ParameterError, match=f"substreams {last - 4} to {last + 1} pass 2\\*\\*64 - 1"):
+        injection.chunked_grams(params, ENGINE_TRIALS, RngSeed(1, last - 4), (recording, recording), 1)
+    assert streams == []
+    injection.chunked_grams(params, ENGINE_TRIALS, RngSeed(1, last - 5), (recording, recording), 1)
+    assert streams == list(range(last - 5, last + 1))
+
+
 def peak_bytes_per_trial(fn, n):
     tracemalloc.start()
     try:

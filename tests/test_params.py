@@ -8,6 +8,7 @@ from wskg import (
     NumericalError,
     ParameterError,
     PowerAllocation,
+    RngSeed,
     SystemParams,
     sweep,
 )
@@ -165,3 +166,26 @@ def test_allocation_negative_entry_rejected(ref_params):
 def test_allocation_empty_rejected():
     with pytest.raises(ParameterError):
         PowerAllocation((), 4.0)
+
+
+@pytest.mark.parametrize(
+    "seed, stream, message",
+    [
+        (-1, 0, "seed must lie in [0, 2**64), got -1"),
+        (2**64, 0, "seed must lie in [0, 2**64), got 18446744073709551616"),
+        (0, -1, "stream must lie in [0, 2**64), got -1"),
+        (0, 2**64, "stream must lie in [0, 2**64), got 18446744073709551616"),
+    ],
+    ids=["negative-seed", "seed-2**64", "negative-stream", "stream-2**64"],
+)
+def test_generator_rejects_numbers_outside_64_bits(seed, stream, message):
+    # Reduced mod 2**64, each would draw the bits of a seed inside the range.
+    with pytest.raises(ParameterError) as info:
+        RngSeed(seed, stream).generator()
+    assert str(info.value) == message
+
+
+def test_generator_accepts_both_ends_of_the_range():
+    top = 2**64 - 1
+    draws = [RngSeed(seed, stream).generator().random() for seed in (0, top) for stream in (0, top)]
+    assert len(set(draws)) == 4
