@@ -1,13 +1,12 @@
 """Command-line harness: solvers, verifications, simulations, and sweeps.
 
-Each command's builder turns its flags into a payload and reads every number
-from the module that owns it: ``oracle-check``'s verdict is
-``game.oracle_check``, and ``simulate-injection`` and ``leakage`` share one
-builder of the static stage's statistics. Every command is a deterministic
+This module computes no model quantity: it parses flags, hands each command
+to the module that owns its numbers, adds the header, checks that every
+value is finite and writes the artifact. Every command is a deterministic
 function of its option values; commands that draw random numbers require an
-explicit ``--seed`` (there is no wall-clock default). JSON output has sorted
-keys and CSV numbers carry 12 significant digits, so identical invocations
-produce byte-identical artifacts.
+explicit ``--seed`` in ``[0, 2**64)`` (there is no wall-clock default). JSON
+output has sorted keys and CSV numbers carry 12 significant digits, so
+identical invocations produce byte-identical artifacts.
 
 Exit codes: 0 success, 1 invalid configuration, 2 numerical failure
 (non-finite result), 3 a verification command rejected its own check.
@@ -26,14 +25,10 @@ from .errors import NumericalError, ParameterError
 from .params import EquilibriumResult, RngSeed, SystemParams
 
 # Each command imports what it runs when it runs: the closed-form commands
-# (solve-fixed, solve-strategic, sweep) never load numpy, dataclasses or
-# inspect (params' records are named tuples), oracle-check loads numpy but
-# no Monte Carlo module (stochastic, injection, randomization, kstest) and
-# no dataclasses, since its seed is params.RngSeed, the Monte Carlo commands
-# never load game, rates or metrics, and only sweep loads metrics.
-
-#: Significance level for the self-checking verification commands.
-KS_SIGNIFICANCE = 0.001
+# (solve-fixed, solve-strategic, sweep) load no numpy, dataclasses or inspect,
+# oracle-check no Monte Carlo module and no dataclasses (params' records are
+# named tuples), the Monte Carlo commands no game, rates or metrics, and only
+# sweep loads metrics.
 
 
 def _equilibrium_payload(result: EquilibriumResult) -> dict:
@@ -54,67 +49,34 @@ def _cmd_solve_fixed(params: SystemParams) -> dict:
 
 
 def _cmd_solve_strategic(params: SystemParams, delta: float) -> dict:
-    from .game import stackelberg_strategic
+    from .game import stackelberg_strategic, threshold_interval
 
-    payload = _equilibrium_payload(stackelberg_strategic(params, delta))
-    payload["delta"] = delta
-    payload["epsilon_interval"] = f"[0, {params.max_pilot_power:.12g})"
-    return payload
+    result = stackelberg_strategic(params, delta)
+    lo, hi = threshold_interval(result.profiles[0].pilot_power)
+    return {**_equilibrium_payload(result), "delta": delta, "epsilon_interval": f"[{lo:.12g}, {hi:.12g})"}
 
 
 def _cmd_verify_randomization(params: SystemParams, seed: RngSeed, trials: int) -> dict:
-    from dataclasses import asdict
+    from .randomization import verify_check
 
-    from .randomization import verify_randomization
-
-    report = verify_randomization(params, trials, seed)
-    power = params.max_pilot_power
-    return {
-        "trials": trials,
-        "ks_product": asdict(report.ks_product),
-        "ks_source": asdict(report.ks_source),
-        "source_real_var": report.source_real_var,
-        "expected_source_real_var": power * power * params.legit_channel_var / 2.0,
-        "significance": KS_SIGNIFICANCE,
-        "accepted": (
-            report.ks_product.p_value > KS_SIGNIFICANCE
-            and report.ks_source.p_value > KS_SIGNIFICANCE
-        ),
-    }
-
-
-def _static_stage(params: SystemParams, trials: int, total, resampled: int) -> dict:
-    """Statistics of the static stage from its summed moment matrix and resampled draws."""
-    from .injection import CHUNK_TRIALS, covariance
-
-    # Python floats, so an overflowing sum is a silent inf that run rejects.
-    cov = covariance(total).tolist()
-    return {
-        "trials": trials,
-        "chunk_trials": CHUNK_TRIALS,
-        "injected_variance": cov[0][0] + cov[1][1],
-        "nominal_injected_variance": params.jam_channel_var * params.jam_power_budget,
-        "observation_variance": cov[2][2] + cov[3][3],
-        "observation_cross_moment": cov[2][4] + cov[3][5],
-        "resampled_draws": resampled,
-    }
+    return verify_check(params, trials, seed)
 
 
 def _cmd_simulate_injection(params: SystemParams, seed: RngSeed, trials: int, workers: Optional[int]) -> dict:
-    from .injection import chunked_grams, simulate_two_look
+    from .injection import chunked_grams, simulate_two_look, static_stage
 
     ((static, resampled),) = chunked_grams(params, trials, seed, (simulate_two_look,), workers)
-    return _static_stage(params, trials, static, resampled)
+    return static_stage(params, trials, static, resampled)
 
 
 def _cmd_leakage(params: SystemParams, seed: RngSeed, trials: int, workers: Optional[int]) -> dict:
-    from .injection import chunked_grams, mi_from_gram, randomize_trials, simulate_two_look
+    from .injection import chunked_grams, mi_from_gram, randomize_trials, simulate_two_look, static_stage
 
     # One pool runs both stages; the randomized chunks continue on the substreams after the static ones.
     stages = chunked_grams(params, trials, seed, (simulate_two_look, randomize_trials), workers)
     # The estimates come first: they reject too few trials and a non-finite matrix.
     static_bits, randomized_bits = [mi_from_gram(total) for total, _ in stages]
-    return {**_static_stage(params, trials, *stages[0]), "static_pilot_leakage_bits": static_bits,
+    return {**static_stage(params, trials, *stages[0]), "static_pilot_leakage_bits": static_bits,
             "randomized_pilot_leakage_bits": randomized_bits}
 
 
@@ -128,14 +90,7 @@ def _cmd_sweep(params: SystemParams, variable: str, lo: float, hi: float, steps:
     from .metrics import sweep
 
     variable = "p_max" if variable == "P" else variable
-    rows = sweep(params, variable, lo, hi, steps)
-    return {
-        "variable": variable,
-        "lo": lo,
-        "hi": hi,
-        "steps": steps,
-        "rows": rows,
-    }
+    return {"variable": variable, "lo": lo, "hi": hi, "steps": steps, "rows": sweep(params, variable, lo, hi, steps)}
 
 
 def _output_file(path: str) -> str:
@@ -306,11 +261,9 @@ def entry() -> None:
     import gc
 
     status = main()
-    # The process is about to exit, so the interpreter's final collections
-    # need not walk the objects numpy and the package loaded. atexit
-    # handlers, stream flushing and module teardown still run; only the
-    # cyclic collector skips the frozen heap. ``main`` never freezes, since
-    # tests and library callers run it many times in one process.
+    # The process is about to exit, so its final collections need not walk the objects numpy and
+    # the package loaded; atexit handlers, flushing and teardown still run. ``main`` never
+    # freezes, since tests and library callers run it many times in one process.
     gc.freeze()
     raise SystemExit(status)
 

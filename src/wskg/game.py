@@ -109,10 +109,11 @@ def jammer_br_strategic(p: float, params: SystemParams, delta: float) -> Profile
     the threshold is part of its strategy.
 
     Any positive pilot power is sensed and uniformly jammed, since the jammer
-    can place its threshold anywhere in [0, p). That interval is open, so it
-    has no maximal element; the returned threshold is the representative
-    p * (1 - delta) with delta in (0, 1). A ``delta`` that rounds it up to
-    ``p`` (below about 1.1e-16, or at a subnormal ``p``) is a ParameterError.
+    can place its threshold anywhere in [0, p) (:func:`threshold_interval`).
+    That interval is open, so it has no maximal element; the returned
+    threshold is the representative p * (1 - delta) with delta in (0, 1). A
+    ``delta`` that rounds it up to ``p`` (below about 1.1e-16, or at a
+    subnormal ``p``) is a ParameterError.
     """
     if not (0.0 < delta < 1.0):
         raise ParameterError(f"delta must lie in (0, 1), got {delta!r}")
@@ -127,13 +128,19 @@ def jammer_br_strategic(p: float, params: SystemParams, delta: float) -> Profile
     return Profile(p, PowerAllocation.uniform(params), threshold)
 
 
+def threshold_interval(p: float) -> Tuple[float, float]:
+    """Ends of ``[lo, hi)``, the jammer's best-response thresholds at leader power ``p``:
+    ``[0, p)`` senses a positive ``p``, and none senses ``p == 0``, so there all do: ``[0, inf)``."""
+    return 0.0, p if p > 0.0 else math.inf
+
+
 def stackelberg_strategic(params: SystemParams, delta: float) -> EquilibriumResult:
     """Equilibria of the strategic-threshold game.
 
     The jammer sensing every positive power leaves the leader a jammed rate
     that increases with pilot power, so the leader plays its full budget. One
-    equilibrium exists for every threshold in [0, budget); the result carries
-    the representative profile and is flagged non-unique.
+    equilibrium exists for every threshold in the budget's threshold_interval;
+    the result carries the representative profile and is flagged non-unique.
     """
     budget = params.max_pilot_power
     profile = jammer_br_strategic(budget, params, delta)

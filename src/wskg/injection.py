@@ -103,6 +103,11 @@ class ChunkBuffers:
         return view.reshape(per_trial, n) if per_trial > 1 else view
 
 
+def _injected_variance(params: SystemParams) -> float:
+    """Variance of the injected value in the attack model of both kernels."""
+    return params.jam_channel_var * params.jam_power_budget
+
+
 def _draw(rng, buffers: ChunkBuffers, key: int, variance: float, n_trials: int) -> np.ndarray:
     """``n_trials`` complex normal draws into slot ``key``, through the set's
     scratch array."""
@@ -208,7 +213,7 @@ def randomize_trials(
     x, y = (_qpsk(rng, params.max_pilot_power, n_trials, buffers.take(key, n_trials), scratch)
             for key in (3, 4))
     h = _draw(rng, buffers, 1, params.legit_channel_var, n_trials)
-    w = _draw(rng, buffers, 0, params.jam_channel_var * params.jam_power_budget, n_trials)
+    w = _draw(rng, buffers, 0, _injected_variance(params), n_trials)
     noise_a, noise_b = (_draw(rng, buffers, key, 1.0, n_trials) for key in (5, 6))
     # In place, in the operation order of z_a = x y h + x w + x noise_a, etc.
     z_b = np.multiply(x, y, out=buffers.take(2, n_trials))
@@ -331,6 +336,23 @@ def covariance(g: np.ndarray) -> np.ndarray:
         raise ParameterError(f"a sample covariance needs >= 2 trials, got {int(n_trials)}")
     sums = g[0, 1:]
     return (g[1:, 1:] - np.outer(sums, sums) / n_trials) / (n_trials - 1.0)
+
+
+def static_stage(params: SystemParams, n_trials: int, total: np.ndarray, resampled: int) -> dict:
+    """``simulate-injection``'s payload, which ``leakage`` carries too, from
+    the static stage's summed :func:`gram` matrix and resampled draws."""
+    # Python floats, so an overflowing sum is a silent inf that callers reject.
+    # gram's rows less its first: injected at 0 and 1, z_a at 2 and 3, z_b at 4 and 5.
+    cov = covariance(total).tolist()
+    return {
+        "trials": n_trials,
+        "chunk_trials": CHUNK_TRIALS,
+        "injected_variance": cov[0][0] + cov[1][1],
+        "nominal_injected_variance": _injected_variance(params),
+        "observation_variance": cov[2][2] + cov[3][3],
+        "observation_cross_moment": cov[2][4] + cov[3][5],
+        "resampled_draws": resampled,
+    }
 
 
 def mi_from_gram(g: np.ndarray) -> float:

@@ -128,24 +128,28 @@ class PowerAllocation(_PowerAllocation):
         return cls((0.0,) * params.n_subcarriers, params.jam_power_budget)
 
 
-class RngSeed(NamedTuple):
-    """Seed plus substream id addressing one stream of a counter-based RNG.
-
-    A named tuple, so it equals the plain tuple ``(seed, stream)``.
-    """
-
+class _RngSeed(NamedTuple):
     seed: int
     stream: int = 0
 
-    def generator(self) -> np.random.Generator:
-        """Fresh generator for this (seed, stream); same pair, same output.
 
-        Both numbers must lie in ``[0, 2**64)``: they are the two words of a
-        Philox key, and a number outside would alias one inside.
-        """
-        for name, value in zip(self._fields, self):
+class RngSeed(_RngSeed):
+    """Seed plus substream id addressing one stream of a counter-based RNG.
+
+    Each lies in ``[0, 2**64)``, as a word of a Philox key that a number outside
+    would alias. A named tuple, so it equals the plain tuple ``(seed, stream)``."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs) -> "RngSeed":
+        seed = super().__new__(cls, *args, **kwargs)
+        for name, value in zip(cls._fields, seed):
             if not 0 <= value < _U64:
                 raise ParameterError(f"{name} must lie in [0, 2**64), got {value}")
+        return seed
+
+    def generator(self) -> np.random.Generator:
+        """Fresh generator for this (seed, stream); same pair, same output."""
         import numpy as np
 
         return np.random.Generator(np.random.Philox(key=(self.stream << 64) | self.seed))

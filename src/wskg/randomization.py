@@ -14,14 +14,14 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from .errors import NumericalError, ParameterError
 from .injection import chunked_grams, mi_from_gram, randomize_trials
 from .params import RngSeed, SystemParams
-from .stochastic import KsReport, _pilot_indices, _qpsk_points, _scaled_normal, ks_test_normal
+from .stochastic import KS_SIGNIFICANCE, KsReport, _pilot_indices, _qpsk_points, _scaled_normal, ks_test_normal
 
 
 @dataclass(frozen=True)
@@ -44,6 +44,12 @@ class RandomizationReport:
 VERIFY_BLOCK = 1 << 13
 
 
+def _law_variances(params: SystemParams):
+    """Variances of the product's and the source's laws, as RandomizationReport names them."""
+    power, s2 = params.max_pilot_power, params.legit_channel_var
+    return power * s2 / 4.0, power * power * s2 / 2.0
+
+
 def verify_randomization(
     params: SystemParams, n_samples: int, seed: RngSeed
 ) -> RandomizationReport:
@@ -51,11 +57,10 @@ def verify_randomization(
     claimed Gaussian forms."""
     if n_samples < 10_000:
         raise ParameterError(f"n_samples must be >= 10000, got {n_samples}")
-    power = params.max_pilot_power
-    s2 = params.legit_channel_var
+    power, s2 = params.max_pilot_power, params.legit_channel_var
     if power <= 0.0:
         raise ParameterError("max_pilot_power must be > 0 to verify the defense")
-    product_var, source_var = power * s2 / 4.0, power * power * s2 / 2.0
+    product_var, source_var = _law_variances(params)
     # The QPSK points and h are drawn with scales sqrt(p_max / 2) and
     # sqrt(sigma2 / 2), and the samples are tested against the two laws'
     # variances. If any of these is not a normal float, a draw or a sample
@@ -101,6 +106,21 @@ def verify_randomization(
     return RandomizationReport(
         ks_product=ks_product, ks_source=ks_source, source_real_var=source_real_var
     )
+
+
+def verify_check(params: SystemParams, n_samples: int, seed: RngSeed) -> dict:
+    """``wskg verify-randomization``'s seven payload fields: the report, the
+    source law's variance, and ``accepted``, both p-values above ``KS_SIGNIFICANCE``."""
+    report = verify_randomization(params, n_samples, seed)
+    return {
+        "trials": n_samples,
+        "ks_product": asdict(report.ks_product),
+        "ks_source": asdict(report.ks_source),
+        "source_real_var": report.source_real_var,
+        "expected_source_real_var": _law_variances(params)[1],
+        "significance": KS_SIGNIFICANCE,
+        "accepted": report.ks_product.p_value > KS_SIGNIFICANCE and report.ks_source.p_value > KS_SIGNIFICANCE,
+    }
 
 
 def leakage_after_randomization(params: SystemParams, n_trials: int, seed: RngSeed) -> float:

@@ -139,6 +139,10 @@ class KsReport:
     n: int
 
 
+#: p-value at or below which a self-checking command rejects its KS test.
+KS_SIGNIFICANCE = 0.001
+
+
 def ks_test_normal(
     samples: np.ndarray, variance: float, overwrite_input: bool = False
 ) -> KsReport:

@@ -23,7 +23,7 @@ from wskg.metrics import CSV_HEADER
 from wskg.params import PowerAllocation, RngSeed, SystemParams
 from wskg.randomization import RandomizationReport
 from wskg.rates import sum_rate
-from wskg.stochastic import KsReport
+from wskg.stochastic import KS_SIGNIFICANCE, KsReport, ks_test_normal
 
 
 _MODEL_FLAGS = {"--n", "--p-max", "--gamma", "--p-th", "--sigma2", "--sigmaj2", "--output"}
@@ -101,6 +101,13 @@ def test_solve_strategic_emits_epsilon_interval(capsys):
     assert payload["profiles"][0]["threshold"] == pytest.approx(2.5)
     assert payload["payoff"] == pytest.approx(10 * math.log2(4 / 3), rel=1e-9)
     assert payload["unique"] is False
+    # No threshold senses a zero budget, so every threshold >= 0 is an
+    # equilibrium, the printed 0.0 among them.
+    code, out, _ = run_cli(capsys, "solve-strategic", "--p-max", "0")
+    payload = json.loads(out)
+    assert code == 0
+    assert payload["epsilon_interval"] == "[0, inf)"
+    assert payload["profiles"][0]["threshold"] == 0.0
 
 
 def test_reruns_are_byte_identical(capsys):
@@ -171,6 +178,23 @@ def test_verify_randomization_accepts(capsys):
     assert payload["accepted"] is True
     assert payload["source_real_var"] == pytest.approx(2.0, rel=0.02)
     assert payload["expected_source_real_var"] == 2.0
+
+
+def test_verify_randomization_prints_the_law_its_source_test_ran_against(capsys, monkeypatch):
+    tested = []
+
+    def recording(samples, variance, **kwargs):
+        tested.append(variance)
+        return ks_test_normal(samples, variance, **kwargs)
+
+    monkeypatch.setattr("wskg.randomization.ks_test_normal", recording)
+    code, out, _ = run_cli(capsys, "verify-randomization", "--p-max", "3", "--sigma2", "0.7",
+                           "--trials", "10000", "--seed", "4")
+    payload = json.loads(out)
+    assert code == 0
+    # The product test runs first, then the source test.
+    assert tested == [3 * 0.7 / 4, payload["expected_source_real_var"]]
+    assert payload["significance"] == KS_SIGNIFICANCE
 
 
 def test_verify_randomization_rejection_exits_3(capsys, monkeypatch):
@@ -659,6 +683,9 @@ _U64 = 2**64
     "argv, message",
     [
         (["leakage", "--seed", "-1", "--trials", "10000"], "seed must lie in [0, 2**64), got -1"),
+        # Rejected before the variance checks that fail on these flags with a seed in range.
+        (["verify-randomization", "--n", "1", "--p-max", "1e200", "--p-th", "1", "--sigma2", "1e308",
+          "--seed", "-5", "--trials", "10000"], "seed must lie in [0, 2**64), got -5"),
         (["leakage", "--seed", str(_U64), "--trials", "10000"], f"seed must lie in [0, 2**64), got {_U64}"),
         (["verify-randomization", "--seed", "1", "--stream", str(_U64), "--trials", "10000"],
          f"stream must lie in [0, 2**64), got {_U64}"),
@@ -670,12 +697,22 @@ _U64 = 2**64
         (["simulate-injection", "--seed", "1", "--stream", str(_U64 - 2), "--trials", "140001"],
          f"substreams {_U64 - 2} to {_U64} pass 2**64 - 1"),
     ],
-    ids=["negative-seed", "seed-2**64", "stream-2**64", "negative-stream", "leakage-wraps",
-         "injection-wraps"],
+    ids=["negative-seed", "verify-overflowing-model", "seed-2**64", "stream-2**64", "negative-stream",
+         "leakage-wraps", "injection-wraps"],
 )
 def test_seed_and_stream_outside_64_bits_exit_1(capsys, argv, message):
     code, out, err = run_cli(capsys, *argv)
     assert (code, out, err) == (1, "", f"error: {message}\n")
+
+
+def test_bad_seed_is_rejected_before_any_work():
+    """``run`` builds the seed before the command runs: ``oracle-check``
+    rejects a negative seed before its leader-grid search loads numpy."""
+    script = ("import sys; from wskg.cli import main; code = main(sys.argv[1:]); "
+              "print('numpy' in sys.modules, file=sys.stderr); sys.exit(code)")
+    proc = run_fresh(script, "oracle-check", "--seed", "-1")
+    assert (proc.returncode, proc.stdout) == (1, "")
+    assert proc.stderr == "error: seed must lie in [0, 2**64), got -1\nFalse\n"
 
 
 @pytest.mark.parametrize("command", ("verify-randomization", "simulate-injection", "leakage", "oracle-check"))
@@ -737,7 +774,7 @@ def test_non_finite_sweep_row_names_its_field(capsys, monkeypatch):
 #: line each prints.
 _NUMERICAL_FAILURES = [
     (["verify-randomization", "--n", "1", "--p-max", "1e200", "--p-th", "1", "--sigma2", "1e308",
-      "--seed", "-5", "--trials", "10000"], "product variance is not a normal float: inf"),
+      "--seed", "5", "--trials", "10000"], "product variance is not a normal float: inf"),
     # Every h underflows to 0: not a rejection by the KS test (exit 3).
     (["verify-randomization", "--gamma", "1e20", "--p-th", "1e-12", "--sigma2", "5e-324",
       "--seed", "1", "--trials", "10000"], "sigma2 / 2 is not a normal float: 0.0"),

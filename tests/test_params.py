@@ -185,6 +185,16 @@ def test_generator_rejects_numbers_outside_64_bits(seed, stream, message):
     assert str(info.value) == message
 
 
+def test_seed_range_is_checked_at_construction():
+    """An ``RngSeed`` outside the range is never built, so the check does
+    not wait for a generator (nor for numpy, which ``generator`` loads)."""
+    with pytest.raises(ParameterError, match=r"^seed must lie in \[0, 2\*\*64\), got -1$"):
+        RngSeed(-1)
+    with pytest.raises(ParameterError, match=r"^stream must lie in \[0, 2\*\*64\), got 18446744073709551616$"):
+        RngSeed(0).with_stream(2**64)
+    assert RngSeed(seed=3) == (3, 0)
+
+
 def test_generator_accepts_both_ends_of_the_range():
     top = 2**64 - 1
     draws = [RngSeed(seed, stream).generator().random() for seed in (0, top) for stream in (0, top)]
