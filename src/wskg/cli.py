@@ -114,9 +114,10 @@ _COMMON_OPTIONS = (
 
 _RNG_OPTIONS = (
     ("--seed", dict(type=int, required=True, help="RNG seed, in [0, 2**64).")),
-    ("--stream", dict(type=int, default=0, help="RNG substream id, in [0, 2**64). The chunked commands draw chunk i from substream "
-                      "stream + i, up to 2**64 - 1, so independent replicates need different seeds, or streams as far "
-                      "apart as a run's substreams.")),
+    ("--stream", dict(type=int, default=0, help="RNG substream id, in [0, 2**64). The chunked commands draw chunk i of stage "
+                      "k from substream stream + k * chunks + i, up to 2**64 - 1 (leakage's randomized stage starts after "
+                      "its static one), so independent replicates need different seeds, or streams as far apart as a "
+                      "run's substreams.")),
     ("--trials", dict(type=int, default=100_000, help="Monte Carlo trials / oracle samples.")),
 )
 

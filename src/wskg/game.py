@@ -8,7 +8,9 @@ direct search so every closed-form branch is verified independently.
 the rounding argument behind its tolerances.
 
 The closed forms run on floats and round each sum of rates once, so this
-module imports numpy only inside the two oracles, which sum with numpy.
+module imports numpy only inside the two oracles: :func:`oracle_jammer_br`
+sums rates with numpy, and :func:`oracle_stackelberg` only multiplies, sorts
+and takes an argmax.
 """
 
 from __future__ import annotations

@@ -32,7 +32,9 @@ from .stochastic import _complex_normal, _qpsk, gaussian_mi_from_cov
 #: draws at every jammer channel variance.
 _SINGULARITY_FLOOR_SCALE = 1e-9
 
-#: Monte Carlo trials per chunk; chunk ``i`` draws from substream ``stream + i``.
+#: Monte Carlo trials per chunk. :func:`chunked_grams` draws chunk ``i`` of
+#: kernel ``k`` from substream ``stream + k * chunks + i``, so ``leakage``'s
+#: randomized stage starts after its static one.
 CHUNK_TRIALS = 1 << 16
 
 

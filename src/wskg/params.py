@@ -11,6 +11,7 @@ The records are named tuples: they iterate in field order and have
 from __future__ import annotations
 
 import math
+import operator
 from typing import TYPE_CHECKING, NamedTuple, Optional, Tuple
 
 from .errors import NumericalError, ParameterError
@@ -136,17 +137,23 @@ class _RngSeed(NamedTuple):
 class RngSeed(_RngSeed):
     """Seed plus substream id addressing one stream of a counter-based RNG.
 
-    Each lies in ``[0, 2**64)``, as a word of a Philox key that a number outside
-    would alias. A named tuple, so it equals the plain tuple ``(seed, stream)``."""
+    Each is an integer (an ``int`` or a numpy integer, stored as an ``int``;
+    never a bool) in ``[0, 2**64)``, as a word of a Philox key that a number
+    outside would alias. A named tuple, so it equals the plain tuple
+    ``(seed, stream)``."""
 
     __slots__ = ()
 
     def __new__(cls, *args, **kwargs) -> "RngSeed":
-        seed = super().__new__(cls, *args, **kwargs)
-        for name, value in zip(cls._fields, seed):
+        words = []
+        for name, value in zip(cls._fields, super().__new__(cls, *args, **kwargs)):
+            if isinstance(value, bool) or not hasattr(type(value), "__index__"):
+                raise ParameterError(f"{name} must be an integer, got {value!r}")
+            value = operator.index(value)
             if not 0 <= value < _U64:
                 raise ParameterError(f"{name} must lie in [0, 2**64), got {value}")
-        return seed
+            words.append(value)
+        return super().__new__(cls, *words)
 
     def generator(self) -> np.random.Generator:
         """Fresh generator for this (seed, stream); same pair, same output."""

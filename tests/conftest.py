@@ -15,6 +15,21 @@ def _two_sided_z(checks: int) -> float:
     return NormalDist().inv_cdf(1.0 - SAMPLER_FAMILY_LEVEL / checks / 2)
 
 
+#: A script prologue, for a fresh interpreter, after which every import of
+#: numpy fails as if it were not installed.
+BLOCK_NUMPY = """
+import sys
+
+class BlockNumpy:
+    def find_spec(self, name, path=None, target=None):
+        if name == "numpy" or name.startswith("numpy."):
+            raise ImportError(f"{name} is blocked")
+        return None
+
+sys.meta_path.insert(0, BlockNumpy())
+"""
+
+
 @pytest.fixture
 def ref_params():
     """Ten subcarriers, pilot budget 5, jam budget 4, threshold 2, unit variances."""

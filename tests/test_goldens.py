@@ -16,6 +16,8 @@ import pytest
 import wskg
 from wskg.cli import main
 
+from conftest import BLOCK_NUMPY
+
 
 def _load_workloads():
     path = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
@@ -47,16 +49,8 @@ def test_cli_output_matches_golden(tmp_path, name):
 
 #: Runs the CLI once per ``[output path, *argv]`` of the JSON list in its
 #: first argument, with every import of numpy failing.
-_WITHOUT_NUMPY = """
+_WITHOUT_NUMPY = BLOCK_NUMPY + """
 import json, sys
-
-class BlockNumpy:
-    def find_spec(self, name, path=None, target=None):
-        if name == "numpy" or name.startswith("numpy."):
-            raise ImportError(f"{name} is blocked")
-        return None
-
-sys.meta_path.insert(0, BlockNumpy())
 from wskg.cli import main
 
 for output, *argv in json.loads(sys.argv[1]):
@@ -67,6 +61,8 @@ assert "numpy" not in sys.modules
 
 def test_closed_form_goldens_without_numpy(tmp_path):
     runs = [[str(tmp_path / name), *argv] for name, argv in sorted(GOLDEN_COMMANDS.items())]
+    # A sweep from -0 prints the sweep from 0's bytes; its grid needs no numpy sort.
+    runs.append([str(tmp_path / "sweep-gamma-from-minus-0.csv"), *workloads.sweep_argv("gamma", "-0", "8")])
     env = {**os.environ, "PYTHONPATH": str(Path(wskg.__file__).resolve().parents[1])}
     proc = subprocess.run(
         [sys.executable, "-c", _WITHOUT_NUMPY, json.dumps(runs)],
@@ -75,3 +71,5 @@ def test_closed_form_goldens_without_numpy(tmp_path):
     assert proc.returncode == 0, proc.stderr
     for name in GOLDEN_COMMANDS:
         assert (tmp_path / name).read_bytes() == (workloads.GOLDEN / name).read_bytes(), name
+    from_minus_0 = (tmp_path / "sweep-gamma-from-minus-0.csv").read_bytes()
+    assert from_minus_0 == (workloads.GOLDEN / "sweep-gamma.csv").read_bytes()

@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 
 from wskg import (
@@ -175,11 +176,18 @@ def test_allocation_empty_rejected():
         (2**64, 0, "seed must lie in [0, 2**64), got 18446744073709551616"),
         (0, -1, "stream must lie in [0, 2**64), got -1"),
         (0, 2**64, "stream must lie in [0, 2**64), got 18446744073709551616"),
+        (1.5, 0, "seed must be an integer, got 1.5"),
+        ("3", 0, "seed must be an integer, got '3'"),
+        (True, 0, "seed must be an integer, got True"),
+        (0, 2.0, "stream must be an integer, got 2.0"),
+        (0, False, "stream must be an integer, got False"),
     ],
-    ids=["negative-seed", "seed-2**64", "negative-stream", "stream-2**64"],
+    ids=["negative-seed", "seed-2**64", "negative-stream", "stream-2**64", "float-seed", "str-seed",
+         "bool-seed", "float-stream", "bool-stream"],
 )
 def test_generator_rejects_numbers_outside_64_bits(seed, stream, message):
-    # Reduced mod 2**64, each would draw the bits of a seed inside the range.
+    # Reduced mod 2**64, each would draw the bits of a seed inside the range;
+    # a bool would draw seed 1's, and a float or a string fail in the generator.
     with pytest.raises(ParameterError) as info:
         RngSeed(seed, stream).generator()
     assert str(info.value) == message
@@ -199,3 +207,8 @@ def test_generator_accepts_both_ends_of_the_range():
     top = 2**64 - 1
     draws = [RngSeed(seed, stream).generator().random() for seed in (0, top) for stream in (0, top)]
     assert len(set(draws)) == 4
+    # numpy integers are accepted and stored as ints, with the same bits.
+    assert RngSeed(np.int64(3), np.int8(1)) == (3, 1)
+    seed = RngSeed(np.uint64(top), np.uint64(top))
+    assert [type(word) for word in seed] == [int, int]
+    assert seed.generator().random() == draws[3]
