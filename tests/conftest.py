@@ -16,13 +16,17 @@ def _two_sided_z(checks: int) -> float:
 
 
 #: A script prologue, for a fresh interpreter, after which every import of
-#: numpy fails as if it were not installed.
+#: numpy fails as if it were not installed. ``BLOCKED`` lists each import
+#: that asked for numpy, also one whose ImportError the code caught.
 BLOCK_NUMPY = """
 import sys
+
+BLOCKED = []
 
 class BlockNumpy:
     def find_spec(self, name, path=None, target=None):
         if name == "numpy" or name.startswith("numpy."):
+            BLOCKED.append(name)
             raise ImportError(f"{name} is blocked")
         return None
 
