@@ -20,8 +20,8 @@ _EXPORTS = {
     for module, names in {
         "errors": ("NotPositiveSemidefinite", "NumericalError", "ParameterError",
                    "ZeroEquilibriumPayoff"),
-        "game": ("critical_power", "jammer_br_strategic", "oracle_jammer_br",
-                 "oracle_stackelberg", "stackelberg_fixed", "stackelberg_strategic"),
+        "game": ("critical_power", "oracle_jammer_br", "oracle_stackelberg", "stackelberg_fixed",
+                 "stackelberg_strategic"),
         "injection": ("coincidence_precoder", "gram", "leakage_bound", "mi_from_gram",
                       "randomize_trials", "simulate_two_look"),
         "metrics": ("sweep",),

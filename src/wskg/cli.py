@@ -48,12 +48,12 @@ def _cmd_solve_fixed(params: SystemParams) -> dict:
     return _equilibrium_payload(stackelberg_fixed(params))
 
 
-def _cmd_solve_strategic(params: SystemParams, delta: float) -> dict:
-    from .game import stackelberg_strategic, threshold_interval
+def _cmd_solve_strategic(params: SystemParams) -> dict:
+    from .game import STRATEGIC_DELTA, stackelberg_strategic, threshold_interval
 
-    result = stackelberg_strategic(params, delta)
+    result = stackelberg_strategic(params)
     lo, hi = threshold_interval(result.profiles[0].pilot_power)
-    return {**_equilibrium_payload(result), "delta": delta, "epsilon_interval": f"[{lo:.12g}, {hi:.12g})"}
+    return {**_equilibrium_payload(result), "delta": STRATEGIC_DELTA, "epsilon_interval": f"[{lo:.12g}, {hi:.12g})"}
 
 
 def _cmd_verify_randomization(params: SystemParams, seed: RngSeed, trials: int) -> dict:
@@ -127,8 +127,6 @@ _WORKERS_OPTION = ("--workers", dict(
          "the output does not depend on it (default: usable CPU count).",
 ))
 
-_DELTA_OPTION = ("--delta", dict(type=float, default=0.5, help="Representative-threshold policy in (0, 1)."))
-
 _SWEEP_OPTIONS = (
     ("--format", dict(choices=("csv", "json"), default="json", help="Output format.")),
     ("--variable", dict(choices=("p_max", "P", "gamma", "sigma2", "p_th"), required=True,
@@ -141,7 +139,7 @@ _SWEEP_OPTIONS = (
 #: Command name -> (payload builder, help text, options beyond _COMMON_OPTIONS).
 _COMMANDS = {
     "solve-fixed": (_cmd_solve_fixed, "Solve the fixed-threshold leader-follower game.", ()),
-    "solve-strategic": (_cmd_solve_strategic, "Solve the strategic-threshold leader-follower game.", (_DELTA_OPTION,)),
+    "solve-strategic": (_cmd_solve_strategic, "Solve the strategic-threshold leader-follower game.", ()),
     "verify-randomization": (_cmd_verify_randomization, "KS-verify the Gaussian laws behind the randomized-probing defense.", _RNG_OPTIONS),
     "simulate-injection": (_cmd_simulate_injection, "Simulate the coincident-injection attack and report summary statistics.", (*_RNG_OPTIONS, _WORKERS_OPTION)),
     "leakage": (_cmd_leakage, "Estimate attacker leakage with static and with randomized pilots.", (*_RNG_OPTIONS, _WORKERS_OPTION)),

@@ -37,6 +37,11 @@ ORACLE_BLOCK_VALUES = 1 << 14
 #: the exact breakpoints are added.
 LEADER_GRID_POINTS = 1001
 
+#: Where :func:`stackelberg_strategic`'s representative threshold sits in the
+#: jammer's best-response interval ``[0, p_max)``: ``p_max * (1 - STRATEGIC_DELTA)``.
+#: Halving rounds below every positive float, subnormals included.
+STRATEGIC_DELTA = 0.5
+
 
 def _knee(p_th, gamma, sigmaj2):
     return p_th * (sigmaj2 * gamma + 1.0)
@@ -106,55 +111,36 @@ def stackelberg_fixed(params: SystemParams) -> EquilibriumResult:
     return EquilibriumResult(profiles, c_se, unique=not boundary, boundary_case=boundary)
 
 
-def jammer_br_strategic(p: float, params: SystemParams, delta: float) -> Profile:
-    """Profile at leader power ``p`` with the follower's best response when
-    the threshold is part of its strategy.
-
-    Any positive pilot power is sensed and uniformly jammed, since the jammer
-    can place its threshold anywhere in [0, p) (:func:`threshold_interval`).
-    That interval is open, so it has no maximal element; the returned
-    threshold is the representative p * (1 - delta) with delta in (0, 1). A
-    ``delta`` that rounds it up to ``p`` (below about 1.1e-16, or at a
-    subnormal ``p``) is a ParameterError.
-    """
-    if not (0.0 < delta < 1.0):
-        raise ParameterError(f"delta must lie in (0, 1), got {delta!r}")
-    if not (math.isfinite(p) and p >= 0.0):
-        raise ParameterError(f"p must be >= 0, got {p!r}")
-    if p == 0.0:
-        return Profile(p, PowerAllocation.silent(params), 0.0)
-    # A jammer at threshold p would not sense p: the threshold must round below it.
-    threshold = p * (1.0 - delta)
-    if not threshold < p:
-        raise ParameterError(f"delta {delta!r} rounds the threshold p * (1 - delta) up to p = {p!r}")
-    return Profile(p, PowerAllocation.uniform(params), threshold)
-
-
 def threshold_interval(p: float) -> Tuple[float, float]:
     """Ends of ``[lo, hi)``, the jammer's best-response thresholds at leader power ``p``:
     ``[0, p)`` senses a positive ``p``, and none senses ``p == 0``, so there all do: ``[0, inf)``."""
     return 0.0, p if p > 0.0 else math.inf
 
 
-def stackelberg_strategic(params: SystemParams, delta: float) -> EquilibriumResult:
+def stackelberg_strategic(params: SystemParams) -> EquilibriumResult:
     """Equilibria of the strategic-threshold game.
 
-    The jammer sensing every positive power leaves the leader a jammed rate
-    that increases with pilot power, so the leader plays its full budget. One
-    equilibrium exists for every threshold in the budget's threshold_interval;
-    the result carries the representative profile and is flagged non-unique.
+    The jammer can place its threshold anywhere in [0, p) (:func:`threshold_interval`),
+    so it senses and uniformly jams every positive pilot power ``p``. The
+    jammed rate increases with pilot power, so the leader plays its full
+    budget. One equilibrium exists for every threshold in the budget's
+    interval; that interval is open, so the result carries the representative
+    threshold ``p_max * (1 - STRATEGIC_DELTA)`` and is flagged non-unique. No
+    threshold senses a zero budget: there the jammer is silent at threshold 0.
     """
     budget = params.max_pilot_power
-    profile = jammer_br_strategic(budget, params, delta)
+    if budget == 0.0:
+        profile = Profile(budget, PowerAllocation.silent(params), 0.0)
+    else:
+        profile = Profile(budget, PowerAllocation.uniform(params), budget * (1.0 - STRATEGIC_DELTA))
     s2, j2 = params.legit_channel_var, params.jam_channel_var
     payoff = _uniform_sum_rate(params.n_subcarriers, budget, profile.allocation.gamma[0], s2, j2)
     return EquilibriumResult((profile,), payoff, unique=False, boundary_case=False)
 
 
-def oracle_jammer_br(
-    p: float, params: SystemParams, samples: int, seed: RngSeed
-) -> Tuple[PowerAllocation, float]:
-    """Brute-force search for the sum-rate-minimizing feasible allocation.
+def oracle_jammer_br(params: SystemParams, samples: int, seed: RngSeed) -> Tuple[PowerAllocation, float]:
+    """Brute-force search for the allocation that minimizes the sum rate at
+    the leader's full budget.
 
     Samples the budget-tight simplex face uniformly (exponential spacings):
     ``samples`` draws from ``seed``. It always includes the uniform point and,
@@ -165,13 +151,10 @@ def oracle_jammer_br(
     """
     if samples < 1:
         raise ParameterError(f"allocation_samples must be >= 1, got {samples}")
-    if not (math.isfinite(p) and p >= 0.0):
-        raise ParameterError(f"p must be >= 0, got {p!r}")
     import numpy as np
 
-    n = params.n_subcarriers
-    total = n * params.jam_power_budget
-    s2, j2 = params.legit_channel_var, params.jam_channel_var
+    n, p_max, gamma, _, s2, j2 = params
+    total = n * gamma
     rng = seed.generator()
     width = max(1, ORACLE_BLOCK_VALUES // n)
     # A block is a C-contiguous (count, n) array, one candidate per row, and
@@ -180,7 +163,7 @@ def oracle_jammer_br(
 
     def blocks():
         first = np.zeros((2, n))
-        first[0], first[1, 0] = params.jam_power_budget, total
+        first[0], first[1, 0] = gamma, total
         yield first
         # Filled in sequence, the blocks hold the values of one big draw.
         for start in range(0, samples, width):
@@ -189,12 +172,12 @@ def oracle_jammer_br(
 
     best = None
     for block in blocks():
-        values = rates.rate_array(p, block, s2, j2).sum(axis=1)
+        values = rates.rate_array(p_max, block, s2, j2).sum(axis=1)
         i = int(np.argmin(values))
         # np.argmin's order across blocks: a NaN beats every number, a tie keeps the earlier.
         if best is None or np.argmin((best_value, values[i])) == 1:
             best, best_value = block[i], float(values[i])
-    return PowerAllocation(tuple(best), params.jam_power_budget), best_value
+    return PowerAllocation(tuple(best), gamma), best_value
 
 
 def oracle_stackelberg(params: SystemParams) -> Tuple[float, float]:
@@ -237,7 +220,7 @@ def oracle_check(params: SystemParams, samples: int, seed: RngSeed) -> dict:
     closed = stackelberg_fixed(params)
     p_best, oracle_value = oracle_stackelberg(params)
     gap = abs(closed.payoff - oracle_value) / max(abs(closed.payoff), 1e-300)
-    _, best_value = oracle_jammer_br(params.max_pilot_power, params, samples, seed)
+    _, best_value = oracle_jammer_br(params, samples, seed)
     n, p_max, gamma, _, s2, j2 = params
     uniform_value = _uniform_sum_rate(n, p_max, gamma, s2, j2)
     # n * rate rounds once (eps / 2); the oracle's row sum of the uniform point adds

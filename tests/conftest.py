@@ -34,6 +34,10 @@ sys.meta_path.insert(0, BlockNumpy())
 """
 
 
+def params_with(p_max, gamma=4.0, p_th=2.0, sigma2=1.0, sigmaj2=1.0, n=10):
+    return SystemParams(n, p_max, gamma, p_th, sigma2, sigmaj2)
+
+
 @pytest.fixture
 def ref_params():
     """Ten subcarriers, pilot budget 5, jam budget 4, threshold 2, unit variances."""

@@ -245,7 +245,7 @@ def test_criterion_10_reactive_jammer_never_beats_proactive():
             rate_array(params.max_pilot_power, params.jam_power_budget,
                        params.legit_channel_var, params.jam_channel_var)
         )
-        _, oracle_value = oracle_jammer_br(params.max_pilot_power, params, 2000, SEED.with_stream(i))
+        _, oracle_value = oracle_jammer_br(params, 2000, SEED.with_stream(i))
         tol = 1e-12 * proactive
         ok &= proactive <= oracle_value + tol
         ok &= stackelberg_fixed(params).payoff >= proactive - tol

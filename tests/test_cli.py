@@ -36,7 +36,7 @@ _RNG_FLAGS = {"--seed", "--stream", "--trials"}
 #: lists the commands.
 EXPECTED_FLAGS = {
     "solve-fixed": _MODEL_FLAGS,
-    "solve-strategic": _MODEL_FLAGS | {"--delta"},
+    "solve-strategic": _MODEL_FLAGS,
     "verify-randomization": _MODEL_FLAGS | _RNG_FLAGS,
     "simulate-injection": _MODEL_FLAGS | _RNG_FLAGS | {"--workers"},
     "leakage": _MODEL_FLAGS | _RNG_FLAGS | {"--workers"},
@@ -49,8 +49,8 @@ EXPECTED_EXPORTS = {
     "ALLOCATION_SUM_RTOL", "EquilibriumResult", "NotPositiveSemidefinite", "NumericalError",
     "ParameterError", "PowerAllocation", "RngSeed", "SystemParams", "ZeroEquilibriumPayoff",
     "coincidence_precoder", "critical_power", "gaussian_mi_from_cov", "gram",
-    "jammer_br_strategic", "ks_test_normal", "leakage_after_randomization", "leakage_bound",
-    "mi_from_gram", "oracle_jammer_br", "oracle_stackelberg", "randomize_trials", "rate_array",
+    "ks_test_normal", "leakage_after_randomization", "leakage_bound", "mi_from_gram",
+    "oracle_jammer_br", "oracle_stackelberg", "randomize_trials", "rate_array",
     "sample_complex_gaussian", "sample_qpsk_pilot", "simulate_two_look", "stackelberg_fixed",
     "stackelberg_strategic", "sum_rate", "sweep", "verify_randomization",
 }
@@ -98,7 +98,7 @@ def test_solve_fixed_boundary_output(capsys):
 
 
 def test_solve_strategic_emits_epsilon_interval(capsys):
-    code, out, _ = run_cli(capsys, "solve-strategic", "--p-max", "5", "--delta", "0.5")
+    code, out, _ = run_cli(capsys, "solve-strategic", "--p-max", "5")
     payload = json.loads(out)
     assert code == 0
     assert payload["epsilon_interval"] == "[0, 5)"
@@ -251,9 +251,9 @@ def test_oracle_check_prints_its_golden_bytes(capsys, golden):
 def test_jensen_check_rejects_a_half_value_oracle(capsys, monkeypatch, p_max):
     # At --p-max 1e-6 the sum rate is about 6e-13 bits, so only a slack
     # relative to the value can see an oracle that halves it.
-    def half_value_oracle(p, params, samples, seed):
+    def half_value_oracle(params, samples, seed):
         uniform = PowerAllocation.uniform(params)
-        return uniform, sum_rate(p, uniform, params) / 2
+        return uniform, sum_rate(params.max_pilot_power, uniform, params) / 2
 
     monkeypatch.setattr("wskg.game.oracle_jammer_br", half_value_oracle)
     code, out, _ = run_cli(capsys, "oracle-check", "--p-max", p_max, "--trials", "10", "--seed", "1")
@@ -417,6 +417,8 @@ EXIT_CONTRACT = [
     ("no-arguments", [], 1, "wskg: error: the following arguments are required: COMMAND"),
     ("unknown-command", ["bogus"], 1, _invalid_choice("wskg", "COMMAND", "bogus", tuple(EXPECTED_FLAGS))),
     ("unknown-option", ["solve-fixed", "--bogus", "1"], 1, "wskg: error: unrecognized arguments: --bogus 1"),
+    # The representative threshold is fixed: no flag chooses it.
+    ("delta-flag", ["solve-strategic", "--delta", "0.5"], 1, "wskg: error: unrecognized arguments: --delta 0.5"),
     ("abbreviated-flag", ["oracle-check", "--p-m", "3", "--seed", "1"], 1,
      "wskg: error: unrecognized arguments: --p-m 3"),
     ("abbreviated-flag-unique", ["solve-fixed", "--p-ma", "3"], 1, "wskg: error: unrecognized arguments: --p-ma 3"),
@@ -438,14 +440,6 @@ EXIT_CONTRACT = [
      "error: need lo < hi, got lo=5.0, hi=1.0"),
     ("zero-payoff", ["sweep", "--variable", "p_max", "--lo", "0", "--hi", "1", "--steps", "2"], 1,
      "error: equilibrium payoff is zero; relative metrics are undefined"),
-    *((f"delta-{delta}", ["solve-strategic", "--delta", delta], 1,
-       f"error: delta must lie in (0, 1), got {float(delta)!r}") for delta in ("0", "1", "1.5", "nan")),
-    # A jammer jams strictly above its threshold, so one at p_max would not
-    # sense the leader's budget, against the printed interval [0, p_max).
-    ("tiny-delta", ["solve-strategic", "--delta", "1e-17"], 1,
-     "error: delta 1e-17 rounds the threshold p * (1 - delta) up to p = 5.0"),
-    ("subnormal-budget", ["solve-strategic", "--p-max", "5e-324", "--delta", "0.3"], 1,
-     "error: delta 0.3 rounds the threshold p * (1 - delta) up to p = 5e-324"),
     *((f"zero-trials-{command}", [command, "--trials", "0", "--seed", "1"], 1, "error: trials must be >= 1, got 0")
       for command in ("verify-randomization", "simulate-injection", "leakage", "oracle-check")),
     # One sample has no sample variance: no success with variances of 0.
@@ -476,6 +470,8 @@ EXIT_CONTRACT = [
      f"error: substreams {_U64 - 1} to {_U64 + 4} pass 2**64 - 1"),
     ("injection-wraps", ["simulate-injection", "--seed", "1", "--stream", str(_U64 - 2), "--trials", "140001"], 1,
      f"error: substreams {_U64 - 2} to {_U64} pass 2**64 - 1"),
+    # Half the smallest subnormal budget rounds to a threshold of 0, below it.
+    ("subnormal-budget", ["solve-strategic", "--p-max", "5e-324"], 0, ""),
     # Huge budgets: each run either succeeds or fails on a non-finite
     # quantity, and never prints a warning.
     ("non-finite-payoff", ["solve-fixed", "--p-max", "1e308"], 2,
@@ -588,47 +584,11 @@ def test_tiny_jammer_variance_finishes():
     assert json.loads(proc.stdout)["resampled_draws"] == 0
 
 
-_SCIPY_PROBE = """
-import contextlib, io, json, sys
-from wskg.cli import main
-
-def run(*argv):
-    out = io.StringIO()
-    with contextlib.redirect_stdout(out):
-        code = main(list(argv))
-    return code, out.getvalue()
-
-codes = {argv[0]: run(*argv)[0] for argv in (
-    ["solve-fixed"],
-    ["solve-strategic"],
-    ["sweep", "--variable", "gamma", "--lo", "0", "--hi", "8", "--steps", "50"],
-    ["oracle-check", "--seed", "1", "--trials", "1000"],
-    ["simulate-injection", "--trials", "20000", "--seed", "5", "--workers", "2"],
-    ["leakage", "--trials", "20000", "--seed", "5", "--workers", "2"],
-)}
-code, out = run("verify-randomization", "--p-max", "2", "--trials", "20000", "--seed", "7")
-print(json.dumps({"codes": codes, "code": code, "payload": json.loads(out),
-                  "scipy": sorted(name for name in sys.modules if name.split(".")[0] == "scipy")}))
-"""
-
-
-def test_no_command_loads_scipy():
-    proc = run_fresh(_SCIPY_PROBE)
-    assert proc.returncode == 0, proc.stderr
-    probe = json.loads(proc.stdout)
-    assert set(probe["codes"]) | {"verify-randomization"} == set(EXPECTED_FLAGS)
-    assert set(probe["codes"].values()) == {0}
-    assert probe["code"] == 0
-    assert probe["scipy"] == []
-    # scipy.special's ndtr and kolmogorov give this p-value; the port keeps their bits.
-    assert probe["payload"]["ks_source"]["p_value"] == 0.4781976144831221
-
-
 _MODULE_PROBE = """
 import contextlib, io, json, sys
 import wskg
 
-watched = ("click", "numpy", "numpy.ma", "numpy.random", "concurrent.futures",
+watched = ("click", "numpy", "numpy.ma", "numpy.random", "scipy", "concurrent.futures",
            "dataclasses", "inspect")
 bare = sorted(name for name in sys.modules if name.startswith("wskg.") or name in watched)
 from wskg.cli import main
@@ -680,7 +640,7 @@ def test_each_command_loads_only_the_modules_it_runs():
     """Each command in a fresh interpreter: ``import wskg`` loads no
     submodule, ``import wskg.cli`` loads none of the watched packages, and
     the command loads only the modules it runs. The closed-form commands
-    load none of numpy, dataclasses and inspect."""
+    load none of numpy, dataclasses and inspect, and no command loads scipy."""
     assert set(_LOADS) == set(EXPECTED_FLAGS)
     for command, (argv, loaded) in _LOADS.items():
         proc = run_fresh(_MODULE_PROBE, *argv)

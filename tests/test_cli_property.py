@@ -38,7 +38,6 @@ _VALUES = {
     "--p-th": _floats(0.0, 10.0),
     "--sigma2": _floats(0.01, 5.0),
     "--sigmaj2": _floats(0.01, 5.0),
-    "--delta": _floats(0.0, 1.0),
     "--seed": _ints((0, -1, 2**64), 0, 1000),
     "--stream": _ints((0, -1, 2**64), 0, 100),
     "--trials": _ints((-1, 0, 1, 2, 10_000), 2, 10_000),

@@ -14,7 +14,6 @@ from wskg import (
     RngSeed,
     SystemParams,
     critical_power,
-    jammer_br_strategic,
     oracle_jammer_br,
     oracle_stackelberg,
     rate_array,
@@ -23,9 +22,7 @@ from wskg import (
     sum_rate,
 )
 
-
-def params_with(p_max, gamma=4.0, p_th=2.0, sigma2=1.0, sigmaj2=1.0, n=10):
-    return SystemParams(n, p_max, gamma, p_th, sigma2, sigmaj2)
+from conftest import params_with
 
 
 def random_params(rng, gamma_lo=0.0):
@@ -104,31 +101,41 @@ def test_fixed_equilibrium_knee_selection_is_sharp():
     assert above.profiles[0].pilot_power == knee * (1 + 1e-6)
 
 
-def test_strategic_br_jams_any_positive_power(ref_params):
-    profile = jammer_br_strategic(5.0, ref_params, 0.5)
-    assert profile.pilot_power == 5.0
-    assert profile.allocation == PowerAllocation.uniform(ref_params)
-    assert profile.threshold == pytest.approx(2.5)
-    # sensed even below the fixed threshold parameter
-    low = jammer_br_strategic(0.5, ref_params, 0.5)
-    assert low.allocation == PowerAllocation.uniform(ref_params)
-
-
-def test_strategic_br_zero_power(ref_params):
-    profile = jammer_br_strategic(0.0, ref_params, 0.5)
+def test_strategic_equilibrium_jams_any_positive_budget():
+    # Sensed even below the fixed threshold parameter, 2.
+    params = params_with(0.5)
+    (profile,) = stackelberg_strategic(params).profiles
+    assert profile.pilot_power == 0.5
+    assert profile.allocation == PowerAllocation.uniform(params)
+    assert profile.threshold == 0.25
+    # No threshold senses a zero budget.
+    params = params_with(0.0)
+    (profile,) = stackelberg_strategic(params).profiles
     assert profile.pilot_power == 0.0
-    assert profile.allocation == PowerAllocation.silent(ref_params)
+    assert profile.allocation == PowerAllocation.silent(params)
     assert profile.threshold == 0.0
 
 
-def test_strategic_br_validates_policy(ref_params):
-    for bad in (0.0, 1.0, -0.5, 1.5):
-        with pytest.raises(ParameterError):
-            jammer_br_strategic(5.0, ref_params, bad)
+def test_strategic_threshold_lies_below_every_positive_budget():
+    # The representative threshold must lie in [0, p_max): a jammer at
+    # threshold p_max would not sense the budget. The tiny variance keeps
+    # the payoff finite at the largest float.
+    rng = np.random.default_rng(3131)
+    odd_mantissas = [1, 3, 5, 7, 2**52 - 1, *(2 * rng.integers(1, 2**51, 20) + 1)]
+    subnormals = [math.ldexp(int(k), -1074) for k in odd_mantissas]
+    # Every positive finite float is a bit pattern in [1, 0x7FF0000000000000).
+    random_floats = rng.integers(1, 0x7FF0000000000000, 2000, dtype=np.int64).view(np.float64)
+    budgets = [*subnormals, sys.float_info.min, 1.0, sys.float_info.max, *map(float, random_floats)]
+    for budget in budgets:
+        (profile,) = stackelberg_strategic(params_with(budget, sigma2=1e-160)).profiles
+        assert 0.0 <= profile.threshold < budget, budget.hex()
+    for budget in (0.0, -0.0):
+        (profile,) = stackelberg_strategic(params_with(budget)).profiles
+        assert profile.threshold.hex() == "0x0.0p+0", budget
 
 
 def test_strategic_equilibrium_reference(ref_params):
-    result = stackelberg_strategic(ref_params, 0.5)
+    result = stackelberg_strategic(ref_params)
     assert not result.unique
     profile = result.profiles[0]
     assert profile.pilot_power == 5.0
@@ -139,13 +146,13 @@ def test_strategic_equilibrium_reference(ref_params):
 
 def test_strategic_equilibrium_matches_fixed_above_knee():
     fixed = stackelberg_fixed(params_with(20.0))
-    strategic = stackelberg_strategic(params_with(20.0), 0.5)
+    strategic = stackelberg_strategic(params_with(20.0))
     assert strategic.payoff == fixed.payoff
 
 
 def test_strategic_equilibrium_zero_budget_jammer_is_harmless():
     params = params_with(5.0, gamma=0.0)
-    result = stackelberg_strategic(params, 0.5)
+    result = stackelberg_strategic(params)
     assert result.payoff == pytest.approx(
         10 * float(rate_array(5.0, 0.0, 1.0, 1.0)), rel=1e-12
     )
@@ -156,7 +163,7 @@ def test_strategic_jammer_dominates_fixed_jammer():
     for _ in range(200):
         params = random_params(rng)
         fixed = stackelberg_fixed(params).payoff
-        strategic = stackelberg_strategic(params, 0.5).payoff
+        strategic = stackelberg_strategic(params).payoff
         assert strategic <= fixed + 1e-12
 
 
@@ -179,7 +186,7 @@ def test_uniformly_jammed_payoff_has_one_path():
         expected = game._fixed_payoffs(*params)[1].hex()
         uniform = PowerAllocation.uniform(params)
         assert sum_rate(params.max_pilot_power, uniform, params).hex() == expected, params
-        assert stackelberg_strategic(params, 0.5).payoff.hex() == expected, params
+        assert stackelberg_strategic(params).payoff.hex() == expected, params
         verdict = game.oracle_check(params, 1, RngSeed(i))
         assert verdict["uniform_allocation_value"].hex() == expected, params
 
@@ -197,7 +204,7 @@ def test_fixed_payoff_monotone_in_budgets():
 
 def test_oracle_br_prefers_uniform_allocation():
     params = SystemParams(2, 5.0, 1.0, 2.0, 1.0, 1.0)
-    best, value = oracle_jammer_br(5.0, params, 2000, RngSeed(1))
+    best, value = oracle_jammer_br(params, 2000, RngSeed(1))
     uniform_value = sum_rate(5.0, PowerAllocation.uniform(params), params)
     lopsided_value = sum_rate(5.0, PowerAllocation((2.0, 0.0), 1.0), params)
     assert value == pytest.approx(uniform_value, rel=1e-12)
@@ -207,13 +214,13 @@ def test_oracle_br_prefers_uniform_allocation():
 
 def test_oracle_br_single_subcarrier():
     params = SystemParams(1, 5.0, 3.0, 2.0, 1.0, 1.0)
-    best, value = oracle_jammer_br(5.0, params, 500, RngSeed(2))
+    best, value = oracle_jammer_br(params, 500, RngSeed(2))
     assert best.gamma == pytest.approx((3.0,))
     assert value == pytest.approx(float(rate_array(5.0, 3.0, 1.0, 1.0)), rel=1e-12)
 
 
 def test_oracle_br_jensen_dominance(ref_params):
-    _, value = oracle_jammer_br(5.0, ref_params, 5000, RngSeed(3))
+    _, value = oracle_jammer_br(ref_params, 5000, RngSeed(3))
     uniform_value = sum_rate(5.0, PowerAllocation.uniform(ref_params), ref_params)
     # oracle-check's slack for the closed-form and array rates' round-off
     slack = 2 * ref_params.n_subcarriers * sys.float_info.epsilon * uniform_value
@@ -234,7 +241,7 @@ def test_vertex_sum_rates_agree_across_subcarriers():
         assert np.max(np.abs(sums - sums[0])) <= n * sys.float_info.epsilon * sums[0], params
 
 
-def ref_oracle_jammer_br(p, params, samples, seed, rate=rate_array):
+def ref_oracle_jammer_br(params, samples, seed, rate=rate_array):
     """The one-shot search: every candidate in one array, one argmin."""
     n = params.n_subcarriers
     total = n * params.jam_power_budget
@@ -248,7 +255,7 @@ def ref_oracle_jammer_br(p, params, samples, seed, rate=rate_array):
             simplex,
         ]
     )
-    values = rate(p, candidates, params.legit_channel_var, params.jam_channel_var).sum(axis=1)
+    values = rate(params.max_pilot_power, candidates, params.legit_channel_var, params.jam_channel_var).sum(axis=1)
     best = int(np.argmin(values))
     return PowerAllocation(tuple(candidates[best]), params.jam_power_budget), float(values[best])
 
@@ -274,11 +281,10 @@ def test_streamed_oracle_matches_one_shot_search(monkeypatch, n, blocks, extra):
     # Under the real rate the uniform point wins; the wavy rate checks the
     # sampled blocks.
     count = blocks * max(1, game.ORACLE_BLOCK_VALUES // n) + extra
-    params = params_with(5.0, n=n)
     for rate in (rate_array, wavy_rate):
         monkeypatch.setattr("wskg.rates.rate_array", rate)
         for seed, p in ((0, 5.0), (1, 1.5), (2, 0.0), (3, 5.0)):
-            args = (p, params, count, RngSeed(seed, seed))
+            args = (params_with(p, n=n), count, RngSeed(seed, seed))
             assert_same_bits(oracle_jammer_br(*args), ref_oracle_jammer_br(*args, rate))
 
 
@@ -292,15 +298,14 @@ def test_oracle_matches_one_shot_search_at_any_block_size(monkeypatch, n):
     # Sample blocks of any width, one sample wide included, and a draw
     # straddling their edges: a row sums to the same bits in any block, on
     # both sides of the 128 values where numpy's row sum starts halving.
-    params = params_with(5.0, n=n)
-    total = n * params.jam_power_budget
     block_sizes = {1, max(1, n - 1), n, 7 * n + 3, 1 << 14, 1 << 16}
     if n > 300:  # blocks of 1, 16 and 64 samples, to stay under 2 s here
         block_sizes = {1, n - 1, 1 << 14, 1 << 16}
     for block_values in sorted(block_sizes):
         monkeypatch.setattr(game, "ORACLE_BLOCK_VALUES", block_values)
         for seed, (p, samples) in enumerate(((5.0, 1), (1.5, 300), (5.0, 2000))):
-            args = (p, params, samples, RngSeed(seed, n))
+            params = params_with(p, n=n)
+            args = (params, samples, RngSeed(seed, n))
             assert_same_bits(oracle_jammer_br(*args), ref_oracle_jammer_br(*args))
             for rate in (wavy_rate, concave_rate):
                 with monkeypatch.context() as patch:
@@ -308,7 +313,7 @@ def test_oracle_matches_one_shot_search_at_any_block_size(monkeypatch, n):
                     got = oracle_jammer_br(*args)
                 assert_same_bits(got, ref_oracle_jammer_br(*args, rate))
             # Under the concave rate the one vertex must still be found.
-            assert sorted(got[0].gamma, reverse=True) == [total] + [0.0] * (n - 1)
+            assert sorted(got[0].gamma, reverse=True) == [n * params.jam_power_budget] + [0.0] * (n - 1)
 
 
 def test_streamed_oracle_keeps_argmins_order_across_blocks(monkeypatch):
@@ -325,8 +330,8 @@ def test_streamed_oracle_keeps_argmins_order_across_blocks(monkeypatch):
         params = params_with(5.0, n=n)
         for samples in (3, 40, 4000):
             for seed in range(4):
-                got = oracle_jammer_br(5.0, params, samples, RngSeed(seed))
-                assert_same_bits(got, ref_oracle_jammer_br(5.0, params, samples, RngSeed(seed), coarse))
+                got = oracle_jammer_br(params, samples, RngSeed(seed))
+                assert_same_bits(got, ref_oracle_jammer_br(params, samples, RngSeed(seed), coarse))
         assert math.isnan(got[1])
 
 
@@ -335,7 +340,7 @@ def test_oracle_memory_does_not_grow_with_samples(ref_params):
     for samples in (100_000, 400_000):
         tracemalloc.start()
         try:
-            oracle_jammer_br(5.0, ref_params, samples, RngSeed(8))
+            oracle_jammer_br(ref_params, samples, RngSeed(8))
             peaks[samples] = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -347,7 +352,7 @@ def test_oracle_memory_does_not_grow_with_subcarriers_squared():
     # never an n-by-n array of vertices, which alone is 8 MB at n = 1024.
     tracemalloc.start()
     try:
-        oracle_jammer_br(5.0, params_with(5.0, n=1024), 100, RngSeed(8))
+        oracle_jammer_br(params_with(5.0, n=1024), 100, RngSeed(8))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -422,7 +427,7 @@ def test_sorted_grid_oracle_matches_deduplicated_grid_bits():
 
 def test_oracle_config_validation(ref_params):
     with pytest.raises(ParameterError, match="allocation_samples must be >= 1, got 0"):
-        oracle_jammer_br(5.0, ref_params, 0, RngSeed(0))
+        oracle_jammer_br(ref_params, 0, RngSeed(0))
 
 
 @settings(max_examples=300, deadline=None)

@@ -16,6 +16,7 @@ from wskg import (
     sample_qpsk_pilot,
     verify_randomization,
 )
+from wskg.randomization import verify_check
 from wskg.stochastic import _qpsk
 
 from conftest import SAMPLER_FAMILY_LEVEL, _two_sided_z
@@ -112,6 +113,12 @@ def test_verify_randomization_reference_case():
     assert abs(report.source_real_var - 2.0) <= _two_sided_z(1) * 2.0 * math.sqrt(2.0 / n)
     assert report.ks_product.p_value > 0.001
     assert report.ks_source.p_value > 0.001
+
+
+def test_verify_check_keeps_scipys_p_value():
+    # scipy.special's ndtr and kolmogorov give this p-value; the port keeps their bits.
+    verdict = verify_check(SystemParams(10, 2, 4, 2, 1, 1), 20000, RngSeed(7))
+    assert verdict["ks_source"]["p_value"] == 0.4781976144831221
 
 
 def test_pilot_channel_product_variance():
