@@ -101,13 +101,20 @@ def test_fixed_equilibrium_knee_selection_is_sharp():
     assert above.profiles[0].pilot_power == knee * (1 + 1e-6)
 
 
-def test_strategic_equilibrium_jams_any_positive_budget():
+def test_strategic_br_jams_any_positive_power(ref_params):
+    (profile,) = stackelberg_strategic(ref_params).profiles
+    assert profile.pilot_power == 5.0
+    assert profile.allocation == PowerAllocation.uniform(ref_params)
+    assert profile.threshold == pytest.approx(2.5)
     # Sensed even below the fixed threshold parameter, 2.
     params = params_with(0.5)
-    (profile,) = stackelberg_strategic(params).profiles
-    assert profile.pilot_power == 0.5
-    assert profile.allocation == PowerAllocation.uniform(params)
-    assert profile.threshold == 0.25
+    (low,) = stackelberg_strategic(params).profiles
+    assert low.pilot_power == 0.5
+    assert low.allocation == PowerAllocation.uniform(params)
+    assert low.threshold == 0.25
+
+
+def test_strategic_br_zero_power():
     # No threshold senses a zero budget.
     params = params_with(0.0)
     (profile,) = stackelberg_strategic(params).profiles
