@@ -89,7 +89,6 @@ def _cmd_oracle_check(params: SystemParams, seed: RngSeed, trials: int) -> dict:
 def _cmd_sweep(params: SystemParams, variable: str, lo: float, hi: float, steps: int) -> dict:
     from .metrics import sweep
 
-    variable = "p_max" if variable == "P" else variable
     return {"variable": variable, "lo": lo, "hi": hi, "steps": steps, "rows": sweep(params, variable, lo, hi, steps)}
 
 
@@ -102,15 +101,18 @@ def _output_file(path: str) -> str:
     return path
 
 
-_COMMON_OPTIONS = (
-    ("--n", dict(dest="n_subcarriers", type=int, default=10, help="Number of subcarriers.")),
-    ("--p-max", dict(dest="max_pilot_power", type=float, default=5.0, help="Leader pilot power budget.")),
-    ("--gamma", dict(dest="jam_power_budget", type=float, default=4.0, help="Jammer average power budget per subcarrier.")),
-    ("--p-th", dict(dest="sense_threshold", type=float, default=2.0, help="Jammer sensing threshold.")),
-    ("--sigma2", dict(dest="legit_channel_var", type=float, default=1.0, help="Legitimate channel gain variance.")),
-    ("--sigmaj2", dict(dest="jam_channel_var", type=float, default=1.0, help="Jammer channel gain variance.")),
-    ("--output", dict(dest="output_path", type=_output_file, help="Write the artifact to this file instead of stdout.")),
-)
+#: The model flags, each setting the SystemParams field its dest names; a command accepts those it reads.
+_MODEL_OPTIONS = {
+    "--n": dict(dest="n_subcarriers", type=int, default=10, help="Number of subcarriers."),
+    "--p-max": dict(dest="max_pilot_power", type=float, default=5.0, help="Leader pilot power budget."),
+    "--gamma": dict(dest="jam_power_budget", type=float, default=4.0, help="Jammer average power budget per subcarrier."),
+    "--p-th": dict(dest="sense_threshold", type=float, default=2.0, help="Jammer sensing threshold."),
+    "--sigma2": dict(dest="legit_channel_var", type=float, default=1.0, help="Legitimate channel gain variance."),
+    "--sigmaj2": dict(dest="jam_channel_var", type=float, default=1.0, help="Jammer channel gain variance."),
+}
+#: Injection and random probing look once per trial: their laws read no subcarrier count or threshold.
+_ONE_LOOK = ("--p-max", "--gamma", "--sigma2", "--sigmaj2")
+_OUTPUT_OPTION = ("--output", dict(dest="output_path", type=_output_file, help="Write the artifact to this file instead of stdout."))
 
 _RNG_OPTIONS = (
     ("--seed", dict(type=int, required=True, help="RNG seed, in [0, 2**64).")),
@@ -129,22 +131,24 @@ _WORKERS_OPTION = ("--workers", dict(
 
 _SWEEP_OPTIONS = (
     ("--format", dict(choices=("csv", "json"), default="json", help="Output format.")),
-    ("--variable", dict(choices=("p_max", "P", "gamma", "sigma2", "p_th"), required=True,
-                        help="Parameter to sweep (P is an alias for p_max).")),
+    ("--variable", dict(choices=("p_max", "gamma", "sigma2", "p_th"), required=True, help="Parameter to sweep.")),
     ("--lo", dict(type=float, required=True, help="Lower end of the sweep range.")),
     ("--hi", dict(type=float, required=True, help="Upper end of the sweep range.")),
     ("--steps", dict(type=int, required=True, help="Number of grid points (endpoints included).")),
 )
 
-#: Command name -> (payload builder, help text, options beyond _COMMON_OPTIONS).
+#: Command name -> (payload builder, help text, model flags it reads, options beyond those and --output).
 _COMMANDS = {
-    "solve-fixed": (_cmd_solve_fixed, "Solve the fixed-threshold leader-follower game.", ()),
-    "solve-strategic": (_cmd_solve_strategic, "Solve the strategic-threshold leader-follower game.", ()),
-    "verify-randomization": (_cmd_verify_randomization, "KS-verify the Gaussian laws behind the randomized-probing defense.", _RNG_OPTIONS),
-    "simulate-injection": (_cmd_simulate_injection, "Simulate the coincident-injection attack and report summary statistics.", (*_RNG_OPTIONS, _WORKERS_OPTION)),
-    "leakage": (_cmd_leakage, "Estimate attacker leakage with static and with randomized pilots.", (*_RNG_OPTIONS, _WORKERS_OPTION)),
-    "oracle-check": (_cmd_oracle_check, "Cross-check the closed-form equilibrium against brute-force search.", _RNG_OPTIONS),
-    "sweep": (_cmd_sweep, "Sweep one parameter and tabulate payoffs and deviation metrics.", _SWEEP_OPTIONS),
+    "solve-fixed": (_cmd_solve_fixed, "Solve the fixed-threshold leader-follower game.", _MODEL_OPTIONS, ()),
+    "solve-strategic": (_cmd_solve_strategic, "Solve the strategic-threshold leader-follower game.",
+                        ("--n", "--p-max", "--gamma", "--sigma2", "--sigmaj2"), ()),
+    "verify-randomization": (_cmd_verify_randomization, "KS-verify the Gaussian laws behind the randomized-probing defense.",
+                             ("--p-max", "--sigma2"), _RNG_OPTIONS),
+    "simulate-injection": (_cmd_simulate_injection, "Simulate the coincident-injection attack and report summary statistics.",
+                           _ONE_LOOK, (*_RNG_OPTIONS, _WORKERS_OPTION)),
+    "leakage": (_cmd_leakage, "Estimate attacker leakage with static and with randomized pilots.", _ONE_LOOK, (*_RNG_OPTIONS, _WORKERS_OPTION)),
+    "oracle-check": (_cmd_oracle_check, "Cross-check the closed-form equilibrium against brute-force search.", _MODEL_OPTIONS, _RNG_OPTIONS),
+    "sweep": (_cmd_sweep, "Sweep one parameter and tabulate payoffs and deviation metrics.", _MODEL_OPTIONS, _SWEEP_OPTIONS),
 }
 
 
@@ -173,14 +177,15 @@ def _csv_text(rows: List[tuple]) -> str:
 def run(command: str, output_path: Optional[str] = None, format: str = "json", **options) -> int:
     """Execute one command, emit its artifact, and return the exit status.
 
-    ``options`` are the command's flags by parameter name: the six model
-    flags, which become the run's :class:`SystemParams`, and the command's
-    own. Every artifact names its command and parameters, and a seeded one
-    its seed and stream. The status is 0, or 3 when the command's
-    ``accepted`` check fails. Configuration and numerical errors propagate;
-    ``main`` maps them to exit codes.
+    ``options`` are the command's flags by parameter name: the model flags
+    it reads, which become the run's :class:`SystemParams` with every other
+    field at its flag's default, and the command's own. Every artifact names
+    its command and parameters, and a seeded one its seed and stream. The
+    status is 0, or 3 when the command's ``accepted`` check fails.
+    Configuration and numerical errors propagate; ``main`` maps them to exit
+    codes.
     """
-    params = SystemParams(**{name: options.pop(name) for name in SystemParams._fields})
+    params = SystemParams(**{spec["dest"]: options.pop(spec["dest"], spec["default"]) for spec in _MODEL_OPTIONS.values()})
     header = {"command": command, "params": params._asdict()}
     if "seed" in options:
         if options["trials"] < 1:
@@ -225,11 +230,11 @@ def build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
         allow_abbrev=False,
     )
     commands = parser.add_subparsers(dest="command", metavar="COMMAND", required=True)
-    for name, (_, description, extra) in _COMMANDS.items():
+    for name, (_, description, model, extra) in _COMMANDS.items():
         subparser = commands.add_parser(name, help=description, description=description, allow_abbrev=False)
         if command not in _COMMANDS or command == name:
             subparser._negative_number_matcher = _NEGATIVE_NUMBER
-            for flag, spec in (*_COMMON_OPTIONS, *extra):
+            for flag, spec in (*((flag, _MODEL_OPTIONS[flag]) for flag in model), _OUTPUT_OPTION, *extra):
                 if spec.get("default") is not None:
                     spec = {**spec, "help": spec["help"] + " (default: %(default)s)"}
                 subparser.add_argument(flag, **spec)

@@ -29,19 +29,22 @@ from wskg.stochastic import KS_SIGNIFICANCE, KsReport, ks_test_normal
 from conftest import BLOCK_NUMPY
 
 
-_MODEL_FLAGS = {"--n", "--p-max", "--gamma", "--p-th", "--sigma2", "--sigmaj2", "--output"}
+_MODEL_FLAGS = {"--n", "--p-max", "--gamma", "--p-th", "--sigma2", "--sigmaj2"}
+#: The model flags of the one-look laws, the injection attack's and random
+#: probing's, which read no subcarrier count or threshold.
+_ONE_LOOK_FLAGS = {"--p-max", "--gamma", "--sigma2", "--sigmaj2"}
 _RNG_FLAGS = {"--seed", "--stream", "--trials"}
 
 #: Every flag each command accepts (``--help`` aside), in the order the CLI
-#: lists the commands.
+#: lists the commands: the model flags it reads, ``--output`` and its own.
 EXPECTED_FLAGS = {
-    "solve-fixed": _MODEL_FLAGS,
-    "solve-strategic": _MODEL_FLAGS,
-    "verify-randomization": _MODEL_FLAGS | _RNG_FLAGS,
-    "simulate-injection": _MODEL_FLAGS | _RNG_FLAGS | {"--workers"},
-    "leakage": _MODEL_FLAGS | _RNG_FLAGS | {"--workers"},
-    "oracle-check": _MODEL_FLAGS | _RNG_FLAGS,
-    "sweep": _MODEL_FLAGS | {"--format", "--variable", "--lo", "--hi", "--steps"},
+    "solve-fixed": _MODEL_FLAGS | {"--output"},
+    "solve-strategic": _MODEL_FLAGS - {"--p-th"} | {"--output"},
+    "verify-randomization": {"--p-max", "--sigma2", "--output"} | _RNG_FLAGS,
+    "simulate-injection": _ONE_LOOK_FLAGS | {"--output", "--workers"} | _RNG_FLAGS,
+    "leakage": _ONE_LOOK_FLAGS | {"--output", "--workers"} | _RNG_FLAGS,
+    "oracle-check": _MODEL_FLAGS | {"--output"} | _RNG_FLAGS,
+    "sweep": _MODEL_FLAGS | {"--output", "--format", "--variable", "--lo", "--hi", "--steps"},
 }
 
 #: Every name ``wskg`` exports.
@@ -160,16 +163,6 @@ def test_sweep_json_rows(capsys):
     assert payload["variable"] == "gamma"
     assert [row["swept_value"] for row in payload["rows"]][0] == 0.0
     assert all(set(row) == {"swept_value", "c_se", "c_full", "c_threshold", "f", "d", "e"} for row in payload["rows"])
-
-
-def test_sweep_accepts_uppercase_budget_alias(capsys):
-    code, out, _ = run_cli(
-        capsys,
-        "sweep", "--variable", "P", "--lo", "3", "--hi", "4", "--steps", "2",
-        "--format", "csv",
-    )
-    assert code == 0
-    assert out.startswith(CSV_HEADER)
 
 
 def test_verify_randomization_accepts(capsys):
@@ -423,6 +416,13 @@ EXIT_CONTRACT = [
      "wskg: error: unrecognized arguments: --p-m 3"),
     ("abbreviated-flag-unique", ["solve-fixed", "--p-ma", "3"], 1, "wskg: error: unrecognized arguments: --p-ma 3"),
     ("csv-for-a-solver", ["solve-fixed", "--format", "csv"], 1, "wskg: error: unrecognized arguments: --format csv"),
+    # Each field has one name.
+    ("sweep-variable-P", ["sweep", "--variable", "P", "--lo", "3", "--hi", "4", "--steps", "2"], 1,
+     _invalid_choice("wskg sweep", "--variable", "P", ("p_max", "gamma", "sigma2", "p_th"))),
+    # A command accepts only the model flags it reads.
+    *((f"unread-{flag[2:]}-{command}", [command, *(["--seed", "1"] if "--seed" in flags else []), flag, "1"], 1,
+       f"wskg: error: unrecognized arguments: {flag} 1")
+      for command, flags in EXPECTED_FLAGS.items() for flag in sorted(_MODEL_FLAGS - flags)),
     ("unknown-format", ["sweep", "--variable", "gamma", "--lo", "0", "--hi", "8", "--steps", "5", "--format", "xml"], 1,
      _invalid_choice("wskg sweep", "--format", "xml", ("csv", "json"))),
     ("non-integer-steps", ["sweep", "--variable", "gamma", "--lo", "0", "--hi", "8", "--steps", "2.5"], 1,
@@ -456,8 +456,8 @@ EXIT_CONTRACT = [
     ("negative-seed", ["leakage", "--seed", "-1", "--trials", "10000"], 1,
      "error: seed must lie in [0, 2**64), got -1"),
     # Rejected before the variance checks that fail on these flags with a seed in range.
-    ("verify-overflowing-model", ["verify-randomization", "--n", "1", "--p-max", "1e200", "--p-th", "1", "--sigma2",
-                                  "1e308", "--seed", "-5", "--trials", "10000"], 1,
+    ("verify-overflowing-model", ["verify-randomization", "--p-max", "1e200", "--sigma2", "1e308", "--seed", "-5",
+                                  "--trials", "10000"], 1,
      "error: seed must lie in [0, 2**64), got -5"),
     ("seed-2**64", ["leakage", "--seed", str(_U64), "--trials", "10000"], 1,
      f"error: seed must lie in [0, 2**64), got {_U64}"),
@@ -488,12 +488,11 @@ EXIT_CONTRACT = [
     ("injection-jam-budget", ["simulate-injection", "--seed", "1", "--gamma", "1e308"], 2,
      "numerical failure: non-finite value at result.injected_variance: nan"),
     # Valid flags whose Monte Carlo run overflows or underflows.
-    ("verify-product-variance", ["verify-randomization", "--n", "1", "--p-max", "1e200", "--p-th", "1", "--sigma2",
-                                 "1e308", "--seed", "5", "--trials", "10000"], 2,
+    ("verify-product-variance", ["verify-randomization", "--p-max", "1e200", "--sigma2", "1e308", "--seed", "5",
+                                 "--trials", "10000"], 2,
      "numerical failure: product variance is not a normal float: inf"),
     # Every h underflows to 0: not a rejection by the KS test (exit 3).
-    ("verify-underflow", ["verify-randomization", "--gamma", "1e20", "--p-th", "1e-12", "--sigma2", "5e-324",
-                          "--seed", "1", "--trials", "10000"], 2,
+    ("verify-underflow", ["verify-randomization", "--sigma2", "5e-324", "--seed", "1", "--trials", "10000"], 2,
      "numerical failure: sigma2 / 2 is not a normal float: 0.0"),
     ("leakage-moments", ["leakage", "--p-max", "1e308", "--sigmaj2", "1e6", "--seed", "1", "--trials", "10000"], 2,
      _NOT_FINITE),
@@ -509,10 +508,11 @@ _CLOSED_FORM = ("solve-fixed", "solve-strategic", "sweep")
 
 
 def _runs_without_numpy(row):
-    """Whether a row's run needs no numpy: a closed-form command, or a seed
-    or stream that ``run`` rejects before the command runs."""
+    """Whether a row's run needs no numpy: a closed-form command, a usage
+    error, which argparse reports before any command runs, or a seed or
+    stream that ``run`` rejects before the command runs."""
     _, argv, _, stderr = row
-    return bool(argv) and argv[0] in _CLOSED_FORM or stderr.startswith(("error: seed ", "error: stream "))
+    return bool(argv) and argv[0] in _CLOSED_FORM or stderr.startswith(("wskg", "error: seed ", "error: stream "))
 
 
 #: Runs ``main`` on each argv of the JSON list in its first argument, and
@@ -890,12 +890,63 @@ def _subparsers():
     return commands.choices
 
 
-def test_command_flags_are_pinned():
-    accepted = {
+def _accepted_flags():
+    return {
         name: {flag for action in command._actions for flag in action.option_strings} - {"-h", "--help"}
         for name, command in _subparsers().items()
     }
-    assert accepted == EXPECTED_FLAGS
+
+
+def test_command_flags_are_pinned():
+    assert _accepted_flags() == EXPECTED_FLAGS
+
+
+#: Per model flag, the field it sets and a value that moves the payload of
+#: every command that reads the field, at the point ``_reading_point`` picks.
+_MOVES = {
+    "--n": ("n_subcarriers", 3), "--p-max": ("max_pilot_power", 20.0), "--gamma": ("jam_power_budget", 9.0),
+    "--p-th": ("sense_threshold", 5.0), "--sigma2": ("legit_channel_var", 3.0), "--sigmaj2": ("jam_channel_var", 2.0),
+}
+
+
+def _reading_point(command, flag):
+    """An argv of ``command`` whose payload depends on ``flag``'s field when
+    the command reads it."""
+    if command == "sweep":  # the swept value replaces its field
+        return ["sweep", "--variable", "gamma" if flag == "--p-th" else "p_th", "--lo", "0.5", "--hi", "8", "--steps", "5"]
+    if command == "solve-fixed" and flag != "--p-max":
+        # Past the knee the leader plays full power into the jamming; below it
+        # the payload reads neither the jam budget nor the jam variance.
+        return ["solve-fixed", "--p-max", "20"]
+    return [command, "--trials", "10000", "--seed", "1"] if "--seed" in EXPECTED_FLAGS[command] else [command]
+
+
+def _payload_without_params(capsys, argv, **fields):
+    """The payload ``run`` prints for ``argv``, with ``fields`` passed to it
+    besides the parsed options, without its ``params``."""
+    options = vars(build_parser(argv[0]).parse_args(argv))
+    assert wskg.cli.run(**options, **fields) == 0
+    payload = json.loads(capsys.readouterr().out)
+    del payload["params"]
+    return payload
+
+
+@pytest.mark.parametrize("command", list(EXPECTED_FLAGS))
+def test_each_command_accepts_exactly_the_model_flags_it_reads(capsys, command):
+    """Every model flag a command accepts moves its payload (all keys but
+    ``params``), and every field whose flag it does not accept, passed to
+    ``run`` directly, leaves the payload as it is."""
+    accepted = _accepted_flags()[command] & set(_MOVES)
+    moved = set()
+    for flag, (field, value) in _MOVES.items():
+        argv = _reading_point(command, flag)
+        base = _payload_without_params(capsys, argv)
+        if flag in accepted:
+            if _payload_without_params(capsys, [*argv, flag, str(value)]) != base:
+                moved.add(flag)
+        else:
+            assert _payload_without_params(capsys, argv, **{field: value}) == base, flag
+    assert moved == accepted
 
 
 @pytest.mark.parametrize("command", list(EXPECTED_FLAGS))

@@ -43,7 +43,7 @@ _VALUES = {
     "--trials": _ints((-1, 0, 1, 2, 10_000), 2, 10_000),
     "--workers": _ints((-1, 0, 1, 4), 1, 4),
     "--format": st.sampled_from(("csv", "json")),
-    "--variable": st.sampled_from(("p_max", "P", "gamma", "sigma2", "p_th")),
+    "--variable": st.sampled_from(("p_max", "gamma", "sigma2", "p_th")),
     "--lo": _floats(0.0, 5.0),
     "--hi": _floats(5.0, 20.0),
     "--steps": _ints((-1, 0, 1, 2, 50), 2, 50),

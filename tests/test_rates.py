@@ -1,6 +1,7 @@
 import math
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -160,3 +161,34 @@ def test_scalar_rate_is_rate_array_up_to_log1p(p, gamma, sigma2, sigmaj2):
     array = float(rate_array(p, gamma, sigma2, sigmaj2))
     assert scalar == libm / rates._LN2 and array == numpy_log1p / rates._LN2
     assert abs(scalar - array) <= 2.0 * math.ulp(array)
+
+
+#: Unit roundoff of a double.
+_U = 2.0**-53
+
+#: A relative error bound on ``_rate(p, gamma, sigma2, sigmaj2, math.log1p)``,
+#: counted forward through its roundings, gamma_k = k*u / (1 - k*u) (Higham):
+#:   a = p*s2 (1); b = 1 + g*j2 (2); b + 2a (3, as 2a is exact); b*(b + 2a) (6);
+#:   a*a (3); x = a*a / (b*(b + 2a)) (3 + 6 + 1 = 10).
+#: A relative error e in x moves log1p(x) by a relative x*e / ((1 + x)*log1p(x)),
+#: at most e, since log1p(x) >= x / (1 + x). Then libm's log1p adds at most
+#: 1 ulp (glibc's documented bound), which is at most 2u of its value; the
+#: rounded ln 2 adds u and the division u: 10 + 2 + 1 + 1 = 14.
+RATE_RELATIVE_BOUND = 14 * _U / (1 - 14 * _U)
+
+
+def test_scalar_rate_matches_a_200_bit_reference():
+    """``_rate`` on libm's log1p stays within its forward error bound of a
+    200-bit evaluation over 12 decades of every parameter, the jam budget
+    also at 0. The arguments keep x = a^2 / (b*(b + 2a)) far from underflow."""
+    rng = np.random.default_rng(41)
+    with mpmath.workprec(200):
+        ln2 = mpmath.log(2)
+        assert abs(mpmath.mpf(rates._LN2) - ln2) <= _U * ln2
+        for i in range(5000):
+            p, gamma, s2, j2 = (float(v) for v in 10.0 ** rng.uniform(-6.0, 6.0, 4))
+            gamma = 0.0 if i % 5 == 0 else gamma
+            a, b = mpmath.mpf(p) * s2, 1 + mpmath.mpf(gamma) * j2
+            exact = mpmath.log1p(a * a / (b * (b + 2 * a))) / ln2
+            error = float(abs(rates._rate(p, gamma, s2, j2, math.log1p) - exact) / exact)
+            assert error <= RATE_RELATIVE_BOUND, (p, gamma, s2, j2, error / _U)
