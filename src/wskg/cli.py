@@ -65,8 +65,8 @@ def _cmd_verify_randomization(params: SystemParams, seed: RngSeed, trials: int) 
 def _cmd_simulate_injection(params: SystemParams, seed: RngSeed, trials: int, workers: Optional[int]) -> dict:
     from .injection import chunked_grams, simulate_two_look, static_stage
 
-    ((static, resampled),) = chunked_grams(params, trials, seed, (simulate_two_look,), workers)
-    return static_stage(params, trials, static, resampled)
+    (static,) = chunked_grams(params, trials, seed, (simulate_two_look,), workers)
+    return static_stage(params, trials, static)
 
 
 def _cmd_leakage(params: SystemParams, seed: RngSeed, trials: int, workers: Optional[int]) -> dict:
@@ -75,8 +75,8 @@ def _cmd_leakage(params: SystemParams, seed: RngSeed, trials: int, workers: Opti
     # One pool runs both stages; the randomized chunks continue on the substreams after the static ones.
     stages = chunked_grams(params, trials, seed, (simulate_two_look, randomize_trials), workers)
     # The estimates come first: they reject too few trials and a non-finite matrix.
-    static_bits, randomized_bits = [mi_from_gram(total) for total, _ in stages]
-    return {**static_stage(params, trials, *stages[0]), "static_pilot_leakage_bits": static_bits,
+    static_bits, randomized_bits = map(mi_from_gram, stages)
+    return {**static_stage(params, trials, stages[0]), "static_pilot_leakage_bits": static_bits,
             "randomized_pilot_leakage_bits": randomized_bits}
 
 

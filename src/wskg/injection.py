@@ -17,7 +17,7 @@ import math
 import os
 import threading
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence
 
 import numpy as np
 
@@ -25,24 +25,10 @@ from .errors import NumericalError, ParameterError
 from .params import RngSeed, SystemParams
 from .stochastic import _complex_normal, _qpsk, gaussian_mi_from_cov
 
-#: Scale of the singularity rejection floor for the precoder denominator.
-#: Equality of the two first-antenna gains has probability zero under the
-#: continuous channel law, but finite precision still needs a floor. The
-#: floor is relative, ``scale * (|h_a1| + |h_b1|)``, so it rejects the same
-#: draws at every jammer channel variance.
-_SINGULARITY_FLOOR_SCALE = 1e-9
-
 #: Monte Carlo trials per chunk. :func:`chunked_grams` draws chunk ``i`` of
 #: kernel ``k`` from substream ``stream + k * chunks + i``, so ``leakage``'s
 #: randomized stage starts after its static one.
 CHUNK_TRIALS = 1 << 16
-
-
-def _coincidence_floor(h_a1, h_b1, out=None, scratch=None):
-    floor = np.abs(h_a1, out=out)
-    floor += np.abs(h_b1, out=scratch)
-    floor *= _SINGULARITY_FLOOR_SCALE
-    return floor
 
 
 def coincidence_precoder(h_a2, h_b2, denom, scratch=None):
@@ -53,7 +39,9 @@ def coincidence_precoder(h_a2, h_b2, denom, scratch=None):
     ``norm = sqrt(1 + |ratio|^2)``, give the same gain
     ``(h_a1 ratio + h_a2) / norm`` at Alice as ``(h_b1 ratio + h_b2) / norm``
     at Bob, at unit transmit power. The first-antenna gains enter only
-    through ``denom``, which the caller's singularity check already holds.
+    through ``denom``. Under the continuous channel law it is nonzero with
+    probability one; a zero ``denom`` gives non-finite values, which the
+    callers' finiteness checks reject.
     Returns ``(ratio, norm)``, computed in place: ``ratio`` overwrites
     ``h_b2``, and ``norm`` is written into ``scratch`` when given.
     """
@@ -66,13 +54,10 @@ def coincidence_precoder(h_a2, h_b2, denom, scratch=None):
 
 #: The arrays of one buffer set: key -> (offset in bytes per trial, dtype,
 #: values per trial). Keys 0 to 6 are complex slots; every kernel leaves its
-#: results in slots 0 to 2. The Gram rows lie over slots 3 to 6, and the
-#: static kernel's floor and mask over slot 6, which it draws nothing into.
+#: results in slots 0 to 2, and the Gram rows lie over slots 3 to 6.
 _BUFFER_LAYOUT = {
     **{key: (16 * key, complex, 1) for key in range(7)},
     "gram": (48, float, 7),
-    "floor": (96, float, 1),
-    "mask": (104, bool, 1),
     "scratch": (112, float, 1),
 }
 
@@ -123,8 +108,9 @@ class TwoLookBatch:
 
     ``injected`` holds the attacker's injected value. With static pilots it
     appears identically in both observations; with randomized probing each
-    look holds it multiplied by that party's pilot. ``resampled`` counts
-    channel draws rejected by the singularity floor and redrawn.
+    look holds it multiplied by that party's pilot. ``resampled`` is always
+    0: no kernel redraws a trial. Only the benchmark's trace still reads it,
+    and it goes with that read (ROADMAP item 1).
     """
 
     z_a: np.ndarray
@@ -133,7 +119,7 @@ class TwoLookBatch:
     resampled: int = 0
 
 
-@np.errstate(over="ignore", invalid="ignore")
+@np.errstate(divide="ignore", over="ignore", invalid="ignore")
 def simulate_two_look(
     params: SystemParams, n_trials: int, seed: RngSeed, buffers: Optional[ChunkBuffers] = None
 ) -> TwoLookBatch:
@@ -152,8 +138,10 @@ def simulate_two_look(
     that the injected value has variance jam_channel_var * jam_power_budget,
     the nominal attack model.
 
-    The returned arrays are views into ``buffers`` when given. Overflow is
-    silent here: callers reject the non-finite moments it leads to.
+    Each trial is drawn once, whatever its gains. The returned arrays are
+    views into ``buffers`` when given. Overflow and a zero precoder
+    denominator are silent here: callers reject the non-finite moments they
+    lead to.
     """
     if n_trials < 1:
         raise ParameterError(f"n_trials must be >= 1, got {n_trials}")
@@ -165,19 +153,8 @@ def simulate_two_look(
     h = _draw(rng, buffers, 3, params.legit_channel_var, n_trials)
     h_a1, h_a2, h_b1, h_b2 = (_draw(rng, buffers, key, entry_var, n_trials) for key in (0, 4, 5, 1))
 
-    resampled = 0
-    denom = np.subtract(h_a1, h_b1, out=buffers.take(2, n_trials))
-    floor = _coincidence_floor(h_a1, h_b1, buffers.take("floor", n_trials), scratch)
-    below = np.less(np.abs(denom, out=scratch), floor, out=buffers.take("mask", n_trials))
-    bad = np.flatnonzero(below)
-    while bad.size:
-        resampled += bad.size
-        for arr in (h_a1, h_a2, h_b1, h_b2):
-            arr[bad] = _complex_normal(rng, entry_var, bad.size)
-        denom[bad] = h_a1[bad] - h_b1[bad]
-        bad = bad[np.abs(denom[bad]) < _coincidence_floor(h_a1[bad], h_b1[bad])]
-
     # In place: injected = 2 sqrt(budget) (h_a1 ratio + h_a2) / norm xj.
+    denom = np.subtract(h_a1, h_b1, out=buffers.take(2, n_trials))
     ratio, norm = coincidence_precoder(h_a2, h_b2, denom, scratch)
     injected = np.multiply(h_a1, ratio, out=h_a1)
     injected += h_a2
@@ -190,7 +167,7 @@ def simulate_two_look(
     common = np.add(np.multiply(math.sqrt(params.max_pilot_power), h, out=h), injected, out=h)
     z_a += common
     z_b += common
-    return TwoLookBatch(z_a=z_a, z_b=z_b, injected=injected, resampled=resampled)
+    return TwoLookBatch(z_a=z_a, z_b=z_b, injected=injected)
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -274,10 +251,9 @@ def chunked_grams(
     seed: RngSeed,
     kernels: Sequence[Callable],
     workers: Optional[int] = None,
-) -> List[Tuple[np.ndarray, int]]:
-    """Chunked Monte Carlo engine: one ``(total, resampled)`` pair per kernel,
-    the sum of its chunks' :func:`gram` matrices and the channel draws they
-    resampled.
+) -> List[np.ndarray]:
+    """Chunked Monte Carlo engine: one matrix per kernel, the sum of its
+    chunks' :func:`gram` matrices.
 
     Each kernel (:func:`simulate_two_look` or :func:`randomize_trials`) runs
     ``n_trials`` trials in chunks of ``CHUNK_TRIALS``. Chunk ``i`` of kernel
@@ -303,12 +279,11 @@ def chunked_grams(
     ]
     local = threading.local()
 
-    def run(job) -> Tuple[np.ndarray, int]:
+    def run(job) -> np.ndarray:
         kernel, count, chunk_seed = job
         if not hasattr(local, "buffers"):
             local.buffers = ChunkBuffers(counts[0])
-        batch = kernel(params, count, chunk_seed, local.buffers)
-        return gram(batch, local.buffers), batch.resampled
+        return gram(kernel(params, count, chunk_seed, local.buffers), local.buffers)
 
     threads = pool_size(workers, len(jobs))
     if threads == 1:
@@ -320,8 +295,7 @@ def chunked_grams(
 
         with ThreadPoolExecutor(max_workers=threads) as pool:
             results = list(pool.map(run, jobs))
-    stages = [zip(*results[k * len(counts) : (k + 1) * len(counts)]) for k in range(len(kernels))]
-    return [(sum(grams), sum(resampled)) for grams, resampled in stages]
+    return [sum(results[k * len(counts) : (k + 1) * len(counts)]) for k in range(len(kernels))]
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -340,9 +314,9 @@ def covariance(g: np.ndarray) -> np.ndarray:
     return (g[1:, 1:] - np.outer(sums, sums) / n_trials) / (n_trials - 1.0)
 
 
-def static_stage(params: SystemParams, n_trials: int, total: np.ndarray, resampled: int) -> dict:
+def static_stage(params: SystemParams, n_trials: int, total: np.ndarray) -> dict:
     """``simulate-injection``'s payload, which ``leakage`` carries too, from
-    the static stage's summed :func:`gram` matrix and resampled draws."""
+    the static stage's summed :func:`gram` matrix."""
     # Python floats, so an overflowing sum is a silent inf that callers reject.
     # gram's rows less its first: injected at 0 and 1, z_a at 2 and 3, z_b at 4 and 5.
     cov = covariance(total).tolist()
@@ -353,7 +327,6 @@ def static_stage(params: SystemParams, n_trials: int, total: np.ndarray, resampl
         "nominal_injected_variance": _injected_variance(params),
         "observation_variance": cov[2][2] + cov[3][3],
         "observation_cross_moment": cov[2][4] + cov[3][5],
-        "resampled_draws": resampled,
     }
 
 
@@ -378,5 +351,5 @@ def leakage_bound(params: SystemParams, n_trials: int, seed: RngSeed) -> float:
     over stacked real coordinates, with :func:`chunked_grams`, and evaluates
     the jointly-Gaussian mutual information closed form.
     """
-    ((total, _),) = chunked_grams(params, n_trials, seed, (simulate_two_look,))
+    (total,) = chunked_grams(params, n_trials, seed, (simulate_two_look,))
     return mi_from_gram(total)

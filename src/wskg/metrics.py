@@ -28,7 +28,7 @@ _SWEEP_FIELDS = {
 
 #: Numerical slack allowed below 0 for the relative metrics; a value in
 #: the slack is round-off at the knee and is emitted as 0.0.
-_METRIC_FLOOR = -1e-9
+_METRIC_SLACK = -1e-9
 
 
 class SweepRow(NamedTuple):
@@ -80,7 +80,7 @@ def _row(value: float, c_se: float, c_full: float, c_threshold: float) -> SweepR
     f = (c_se - c_full) / c_se
     d = (c_se - c_threshold) / c_se
     for name, metric in (("f", f), ("d", d)):
-        if not _METRIC_FLOOR <= metric <= 1.0:
+        if not _METRIC_SLACK <= metric <= 1.0:
             raise NumericalError(f"metric {name} out of [0, 1]: {metric!r}")
     f, d = max(f, 0.0), max(d, 0.0)
     return SweepRow(value, c_se, c_full, c_threshold, f, d, f)

@@ -131,5 +131,5 @@ def leakage_after_randomization(params: SystemParams, n_trials: int, seed: RngSe
     Runs on :func:`~wskg.injection.chunked_grams`, as the ``leakage``
     command's randomized stage does.
     """
-    ((total, _),) = chunked_grams(params, n_trials, seed, (randomize_trials,))
+    (total,) = chunked_grams(params, n_trials, seed, (randomize_trials,))
     return mi_from_gram(total)

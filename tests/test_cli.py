@@ -74,10 +74,6 @@ def run_fresh(script, *argv):
     )
 
 
-#: A ``run_fresh`` script that runs the CLI on its arguments.
-_MAIN = "import sys; from wskg.cli import main; sys.exit(main(sys.argv[1:]))"
-
-
 def test_solve_fixed_reference_output(capsys):
     code, out, _ = run_cli(capsys, "solve-fixed", "--p-max", "5")
     assert code == 0
@@ -280,7 +276,16 @@ def test_simulate_injection_reports_model_variance(capsys):
     assert code == 0
     assert payload["nominal_injected_variance"] == 4.0
     assert payload["injected_variance"] == pytest.approx(4.0, rel=0.05)
-    assert payload["resampled_draws"] == 0
+
+
+def test_monte_carlo_payload_keys_are_pinned(capsys):
+    header = {"command", "params", "seed", "stream", "trials", "chunk_trials"}
+    static = {"injected_variance", "nominal_injected_variance", "observation_variance", "observation_cross_moment"}
+    for command, keys in (("simulate-injection", header | static),
+                          ("leakage", header | static | {"static_pilot_leakage_bits", "randomized_pilot_leakage_bits"})):
+        code, out, _ = run_cli(capsys, command, "--trials", "10000", "--seed", "5")
+        assert code == 0
+        assert set(json.loads(out)) == keys
 
 
 def test_workers_sharding_is_deterministic(capsys):
@@ -294,7 +299,6 @@ def test_workers_sharding_is_deterministic(capsys):
         payload = json.loads(runs[0][1])
         assert "workers" not in payload
         assert payload["chunk_trials"] == CHUNK_TRIALS
-        assert payload["resampled_draws"] == 0
 
 
 def test_simulate_injection_reads_the_sample_covariance(capsys):
@@ -499,6 +503,13 @@ EXIT_CONTRACT = [
     ("injection-observations", ["simulate-injection", "--p-max", "1e200", "--sigma2", "1e200", "--seed", "1",
                                 "--trials", "10000"], 2,
      "numerical failure: non-finite value at result.observation_variance: nan"),
+    # Every jammer gain underflows to 0, and so does each precoder
+    # denominator: the moments are NaN. Each trial is drawn once.
+    ("injection-zero-jam-gains", ["simulate-injection", "--sigmaj2", "5e-324", "--seed", "1", "--trials", "10000"], 2,
+     "numerical failure: non-finite value at result.injected_variance: nan"),
+    ("leakage-zero-jam-gains", ["leakage", "--sigmaj2", "5e-324", "--seed", "1", "--trials", "10000"], 2, _NOT_FINITE),
+    # Tiny but normal jammer gains: the run finishes as at unit variance.
+    ("leakage-tiny-jam-variance", ["leakage", "--sigmaj2", "1e-300", "--trials", "10000", "--seed", "1"], 0, ""),
     # Finite moments whose sums' outer product overflows.
     ("leakage-outer-product", ["leakage", "--sigma2", "1e303", "--seed", "2", "--trials", "10000"], 2, _NOT_FINITE),
 ]
@@ -571,17 +582,6 @@ def test_exit_contract_covers_every_command_and_failure_code():
     assert len(set(ids)) == len(ids)
     assert {argv[0] for _, argv, _, _ in EXIT_CONTRACT if argv} >= set(EXPECTED_FLAGS)
     assert {status for *_, status, _ in EXIT_CONTRACT} >= {1, 2}
-
-
-def test_tiny_jammer_variance_finishes():
-    # An absolute singularity floor redrew nearly every channel set here and
-    # did not finish in two minutes.
-    proc = run_fresh(
-        _MAIN,
-        "leakage", "--sigmaj2", "1e-300", "--trials", "10000", "--seed", "1",
-    )
-    assert proc.returncode == 0, proc.stderr
-    assert json.loads(proc.stdout)["resampled_draws"] == 0
 
 
 _MODULE_PROBE = """

@@ -20,6 +20,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from wskg import (
+    NumericalError,
     ParameterError,
     RngSeed,
     SystemParams,
@@ -59,20 +60,11 @@ def ref_qpsk(rng, power, count):
 
 
 def ref_simulate_two_look(params, n_trials, seed):
-    """(z_a, z_b, injected, resampled, h_a1, h_b1), the last two after resampling."""
+    """(z_a, z_b, injected)."""
     rng = seed.generator()
     entry_var = params.jam_channel_var / 2.0
     h = ref_complex_normal(rng, params.legit_channel_var, n_trials)
     h_a1, h_a2, h_b1, h_b2 = (ref_complex_normal(rng, entry_var, n_trials) for _ in range(4))
-    resampled = 0
-    floor = injection._SINGULARITY_FLOOR_SCALE * (np.abs(h_a1) + np.abs(h_b1))
-    bad = np.flatnonzero(np.abs(h_a1 - h_b1) < floor)
-    while bad.size:
-        resampled += bad.size
-        for arr in (h_a1, h_a2, h_b1, h_b2):
-            arr[bad] = ref_complex_normal(rng, entry_var, bad.size)
-        floor_bad = injection._SINGULARITY_FLOOR_SCALE * (np.abs(h_a1[bad]) + np.abs(h_b1[bad]))
-        bad = bad[np.abs(h_a1[bad] - h_b1[bad]) < floor_bad]
     ratio = (h_b2 - h_a2) / (h_a1 - h_b1)
     unit_gain = (h_a1 * ratio + h_a2) / np.sqrt(1.0 + np.abs(ratio) ** 2)
     xj = 1.0 + 0.0j
@@ -82,7 +74,7 @@ def ref_simulate_two_look(params, n_trials, seed):
     noise_b = ref_complex_normal(rng, 1.0, n_trials)
     z_a = pilot * h + injected + noise_a
     z_b = pilot * h + injected + noise_b
-    return z_a, z_b, injected, resampled, h_a1, h_b1
+    return z_a, z_b, injected
 
 
 def ref_randomize_trials(params, n_trials, seed):
@@ -108,15 +100,12 @@ def ref_gram(z_a, z_b, injected):
 
 
 def ref_chunked_gram(ref_kernel, params, n_trials, first_stream):
-    """Reference sum of the chunks' grams in chunk order, and the resampled
-    draws."""
+    """Reference sum of the chunks' grams in chunk order."""
     counts = [min(injection.CHUNK_TRIALS, n_trials - s) for s in range(0, n_trials, injection.CHUNK_TRIALS)]
-    grams, resampled = [], 0
-    for i, count in enumerate(counts):
-        out = ref_kernel(params, count, SEED.with_stream(first_stream + i))
-        grams.append(ref_gram(*out[:3]))
-        resampled += out[3] if ref_kernel is ref_simulate_two_look else 0
-    return sum(grams), resampled
+    return sum(
+        ref_gram(*ref_kernel(params, count, SEED.with_stream(first_stream + i))[:3])
+        for i, count in enumerate(counts)
+    )
 
 
 def ref_ks_test_normal(samples, variance):
@@ -175,11 +164,11 @@ def test_samplers_match_reference(count, power):
 def test_simulate_two_look_matches_reference(n_trials, gamma, p_max):
     params = make_params(p_max, gamma)
     batch = simulate_two_look(params, n_trials, SEED)
-    z_a, z_b, injected, resampled, _, _ = ref_simulate_two_look(params, n_trials, SEED)
+    z_a, z_b, injected = ref_simulate_two_look(params, n_trials, SEED)
     assert same_bits(batch.z_a, z_a)
     assert same_bits(batch.z_b, z_b)
     assert same_bits(batch.injected, injected)
-    assert batch.resampled == resampled
+    assert batch.resampled == 0
 
 
 @pytest.mark.parametrize("n_trials", SIZES)
@@ -344,25 +333,30 @@ def test_kolmogorov_matches_scipy():
     assert expected[-1] == 0.0 and np.count_nonzero(expected == 1.0) > 10
 
 
-def test_resampling_keeps_only_draws_above_the_floor(monkeypatch):
-    monkeypatch.setattr(injection, "_SINGULARITY_FLOOR_SCALE", 0.3)
-    params = make_params(2.0)
-    batch = simulate_two_look(params, 10_000, SEED)
-    z_a, z_b, injected, resampled, h_a1, h_b1 = ref_simulate_two_look(params, 10_000, SEED)
-    assert batch.resampled == resampled > 0
-    assert np.all(np.abs(h_a1 - h_b1) >= 0.3 * (np.abs(h_a1) + np.abs(h_b1)))
-    assert same_bits(batch.z_a, z_a)
-    assert same_bits(batch.z_b, z_b)
-    assert same_bits(batch.injected, injected)
-
-
-def test_floor_scales_with_the_jammer_gains():
-    # A floor with an absolute term rejects most draws once the jammer's
-    # gains are that small, and conditions the channel law on the redraws.
+def test_injected_scales_with_the_jammer_gains():
+    # Every gain of the jammer scales by 1e-9 at 1e-18 times the variance,
+    # and so does the injected value: no draw depends on the gains' size.
     unit = simulate_two_look(SystemParams(10, 2.0, 3.0, 2.0, 1.7, 1.0), 10_000, SEED)
     tiny = simulate_two_look(SystemParams(10, 2.0, 3.0, 2.0, 1.7, 1e-18), 10_000, SEED)
-    assert tiny.resampled == unit.resampled == 0
     np.testing.assert_allclose(tiny.injected, unit.injected * 1e-9, rtol=1e-12)
+
+
+def test_a_zero_precoder_denominator_gives_non_finite_moments(monkeypatch):
+    # Bob's first-antenna gain set to Alice's on every other trial: each such
+    # trial's injected value is NaN, silently, and the moments reject it.
+    draw = injection._draw
+
+    def coinciding(rng, buffers, key, variance, n_trials):
+        values = draw(rng, buffers, key, variance, n_trials)
+        if key == 5:  # h_b1, drawn after h_a1 in slot 0
+            values[::2] = buffers.take(0, n_trials)[::2]
+        return values
+
+    monkeypatch.setattr(injection, "_draw", coinciding)
+    batch = simulate_two_look(make_params(2.0), 10_000, SEED)
+    assert np.isnan(batch.injected[::2]).all() and np.isfinite(batch.injected[1::2]).all()
+    with pytest.raises(NumericalError, match="moment matrix is not finite"):
+        injection.mi_from_gram(injection.gram(batch))
 
 
 # 150000 trials are three chunks; the last one is ragged, so it runs in
@@ -371,16 +365,10 @@ ENGINE_TRIALS = 150_000
 
 
 @pytest.mark.parametrize("workers", (1, 2, 3))
-@pytest.mark.parametrize(
-    "p_max, gamma, floor_scale",
-    [(2.0, 3.0, None), (0.0, 0.0, None), (2.0, 3.0, 0.3)],
-    ids=["reference", "zero-variance", "resampling"],
-)
-def test_chunked_grams_match_reference(monkeypatch, workers, p_max, gamma, floor_scale):
+@pytest.mark.parametrize("p_max, gamma", [(2.0, 3.0), (0.0, 0.0)], ids=["reference", "zero-variance"])
+def test_chunked_grams_match_reference(monkeypatch, workers, p_max, gamma):
     # Enough CPUs that ``workers`` threads really run.
     monkeypatch.setattr(injection, "usable_cpus", lambda: 8)
-    if floor_scale is not None:
-        monkeypatch.setattr(injection, "_SINGULARITY_FLOOR_SCALE", floor_scale)
     params = make_params(p_max, gamma)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)  # more thread switches between the workers
@@ -391,14 +379,11 @@ def test_chunked_grams_match_reference(monkeypatch, workers, p_max, gamma, floor
     finally:
         sys.setswitchinterval(interval)
     stream = SEED.stream
-    for (total, resampled), ref_kernel, first_stream in (
+    for total, ref_kernel, first_stream in (
         (static, ref_simulate_two_look, stream),
         (randomized, ref_randomize_trials, stream + 3),
     ):
-        ref_total, ref_resampled = ref_chunked_gram(ref_kernel, params, ENGINE_TRIALS, first_stream)
-        assert same_bits(total, ref_total)
-        assert resampled == ref_resampled
-    assert (static[1] > 0) == (floor_scale is not None)
+        assert same_bits(total, ref_chunked_gram(ref_kernel, params, ENGINE_TRIALS, first_stream))
 
 
 def test_chunks_of_one_worker_reuse_its_buffers(monkeypatch):

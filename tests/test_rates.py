@@ -173,14 +173,17 @@ _U = 2.0**-53
 #: A relative error e in x moves log1p(x) by a relative x*e / ((1 + x)*log1p(x)),
 #: at most e, since log1p(x) >= x / (1 + x). Then libm's log1p adds at most
 #: 1 ulp (glibc's documented bound), which is at most 2u of its value; the
-#: rounded ln 2 adds u and the division u: 10 + 2 + 1 + 1 = 14.
+#: rounded ln 2 adds u and the division u: 10 + 2 + 1 + 1 = 14. numpy's log1p
+#: documents no bound; ``rate_array`` is held to the same one all the same
+#: (worst seen on either path: 6.55 u).
 RATE_RELATIVE_BOUND = 14 * _U / (1 - 14 * _U)
 
 
 def test_scalar_rate_matches_a_200_bit_reference():
-    """``_rate`` on libm's log1p stays within its forward error bound of a
-    200-bit evaluation over 12 decades of every parameter, the jam budget
-    also at 0. The arguments keep x = a^2 / (b*(b + 2a)) far from underflow."""
+    """``_rate`` on libm's log1p, and ``rate_array`` on numpy's, stay within
+    its forward error bound of a 200-bit evaluation over 12 decades of every
+    parameter, the jam budget also at 0. The arguments keep
+    x = a^2 / (b*(b + 2a)) far from underflow."""
     rng = np.random.default_rng(41)
     with mpmath.workprec(200):
         ln2 = mpmath.log(2)
@@ -190,5 +193,6 @@ def test_scalar_rate_matches_a_200_bit_reference():
             gamma = 0.0 if i % 5 == 0 else gamma
             a, b = mpmath.mpf(p) * s2, 1 + mpmath.mpf(gamma) * j2
             exact = mpmath.log1p(a * a / (b * (b + 2 * a))) / ln2
-            error = float(abs(rates._rate(p, gamma, s2, j2, math.log1p) - exact) / exact)
-            assert error <= RATE_RELATIVE_BOUND, (p, gamma, s2, j2, error / _U)
+            for rate in (rates._rate(p, gamma, s2, j2, math.log1p), float(rate_array(p, gamma, s2, j2))):
+                error = float(abs(rate - exact) / exact)
+                assert error <= RATE_RELATIVE_BOUND, (p, gamma, s2, j2, rate, error / _U)
