@@ -22,31 +22,50 @@ if TYPE_CHECKING:
 _LN2 = math.log(2.0)
 
 
-def _rate(p, gamma, sigma2, sigmaj2, log1p: Callable):
+def _choose(condition, if_true, if_false):
+    """``np.where`` on floats."""
+    return if_true if condition else if_false
+
+
+def _unless_overflowed(x, a, b, where: Callable = _choose):
+    """``x = a*a / (b*(b + 2a))``, except where b*(b + 2a) overflowed and
+    a*a did not, which left x at 0: there the same quotient as
+    (a/b) * (a/(b + 2a)), with as many roundings."""
+    return where((x == 0.0) & (b * (b + 2.0 * a) == math.inf), a / b * (a / (b + 2.0 * a)), x)
+
+
+def _rate(p, gamma, sigma2, sigmaj2, log1p: Callable, guard: Callable = _unless_overflowed):
     """log2(1 + p*s2 / (2*(1 + g*j2) + (1 + g*j2)^2 / (p*s2))), with ``log1p``.
 
     With a = p*s2 and b = 1 + g*j2 the argument rearranges to
-    1 + a^2 / (b*(b + 2a)), which stays accurate for tiny p*s2 under log1p
-    and needs no special case at p = 0. b >= 1, so the division never
-    divides by zero; b*(b + 2a) overflows to inf for jam budgets near 1e308,
-    where the rate is 0, and a*a / (b*(b + 2a)) is inf/inf = nan for pilot
-    powers near 1e308; callers reject the non-finite payoffs themselves.
+    x = a^2 / (b*(b + 2a)), which stays accurate for tiny p*s2 under log1p
+    and needs no special case at p = 0. b >= 1, so no division divides by
+    zero. Where b*(b + 2a) overflows and a*a does not, ``guard``
+    (:func:`_unless_overflowed`) splits the quotient, so a rate that is a
+    normal float is not rounded to 0. Where a*a overflows too, x is
+    inf/inf = nan (pilot powers near 1e308); callers reject the non-finite
+    payoffs themselves.
     """
     a = p * sigma2
     b = 1.0 + gamma * sigmaj2
-    return log1p(a * a / (b * (b + 2.0 * a))) / _LN2
+    return log1p(guard(a * a / (b * (b + 2.0 * a)), a, b)) / _LN2
 
 
 def rate_array(p, gamma, sigma2: float, sigmaj2: float) -> np.ndarray:
     """Key rate in bits per channel use; broadcasts over pilot and jam powers.
 
-    The array form of :func:`_rate`, with ``np.log1p``; overflow is silent.
+    The array form of :func:`_rate`, with ``np.log1p`` and ``np.where``;
+    overflow is silent.
     """
     import numpy as np
 
+    def guard(x, a, b):
+        # Only a 0 in x can be an overflowed quotient; most arrays hold none.
+        return x if x.all() else _unless_overflowed(x, a, b, np.where)
+
     with np.errstate(over="ignore", invalid="ignore"):
         return _rate(
-            np.asarray(p, dtype=float), np.asarray(gamma, dtype=float), sigma2, sigmaj2, np.log1p
+            np.asarray(p, dtype=float), np.asarray(gamma, dtype=float), sigma2, sigmaj2, np.log1p, guard
         )
 
 

@@ -1,4 +1,3 @@
-import argparse
 import ast
 import gc
 import importlib
@@ -26,26 +25,9 @@ from wskg.randomization import RandomizationReport
 from wskg.rates import sum_rate
 from wskg.stochastic import KS_SIGNIFICANCE, KsReport, ks_test_normal
 
+from cli_contract import EXIT_CONTRACT, EXPECTED_FLAGS, GOLDEN, check, runs_without_numpy, workloads
 from conftest import BLOCK_NUMPY
 
-
-_MODEL_FLAGS = {"--n", "--p-max", "--gamma", "--p-th", "--sigma2", "--sigmaj2"}
-#: The model flags of the one-look laws, the injection attack's and random
-#: probing's, which read no subcarrier count or threshold.
-_ONE_LOOK_FLAGS = {"--p-max", "--gamma", "--sigma2", "--sigmaj2"}
-_RNG_FLAGS = {"--seed", "--stream", "--trials"}
-
-#: Every flag each command accepts (``--help`` aside), in the order the CLI
-#: lists the commands: the model flags it reads, ``--output`` and its own.
-EXPECTED_FLAGS = {
-    "solve-fixed": _MODEL_FLAGS | {"--output"},
-    "solve-strategic": _MODEL_FLAGS - {"--p-th"} | {"--output"},
-    "verify-randomization": {"--p-max", "--sigma2", "--output"} | _RNG_FLAGS,
-    "simulate-injection": _ONE_LOOK_FLAGS | {"--output", "--workers"} | _RNG_FLAGS,
-    "leakage": _ONE_LOOK_FLAGS | {"--output", "--workers"} | _RNG_FLAGS,
-    "oracle-check": _MODEL_FLAGS | {"--output"} | _RNG_FLAGS,
-    "sweep": _MODEL_FLAGS | {"--output", "--format", "--variable", "--lo", "--hi", "--steps"},
-}
 
 #: Every name ``wskg`` exports.
 EXPECTED_EXPORTS = {
@@ -66,9 +48,11 @@ def run_cli(capsys, *argv):
 
 
 def run_fresh(script, *argv):
-    """Run ``script`` in a new interpreter that imports this checkout's wskg,
-    with default warning filters, so imports and stderr are not pytest's."""
-    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(wskg.__file__))}
+    """Run ``script`` in a new interpreter that imports this checkout's wskg
+    and ``cli_contract``, with default warning filters, so imports and stderr
+    are not pytest's."""
+    src = os.path.dirname(os.path.dirname(wskg.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.path.dirname(__file__)])}
     return subprocess.run(
         [sys.executable, "-c", script, *argv], env=env, capture_output=True, text=True, timeout=120
     )
@@ -97,15 +81,9 @@ def test_solve_fixed_boundary_output(capsys):
 
 
 def test_solve_strategic_emits_epsilon_interval(capsys):
-    code, out, _ = run_cli(capsys, "solve-strategic", "--p-max", "5")
-    payload = json.loads(out)
-    assert code == 0
-    assert payload["epsilon_interval"] == "[0, 5)"
-    assert payload["profiles"][0]["threshold"] == pytest.approx(2.5)
-    assert payload["payoff"] == pytest.approx(10 * math.log2(4 / 3), rel=1e-9)
-    assert payload["unique"] is False
-    # No threshold senses a zero budget, so every threshold >= 0 is an
-    # equilibrium, the printed 0.0 among them.
+    # At the default budget 5 the golden row golden-solve-strategic.json pins
+    # "[0, 5)" and the threshold 2.5. No threshold senses a zero budget, so
+    # every threshold >= 0 is an equilibrium, the printed 0.0 among them.
     code, out, _ = run_cli(capsys, "solve-strategic", "--p-max", "0")
     payload = json.loads(out)
     assert code == 0
@@ -126,20 +104,12 @@ def test_reruns_are_byte_identical(capsys):
 
 def test_sweep_csv_contract(capsys, tmp_path):
     out_file = tmp_path / "sweep.csv"
-    code, out, _ = run_cli(
-        capsys,
-        "sweep",
-        "--variable", "p_max",
-        "--lo", "2.0001",
-        "--hi", "20",
-        "--steps", "10",
-        "--format", "csv",
-        "--output", str(out_file),
-    )
-    assert code == 0
-    assert out == ""
-    text = out_file.read_text()
-    lines = text.strip().split("\n")
+    argv = ("sweep", "--variable", "p_max", "--lo", "2.0001", "--hi", "20", "--steps", "10", "--format", "csv")
+    code, out, _ = run_cli(capsys, *argv, "--output", str(out_file))
+    assert (code, out) == (0, "")
+    # The file holds the bytes stdout gets without --output.
+    assert out_file.read_bytes() == run_cli(capsys, *argv)[1].encode("utf-8")
+    lines = out_file.read_text().strip().split("\n")
     assert lines[0] == CSV_HEADER
     assert len(lines) >= 11  # grid plus injected knee
     first = lines[1].split(",")
@@ -220,20 +190,6 @@ def test_oracle_check_accepts(capsys):
         assert payload["accepted"] is True
         assert payload["relative_gap"] <= 1e-6
         assert payload["jensen_dominance"] is True
-
-
-#: ``oracle-check`` artifacts, byte for byte, per argv.
-ORACLE_GOLDENS = {
-    "oracle-check-seed5.json": ["--trials", "100000", "--seed", "5"],
-    "oracle-check-n37.json": ["--n", "37", "--p-max", "1.5", "--trials", "20000", "--seed", "3"],
-}
-
-
-@pytest.mark.parametrize("golden", sorted(ORACLE_GOLDENS))
-def test_oracle_check_prints_its_golden_bytes(capsys, golden):
-    code, out, _ = run_cli(capsys, "oracle-check", *ORACLE_GOLDENS[golden])
-    assert code == 0
-    assert out == (Path(__file__).parent / "golden" / golden).read_text(encoding="utf-8")
 
 
 @pytest.mark.parametrize("p_max", ["1e-6", "5"])
@@ -372,216 +328,50 @@ def test_overflowed_knee_is_not_a_knife_edge(capsys):
     payload = json.loads(out)
     assert payload["p_se"] == 2.0
     assert payload["payoff"] == 8.4799690655495
-    code, _, _ = run_cli(
-        capsys, "sweep", "--variable", "gamma", "--lo", "0", "--hi", "1e308", "--steps", "5",
-    )
-    assert code == 0
 
 
 def test_huge_jam_budget_allocation_does_not_overflow(capsys):
-    code, out, err = run_cli(capsys, "solve-strategic", "--gamma", "1e308")
-    assert code == 0
-    assert json.loads(out)["payoff"] == 0.0
-    assert "Traceback" not in err
-    code, out, _ = run_cli(capsys, "oracle-check", "--seed", "1", "--gamma", "1e308")
-    assert code == 0
+    # The contract rows jam-budget and oracle-jam-budget pin exit 0 and a silent stderr.
+    assert json.loads(run_cli(capsys, "solve-strategic", "--gamma", "1e308")[1])["payoff"] == 0.0
+    out = run_cli(capsys, "oracle-check", "--seed", "1", "--gamma", "1e308")[1]
     assert json.loads(out)["best_sampled_allocation_value"] == 0.0
-
-
-_U64 = 2**64
-_NOT_FINITE = "numerical failure: moment matrix is not finite"
-
-
-def _invalid_choice(prog, flag, value, choices):
-    """argparse's error line for ``value`` outside ``choices``, as the
-    running Python words it: newer versions print the choices unquoted."""
-    parser = argparse.ArgumentParser(prog=prog, exit_on_error=False)
-    parser.add_argument(flag, choices=choices)
-    try:
-        parser.parse_args([value] if flag.isupper() else [flag, value])
-    except argparse.ArgumentError as error:
-        return f"{prog}: error: {error}"
-    raise AssertionError(f"{value!r} is one of {choices}")
-
-
-#: The exit contract, one row per case: (id, argv, status, stderr). ``stderr``
-#: is the one line the run prints there (none on success), or for an argparse
-#: usage error the last line, after the usage message. Every run whose status
-#: is not 0 leaves stdout empty.
-EXIT_CONTRACT = [
-    # Usage errors. Flags are never abbreviated: argparse would read an
-    # unambiguous prefix as the flag.
-    ("no-arguments", [], 1, "wskg: error: the following arguments are required: COMMAND"),
-    ("unknown-command", ["bogus"], 1, _invalid_choice("wskg", "COMMAND", "bogus", tuple(EXPECTED_FLAGS))),
-    ("unknown-option", ["solve-fixed", "--bogus", "1"], 1, "wskg: error: unrecognized arguments: --bogus 1"),
-    # The representative threshold is fixed: no flag chooses it.
-    ("delta-flag", ["solve-strategic", "--delta", "0.5"], 1, "wskg: error: unrecognized arguments: --delta 0.5"),
-    ("abbreviated-flag", ["oracle-check", "--p-m", "3", "--seed", "1"], 1,
-     "wskg: error: unrecognized arguments: --p-m 3"),
-    ("abbreviated-flag-unique", ["solve-fixed", "--p-ma", "3"], 1, "wskg: error: unrecognized arguments: --p-ma 3"),
-    ("csv-for-a-solver", ["solve-fixed", "--format", "csv"], 1, "wskg: error: unrecognized arguments: --format csv"),
-    # Each field has one name.
-    ("sweep-variable-P", ["sweep", "--variable", "P", "--lo", "3", "--hi", "4", "--steps", "2"], 1,
-     _invalid_choice("wskg sweep", "--variable", "P", ("p_max", "gamma", "sigma2", "p_th"))),
-    # A command accepts only the model flags it reads.
-    *((f"unread-{flag[2:]}-{command}", [command, *(["--seed", "1"] if "--seed" in flags else []), flag, "1"], 1,
-       f"wskg: error: unrecognized arguments: {flag} 1")
-      for command, flags in EXPECTED_FLAGS.items() for flag in sorted(_MODEL_FLAGS - flags)),
-    ("unknown-format", ["sweep", "--variable", "gamma", "--lo", "0", "--hi", "8", "--steps", "5", "--format", "xml"], 1,
-     _invalid_choice("wskg sweep", "--format", "xml", ("csv", "json"))),
-    ("non-integer-steps", ["sweep", "--variable", "gamma", "--lo", "0", "--hi", "8", "--steps", "2.5"], 1,
-     "wskg sweep: error: argument --steps: invalid int value: '2.5'"),
-    ("non-integer-n", ["solve-fixed", "--n", "ten"], 1,
-     "wskg solve-fixed: error: argument --n: invalid int value: 'ten'"),
-    ("missing-seed", ["simulate-injection"], 1,
-     "wskg simulate-injection: error: the following arguments are required: --seed"),
-    # An empty path names no file: it must not fall back to stdout.
-    ("empty-output-path", ["solve-fixed", "--output", ""], 1,
-     "wskg solve-fixed: error: argument --output: the path is empty"),
-    # Invalid configurations.
-    ("invalid-parameter", ["solve-fixed", "--p-max", "-3"], 1, "error: max_pilot_power must be >= 0, got -3.0"),
-    ("invalid-sweep-range", ["sweep", "--variable", "p_max", "--lo", "5", "--hi", "1", "--steps", "10"], 1,
-     "error: need lo < hi, got lo=5.0, hi=1.0"),
-    ("zero-payoff", ["sweep", "--variable", "p_max", "--lo", "0", "--hi", "1", "--steps", "2"], 1,
-     "error: equilibrium payoff is zero; relative metrics are undefined"),
-    *((f"zero-trials-{command}", [command, "--trials", "0", "--seed", "1"], 1, "error: trials must be >= 1, got 0")
-      for command in ("verify-randomization", "simulate-injection", "leakage", "oracle-check")),
-    # One sample has no sample variance: no success with variances of 0.
-    ("one-trial-injection", ["simulate-injection", "--trials", "1", "--seed", "1"], 1,
-     "error: a sample covariance needs >= 2 trials, got 1"),
-    ("leakage-too-few-trials", ["leakage", "--trials", "5", "--seed", "1"], 1,
-     "error: n_trials must be >= 10000 for covariance estimation, got 5"),
-    ("zero-workers", ["leakage", "--trials", "10000", "--seed", "1", "--workers", "0"], 1,
-     "error: workers must be >= 1, got 0"),
-    # Seeds and streams outside [0, 2**64), which Philox would reduce to one
-    # inside. ``run`` rejects them before the command runs: oracle-check
-    # before its leader-grid search loads numpy.
-    ("oracle-negative-seed", ["oracle-check", "--seed", "-1"], 1, "error: seed must lie in [0, 2**64), got -1"),
-    ("negative-seed", ["leakage", "--seed", "-1", "--trials", "10000"], 1,
-     "error: seed must lie in [0, 2**64), got -1"),
-    # Rejected before the variance checks that fail on these flags with a seed in range.
-    ("verify-overflowing-model", ["verify-randomization", "--p-max", "1e200", "--sigma2", "1e308", "--seed", "-5",
-                                  "--trials", "10000"], 1,
-     "error: seed must lie in [0, 2**64), got -5"),
-    ("seed-2**64", ["leakage", "--seed", str(_U64), "--trials", "10000"], 1,
-     f"error: seed must lie in [0, 2**64), got {_U64}"),
-    ("stream-2**64", ["verify-randomization", "--seed", "1", "--stream", str(_U64), "--trials", "10000"], 1,
-     f"error: stream must lie in [0, 2**64), got {_U64}"),
-    ("negative-stream", ["oracle-check", "--seed", "1", "--stream", "-1", "--trials", "10"], 1,
-     "error: stream must lie in [0, 2**64), got -1"),
-    # Three chunks a stage: the run's six substreams would wrap to 0.
-    ("leakage-wraps", ["leakage", "--seed", "1", "--stream", str(_U64 - 1), "--trials", "140001"], 1,
-     f"error: substreams {_U64 - 1} to {_U64 + 4} pass 2**64 - 1"),
-    ("injection-wraps", ["simulate-injection", "--seed", "1", "--stream", str(_U64 - 2), "--trials", "140001"], 1,
-     f"error: substreams {_U64 - 2} to {_U64} pass 2**64 - 1"),
-    # Half the smallest subnormal budget rounds to a threshold of 0, below it.
-    ("subnormal-budget", ["solve-strategic", "--p-max", "5e-324"], 0, ""),
-    # Huge budgets: each run either succeeds or fails on a non-finite
-    # quantity, and never prints a warning.
-    ("non-finite-payoff", ["solve-fixed", "--p-max", "1e308"], 2,
-     "numerical failure: equilibrium payoff is not finite: nan"),
-    ("pilot-budget", ["solve-strategic", "--p-max", "1e308"], 2,
-     "numerical failure: equilibrium payoff is not finite: nan"),
-    ("jam-budget", ["solve-strategic", "--gamma", "1e308"], 0, ""),
-    ("oracle-jam-budget", ["oracle-check", "--seed", "1", "--gamma", "1e308"], 0, ""),
-    ("non-finite-full-power-payoff",
-     ["sweep", "--variable", "gamma", "--lo", "6e199", "--hi", "7e199", "--steps", "2", "--p-max", "1e200"], 2,
-     "numerical failure: full-power payoff is not finite: nan"),
-    ("leakage-jam-budget", ["leakage", "--seed", "1", "--gamma", "1e308"], 2, _NOT_FINITE),
-    ("leakage-legit-variance", ["leakage", "--seed", "1", "--sigma2", "1e308"], 2, _NOT_FINITE),
-    ("injection-jam-budget", ["simulate-injection", "--seed", "1", "--gamma", "1e308"], 2,
-     "numerical failure: non-finite value at result.injected_variance: nan"),
-    # Valid flags whose Monte Carlo run overflows or underflows.
-    ("verify-product-variance", ["verify-randomization", "--p-max", "1e200", "--sigma2", "1e308", "--seed", "5",
-                                 "--trials", "10000"], 2,
-     "numerical failure: product variance is not a normal float: inf"),
-    # Every h underflows to 0: not a rejection by the KS test (exit 3).
-    ("verify-underflow", ["verify-randomization", "--sigma2", "5e-324", "--seed", "1", "--trials", "10000"], 2,
-     "numerical failure: sigma2 / 2 is not a normal float: 0.0"),
-    ("leakage-moments", ["leakage", "--p-max", "1e308", "--sigmaj2", "1e6", "--seed", "1", "--trials", "10000"], 2,
-     _NOT_FINITE),
-    ("injection-observations", ["simulate-injection", "--p-max", "1e200", "--sigma2", "1e200", "--seed", "1",
-                                "--trials", "10000"], 2,
-     "numerical failure: non-finite value at result.observation_variance: nan"),
-    # Every jammer gain underflows to 0, and so does each precoder
-    # denominator: the moments are NaN. Each trial is drawn once.
-    ("injection-zero-jam-gains", ["simulate-injection", "--sigmaj2", "5e-324", "--seed", "1", "--trials", "10000"], 2,
-     "numerical failure: non-finite value at result.injected_variance: nan"),
-    ("leakage-zero-jam-gains", ["leakage", "--sigmaj2", "5e-324", "--seed", "1", "--trials", "10000"], 2, _NOT_FINITE),
-    # Tiny but normal jammer gains: the run finishes as at unit variance.
-    ("leakage-tiny-jam-variance", ["leakage", "--sigmaj2", "1e-300", "--trials", "10000", "--seed", "1"], 0, ""),
-    # Finite moments whose sums' outer product overflows.
-    ("leakage-outer-product", ["leakage", "--sigma2", "1e303", "--seed", "2", "--trials", "10000"], 2, _NOT_FINITE),
-]
-
-#: The commands that never load numpy.
-_CLOSED_FORM = ("solve-fixed", "solve-strategic", "sweep")
-
-
-def _runs_without_numpy(row):
-    """Whether a row's run needs no numpy: a closed-form command, a usage
-    error, which argparse reports before any command runs, or a seed or
-    stream that ``run`` rejects before the command runs."""
-    _, argv, _, stderr = row
-    return bool(argv) and argv[0] in _CLOSED_FORM or stderr.startswith(("wskg", "error: seed ", "error: stream "))
-
-
-#: Runs ``main`` on each argv of the JSON list in its first argument, and
-#: prints each run's [status, stdout, stderr]. Every warning prints, also from
-#: a line that warned in an earlier run.
-_CONTRACT_RUNNER = """
-import contextlib, io, json, sys, warnings
-warnings.simplefilter("always")
-from wskg.cli import main
-
-runs = []
-for argv in json.loads(sys.argv[1]):
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        runs.append([main(argv), out.getvalue(), err.getvalue()])
-print(json.dumps(runs))
-"""
 
 
 @pytest.fixture(scope="module")
 def contract_runs():
-    """Each row's runs, as ``{id: [[status, stdout, stderr], ...]}``: every
+    """Each row's runs, as ``{name: [[status, stdout, stderr], ...]}``: every
     row in one fresh interpreter, then the numpy-free rows in a second one
     where numpy cannot load, and no import asks for it."""
+    runner = "import json, sys\nfrom cli_contract import run\nprint(json.dumps(run(json.loads(sys.argv[1]))))\n"
+    without_numpy = BLOCK_NUMPY + runner + "assert not BLOCKED, BLOCKED\n"
     runs = {}
-    without_numpy = BLOCK_NUMPY + _CONTRACT_RUNNER + "assert not BLOCKED, BLOCKED\n"
-    for script, rows in ((_CONTRACT_RUNNER, EXIT_CONTRACT),
-                         (without_numpy, list(filter(_runs_without_numpy, EXIT_CONTRACT)))):
-        proc = run_fresh(script, json.dumps([argv for _, argv, _, _ in rows]))
+    for script, rows in ((runner, EXIT_CONTRACT),
+                         (without_numpy, list(filter(runs_without_numpy, EXIT_CONTRACT)))):
+        proc = run_fresh(script, json.dumps([row.argv for row in rows]))
         assert proc.returncode == 0, proc.stderr
         # Nothing gets past the redirected streams to the process's stderr.
         assert proc.stderr == "", proc.stderr
-        for (name, *_), run in zip(rows, json.loads(proc.stdout)):
-            runs.setdefault(name, []).append(run)
+        for row, result in zip(rows, json.loads(proc.stdout)):
+            runs.setdefault(row.name, []).append(result)
     return runs
 
 
-@pytest.mark.parametrize("row", EXIT_CONTRACT, ids=[row[0] for row in EXIT_CONTRACT])
+@pytest.mark.parametrize("row", EXIT_CONTRACT, ids=[row.name for row in EXIT_CONTRACT])
 def test_exit_contract(contract_runs, row):
-    name, _, status, stderr = row
-    runs = contract_runs[name]
-    assert len(runs) == 1 + _runs_without_numpy(row)
-    for code, out, err in runs:
-        lines = err.splitlines(keepends=True)
-        assert code == status
-        assert out == "" or status == 0
-        assert lines[-1:] == ([f"{stderr}\n"] if stderr else [])
-        # Only argparse's usage message comes before the line.
-        assert len(lines) <= 1 or stderr.startswith("wskg") and lines[0].startswith("usage: wskg")
+    runs = contract_runs[row.name]
+    assert len(runs) == 1 + runs_without_numpy(row)
+    assert [check(row, result) for result in runs] == [None] * len(runs)
     # Without numpy a run prints the same bytes.
-    assert all(run == runs[0] for run in runs)
+    assert all(result == runs[0] for result in runs)
 
 
 def test_exit_contract_covers_every_command_and_failure_code():
-    ids = [name for name, *_ in EXIT_CONTRACT]
-    assert len(set(ids)) == len(ids)
-    assert {argv[0] for _, argv, _, _ in EXIT_CONTRACT if argv} >= set(EXPECTED_FLAGS)
-    assert {status for *_, status, _ in EXIT_CONTRACT} >= {1, 2}
+    names = [row.name for row in EXIT_CONTRACT]
+    assert len(set(names)) == len(names)
+    assert {row.argv[0] for row in EXIT_CONTRACT if row.argv} >= set(EXPECTED_FLAGS)
+    assert {row.status for row in EXIT_CONTRACT} >= {1, 2}
+    # Every golden file is some row's stdout.
+    assert {row.golden for row in EXIT_CONTRACT if row.golden} == {*GOLDEN.iterdir(), *workloads.GOLDEN.iterdir()}
 
 
 _MODULE_PROBE = """
@@ -849,15 +639,7 @@ def test_every_command_runs_through_the_module_run(capsys, monkeypatch):
         return original(command, **options)
 
     monkeypatch.setattr(wskg.cli, "run", recorder)
-    for argv in (
-        ["solve-fixed"],
-        ["solve-strategic"],
-        ["verify-randomization", "--p-max", "2", "--trials", "10000", "--seed", "7"],
-        ["simulate-injection", "--trials", "10000", "--seed", "5"],
-        ["leakage", "--trials", "10000", "--seed", "5"],
-        ["oracle-check", "--trials", "1000", "--seed", "1"],
-        ["sweep", "--variable", "gamma", "--lo", "0", "--hi", "8", "--steps", "5"],
-    ):
+    for argv, _ in _LOADS.values():
         assert run_cli(capsys, *argv)[0] == 0, argv
     assert seen == list(EXPECTED_FLAGS)
 
@@ -966,10 +748,8 @@ def test_help_exits_0(capsys):
 
 def test_negative_numbers_are_values(capsys):
     """A negative number in exponent form is read as the flag's value, as
-    ``float`` reads it, not taken for an unknown option."""
-    code, out, err = run_cli(capsys, "solve-fixed", "--p-max", "-1e5")
-    assert (code, out) == (1, "")
-    assert "max_pilot_power must be >= 0, got -100000.0" in err
+    ``float`` reads it, not taken for an unknown option (also the contract
+    row negative-exponent-value)."""
     code, out, _ = run_cli(
         capsys, "sweep", "--variable", "gamma", "--lo", "-0e0", "--hi", "8", "--steps", "3",
     )

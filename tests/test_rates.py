@@ -100,17 +100,6 @@ def test_midpoint_convex_in_jam_power():
         assert mid <= avg + 1e-12
 
 
-def test_budget_scaling_identity():
-    rng = np.random.default_rng(24)
-    for _ in range(2000):
-        p_th = rng.uniform(0.05, 5.0)
-        gamma = rng.uniform(0.0, 8.0)
-        s2, j2 = rng.uniform(0.1, 3.0, 2)
-        lhs = float(rate_array(p_th * (j2 * gamma + 1.0), gamma, s2, j2))
-        rhs = float(rate_array(p_th, 0.0, s2, j2))
-        assert lhs == pytest.approx(rhs, rel=1e-9)
-
-
 def test_closed_form_sums_round_once():
     # n * rate and sum_rate are the exact sum of the rates rounded once, for
     # n on both sides of 128 and at zero pilot and jam budgets; an inf rate
@@ -179,20 +168,64 @@ _U = 2.0**-53
 RATE_RELATIVE_BOUND = 14 * _U / (1 - 14 * _U)
 
 
+def _mp_rate(p, gamma, s2, j2):
+    """The rate at the working precision of mpmath, from the floats' exact values."""
+    a, b = mpmath.mpf(p) * s2, 1 + mpmath.mpf(gamma) * j2
+    return mpmath.log1p(a * a / (b * (b + 2 * a))) / mpmath.log(2)
+
+
 def test_scalar_rate_matches_a_200_bit_reference():
     """``_rate`` on libm's log1p, and ``rate_array`` on numpy's, stay within
     its forward error bound of a 200-bit evaluation over 12 decades of every
-    parameter, the jam budget also at 0. The arguments keep
+    parameter, the jam budget also at 0, and where b*(b + 2a) overflows
+    while the rate is a normal float. The arguments keep
     x = a^2 / (b*(b + 2a)) far from underflow."""
     rng = np.random.default_rng(41)
+    points = [(float(p), 0.0 if i % 5 == 0 else float(gamma), float(s2), float(j2))
+              for i, (p, gamma, s2, j2) in enumerate(10.0 ** rng.uniform(-6.0, 6.0, (5000, 4)))]
+    # a = p*s2 up to 1e154, so a*a stays finite, and b = 1 + gamma*j2 from
+    # 1.6e154, so b*b overflows, up to 150 decades above a: x >= 1e-300 / 3.
+    for log_a, log_s2, log_j2 in rng.uniform((100.0, -3.0, -3.0), (154.0, 3.0, 3.0), (1000, 3)).tolist():
+        s2, j2 = 10.0**log_s2, 10.0**log_j2
+        p, gamma = 10.0**log_a / s2, 10.0 ** rng.uniform(154.2, log_a + 150.0) / j2
+        a, b = p * s2, 1.0 + gamma * j2
+        assert b * (b + 2.0 * a) == math.inf and a * a < math.inf
+        points.append((p, gamma, s2, j2))
     with mpmath.workprec(200):
         ln2 = mpmath.log(2)
         assert abs(mpmath.mpf(rates._LN2) - ln2) <= _U * ln2
-        for i in range(5000):
-            p, gamma, s2, j2 = (float(v) for v in 10.0 ** rng.uniform(-6.0, 6.0, 4))
-            gamma = 0.0 if i % 5 == 0 else gamma
-            a, b = mpmath.mpf(p) * s2, 1 + mpmath.mpf(gamma) * j2
-            exact = mpmath.log1p(a * a / (b * (b + 2 * a))) / ln2
+        for p, gamma, s2, j2 in points:
+            exact = _mp_rate(p, gamma, s2, j2)
             for rate in (rates._rate(p, gamma, s2, j2, math.log1p), float(rate_array(p, gamma, s2, j2))):
                 error = float(abs(rate - exact) / exact)
                 assert error <= RATE_RELATIVE_BOUND, (p, gamma, s2, j2, rate, error / _U)
+
+
+#: The knee p_th*(j2*G + 1) rounds three times, so it is within gamma_3 of
+#: its exact value K, and R(K(1 + e), G) lies within a factor (1 + e)^2 of
+#: R(K, G): x grows at most as p^2, and log1p(c*x) lies between log1p(x) and
+#: c*log1p(x) for c >= 1. Each payoff n*R is within RATE_RELATIVE_BOUND, and
+#: then one rounding, of its exact value. So at p_max = critical_power the
+#: two float payoffs, whose exact values tie, differ by at most this, relative;
+#: two rates, without the rounding of n*R, by less.
+KNEE_GAP_BOUND = ((1 + 3 * _U / (1 - 3 * _U)) ** 2 * (1 + RATE_RELATIVE_BOUND) * (1 + _U)
+                  / ((1 - RATE_RELATIVE_BOUND) * (1 - _U)) - 1)
+
+
+def test_budget_scaling_identity():
+    """At the critical power the jammed full-power rate is the unjammed
+    threshold rate, R(p_th (j2 G + 1), G) = R(p_th, 0), at 200 bits; in
+    floats, c_full and c_threshold there, and both rate_array values, differ
+    by at most ``KNEE_GAP_BOUND``, over 12 decades of every parameter."""
+    rng = np.random.default_rng(43)
+    with mpmath.workprec(200):
+        for _ in range(5000):
+            p_th, gamma, s2, j2 = (float(v) for v in 10.0 ** rng.uniform(-6.0, 6.0, 4))
+            silent, exact_knee = _mp_rate(p_th, 0.0, s2, j2), mpmath.mpf(p_th) * (mpmath.mpf(j2) * gamma + 1)
+            assert abs(_mp_rate(exact_knee, gamma, s2, j2) - silent) <= 2.0**-190 * silent
+            knee = game.critical_power(SystemParams(1, 1.0, gamma, p_th, s2, j2))
+            params = SystemParams(int(rng.integers(1, 65)), knee, gamma, p_th, s2, j2)
+            _, c_full, c_threshold, _, boundary = game._fixed_payoffs(*params)
+            assert boundary and abs(c_full - c_threshold) <= KNEE_GAP_BOUND * c_threshold, params
+            full, threshold = float(rate_array(knee, gamma, s2, j2)), float(rate_array(p_th, 0.0, s2, j2))
+            assert abs(full - threshold) <= KNEE_GAP_BOUND * threshold, params
