@@ -53,15 +53,16 @@ def coincidence_precoder(h_a2, h_b2, denom, scratch=None):
 
 
 #: The arrays of one buffer set: key -> (offset in bytes per trial, dtype,
-#: values per trial). Keys 0 to 6 are complex slots; every kernel leaves its
-#: results in slots 0 to 2, and the Gram rows lie over slots 3 to 6.
+#: values per trial). Keys 0 to 5 are complex slots; every kernel leaves its
+#: results in slots 0 to 2, and the Gram rows lie over slots 3 to 5 and
+#: ``scratch``.
 _BUFFER_LAYOUT = {
-    **{key: (16 * key, complex, 1) for key in range(7)},
+    **{key: (16 * key, complex, 1) for key in range(6)},
     "gram": (48, float, 7),
-    "scratch": (112, float, 1),
+    "scratch": (96, float, 1),
 }
 
-#: Bytes per trial of one buffer set: seven complex slots and ``scratch``.
+#: Bytes per trial of one buffer set: six complex slots and ``scratch``.
 BUFFER_BYTES_PER_TRIAL = max(offset + np.dtype(dtype).itemsize * count
                              for offset, dtype, count in _BUFFER_LAYOUT.values())
 
@@ -192,15 +193,17 @@ def randomize_trials(
     x, y = (_qpsk(rng, params.max_pilot_power, n_trials, buffers.take(key, n_trials), scratch)
             for key in (3, 4))
     h = _draw(rng, buffers, 1, params.legit_channel_var, n_trials)
-    w = _draw(rng, buffers, 0, _injected_variance(params), n_trials)
-    noise_a, noise_b = (_draw(rng, buffers, key, 1.0, n_trials) for key in (5, 6))
     # In place, in the operation order of z_a = x y h + x w + x noise_a, etc.
+    # Each of w, noise_a and noise_b is drawn once a slot is free for it.
     z_b = np.multiply(x, y, out=buffers.take(2, n_trials))
     z_b *= h
+    w = _draw(rng, buffers, 0, _injected_variance(params), n_trials)
     z_a = np.multiply(x, w, out=h)
     z_a += z_b
+    noise_a = _draw(rng, buffers, 5, 1.0, n_trials)
     z_a += np.multiply(x, noise_a, out=noise_a)
     z_b += np.multiply(y, w, out=noise_a)
+    noise_b = _draw(rng, buffers, 3, 1.0, n_trials)  # x is dead
     z_b += np.multiply(y, noise_b, out=noise_b)
     return TwoLookBatch(z_a=z_a, z_b=z_b, injected=w)
 
@@ -215,7 +218,7 @@ def gram(batch: TwoLookBatch, buffers: Optional[ChunkBuffers] = None) -> np.ndar
     :func:`simulate_two_look` and the post-multiplied looks of
     :func:`randomize_trials`.
     The stacked coordinates are written into ``buffers`` when given, over
-    slots 3 to 6, so the batch must lie in slots 0 to 2.
+    slots 3 to 5 and ``scratch``, so the batch must lie in slots 0 to 2.
     Overflow is silent here: :func:`mi_from_gram` rejects a non-finite matrix.
     """
     n = batch.injected.size
@@ -238,7 +241,7 @@ def usable_cpus() -> int:
 def pool_size(workers: Optional[int], n_chunks: int) -> int:
     """Threads that run ``n_chunks`` chunks: ``min(workers, n_chunks, usable
     CPUs)``, with ``workers`` defaulting to the usable CPU count. Each thread
-    holds one buffer set, so memory grows with this number, not with trials."""
+    owns one buffer set, so memory grows with this number, not with trials."""
     if workers is not None and workers < 1:
         raise ParameterError(f"workers must be >= 1, got {workers}")
     cpus = usable_cpus()
@@ -259,12 +262,14 @@ def chunked_grams(
     ``n_trials`` trials in chunks of ``CHUNK_TRIALS``. Chunk ``i`` of kernel
     ``k`` uses substream ``stream + k * n_chunks + i``, so each kernel
     continues on the substreams after the previous one, and the last of them
-    must not pass ``2**64 - 1``, the last stream a seed has. All chunks share one
-    pool of :func:`pool_size` threads, and each thread writes every chunk it
-    runs into one buffer set sized to the largest chunk: one allocation per
-    thread and call, freed when the call returns. One thread, or one
-    chunk, runs on the calling thread. The matrices are added in chunk order,
-    so the result depends on ``(seed, stream, n_trials)`` alone.
+    must not pass ``2**64 - 1``, the last stream a seed has. All chunks are
+    shared among :func:`pool_size` threads: thread ``w`` of ``T`` runs chunks
+    ``w, w + T, w + 2T, ...`` in one buffer set of its own, sized to the
+    largest chunk and freed when the call returns. Thread 0 is the calling
+    thread. The first failure is raised on the calling thread once every
+    thread has stopped; the others stop before their next chunk. The
+    matrices are added in chunk order, so the result depends on
+    ``(seed, stream, n_trials)`` alone.
     """
     if n_trials < 1:
         raise ParameterError(f"n_trials must be >= 1, got {n_trials}")
@@ -277,24 +282,29 @@ def chunked_grams(
         for k, kernel in enumerate(kernels)
         for i, count in enumerate(counts)
     ]
-    local = threading.local()
-
-    def run(job) -> np.ndarray:
-        kernel, count, chunk_seed = job
-        if not hasattr(local, "buffers"):
-            local.buffers = ChunkBuffers(counts[0])
-        return gram(kernel(params, count, chunk_seed, local.buffers), local.buffers)
-
     threads = pool_size(workers, len(jobs))
-    if threads == 1:
-        results = [run(job) for job in jobs]
-    else:
-        # Imported here, so that runs on one thread load neither
-        # concurrent.futures nor the logging it imports.
-        from concurrent.futures import ThreadPoolExecutor
+    results: List[Optional[np.ndarray]] = [None] * len(jobs)
+    failures: List[BaseException] = []
 
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(run, jobs))
+    def work(first: int) -> None:
+        try:
+            buffers = ChunkBuffers(counts[0])
+            for i in range(first, len(jobs), threads):
+                if failures:
+                    return
+                kernel, count, chunk_seed = jobs[i]
+                results[i] = gram(kernel(params, count, chunk_seed, buffers), buffers)
+        except BaseException as failure:  # raised again on the calling thread
+            failures.append(failure)
+
+    helpers = [threading.Thread(target=work, args=(first,)) for first in range(1, threads)]
+    for helper in helpers:
+        helper.start()
+    work(0)
+    for helper in helpers:
+        helper.join()
+    if failures:
+        raise failures[0]
     return [sum(results[k * len(counts) : (k + 1) * len(counts)]) for k in range(len(kernels))]
 
 

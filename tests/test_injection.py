@@ -113,6 +113,8 @@ def test_zero_budget_simulation_is_noise_only():
 def test_simulate_rejects_bad_trial_count():
     with pytest.raises(ParameterError):
         simulate_two_look(make_params(), 0, SEED)
+    with pytest.raises(ParameterError, match="n_trials must be >= 1, got 0"):
+        randomize_trials(make_params(), 0, SEED)
 
 
 def test_leakage_positive_and_near_analytic_value():

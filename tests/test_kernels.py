@@ -438,6 +438,23 @@ def test_one_chunk_runs_inline_in_buffers_of_its_size():
     assert runs == [(threading.get_ident(), 10_000)]
 
 
+def test_a_failing_helper_raises_on_the_calling_thread(monkeypatch):
+    # Thread 0 is the calling thread, so with two threads only chunk 1 of
+    # three runs off it and fails; the call returns once both have stopped.
+    monkeypatch.setattr(injection, "usable_cpus", lambda: 2)
+    caller = threading.get_ident()
+    running = threading.active_count()
+
+    def failing_off_the_caller(params, n_trials, seed, buffers):
+        if threading.get_ident() != caller:
+            raise ArithmeticError(f"chunk on substream {seed.stream}")
+        return simulate_two_look(params, n_trials, seed, buffers)
+
+    with pytest.raises(ArithmeticError, match=f"chunk on substream {SEED.stream + 1}$"):
+        injection.chunked_grams(make_params(2.0), ENGINE_TRIALS, SEED, (failing_off_the_caller,), 2)
+    assert threading.active_count() == running
+
+
 def test_substreams_past_the_last_stream_are_rejected_before_any_chunk():
     # Three chunks a kernel: two kernels take substreams stream to stream + 5.
     params = make_params(2.0)
@@ -447,6 +464,8 @@ def test_substreams_past_the_last_stream_are_rejected_before_any_chunk():
         streams.append(seed.stream)
         return simulate_two_look(params, n_trials, seed, buffers)
 
+    with pytest.raises(ParameterError, match="n_trials must be >= 1, got 0"):
+        injection.chunked_grams(params, 0, SEED, (recording,), 1)
     last = 2**64 - 1
     with pytest.raises(ParameterError, match=f"substreams {last - 4} to {last + 1} pass 2\\*\\*64 - 1"):
         injection.chunked_grams(params, ENGINE_TRIALS, RngSeed(1, last - 4), (recording, recording), 1)
@@ -465,12 +484,12 @@ def peak_bytes_per_trial(fn, n):
 
 
 def test_randomize_trials_peak_memory_per_trial():
-    # Its 120-byte buffer set, the pilot indices kept in the set's scratch
-    # array and one 128 KB block of index bits: about 120.14 bytes per trial
+    # Its 104-byte buffer set, the pilot indices kept in the set's scratch
+    # array and one 128 KB block of index bits: about 104.14 bytes per trial
     # at 1e6.
     params = make_params(2.0)
     peak = peak_bytes_per_trial(lambda n: randomize_trials(params, n, SEED), 1_000_000)
-    assert peak <= 120.5
+    assert peak <= 104.5
 
 
 def test_verify_randomization_peak_memory_per_sample():
@@ -484,15 +503,15 @@ def test_verify_randomization_peak_memory_per_sample():
     assert peak <= 18.25
 
 
-def test_full_chunk_buffer_set_is_120_bytes_per_trial():
+def test_full_chunk_buffer_set_is_104_bytes_per_trial():
     tracemalloc.start()
     try:
         buffers = injection.ChunkBuffers(injection.CHUNK_TRIALS)
         size = tracemalloc.get_traced_memory()[0]
     finally:
         tracemalloc.stop()
-    assert injection.BUFFER_BYTES_PER_TRIAL * injection.CHUNK_TRIALS == 7_864_320
-    assert 7_864_320 <= size < 7_864_320 + 4096
+    assert injection.BUFFER_BYTES_PER_TRIAL * injection.CHUNK_TRIALS == 6_815_744
+    assert 6_815_744 <= size < 6_815_744 + 4096
     assert buffers.take("gram", injection.CHUNK_TRIALS).shape == (7, injection.CHUNK_TRIALS)
 
 
@@ -512,11 +531,11 @@ def test_gram_rows_overlay_no_result(kernel, n_trials):
 
 
 def test_simulate_two_look_peak_memory_per_trial():
-    # One 120-byte buffer set of its size and about 135 KB of temporaries
-    # whatever the size: about 120.68 bytes per trial at 2e5.
+    # One 104-byte buffer set of its size and about 135 KB of temporaries
+    # whatever the size: about 104.67 bytes per trial at 2e5.
     params = make_params(2.0)
     peak = peak_bytes_per_trial(lambda n: simulate_two_look(params, n, SEED), 200_000)
-    assert peak <= 121.5
+    assert peak <= 105.5
 
 
 @pytest.mark.parametrize("bad", (np.nan, np.inf, -np.inf))

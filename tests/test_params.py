@@ -99,6 +99,10 @@ _BAD_FIELDS = [
     (SystemParams, "jam_channel_var", -math.inf, ParameterError, "jam_channel_var must be finite, got -inf"),
     (PowerAllocation, "gamma", (), ParameterError, "allocation must cover at least one subcarrier"),
     (PowerAllocation, "gamma", (4.0,) * 9 + (-0.1,), ParameterError, "allocation entries must be >= 0, got -0.1"),
+    (PowerAllocation, "gamma", (4.0,) * 9 + (1j,), ParameterError,
+     "allocation entries must be real numbers: float() argument must be a string or a real number, not 'complex'"),
+    (PowerAllocation, "gamma", (4.0,) * 9 + (math.nan,), ParameterError, "allocation entries must be finite, got nan"),
+    (PowerAllocation, "budget", math.inf, ParameterError, "budget must be finite and >= 0, got inf"),
     (PowerAllocation, "budget", 3.0, ParameterError, "allocation sum 40.0 exceeds budget 10 * 3.0"),
     (EquilibriumResult, "payoff", math.inf, NumericalError, "equilibrium payoff is not finite: inf"),
 ]

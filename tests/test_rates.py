@@ -69,6 +69,8 @@ def test_sum_rate_interior_allocation():
 def test_sum_rate_length_mismatch(ref_params):
     with pytest.raises(ParameterError):
         sum_rate(2.0, PowerAllocation((4.0,) * 9, 4.0), ref_params)
+    with pytest.raises(ParameterError, match="p must be finite and >= 0, got inf"):
+        sum_rate(math.inf, PowerAllocation.uniform(ref_params), ref_params)
 
 
 def test_monotone_increasing_in_pilot_power():

@@ -60,6 +60,8 @@ def test_complex_gaussian_rejects_bad_variance():
         sample_complex_gaussian(0.0, 10, SEED)
     with pytest.raises(ParameterError):
         sample_complex_gaussian(-1.0, 10, SEED)
+    with pytest.raises(ParameterError, match="count must be >= 0, got -1"):
+        sample_complex_gaussian(1.0, -1, SEED)
 
 
 def test_qpsk_constellation_exact_power():
@@ -68,6 +70,8 @@ def test_qpsk_constellation_exact_power():
     points = {(1 + 1j), (1 - 1j), (-1 + 1j), (-1 - 1j)}
     assert set(np.unique(x)) == points
     assert np.all(sample_qpsk_pilot(0.0, 100, SEED) == 0.0)
+    with pytest.raises(ParameterError, match="count must be >= 0, got -1"):
+        sample_qpsk_pilot(2.0, -1, SEED)
     with pytest.raises(ParameterError):
         sample_qpsk_pilot(-2.0, 10, SEED)
 
@@ -162,6 +166,10 @@ def test_gaussian_mi_input_validation():
         gaussian_mi_from_cov(np.array([[1.0, 0.5], [0.0, 1.0]]), 1)
     with pytest.raises(ParameterError):
         gaussian_mi_from_cov(np.eye(3), 3)
+    with pytest.raises(ParameterError, match="covariance must be square, got shape \\(2, 3\\)"):
+        gaussian_mi_from_cov(np.ones((2, 3)), 1)
+    with pytest.raises(ParameterError, match="covariance must be finite"):
+        gaussian_mi_from_cov(np.array([[1.0, math.inf], [math.inf, 1.0]]), 1)
     with pytest.raises(NotPositiveSemidefinite):
         gaussian_mi_from_cov(np.array([[1.0, 2.0], [2.0, 1.0]]), 1)
 
