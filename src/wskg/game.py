@@ -52,7 +52,8 @@ def critical_power(params: SystemParams) -> float:
     threshold-power silent transmission.
 
     Equals sense_threshold * (jam_channel_var * jam_power_budget + 1); the
-    rate identity R(p_th * (j2*G + 1), G) = R(p_th, 0) holds exactly.
+    rate identity R(p_th * (j2*G + 1), G) = R(p_th, 0) holds exactly
+    (``tests/test_identities.py`` proves it on symbols).
     """
     return _knee(params.sense_threshold, params.jam_power_budget, params.jam_channel_var)
 

@@ -6,6 +6,10 @@ immutable after construction, so values can be shared freely across workers.
 The records are named tuples: they iterate in field order and have
 ``_asdict``. The validating ones check their fields in ``__new__``, which
 ``_make`` and ``_replace`` skip, so build them through the class.
+
+Every number, here and in ``stochastic``'s samplers, goes through one of two
+checks: an integer is taken by ``__index__``, a real number is a finite
+``int`` or ``float``, neither is a bool, and each raises ``ParameterError``.
 """
 
 from __future__ import annotations
@@ -23,13 +27,27 @@ if TYPE_CHECKING:
 #: when budget-tight vectors are assembled in floating point.
 ALLOCATION_SUM_RTOL = 1e-12
 
-_U64 = 1 << 64
+
+def _require_integer(name: str, value: object) -> int:
+    """``value`` as an ``int``: any type with ``__index__`` but bool."""
+    if isinstance(value, bool) or not hasattr(type(value), "__index__"):
+        raise ParameterError(f"{name} must be an integer, got {value!r}")
+    return operator.index(value)
 
 
-def _require_real(name: str, value: object) -> float:
+def _require_real(name: str, value: object, positive: bool = False) -> float:
+    """``value`` as a finite float >= 0, > 0 if ``positive``: an int or float, never a bool."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ParameterError(f"{name} must be a real number, got {value!r}")
-    return float(value)
+    try:
+        value = float(value)
+    except OverflowError:  # an int beyond the largest float
+        value = math.inf
+    if not math.isfinite(value):
+        raise ParameterError(f"{name} must be finite, got {value!r}")
+    if value < 0.0 or positive and value == 0.0:
+        raise ParameterError(f"{name} must be {'>' if positive else '>='} 0, got {value}")
+    return value
 
 
 # A NamedTuple class may not define ``__new__``, so each validating record
@@ -59,22 +77,12 @@ class SystemParams(_SystemParams):
 
     def __new__(cls, *args, **kwargs) -> "SystemParams":
         n, *raw = super().__new__(cls, *args, **kwargs)
-        if isinstance(n, bool) or not isinstance(n, int):
-            raise ParameterError(f"n_subcarriers must be an integer, got {n!r}")
+        n = _require_integer("n_subcarriers", n)
         if n < 1:
             raise ParameterError(f"n_subcarriers must be >= 1, got {n}")
-        values = {}
-        for name, value in zip(cls._fields[1:], raw):
-            value = values[name] = _require_real(name, value)
-            if not math.isfinite(value):
-                raise ParameterError(f"{name} must be finite, got {value!r}")
-        for name in ("max_pilot_power", "jam_power_budget", "sense_threshold"):
-            if values[name] < 0.0:
-                raise ParameterError(f"{name} must be >= 0, got {values[name]}")
-        for name in ("legit_channel_var", "jam_channel_var"):
-            if values[name] <= 0.0:
-                raise ParameterError(f"{name} must be > 0, got {values[name]}")
-        return super().__new__(cls, n, *values.values())
+        reals = [_require_real(name, value, positive=name.endswith("_var"))
+                 for name, value in zip(cls._fields[1:], raw)]
+        return super().__new__(cls, n, *reals)
 
 
 class _PowerAllocation(NamedTuple):
@@ -94,19 +102,13 @@ class PowerAllocation(_PowerAllocation):
     def __new__(cls, *args, **kwargs) -> "PowerAllocation":
         gamma, budget = super().__new__(cls, *args, **kwargs)
         try:
-            gamma = tuple(float(g) for g in gamma)
-        except (TypeError, ValueError) as exc:
-            raise ParameterError(f"allocation entries must be real numbers: {exc}")
+            entries = iter(gamma)
+        except TypeError as exc:
+            raise ParameterError(f"allocation entries must be real numbers: {exc}") from None
+        gamma = tuple(_require_real("allocation entries", g) for g in entries)
         if not gamma:
             raise ParameterError("allocation must cover at least one subcarrier")
         budget = _require_real("budget", budget)
-        if not math.isfinite(budget) or budget < 0.0:
-            raise ParameterError(f"budget must be finite and >= 0, got {budget}")
-        for g in gamma:
-            if not math.isfinite(g):
-                raise ParameterError(f"allocation entries must be finite, got {g!r}")
-            if g < 0.0:
-                raise ParameterError(f"allocation entries must be >= 0, got {g}")
         # Comparing the mean, not the sum, keeps finite entries from overflowing.
         mean = math.fsum(g / len(gamma) for g in gamma)
         if mean > budget * (1.0 + ALLOCATION_SUM_RTOL):
@@ -137,20 +139,17 @@ class _RngSeed(NamedTuple):
 class RngSeed(_RngSeed):
     """Seed plus substream id addressing one stream of a counter-based RNG.
 
-    Each is an integer (an ``int`` or a numpy integer, stored as an ``int``;
-    never a bool) in ``[0, 2**64)``, as a word of a Philox key that a number
-    outside would alias. A named tuple, so it equals the plain tuple
-    ``(seed, stream)``."""
+    Each is an integer in ``[0, 2**64)``, stored as an ``int``, as a word of
+    a Philox key that a number outside would alias. A named tuple, so it
+    equals the plain tuple ``(seed, stream)``."""
 
     __slots__ = ()
 
     def __new__(cls, *args, **kwargs) -> "RngSeed":
         words = []
         for name, value in zip(cls._fields, super().__new__(cls, *args, **kwargs)):
-            if isinstance(value, bool) or not hasattr(type(value), "__index__"):
-                raise ParameterError(f"{name} must be an integer, got {value!r}")
-            value = operator.index(value)
-            if not 0 <= value < _U64:
+            value = _require_integer(name, value)
+            if not 0 <= value < 2**64:
                 raise ParameterError(f"{name} must lie in [0, 2**64), got {value}")
             words.append(value)
         return super().__new__(cls, *words)

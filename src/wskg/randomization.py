@@ -4,7 +4,8 @@ Both parties probe with independent random QPSK pilots X and Y and
 post-multiply their observation by their own pilot. The common term X Y H
 remains exactly complex Gaussian, while the injected term decorrelates from
 both post-multiplied observations, collapsing the attacker's leakage to zero
-and reducing the injection to plain uncorrelated jamming.
+and reducing the injection to plain uncorrelated jamming
+(``tests/test_identities.py`` proves the zero cross-covariances).
 
 Its Monte Carlo kernel, ``randomize_trials``, lives in :mod:`wskg.injection`,
 beside the other kernel and the buffer layout both write into.

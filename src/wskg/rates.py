@@ -38,9 +38,10 @@ def _rate(p, gamma, sigma2, sigmaj2, log1p: Callable, guard: Callable = _unless_
     """log2(1 + p*s2 / (2*(1 + g*j2) + (1 + g*j2)^2 / (p*s2))), with ``log1p``.
 
     With a = p*s2 and b = 1 + g*j2 the argument rearranges to
-    x = a^2 / (b*(b + 2a)), which stays accurate for tiny p*s2 under log1p
-    and needs no special case at p = 0. b >= 1, so no division divides by
-    zero. Where b*(b + 2a) overflows and a*a does not, ``guard``
+    x = a^2 / (b*(b + 2a)) (``tests/test_identities.py`` proves it, and
+    that the rate is convex in b), which stays accurate for tiny p*s2 under
+    log1p and needs no special case at p = 0. b >= 1, so no division
+    divides by zero. Where b*(b + 2a) overflows and a*a does not, ``guard``
     (:func:`_unless_overflowed`) splits the quotient, so a rate that is a
     normal float is not rounded to 0. Where a*a overflows too, x is
     inf/inf = nan (pilot powers near 1e308); callers reject the non-finite

@@ -15,6 +15,7 @@ import numpy as np
 
 from .errors import NotPositiveSemidefinite, ParameterError
 from .params import RngSeed  # re-exported: its home is params, which loads no numpy
+from .params import _require_integer, _require_real
 
 _LN2 = math.log(2.0)
 
@@ -114,8 +115,8 @@ def sample_complex_gaussian(variance: float, count: int, seed: RngSeed) -> np.nd
 
     Each of the real and imaginary parts carries half the requested variance.
     """
-    if not (math.isfinite(variance) and variance > 0.0):
-        raise ParameterError(f"variance must be > 0, got {variance!r}")
+    variance = _require_real("variance", variance, positive=True)
+    count = _require_integer("count", count)
     if count < 0:
         raise ParameterError(f"count must be >= 0, got {count}")
     return _complex_normal(seed.generator(), variance, count)
@@ -123,8 +124,8 @@ def sample_complex_gaussian(variance: float, count: int, seed: RngSeed) -> np.nd
 
 def sample_qpsk_pilot(pilot_power: float, count: int, seed: RngSeed) -> np.ndarray:
     """i.i.d. random pilots with |X|^2 = pilot_power and zero mean."""
-    if not (math.isfinite(pilot_power) and pilot_power >= 0.0):
-        raise ParameterError(f"pilot_power must be >= 0, got {pilot_power!r}")
+    pilot_power = _require_real("pilot_power", pilot_power)
+    count = _require_integer("count", count)
     if count < 0:
         raise ParameterError(f"count must be >= 0, got {count}")
     return _qpsk(seed.generator(), pilot_power, count)
@@ -164,8 +165,7 @@ def ks_test_normal(
     n = x.size
     if n == 0:
         raise ParameterError("samples must be non-empty")
-    if not (math.isfinite(variance) and variance > 0.0):
-        raise ParameterError(f"variance must be > 0, got {variance!r}")
+    variance = _require_real("variance", variance, positive=True)
     if overwrite_input:
         a = x.reshape(-1)
         a.sort()

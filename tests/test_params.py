@@ -50,7 +50,8 @@ def test_negative_power_rejected():
 
 
 def test_non_finite_rejected():
-    for bad in (math.nan, math.inf, -math.inf):
+    # 10**400 is an int beyond the largest float, which float() cannot convert.
+    for bad in (math.nan, math.inf, -math.inf, 10**400):
         with pytest.raises(ParameterError):
             make(sense_threshold=bad)
 
@@ -99,10 +100,13 @@ _BAD_FIELDS = [
     (SystemParams, "jam_channel_var", -math.inf, ParameterError, "jam_channel_var must be finite, got -inf"),
     (PowerAllocation, "gamma", (), ParameterError, "allocation must cover at least one subcarrier"),
     (PowerAllocation, "gamma", (4.0,) * 9 + (-0.1,), ParameterError, "allocation entries must be >= 0, got -0.1"),
-    (PowerAllocation, "gamma", (4.0,) * 9 + (1j,), ParameterError,
-     "allocation entries must be real numbers: float() argument must be a string or a real number, not 'complex'"),
+    (PowerAllocation, "gamma", (4.0,) * 9 + (1j,), ParameterError, "allocation entries must be a real number, got 1j"),
+    (PowerAllocation, "gamma", (4.0,) * 9 + ("4.0",), ParameterError, "allocation entries must be a real number, got '4.0'"),
+    (PowerAllocation, "gamma", (4.0,) * 9 + (b"1",), ParameterError, "allocation entries must be a real number, got b'1'"),
+    (PowerAllocation, "gamma", (4.0,) * 9 + (True,), ParameterError, "allocation entries must be a real number, got True"),
+    (PowerAllocation, "gamma", 4.0, ParameterError, "allocation entries must be real numbers: 'float' object is not iterable"),
     (PowerAllocation, "gamma", (4.0,) * 9 + (math.nan,), ParameterError, "allocation entries must be finite, got nan"),
-    (PowerAllocation, "budget", math.inf, ParameterError, "budget must be finite and >= 0, got inf"),
+    (PowerAllocation, "budget", math.inf, ParameterError, "budget must be finite, got inf"),
     (PowerAllocation, "budget", 3.0, ParameterError, "allocation sum 40.0 exceeds budget 10 * 3.0"),
     (EquilibriumResult, "payoff", math.inf, NumericalError, "equilibrium payoff is not finite: inf"),
 ]
@@ -134,6 +138,7 @@ def test_sweep_validates_its_lowest_point_through_the_class(ref_params, variable
 def test_records_coerce_to_float():
     params = SystemParams(3, 5, 4, 2, 1, 1)
     assert [type(value) for value in params] == [int] + [float] * 5
+    assert type(SystemParams(np.int64(3), 5, 4, 2, 1, 1).n_subcarriers) is int
     allocation = PowerAllocation([1, 2], 2)
     assert allocation == ((1.0, 2.0), 2.0)
     assert type(allocation.gamma) is tuple and type(allocation.budget) is float

@@ -60,8 +60,12 @@ def test_complex_gaussian_rejects_bad_variance():
         sample_complex_gaussian(0.0, 10, SEED)
     with pytest.raises(ParameterError):
         sample_complex_gaussian(-1.0, 10, SEED)
+    with pytest.raises(ParameterError, match="^variance must be a real number, got '1'$"):
+        sample_complex_gaussian("1", 10, SEED)
     with pytest.raises(ParameterError, match="count must be >= 0, got -1"):
         sample_complex_gaussian(1.0, -1, SEED)
+    with pytest.raises(ParameterError, match="^count must be an integer, got 1.5$"):
+        sample_complex_gaussian(1.0, 1.5, SEED)
 
 
 def test_qpsk_constellation_exact_power():
@@ -74,6 +78,10 @@ def test_qpsk_constellation_exact_power():
         sample_qpsk_pilot(2.0, -1, SEED)
     with pytest.raises(ParameterError):
         sample_qpsk_pilot(-2.0, 10, SEED)
+    with pytest.raises(ParameterError, match="^pilot_power must be a real number, got '1'$"):
+        sample_qpsk_pilot("1", 10, SEED)
+    with pytest.raises(ParameterError, match="^count must be an integer, got 1.5$"):
+        sample_qpsk_pilot(2.0, 1.5, SEED)
 
 
 #: Family-wise false-rejection level of ``test_qpsk_points_equiprobable``'s
@@ -127,6 +135,8 @@ def test_ks_input_validation():
         ks_test_normal(np.array([]), 1.0)
     with pytest.raises(ParameterError):
         ks_test_normal(np.ones(10), 0.0)
+    with pytest.raises(ParameterError, match="^variance must be a real number, got '1'$"):
+        ks_test_normal(np.ones(10), "1")
 
 
 def test_gaussian_mi_single_look():
