@@ -1,8 +1,9 @@
 """Command-line harness: solvers, verifications, simulations, and sweeps.
 
-This module computes no model quantity: it parses flags, hands each command
-to the module that owns its numbers, adds the header, checks that every
-value is finite and writes the artifact. Every command is a deterministic
+This module computes no model quantity and builds no payload: it parses
+flags, calls the payload builder that ``_COMMANDS`` names in the module that
+owns the command's numbers, adds the header, checks that every value is
+finite and writes the artifact. Every command is a deterministic
 function of its option values; commands that draw random numbers require an
 explicit ``--seed`` in ``[0, 2**64)`` (there is no wall-clock default). JSON
 output has sorted keys and CSV numbers carry 12 significant digits, so
@@ -15,6 +16,7 @@ Exit codes: 0 success, 1 invalid configuration, 2 numerical failure
 from __future__ import annotations
 
 import argparse
+import importlib
 import math
 import os
 import re
@@ -22,74 +24,7 @@ import sys
 from typing import List, Optional
 
 from .errors import NumericalError, ParameterError
-from .params import EquilibriumResult, RngSeed, SystemParams
-
-# Each command imports what it runs when it runs: the closed-form commands
-# (solve-fixed, solve-strategic, sweep) load no numpy, dataclasses or inspect,
-# oracle-check no Monte Carlo module and no dataclasses (params' records are
-# named tuples), the Monte Carlo commands no game, rates or metrics, and only
-# sweep loads metrics.
-
-
-def _equilibrium_payload(result: EquilibriumResult) -> dict:
-    return {
-        "p_se": result.profiles[0].pilot_power,
-        "payoff": result.payoff,
-        "unique": result.unique,
-        "boundary_case": result.boundary_case,
-        # Each params.Profile as {pilot_power, allocation, threshold}.
-        "profiles": [{**profile._asdict(), "allocation": list(profile.allocation.gamma)} for profile in result.profiles],
-    }
-
-
-def _cmd_solve_fixed(params: SystemParams) -> dict:
-    from .game import stackelberg_fixed
-
-    return _equilibrium_payload(stackelberg_fixed(params))
-
-
-def _cmd_solve_strategic(params: SystemParams) -> dict:
-    from .game import STRATEGIC_DELTA, stackelberg_strategic, threshold_interval
-
-    result = stackelberg_strategic(params)
-    lo, hi = threshold_interval(result.profiles[0].pilot_power)
-    return {**_equilibrium_payload(result), "delta": STRATEGIC_DELTA, "epsilon_interval": f"[{lo:.12g}, {hi:.12g})"}
-
-
-def _cmd_verify_randomization(params: SystemParams, seed: RngSeed, trials: int) -> dict:
-    from .randomization import verify_check
-
-    return verify_check(params, trials, seed)
-
-
-def _cmd_simulate_injection(params: SystemParams, seed: RngSeed, trials: int, workers: Optional[int]) -> dict:
-    from .injection import chunked_grams, simulate_two_look, static_stage
-
-    (static,) = chunked_grams(params, trials, seed, (simulate_two_look,), workers)
-    return static_stage(params, trials, static)
-
-
-def _cmd_leakage(params: SystemParams, seed: RngSeed, trials: int, workers: Optional[int]) -> dict:
-    from .injection import chunked_grams, mi_from_gram, randomize_trials, simulate_two_look, static_stage
-
-    # One pool runs both stages; the randomized chunks continue on the substreams after the static ones.
-    stages = chunked_grams(params, trials, seed, (simulate_two_look, randomize_trials), workers)
-    # The estimates come first: they reject too few trials and a non-finite matrix.
-    static_bits, randomized_bits = map(mi_from_gram, stages)
-    return {**static_stage(params, trials, stages[0]), "static_pilot_leakage_bits": static_bits,
-            "randomized_pilot_leakage_bits": randomized_bits}
-
-
-def _cmd_oracle_check(params: SystemParams, seed: RngSeed, trials: int) -> dict:
-    from .game import oracle_check
-
-    return oracle_check(params, trials, seed)
-
-
-def _cmd_sweep(params: SystemParams, variable: str, lo: float, hi: float, steps: int) -> dict:
-    from .metrics import sweep
-
-    return {"variable": variable, "lo": lo, "hi": hi, "steps": steps, "rows": sweep(params, variable, lo, hi, steps)}
+from .params import RngSeed, SystemParams
 
 
 def _output_file(path: str) -> str:
@@ -137,18 +72,28 @@ _SWEEP_OPTIONS = (
     ("--steps", dict(type=int, required=True, help="Number of grid points (endpoints included).")),
 )
 
-#: Command name -> (payload builder, help text, model flags it reads, options beyond those and --output).
+# Each command imports the module that builds its payload when it runs: the
+# closed-form commands (solve-fixed, solve-strategic, sweep) load no numpy,
+# dataclasses or inspect, oracle-check no Monte Carlo module and no
+# dataclasses (params' records are named tuples), the Monte Carlo commands no
+# game, rates or metrics, and only sweep loads metrics.
+#: Command name -> (module, its payload builder, help text, model flags it reads, options beyond those and --output).
 _COMMANDS = {
-    "solve-fixed": (_cmd_solve_fixed, "Solve the fixed-threshold leader-follower game.", _MODEL_OPTIONS, ()),
-    "solve-strategic": (_cmd_solve_strategic, "Solve the strategic-threshold leader-follower game.",
+    "solve-fixed": ("game", "fixed_payload", "Solve the fixed-threshold leader-follower game.", _MODEL_OPTIONS, ()),
+    "solve-strategic": ("game", "strategic_payload", "Solve the strategic-threshold leader-follower game.",
                         ("--n", "--p-max", "--gamma", "--sigma2", "--sigmaj2"), ()),
-    "verify-randomization": (_cmd_verify_randomization, "KS-verify the Gaussian laws behind the randomized-probing defense.",
+    "verify-randomization": ("randomization", "verify_check",
+                             "KS-verify the Gaussian laws behind the randomized-probing defense.",
                              ("--p-max", "--sigma2"), _RNG_OPTIONS),
-    "simulate-injection": (_cmd_simulate_injection, "Simulate the coincident-injection attack and report summary statistics.",
+    "simulate-injection": ("injection", "injection_payload",
+                           "Simulate the coincident-injection attack and report summary statistics.",
                            _ONE_LOOK, (*_RNG_OPTIONS, _WORKERS_OPTION)),
-    "leakage": (_cmd_leakage, "Estimate attacker leakage with static and with randomized pilots.", _ONE_LOOK, (*_RNG_OPTIONS, _WORKERS_OPTION)),
-    "oracle-check": (_cmd_oracle_check, "Cross-check the closed-form equilibrium against brute-force search.", _MODEL_OPTIONS, _RNG_OPTIONS),
-    "sweep": (_cmd_sweep, "Sweep one parameter and tabulate payoffs and deviation metrics.", _MODEL_OPTIONS, _SWEEP_OPTIONS),
+    "leakage": ("injection", "leakage_check", "Estimate attacker leakage with static and with randomized pilots.",
+                _ONE_LOOK, (*_RNG_OPTIONS, _WORKERS_OPTION)),
+    "oracle-check": ("game", "oracle_check", "Cross-check the closed-form equilibrium against brute-force search.",
+                     _MODEL_OPTIONS, _RNG_OPTIONS),
+    "sweep": ("metrics", "sweep_payload", "Sweep one parameter and tabulate payoffs and deviation metrics.",
+              _MODEL_OPTIONS, _SWEEP_OPTIONS),
 }
 
 
@@ -179,7 +124,8 @@ def run(command: str, output_path: Optional[str] = None, format: str = "json", *
 
     ``options`` are the command's flags by parameter name: the model flags
     it reads, which become the run's :class:`SystemParams` with every other
-    field at its flag's default, and the command's own. Every artifact names
+    field at its flag's default, and the command's own, which go by name to
+    the command's payload builder with that record. Every artifact names
     its command and parameters, and a seeded one its seed and stream. The
     status is 0, or 3 when the command's ``accepted`` check fails.
     Configuration and numerical errors propagate; ``main`` maps them to exit
@@ -192,7 +138,8 @@ def run(command: str, output_path: Optional[str] = None, format: str = "json", *
             raise ParameterError(f"trials must be >= 1, got {options['trials']}")
         seed = options["seed"] = RngSeed(options["seed"], options.pop("stream"))
         header.update(seed=seed.seed, stream=seed.stream)
-    payload = {**header, **_COMMANDS[command][0](params, **options)}
+    module, builder = _COMMANDS[command][:2]
+    payload = {**header, **getattr(importlib.import_module(f"wskg.{module}"), builder)(params, **options)}
     _ensure_finite(payload)
     if format == "csv":
         text = _csv_text(payload["rows"])
@@ -230,7 +177,7 @@ def build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
         allow_abbrev=False,
     )
     commands = parser.add_subparsers(dest="command", metavar="COMMAND", required=True)
-    for name, (_, description, model, extra) in _COMMANDS.items():
+    for name, (_, _, description, model, extra) in _COMMANDS.items():
         subparser = commands.add_parser(name, help=description, description=description, allow_abbrev=False)
         if command not in _COMMANDS or command == name:
             subparser._negative_number_matcher = _NEGATIVE_NUMBER

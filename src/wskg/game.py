@@ -4,8 +4,9 @@ The legitimate pair commits to a pilot power first; a power-sensing jammer
 observes it and responds. The follower's best response and the resulting
 equilibria have closed forms, and the oracle routines re-derive them by
 direct search so every closed-form branch is verified independently.
-:func:`oracle_check` holds ``wskg oracle-check``'s verdict on the two, with
-the rounding argument behind its tolerances.
+The three game commands' payloads are built here: :func:`fixed_payload`,
+:func:`strategic_payload` and :func:`oracle_check`, the verdict on the two,
+with the rounding argument behind its tolerances.
 
 The closed forms run on floats and round each sum of rates once, so this
 module imports numpy only inside the two oracles: :func:`oracle_jammer_br`
@@ -112,6 +113,18 @@ def stackelberg_fixed(params: SystemParams) -> EquilibriumResult:
     return EquilibriumResult(profiles, c_se, unique=not boundary, boundary_case=boundary)
 
 
+def _equilibrium_payload(result: EquilibriumResult) -> dict:
+    # Each Profile as {pilot_power, allocation, threshold}.
+    profiles = [{**profile._asdict(), "allocation": list(profile.allocation.gamma)} for profile in result.profiles]
+    return {"p_se": result.profiles[0].pilot_power, "payoff": result.payoff, "unique": result.unique,
+            "boundary_case": result.boundary_case, "profiles": profiles}
+
+
+def fixed_payload(params: SystemParams) -> dict:
+    """``wskg solve-fixed``'s payload: :func:`stackelberg_fixed`'s equilibria."""
+    return _equilibrium_payload(stackelberg_fixed(params))
+
+
 def threshold_interval(p: float) -> Tuple[float, float]:
     """Ends of ``[lo, hi)``, the jammer's best-response thresholds at leader power ``p``:
     ``[0, p)`` senses a positive ``p``, and none senses ``p == 0``, so there all do: ``[0, inf)``."""
@@ -123,11 +136,12 @@ def stackelberg_strategic(params: SystemParams) -> EquilibriumResult:
 
     The jammer can place its threshold anywhere in [0, p) (:func:`threshold_interval`),
     so it senses and uniformly jams every positive pilot power ``p``. The
-    jammed rate increases with pilot power, so the leader plays its full
-    budget. One equilibrium exists for every threshold in the budget's
-    interval; that interval is open, so the result carries the representative
-    threshold ``p_max * (1 - STRATEGIC_DELTA)`` and is flagged non-unique. No
-    threshold senses a zero budget: there the jammer is silent at threshold 0.
+    jammed rate increases with pilot power (``tests/test_identities.py``
+    proves it), so the leader plays its full budget. One equilibrium exists
+    for every threshold in the budget's interval; that interval is open, so
+    the result carries the representative threshold
+    ``p_max * (1 - STRATEGIC_DELTA)`` and is flagged non-unique. No threshold
+    senses a zero budget: there the jammer is silent at threshold 0.
     """
     budget = params.max_pilot_power
     if budget == 0.0:
@@ -137,6 +151,14 @@ def stackelberg_strategic(params: SystemParams) -> EquilibriumResult:
     s2, j2 = params.legit_channel_var, params.jam_channel_var
     payoff = _uniform_sum_rate(params.n_subcarriers, budget, profile.allocation.gamma[0], s2, j2)
     return EquilibriumResult((profile,), payoff, unique=False, boundary_case=False)
+
+
+def strategic_payload(params: SystemParams) -> dict:
+    """``wskg solve-strategic``'s payload: :func:`stackelberg_strategic`'s
+    equilibrium and the interval its threshold represents."""
+    result = stackelberg_strategic(params)
+    lo, hi = threshold_interval(result.profiles[0].pilot_power)
+    return {**_equilibrium_payload(result), "delta": STRATEGIC_DELTA, "epsilon_interval": f"[{lo:.12g}, {hi:.12g})"}
 
 
 def oracle_jammer_br(params: SystemParams, samples: int, seed: RngSeed) -> Tuple[PowerAllocation, float]:
@@ -208,10 +230,10 @@ def oracle_stackelberg(params: SystemParams) -> Tuple[float, float]:
     return float(grid[best]), float(payoffs[best])
 
 
-def oracle_check(params: SystemParams, samples: int, seed: RngSeed) -> dict:
+def oracle_check(params: SystemParams, trials: int, seed: RngSeed) -> dict:
     """Verdict of ``wskg oracle-check``: the closed-form equilibrium against
     :func:`oracle_stackelberg`, and uniform jamming against
-    :func:`oracle_jammer_br`'s ``samples`` allocations drawn from ``seed``.
+    :func:`oracle_jammer_br`'s ``trials`` allocations drawn from ``seed``.
 
     Returns the command's ten payload fields. ``accepted`` needs the grid
     search's payoff within a relative ``1e-6`` of the closed form and no
@@ -221,7 +243,7 @@ def oracle_check(params: SystemParams, samples: int, seed: RngSeed) -> dict:
     closed = stackelberg_fixed(params)
     p_best, oracle_value = oracle_stackelberg(params)
     gap = abs(closed.payoff - oracle_value) / max(abs(closed.payoff), 1e-300)
-    _, best_value = oracle_jammer_br(params, samples, seed)
+    _, best_value = oracle_jammer_br(params, trials, seed)
     n, p_max, gamma, _, s2, j2 = params
     uniform_value = _uniform_sum_rate(n, p_max, gamma, s2, j2)
     # n * rate rounds once (eps / 2); the oracle's row sum of the uniform point adds
@@ -231,7 +253,7 @@ def oracle_check(params: SystemParams, samples: int, seed: RngSeed) -> dict:
     slack = 2 * n * sys.float_info.epsilon * uniform_value
     jensen_ok = uniform_value <= best_value + slack
     return {
-        "allocation_samples": samples,
+        "allocation_samples": trials,
         "leader_grid_points": LEADER_GRID_POINTS,
         "closed_form_payoff": closed.payoff,
         "oracle_payoff": oracle_value,

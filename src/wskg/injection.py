@@ -8,7 +8,8 @@ attacker controls when the probing pilots are deterministic.
 
 Both Monte Carlo kernels live here, beside the buffer layout they write into:
 :func:`simulate_two_look` (static pilots) and :func:`randomize_trials`
-(the randomized-probing defense of :mod:`wskg.randomization`).
+(the randomized-probing defense of :mod:`wskg.randomization`), and the
+payloads of ``simulate-injection`` and ``leakage``, which run them.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from typing import Callable, List, Optional, Sequence
 import numpy as np
 
 from .errors import NumericalError, ParameterError
-from .params import RngSeed, SystemParams
+from .params import RngSeed, SystemParams, _require_integer
 from .stochastic import _complex_normal, _qpsk, gaussian_mi_from_cov
 
 #: Monte Carlo trials per chunk. :func:`chunked_grams` draws chunk ``i`` of
@@ -242,7 +243,7 @@ def pool_size(workers: Optional[int], n_chunks: int) -> int:
     """Threads that run ``n_chunks`` chunks: ``min(workers, n_chunks, usable
     CPUs)``, with ``workers`` defaulting to the usable CPU count. Each thread
     owns one buffer set, so memory grows with this number, not with trials."""
-    if workers is not None and workers < 1:
+    if workers is not None and _require_integer("workers", workers) < 1:
         raise ParameterError(f"workers must be >= 1, got {workers}")
     cpus = usable_cpus()
     return min(cpus if workers is None else workers, n_chunks, cpus)
@@ -352,6 +353,24 @@ def mi_from_gram(g: np.ndarray) -> float:
     if not np.isfinite(cov).all():
         raise NumericalError("moment matrix is not finite")
     return gaussian_mi_from_cov(cov, target_dim=2)
+
+
+def injection_payload(params: SystemParams, trials: int, seed: RngSeed, workers: Optional[int]) -> dict:
+    """``wskg simulate-injection``'s payload: :func:`static_stage` of the
+    static kernel's :func:`chunked_grams` matrix."""
+    (static,) = chunked_grams(params, trials, seed, (simulate_two_look,), workers)
+    return static_stage(params, trials, static)
+
+
+def leakage_check(params: SystemParams, trials: int, seed: RngSeed, workers: Optional[int]) -> dict:
+    """``wskg leakage``'s payload: :func:`static_stage` and both stages'
+    :func:`mi_from_gram` estimates, from one :func:`chunked_grams` pool whose
+    randomized chunks continue on the substreams after the static ones."""
+    stages = chunked_grams(params, trials, seed, (simulate_two_look, randomize_trials), workers)
+    # The estimates come first: they reject too few trials and a non-finite matrix.
+    static_bits, randomized_bits = map(mi_from_gram, stages)
+    return {**static_stage(params, trials, stages[0]), "static_pilot_leakage_bits": static_bits,
+            "randomized_pilot_leakage_bits": randomized_bits}
 
 
 def leakage_bound(params: SystemParams, n_trials: int, seed: RngSeed) -> float:

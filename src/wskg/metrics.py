@@ -5,7 +5,8 @@ The three relative quantities emitted per operating point (columns ``f``,
 denominator: ``f`` is the loss when the leader deviates to full power and is
 jammed, ``d`` the loss when it deviates to the sensing threshold, ``e`` the
 extra damage a jammer gains by choosing its own threshold. ``e`` equals
-``f``: a jammer that picks its own threshold senses every positive pilot, so
+``f``: a jammer that picks its own threshold senses every positive pilot, and
+the rate rises with pilot power (``tests/test_identities.py`` proves it), so
 the leader's best reply is full power under uniform jamming, which is the
 full-power deviation.
 """
@@ -146,3 +147,8 @@ def sweep(
         # set drops only copies with the same bits, as np.unique does.
         grid = sorted({*grid, knee})
     return _rows(params, field, grid)
+
+
+def sweep_payload(params: SystemParams, variable: str, lo: float, hi: float, steps: int) -> dict:
+    """``wskg sweep``'s payload: the grid's ends and size, and :func:`sweep`'s rows."""
+    return {"variable": variable, "lo": lo, "hi": hi, "steps": steps, "rows": sweep(params, variable, lo, hi, steps)}

@@ -7,9 +7,11 @@ The records are named tuples: they iterate in field order and have
 ``_asdict``. The validating ones check their fields in ``__new__``, which
 ``_make`` and ``_replace`` skip, so build them through the class.
 
-Every number, here and in ``stochastic``'s samplers, goes through one of two
-checks: an integer is taken by ``__index__``, a real number is a finite
-``int`` or ``float``, neither is a bool, and each raises ``ParameterError``.
+Every number, here, in ``stochastic``'s samplers and ``target_dim``, in
+``rates.sum_rate``'s ``p`` and ``injection.pool_size``'s ``workers``, goes
+through one of two checks: an integer is taken by ``__index__``, a real
+number is a finite ``int`` or ``float``, neither is a bool, and each raises
+``ParameterError``.
 """
 
 from __future__ import annotations

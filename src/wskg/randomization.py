@@ -109,12 +109,12 @@ def verify_randomization(
     )
 
 
-def verify_check(params: SystemParams, n_samples: int, seed: RngSeed) -> dict:
+def verify_check(params: SystemParams, trials: int, seed: RngSeed) -> dict:
     """``wskg verify-randomization``'s seven payload fields: the report, the
     source law's variance, and ``accepted``, both p-values above ``KS_SIGNIFICANCE``."""
-    report = verify_randomization(params, n_samples, seed)
+    report = verify_randomization(params, trials, seed)
     return {
-        "trials": n_samples,
+        "trials": trials,
         "ks_product": asdict(report.ks_product),
         "ks_source": asdict(report.ks_source),
         "source_real_var": report.source_real_var,

@@ -14,7 +14,7 @@ import math
 from typing import TYPE_CHECKING, Callable
 
 from .errors import ParameterError
-from .params import PowerAllocation, SystemParams
+from .params import PowerAllocation, SystemParams, _require_real
 
 if TYPE_CHECKING:
     import numpy as np
@@ -81,7 +81,6 @@ def sum_rate(p: float, allocation: PowerAllocation, params: SystemParams) -> flo
             f"allocation length {len(gammas)} does not match "
             f"n_subcarriers {params.n_subcarriers}"
         )
-    if not (math.isfinite(p) and p >= 0.0):
-        raise ParameterError(f"p must be finite and >= 0, got {p!r}")
+    p = _require_real("p", p)
     s2, j2 = params.legit_channel_var, params.jam_channel_var
-    return math.fsum([_rate(float(p), g, s2, j2, math.log1p) for g in gammas])
+    return math.fsum([_rate(p, g, s2, j2, math.log1p) for g in gammas])

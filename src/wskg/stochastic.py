@@ -196,7 +196,7 @@ def gaussian_mi_from_cov(cov_joint: np.ndarray, target_dim: int) -> float:
         raise ParameterError("covariance must be finite")
     if not np.allclose(c, c.T, rtol=1e-9, atol=1e-12):
         raise ParameterError("covariance must be symmetric")
-    dim = c.shape[0]
+    dim, target_dim = c.shape[0], _require_integer("target_dim", target_dim)
     if not 1 <= target_dim < dim:
         raise ParameterError(
             f"target_dim must be in [1, {dim - 1}], got {target_dim}"

@@ -486,8 +486,11 @@ def test_closed_form_modules_import_numpy_only_where_they_need_it():
 
 
 def test_cli_imports_no_private_name_from_the_package():
-    """Each command's numbers come from the module that owns them: the CLI
-    reads no ``_``-prefixed name of another wskg module."""
+    """Each command's numbers come from the module that owns them: every
+    ``_COMMANDS`` entry names a payload builder defined in the module it
+    names, and the CLI reads no ``_``-prefixed name of another wskg module."""
+    for module, builder, *_ in wskg.cli._COMMANDS.values():
+        assert getattr(importlib.import_module(f"wskg.{module}"), builder).__module__ == f"wskg.{module}"
     tree = ast.parse((Path(wskg.__file__).parent / "cli.py").read_text(encoding="utf-8"))
     private = [
         f"{node.module}.{alias.name}"

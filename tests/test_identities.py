@@ -64,11 +64,28 @@ def test_rate_is_convex_in_the_jam_power():
 
 
 def test_static_leakage_closed_form():
-    """With v = sigmaj2 gamma and a = p_max sigma2, the static stage's
-    (W, Z_a, Z_b) has the complex covariance C below, and the leakage
+    """With v = sigmaj2 gamma and a = p_max sigma2, the static stage's looks
+    are Z = sqrt(a) H + W + N, one unit-variance H and one W of variance v
+    shared and a unit-variance noise N each, all independent. So
+    (W, Z_a, Z_b) = M (H, W, N_a, N_b) has the complex covariance
+    C = M diag(1, v, 1, 1) M^T, and the leakage
     log2(v det C[1:, 1:] / det C) is log2((1 + 2 (a + v)) / (1 + 2 a))."""
-    c = sympy.Matrix([[v, v, v], [v, a + v + 1, a + v], [v, a + v, a + v + 1]])
+    m = sympy.Matrix([[0, 1, 0, 0], [sympy.sqrt(a), 1, 1, 0], [sympy.sqrt(a), 1, 0, 1]])
+    c = m * sympy.diag(1, v, 1, 1) * m.T
     assert_identity(v * c[1:, 1:].det() / c.det(), (1 + 2 * (a + v)) / (1 + 2 * a))
+
+
+def test_rate_rises_with_pilot_power():
+    """With a = p sigma2 and b = 1 + gamma sigmaj2, d/da ln(1 + x) is
+    2a / ((a + b)(2a + b)) > 0, so the rate rises with pilot power at every
+    jam power. A jammer that senses every positive pilot therefore leaves the
+    leader its budget as best reply (``game.stackelberg_strategic``), and the
+    strategic jammer's gain ``e`` in ``metrics`` equals the full-power
+    deviation's loss ``f``."""
+    a_, b_ = p * s2, 1 + g * j2
+    slope = 2 * a_ / ((a_ + b_) * (2 * a_ + b_))
+    assert_identity(sympy.diff(sympy.log(1 + rate_argument(p, g, s2, j2)), p), s2 * slope)
+    assert slope.is_positive
 
 
 def test_randomized_observations_are_uncorrelated_with_the_injection():

@@ -69,8 +69,11 @@ def test_sum_rate_interior_allocation():
 def test_sum_rate_length_mismatch(ref_params):
     with pytest.raises(ParameterError):
         sum_rate(2.0, PowerAllocation((4.0,) * 9, 4.0), ref_params)
-    with pytest.raises(ParameterError, match="p must be finite and >= 0, got inf"):
+    with pytest.raises(ParameterError, match="p must be finite, got inf"):
         sum_rate(math.inf, PowerAllocation.uniform(ref_params), ref_params)
+    for bad in (True, "1", 10**400, -1.0):
+        with pytest.raises(ParameterError, match="^p must be "):
+            sum_rate(bad, PowerAllocation.uniform(ref_params), ref_params)
 
 
 def test_monotone_increasing_in_pilot_power():

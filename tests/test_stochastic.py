@@ -182,6 +182,9 @@ def test_gaussian_mi_input_validation():
         gaussian_mi_from_cov(np.array([[1.0, math.inf], [math.inf, 1.0]]), 1)
     with pytest.raises(NotPositiveSemidefinite):
         gaussian_mi_from_cov(np.array([[1.0, 2.0], [2.0, 1.0]]), 1)
+    for bad in (True, 1.5):
+        with pytest.raises(ParameterError, match=f"^target_dim must be an integer, got {bad}$"):
+            gaussian_mi_from_cov(np.eye(3), bad)
 
 
 def test_psd_tolerance_scales_with_the_covariance():
