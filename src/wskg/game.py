@@ -25,7 +25,7 @@ from typing import Tuple
 # after its removal, even when game is first imported while it is installed.
 from . import rates
 from .errors import NumericalError, ParameterError
-from .params import EquilibriumResult, PowerAllocation, Profile, RngSeed, SystemParams
+from .params import EquilibriumResult, PowerAllocation, Profile, RngSeed, SystemParams, _require_integer
 
 #: Relative width of the knife-edge band where the leader budget is treated
 #: as equal to the critical power and both equilibria are reported.
@@ -172,6 +172,7 @@ def oracle_jammer_br(params: SystemParams, samples: int, seed: RngSeed) -> Tuple
     only by rounding.
     Returns the best allocation found and its sum rate.
     """
+    samples = _require_integer("allocation_samples", samples)
     if samples < 1:
         raise ParameterError(f"allocation_samples must be >= 1, got {samples}")
     import numpy as np

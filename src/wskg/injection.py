@@ -145,6 +145,7 @@ def simulate_two_look(
     denominator are silent here: callers reject the non-finite moments they
     lead to.
     """
+    n_trials = _require_integer("n_trials", n_trials)
     if n_trials < 1:
         raise ParameterError(f"n_trials must be >= 1, got {n_trials}")
     rng = seed.generator()
@@ -185,6 +186,7 @@ def randomize_trials(
     ``buffers`` when given. Overflow is silent here: callers reject the
     non-finite moments it leads to.
     """
+    n_trials = _require_integer("n_trials", n_trials)
     if n_trials < 1:
         raise ParameterError(f"n_trials must be >= 1, got {n_trials}")
     rng = seed.generator()
@@ -272,6 +274,7 @@ def chunked_grams(
     matrices are added in chunk order, so the result depends on
     ``(seed, stream, n_trials)`` alone.
     """
+    n_trials = _require_integer("n_trials", n_trials)
     if n_trials < 1:
         raise ParameterError(f"n_trials must be >= 1, got {n_trials}")
     counts = [min(CHUNK_TRIALS, n_trials - start) for start in range(0, n_trials, CHUNK_TRIALS)]

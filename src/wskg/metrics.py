@@ -18,7 +18,7 @@ from typing import List, NamedTuple
 
 from .errors import NumericalError, ParameterError, ZeroEquilibriumPayoff
 from .game import _fixed_payoffs, critical_power
-from .params import SystemParams
+from .params import SystemParams, _require_integer
 
 _SWEEP_FIELDS = {
     "p_max": "max_pilot_power",
@@ -133,6 +133,7 @@ def sweep(
         )
     if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
         raise ParameterError(f"need lo < hi, got lo={lo!r}, hi={hi!r}")
+    steps = _require_integer("steps", steps)
     if steps < 2:
         raise ParameterError(f"steps must be >= 2, got {steps}")
     field = _SWEEP_FIELDS[variable]
@@ -140,7 +141,7 @@ def sweep(
     # value, so validating it validates the whole grid. Built through the
     # class: ``_replace`` would skip the validation.
     SystemParams(**{**params._asdict(), field: float(lo)})
-    grid = linspace(lo, hi, int(steps))
+    grid = linspace(lo, hi, steps)
     knee = _knee_value(params, variable)
     if knee is not None and lo < knee < hi:
         # The grid holds no -0.0 (its first point is 0 * step + lo), so the

@@ -8,10 +8,12 @@ The records are named tuples: they iterate in field order and have
 ``_make`` and ``_replace`` skip, so build them through the class.
 
 Every number, here, in ``stochastic``'s samplers and ``target_dim``, in
-``rates.sum_rate``'s ``p`` and ``injection.pool_size``'s ``workers``, goes
-through one of two checks: an integer is taken by ``__index__``, a real
-number is a finite ``int`` or ``float``, neither is a bool, and each raises
-``ParameterError``.
+``rates.sum_rate``'s ``p``, ``injection.pool_size``'s ``workers``, the
+kernels' and ``chunked_grams``' ``n_trials``, ``verify_randomization``'s
+``n_samples``, ``oracle_jammer_br``'s ``samples`` and ``metrics.sweep``'s
+``steps``, goes through one of two checks: an integer is taken by
+``__index__``, a real number is a finite ``int`` or ``float``, neither is a
+bool, and each raises ``ParameterError``.
 """
 
 from __future__ import annotations

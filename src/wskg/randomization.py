@@ -21,8 +21,16 @@ import numpy as np
 
 from .errors import NumericalError, ParameterError
 from .injection import chunked_grams, mi_from_gram, randomize_trials
-from .params import RngSeed, SystemParams
-from .stochastic import KS_SIGNIFICANCE, KsReport, _pilot_indices, _qpsk_points, _scaled_normal, ks_test_normal
+from .params import RngSeed, SystemParams, _require_integer
+from .stochastic import (
+    KS_SIGNIFICANCE,
+    KsReport,
+    _pilot_indices,
+    _qpsk_points,
+    _scaled_normal,
+    _variance,
+    ks_test_normal,
+)
 
 
 @dataclass(frozen=True)
@@ -56,6 +64,7 @@ def verify_randomization(
 ) -> RandomizationReport:
     """Sample the defense's product laws and KS-test them against their
     claimed Gaussian forms."""
+    n_samples = _require_integer("n_samples", n_samples)
     if n_samples < 10_000:
         raise ParameterError(f"n_samples must be >= 10000, got {n_samples}")
     power, s2 = params.max_pilot_power, params.legit_channel_var
@@ -72,37 +81,42 @@ def verify_randomization(
         if not sys.float_info.min <= value <= sys.float_info.max:
             raise NumericalError(f"{name} is not a normal float: {value!r}")
     # The draws of _qpsk and _complex_normal. x's point indices are drawn
-    # whole and shifted left by 2, then y's are drawn and ORed in: only one
-    # byte per pilot pair (4 * x + y) and the two tested arrays are held
-    # whole, and y's own bytes live only before those arrays exist. h's real
-    # and imaginary parts are drawn whole into ``product`` and
-    # ``source_real``, and each block overwrites its own draws.
-    # Products stay complex: numpy may fuse a*c - b*d into one rounding.
+    # whole and shifted left by 2, then y's are drawn and ORed in: one byte
+    # per pilot pair (4 * x + y). Pass 1 draws h's real parts whole into
+    # ``product``, turns them into the product block by block and KS-tests
+    # it. Pass 2 draws them again, from the state saved before them, into
+    # ``source_real``, and h's imaginary parts, which follow them, block by
+    # block. So only one tested array is alive at a time.
     rng = seed.generator()
     pilots = _pilot_indices(rng, n_samples)
     pilots <<= 2
     pilots |= _pilot_indices(rng, n_samples)
-    product, source_real = np.empty(n_samples), np.empty(n_samples)
     scale = math.sqrt(s2 / 2.0)
-    _scaled_normal(rng, scale, product)
-    _scaled_normal(rng, scale, source_real)
     points = _qpsk_points(power)
+    blocks = [slice(start, start + VERIFY_BLOCK) for start in range(0, n_samples, VERIFY_BLOCK)]
+    real_parts = rng.bit_generator.state
+    product = _scaled_normal(rng, scale, np.empty(n_samples))
+    for s in blocks:
+        product[s] *= points.take(pilots[s] >> 2).real
+    ks_product = ks_test_normal(product, product_var, overwrite_input=True)
+    del product
+    rng.bit_generator.state = real_parts
+    source_real = _scaled_normal(rng, scale, np.empty(n_samples))
+    imag = np.empty(VERIFY_BLOCK)
     h = np.empty(VERIFY_BLOCK, dtype=complex)
-    for start in range(0, n_samples, VERIFY_BLOCK):
-        s = slice(start, start + VERIFY_BLOCK)
-        hs = h[: product[s].size]
-        hs.real, hs.imag = product[s], source_real[s]
+    for s in blocks:
+        hs = h[: source_real[s].size]
+        hs.real, hs.imag = source_real[s], _scaled_normal(rng, scale, imag[: hs.size])
         x, y = points.take(pilots[s] >> 2), points.take(pilots[s] & 3)
         # Named operands: numpy may multiply a temporary operand in place
         # with the operands swapped, and a fused complex multiply is not
-        # symmetric in its last bit.
+        # symmetric in its last bit. Products stay complex: numpy may fuse
+        # a*c - b*d into one rounding.
         source_real[s] = (x * y * hs).real
-        product[s] = x.real * hs.real
     del pilots
-    ks_product = ks_test_normal(product, product_var, overwrite_input=True)
-    del product
     with np.errstate(over="ignore"):  # an overflowed variance is returned as inf
-        source_real_var = float(np.var(source_real))  # before the sort: the sum order sets its bits
+        # np.var's bits, before the sort: the sum order sets them.
+        source_real_var = _variance(source_real)
     ks_source = ks_test_normal(source_real, source_var, overwrite_input=True)
     return RandomizationReport(
         ks_product=ks_product, ks_source=ks_source, source_real_var=source_real_var

@@ -56,7 +56,9 @@ def _scaled_normal(rng: np.random.Generator, scale: float, out: np.ndarray) -> n
     return np.add(out, 0.0, out=out)
 
 
-#: Bits per ``rng.integers`` call of :func:`_pilot_indices` (128 KB of int64).
+#: Pilot bits per ``random_raw`` call of :func:`_pilot_indices`: 8192 raw
+#: 64-bit Philox words, 64 KB. Blocks of 128 KB, glibc's mmap threshold,
+#: raised the resident size of two-thread ``leakage`` runs.
 PILOT_BLOCK = 1 << 14
 
 
@@ -64,21 +66,46 @@ def _pilot_indices(
     rng: np.random.Generator, count: int, out: Optional[np.ndarray] = None
 ) -> np.ndarray:
     """``2 * re + im`` of ``count`` QPSK pilots, indices into
-    :func:`_qpsk_points`, from the bits of two whole ``rng.integers(0, 2,
-    count)`` draws, ``re`` first.
+    :func:`_qpsk_points`, with the bits of two whole ``rng.integers(0, 2,
+    count)`` draws, ``re`` first, and the generator left where they leave it.
 
-    Each draw is taken ``PILOT_BLOCK`` bits at a time: Philox keeps the
-    spare half of a 64-bit word in its state, so the blocks give the bits of
-    one call. The bits go unnamed, so one block, 128 KB of int64, is alive
-    at a time. Written into ``out`` (``count`` integers of any type) when
-    given, and into bytes otherwise.
+    Each such bit is bit 31 of one 32-bit half of a Philox word, low half
+    first: numpy draws it as the top word of that half times 2, which
+    never rejects, and keeps the spare high half in the generator's state.
+    So a draw takes the spare half first, when the state holds one, then
+    raw words for ``PILOT_BLOCK`` bits at a time, and puts an unused last
+    half back. One block of words is alive at a time, and its bits are
+    taken in place. Written into ``out`` (``count`` integers of any type)
+    when given, and into bytes otherwise.
     """
     index = np.empty(count, dtype=np.uint8) if out is None else out
-    blocks = [index[start : start + PILOT_BLOCK] for start in range(0, count, PILOT_BLOCK)]
-    for part in blocks:
-        np.multiply(rng.integers(0, 2, part.size), 2, out=part, casting="unsafe")
-    for part in blocks:
-        np.add(part, rng.integers(0, 2, part.size), out=part, casting="unsafe")
+    if count == 0:
+        return index
+    bitgen = rng.bit_generator
+    for first in (True, False):
+        state = bitgen.state
+        spare = state["has_uint32"]
+        if spare:
+            bit = state["uinteger"] >> 31
+            index[0] = 2 * bit if first else index[0] + bit
+        for start in range(spare, count, PILOT_BLOCK):
+            part = index[start : start + PILOT_BLOCK]
+            # Little-endian words, so that each word's low half comes first.
+            halves = bitgen.random_raw((part.size + 1) // 2).astype("<u8", copy=False).view("<u4")
+            last = int(halves[-1])
+            if first:
+                np.right_shift(halves, 30, out=halves)
+                np.bitwise_and(halves, 2, out=halves)
+                np.copyto(part, halves[: part.size], casting="unsafe")
+            else:
+                np.right_shift(halves, 31, out=halves)
+                np.add(part, halves[: part.size], out=part, casting="unsafe")
+        # As numpy leaves it: the last word's high half, spare or spent.
+        state = bitgen.state
+        state["has_uint32"] = (count - spare) % 2
+        if count > spare:
+            state["uinteger"] = last
+        bitgen.state = state
     return index
 
 
@@ -129,6 +156,34 @@ def sample_qpsk_pilot(pilot_power: float, count: int, seed: RngSeed) -> np.ndarr
     if count < 0:
         raise ParameterError(f"count must be >= 0, got {count}")
     return _qpsk(seed.generator(), pilot_power, count)
+
+
+#: Values per leaf of :func:`_variance`'s sum: one 128 KB temporary.
+VARIANCE_LEAF = 1 << 14
+
+
+def _variance(x: np.ndarray) -> float:
+    """``float(np.var(x))`` of a non-empty contiguous float64 array, bit for bit,
+    on one ``VARIANCE_LEAF`` temporary instead of a whole-array one.
+
+    numpy sums a contiguous float64 array as one pairwise tree, which splits
+    a run of more than 128 values at half its length rounded down to a
+    multiple of 8. So the squared deviations from the mean are summed down
+    that rule, and numpy itself squares and sums each run of at most
+    ``VARIANCE_LEAF`` values. Overflow warns as in ``np.var``.
+    """
+    mean = np.add.reduce(x) / x.size
+    return float(_squared_deviations(x, mean, np.empty(min(x.size, VARIANCE_LEAF))) / x.size)
+
+
+def _squared_deviations(x: np.ndarray, mean: np.float64, scratch: np.ndarray) -> np.float64:
+    """numpy's pairwise sum of ``(x - mean) ** 2``, leaves squared in ``scratch``."""
+    if x.size <= VARIANCE_LEAF:
+        deviation = np.subtract(x, mean, out=scratch[: x.size])
+        return np.add.reduce(np.multiply(deviation, deviation, out=deviation))
+    half = x.size // 2
+    half -= half % 8
+    return _squared_deviations(x[:half], mean, scratch) + _squared_deviations(x[half:], mean, scratch)
 
 
 @dataclass(frozen=True)

@@ -435,6 +435,8 @@ def test_sorted_grid_oracle_matches_deduplicated_grid_bits():
 def test_oracle_config_validation(ref_params):
     with pytest.raises(ParameterError, match="allocation_samples must be >= 1, got 0"):
         oracle_jammer_br(ref_params, 0, RngSeed(0))
+    with pytest.raises(ParameterError, match="^allocation_samples must be an integer, got True$"):
+        oracle_jammer_br(ref_params, True, RngSeed(0))
 
 
 @settings(max_examples=300, deadline=None)

@@ -115,6 +115,10 @@ def test_simulate_rejects_bad_trial_count():
         simulate_two_look(make_params(), 0, SEED)
     with pytest.raises(ParameterError, match="n_trials must be >= 1, got 0"):
         randomize_trials(make_params(), 0, SEED)
+    with pytest.raises(ParameterError, match="^n_trials must be an integer, got 2.0$"):
+        simulate_two_look(make_params(), 2.0, SEED)
+    with pytest.raises(ParameterError, match="^n_trials must be an integer, got True$"):
+        randomize_trials(make_params(), True, SEED)
 
 
 def test_leakage_positive_and_near_analytic_value():

@@ -7,6 +7,7 @@ on whatever numpy runs the suite, where a seeded golden would only pin one
 numpy's output.
 """
 
+import gc
 import math
 import sys
 import threading
@@ -33,12 +34,13 @@ from wskg import injection
 from wskg.randomization import VERIFY_BLOCK, RandomizationReport
 from wskg import kstest
 from wskg.kstest import cdf_bulk, kolmogorov_sf, ndtr
-from wskg.stochastic import PILOT_BLOCK, KsReport, _complex_normal, _qpsk
+from wskg.stochastic import PILOT_BLOCK, VARIANCE_LEAF, KsReport, _complex_normal, _qpsk, _variance
 
 SEED = RngSeed(2718, 5)
 SIZES = (10_000, 65_537)
-# One either side of a block of pilot bits, so that a block edge falls on a
-# bit drawn from the spare 32-bit half of a Philox word.
+# One either side of a block of pilot bits. Both are odd, so the second
+# draw of pilot bits starts on the spare 32-bit half of a Philox word that
+# the first leaves.
 PILOT_EDGES = (PILOT_BLOCK - 1, PILOT_BLOCK + 1)
 P_MAX = (1e-3, 0.37, 2.0, 5.0)
 
@@ -198,6 +200,40 @@ def test_verify_randomization_matches_reference(p_max, n_samples):
     assert verify_randomization(params, n_samples, SEED) == ref_verify_randomization(
         params, n_samples, SEED
     )
+
+
+# Sizes below numpy's unrolled sums (8) and its pairwise leaves (128), at
+# and either side of one and two of the helper's leaves, and above many.
+VARIANCE_SIZES = (
+    1, 7, 8, 9, 127, 128, 129,
+    VARIANCE_LEAF - 1, VARIANCE_LEAF, VARIANCE_LEAF + 1,
+    2 * VARIANCE_LEAF - 1, 2 * VARIANCE_LEAF + 1, 65_537, 1_000_000,
+)
+
+
+@pytest.mark.parametrize("n", VARIANCE_SIZES)
+def test_variance_matches_np_var_bits(n):
+    # Magnitudes over seven decades and a nonzero mean, so that a sum in
+    # another order would round differently.
+    rng = np.random.default_rng(n)
+    x = rng.standard_normal(n) * np.exp(rng.uniform(-8.0, 8.0, n)) + 1.5
+    assert same_bits(_variance(x), float(np.var(x)))
+
+
+def test_variance_follows_numpys_split_rule():
+    # Above two leaves, the first split falls at half the length rounded
+    # down to a multiple of 8. A sum split elsewhere (at the exact half, or
+    # at a multiple of 16) rounds differently at several of these sizes.
+    for n in range(2 * VARIANCE_LEAF + 9, 2 * VARIANCE_LEAF + 200, 12):
+        x = np.random.default_rng(n).uniform(0.0, 1.0, n)
+        assert same_bits(_variance(x), float(np.var(x))), n
+
+
+def test_variance_overflows_as_np_var_does():
+    x = np.array([1e300, -1e300, 3.0] * 7_000)
+    with np.errstate(over="ignore"):
+        got, expected = _variance(x), float(np.var(x))
+    assert same_bits(got, expected) and got == math.inf
 
 
 # One sample, two, and sizes around one, four and eight CDF blocks.
@@ -468,6 +504,8 @@ def test_substreams_past_the_last_stream_are_rejected_before_any_chunk():
 
     with pytest.raises(ParameterError, match="n_trials must be >= 1, got 0"):
         injection.chunked_grams(params, 0, SEED, (recording,), 1)
+    with pytest.raises(ParameterError, match="^n_trials must be an integer, got True$"):
+        injection.chunked_grams(params, True, SEED, (recording,), 1)
     last = 2**64 - 1
     with pytest.raises(ParameterError, match=f"substreams {last - 4} to {last + 1} pass 2\\*\\*64 - 1"):
         injection.chunked_grams(params, ENGINE_TRIALS, RngSeed(1, last - 4), (recording, recording), 1)
@@ -495,14 +533,28 @@ def test_randomize_trials_peak_memory_per_trial():
 
 
 def test_verify_randomization_peak_memory_per_sample():
-    # The two tested arrays (16 bytes per sample) and one byte per pilot pair
-    # set the peak, with 128 KB blocks: the KS tests sort in place. About
-    # 17.73 bytes per sample at 1e6 samples with kstest imported (this module
-    # imports it; a fresh interpreter's first call also counts its tables,
-    # 18.49), and 18.72 with a second index array.
+    # One tested array (8 bytes per sample) and one byte per pilot pair set
+    # the peak, with 128 KB blocks: the two passes never hold both tested
+    # arrays, the KS tests sort in place and the variance needs no
+    # whole-array temporary. About 9.88 bytes per sample at 1e6 samples with
+    # kstest imported (this module imports it; a fresh interpreter's first
+    # call also counts its tables), against about 17.7 with both tested
+    # arrays alive at once.
     params = make_params(2.0)
     peak = peak_bytes_per_trial(lambda n: verify_randomization(params, n, SEED), 1_000_000)
-    assert peak <= 18.25
+    assert peak <= 10.5
+
+
+def test_verify_randomization_leaves_no_cycles():
+    # Arrays held by a reference cycle live until the cycle collector runs,
+    # so repeated calls would pile up their samples.
+    gc.collect()
+    gc.disable()
+    try:
+        verify_randomization(make_params(2.0), 10_000, SEED)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_full_chunk_buffer_set_is_104_bytes_per_trial():

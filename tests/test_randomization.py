@@ -147,6 +147,9 @@ def test_all_four_real_products_are_gaussian():
 def test_verify_randomization_validation():
     with pytest.raises(ParameterError):
         verify_randomization(make_params(), 5000, SEED)
+    for bad in (1e4, "20000"):
+        with pytest.raises(ParameterError, match=f"^n_samples must be an integer, got {bad!r}$"):
+            verify_randomization(make_params(), bad, SEED)
     with pytest.raises(ParameterError):
         verify_randomization(make_params(p_max=0.0), 20_000, SEED)
 

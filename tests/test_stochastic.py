@@ -14,6 +14,8 @@ from wskg import (
     sample_qpsk_pilot,
 )
 
+from wskg.stochastic import PILOT_BLOCK, _pilot_indices
+
 from conftest import SAMPLER_FAMILY_LEVEL, _two_sided_z
 
 SEED = RngSeed(20240815)
@@ -109,6 +111,34 @@ def test_independent_pilots_have_zero_cross_moment():
     y = sample_qpsk_pilot(2.0, n, SEED.with_stream(12))
     z = math.sqrt(2.0 * math.log(1.0 / SAMPLER_FAMILY_LEVEL))  # about 3.72
     assert abs(np.mean(x * y)) <= z * math.sqrt(2.0 / n)
+
+
+def philox_state(rng):
+    state = rng.bit_generator.state
+    return (
+        state["state"]["counter"].tolist(), state["buffer"].tolist(),
+        state["buffer_pos"], state["has_uint32"], state["uinteger"],
+    )
+
+
+# Around one and two blocks of pilot bits, two bits a raw word.
+PILOT_COUNTS = (0, 1, 2, 3, 10_001, PILOT_BLOCK - 1, PILOT_BLOCK, PILOT_BLOCK + 1, 2 * PILOT_BLOCK + 3)
+
+
+@pytest.mark.parametrize("pre", (0, 1, 2, 3))  # an odd count leaves a spare 32-bit half
+@pytest.mark.parametrize("count", PILOT_COUNTS)
+@pytest.mark.parametrize("seed", (RngSeed(0), SEED.with_stream(3), RngSeed(2**64 - 1, 2**64 - 1)))
+def test_pilot_indices_are_two_integer_draws(seed, count, pre):
+    rng, ref = seed.generator(), seed.generator()
+    rng.integers(0, 2, pre)
+    ref.integers(0, 2, pre)
+    index = _pilot_indices(rng, count)
+    expected = 2 * ref.integers(0, 2, count) + ref.integers(0, 2, count)
+    assert index.dtype == np.uint8 and np.array_equal(index, expected)
+    # The generator is left as the two draws leave it, stale half included.
+    assert philox_state(rng) == philox_state(ref)
+    assert np.array_equal(rng.integers(0, 2, 3), ref.integers(0, 2, 3))
+    assert np.array_equal(rng.standard_normal(3), ref.standard_normal(3))
 
 
 def test_ks_accepts_own_gaussian_sampler():
