@@ -24,7 +24,7 @@ from typing import Tuple
 # installed over them (perfbench's span tracer) sees game's calls and is gone
 # after its removal, even when game is first imported while it is installed.
 from . import rates
-from .errors import NumericalError, ParameterError
+from .errors import NumericalError
 from .params import EquilibriumResult, PowerAllocation, Profile, RngSeed, SystemParams, _require_integer
 
 #: Relative width of the knife-edge band where the leader budget is treated
@@ -172,9 +172,7 @@ def oracle_jammer_br(params: SystemParams, samples: int, seed: RngSeed) -> Tuple
     only by rounding.
     Returns the best allocation found and its sum rate.
     """
-    samples = _require_integer("allocation_samples", samples)
-    if samples < 1:
-        raise ParameterError(f"allocation_samples must be >= 1, got {samples}")
+    samples = _require_integer("allocation_samples", samples, 1)
     import numpy as np
 
     n, p_max, gamma, _, s2, j2 = params

@@ -24,7 +24,7 @@ import numpy as np
 
 from .errors import NumericalError, ParameterError
 from .params import RngSeed, SystemParams, _require_integer
-from .stochastic import _complex_normal, _qpsk, gaussian_mi_from_cov
+from .stochastic import MIN_TRIALS, _complex_normal, _qpsk, gaussian_mi_from_cov
 
 #: Monte Carlo trials per chunk. :func:`chunked_grams` draws chunk ``i`` of
 #: kernel ``k`` from substream ``stream + k * chunks + i``, so ``leakage``'s
@@ -145,9 +145,7 @@ def simulate_two_look(
     denominator are silent here: callers reject the non-finite moments they
     lead to.
     """
-    n_trials = _require_integer("n_trials", n_trials)
-    if n_trials < 1:
-        raise ParameterError(f"n_trials must be >= 1, got {n_trials}")
+    n_trials = _require_integer("n_trials", n_trials, 1)
     rng = seed.generator()
     entry_var = params.jam_channel_var / 2.0
     if buffers is None:
@@ -186,9 +184,7 @@ def randomize_trials(
     ``buffers`` when given. Overflow is silent here: callers reject the
     non-finite moments it leads to.
     """
-    n_trials = _require_integer("n_trials", n_trials)
-    if n_trials < 1:
-        raise ParameterError(f"n_trials must be >= 1, got {n_trials}")
+    n_trials = _require_integer("n_trials", n_trials, 1)
     rng = seed.generator()
     if buffers is None:
         buffers = ChunkBuffers(n_trials)
@@ -245,10 +241,9 @@ def pool_size(workers: Optional[int], n_chunks: int) -> int:
     """Threads that run ``n_chunks`` chunks: ``min(workers, n_chunks, usable
     CPUs)``, with ``workers`` defaulting to the usable CPU count. Each thread
     owns one buffer set, so memory grows with this number, not with trials."""
-    if workers is not None and _require_integer("workers", workers) < 1:
-        raise ParameterError(f"workers must be >= 1, got {workers}")
     cpus = usable_cpus()
-    return min(cpus if workers is None else workers, n_chunks, cpus)
+    workers = cpus if workers is None else _require_integer("workers", workers, 1)
+    return min(workers, n_chunks, cpus)
 
 
 def chunked_grams(
@@ -274,9 +269,7 @@ def chunked_grams(
     matrices are added in chunk order, so the result depends on
     ``(seed, stream, n_trials)`` alone.
     """
-    n_trials = _require_integer("n_trials", n_trials)
-    if n_trials < 1:
-        raise ParameterError(f"n_trials must be >= 1, got {n_trials}")
+    n_trials = _require_integer("n_trials", n_trials, 1)
     counts = [min(CHUNK_TRIALS, n_trials - start) for start in range(0, n_trials, CHUNK_TRIALS)]
     last = seed.stream + len(kernels) * len(counts) - 1
     if last >= 1 << 64:
@@ -348,9 +341,9 @@ def mi_from_gram(g: np.ndarray) -> float:
     """Gaussian MI estimate, in bits, between the injected value and both
     looks, from the :func:`covariance` of a (summed) :func:`gram` matrix."""
     n_trials = g[0, 0]
-    if n_trials < 10_000:
+    if n_trials < MIN_TRIALS:
         raise ParameterError(
-            f"n_trials must be >= 10000 for covariance estimation, got {int(n_trials)}"
+            f"n_trials must be >= {MIN_TRIALS} for covariance estimation, got {int(n_trials)}"
         )
     cov = covariance(g)
     if not np.isfinite(cov).all():

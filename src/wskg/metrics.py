@@ -133,9 +133,7 @@ def sweep(
         )
     if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
         raise ParameterError(f"need lo < hi, got lo={lo!r}, hi={hi!r}")
-    steps = _require_integer("steps", steps)
-    if steps < 2:
-        raise ParameterError(f"steps must be >= 2, got {steps}")
+    steps = _require_integer("steps", steps, 2)
     field = _SWEEP_FIELDS[variable]
     # Every field's domain is bounded below and lo is the smallest grid
     # value, so validating it validates the whole grid. Built through the

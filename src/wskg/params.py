@@ -12,8 +12,9 @@ Every number, here, in ``stochastic``'s samplers and ``target_dim``, in
 kernels' and ``chunked_grams``' ``n_trials``, ``verify_randomization``'s
 ``n_samples``, ``oracle_jammer_br``'s ``samples`` and ``metrics.sweep``'s
 ``steps``, goes through one of two checks: an integer is taken by
-``__index__``, a real number is a finite ``int`` or ``float``, neither is a
-bool, and each raises ``ParameterError``.
+``__index__`` and, where it has a floor, held to it in the same call
+(``stochastic.MIN_TRIALS`` for ``n_samples``), a real number is a finite
+``int`` or ``float``, neither is a bool, and each raises ``ParameterError``.
 """
 
 from __future__ import annotations
@@ -32,11 +33,16 @@ if TYPE_CHECKING:
 ALLOCATION_SUM_RTOL = 1e-12
 
 
-def _require_integer(name: str, value: object) -> int:
-    """``value`` as an ``int``: any type with ``__index__`` but bool."""
+def _require_integer(name: str, value: object, minimum: Optional[int] = None) -> int:
+    """``value`` as an ``int``: any type with ``__index__`` but bool. Below
+    ``minimum``, when given, it raises ``{name} must be >= {minimum}, got
+    {value}`` with the ``int``, so a numpy integer prints as a plain one."""
     if isinstance(value, bool) or not hasattr(type(value), "__index__"):
         raise ParameterError(f"{name} must be an integer, got {value!r}")
-    return operator.index(value)
+    value = operator.index(value)
+    if minimum is not None and value < minimum:
+        raise ParameterError(f"{name} must be >= {minimum}, got {value}")
+    return value
 
 
 def _require_real(name: str, value: object, positive: bool = False) -> float:
@@ -81,9 +87,7 @@ class SystemParams(_SystemParams):
 
     def __new__(cls, *args, **kwargs) -> "SystemParams":
         n, *raw = super().__new__(cls, *args, **kwargs)
-        n = _require_integer("n_subcarriers", n)
-        if n < 1:
-            raise ParameterError(f"n_subcarriers must be >= 1, got {n}")
+        n = _require_integer("n_subcarriers", n, 1)
         reals = [_require_real(name, value, positive=name.endswith("_var"))
                  for name, value in zip(cls._fields[1:], raw)]
         return super().__new__(cls, n, *reals)

@@ -24,6 +24,7 @@ from .injection import chunked_grams, mi_from_gram, randomize_trials
 from .params import RngSeed, SystemParams, _require_integer
 from .stochastic import (
     KS_SIGNIFICANCE,
+    MIN_TRIALS,
     KsReport,
     _pilot_indices,
     _qpsk_points,
@@ -64,9 +65,7 @@ def verify_randomization(
 ) -> RandomizationReport:
     """Sample the defense's product laws and KS-test them against their
     claimed Gaussian forms."""
-    n_samples = _require_integer("n_samples", n_samples)
-    if n_samples < 10_000:
-        raise ParameterError(f"n_samples must be >= 10000, got {n_samples}")
+    n_samples = _require_integer("n_samples", n_samples, MIN_TRIALS)
     power, s2 = params.max_pilot_power, params.legit_channel_var
     if power <= 0.0:
         raise ParameterError("max_pilot_power must be > 0 to verify the defense")

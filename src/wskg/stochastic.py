@@ -143,18 +143,14 @@ def sample_complex_gaussian(variance: float, count: int, seed: RngSeed) -> np.nd
     Each of the real and imaginary parts carries half the requested variance.
     """
     variance = _require_real("variance", variance, positive=True)
-    count = _require_integer("count", count)
-    if count < 0:
-        raise ParameterError(f"count must be >= 0, got {count}")
+    count = _require_integer("count", count, 0)
     return _complex_normal(seed.generator(), variance, count)
 
 
 def sample_qpsk_pilot(pilot_power: float, count: int, seed: RngSeed) -> np.ndarray:
     """i.i.d. random pilots with |X|^2 = pilot_power and zero mean."""
     pilot_power = _require_real("pilot_power", pilot_power)
-    count = _require_integer("count", count)
-    if count < 0:
-        raise ParameterError(f"count must be >= 0, got {count}")
+    count = _require_integer("count", count, 0)
     return _qpsk(seed.generator(), pilot_power, count)
 
 
@@ -197,6 +193,9 @@ class KsReport:
 
 #: p-value at or below which a self-checking command rejects its KS test.
 KS_SIGNIFICANCE = 0.001
+
+#: Fewest trials or samples a covariance or KS estimate is drawn from.
+MIN_TRIALS = 10_000
 
 
 def ks_test_normal(

@@ -122,6 +122,12 @@ EXIT_CONTRACT = [Row(*row) for row in [
      "error: n_trials must be >= 10000 for covariance estimation, got 5"),
     ("zero-workers", ["leakage", "--trials", "10000", "--seed", "1", "--workers", "0"], 1,
      "error: workers must be >= 1, got 0"),
+    ("verify-too-few-trials", ["verify-randomization", "--trials", "5", "--seed", "1"], 1,
+     "error: n_samples must be >= 10000, got 5"),
+    ("one-step-sweep", ["sweep", "--variable", "gamma", "--lo", "0", "--hi", "8", "--steps", "1"], 1,
+     "error: steps must be >= 2, got 1"),
+    ("verify-zero-pilot-power", ["verify-randomization", "--trials", "10000", "--seed", "1", "--p-max", "0"], 1,
+     "error: max_pilot_power must be > 0 to verify the defense"),
     # Seeds and streams outside [0, 2**64), which Philox would reduce to one
     # inside. ``run`` rejects them before the command runs: oracle-check
     # before its leader-grid search loads numpy.

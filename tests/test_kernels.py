@@ -459,6 +459,8 @@ def test_pool_size_is_capped_by_workers_chunks_and_cpus(monkeypatch):
     assert injection.pool_size(None, 15_259) == 64
     with pytest.raises(ParameterError, match="workers must be >= 1"):
         injection.pool_size(0, 3)
+    with pytest.raises(ParameterError, match="^workers must be >= 1, got 0$"):
+        injection.pool_size(np.int64(0), 3)
     with pytest.raises(ParameterError, match="^workers must be an integer, got 1.5$"):
         injection.pool_size(1.5, 3)
 

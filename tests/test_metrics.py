@@ -275,7 +275,7 @@ def test_sweep_validation(ref_params):
         sweep(ref_params, "bogus", 0.0, 1.0, 10)
     with pytest.raises(ParameterError):
         sweep(ref_params, "p_max", 5.0, 1.0, 10)
-    with pytest.raises(ParameterError):
+    with pytest.raises(ParameterError, match="^steps must be >= 2, got 1$"):
         sweep(ref_params, "p_max", 1.0, 5.0, 1)
     with pytest.raises(ParameterError, match="^steps must be an integer, got 3.5$"):
         sweep(ref_params, "p_max", 2.0, 3.0, 3.5)

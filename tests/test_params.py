@@ -1,8 +1,11 @@
+import ast
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import wskg
 from wskg import (
     ALLOCATION_SUM_RTOL,
     EquilibriumResult,
@@ -221,3 +224,31 @@ def test_generator_accepts_both_ends_of_the_range():
     seed = RngSeed(np.uint64(top), np.uint64(top))
     assert [type(word) for word in seed] == [int, int]
     assert seed.generator().random() == draws[3]
+
+
+def test_every_integer_floor_is_checked_by_require_integer():
+    """A ``ParameterError`` f-string saying ``must be >= `` is raised only in
+    ``params``, so each count's floor goes through ``_require_integer``.
+    ``cli.run``'s ``trials`` imports no private name, and ``mi_from_gram``'s
+    count is a float read from a Gram matrix."""
+    exempt = {("cli.py", "run"), ("injection.py", "mi_from_gram")}
+
+    def floors(node, scope=None):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.FunctionDef):
+                yield from floors(child, child.name)
+                continue
+            if (isinstance(child, ast.Raise) and isinstance(child.exc, ast.Call)
+                    and getattr(child.exc.func, "id", None) == "ParameterError"
+                    and any(isinstance(part, ast.Constant) and "must be >= " in part.value
+                            for arg in child.exc.args if isinstance(arg, ast.JoinedStr)
+                            for part in arg.values)):
+                yield scope, child.lineno
+            yield from floors(child, scope)
+
+    sites = [
+        (path.name, scope, line)
+        for path in sorted(Path(wskg.__file__).parent.glob("*.py")) if path.name != "params.py"
+        for scope, line in floors(ast.parse(path.read_text(encoding="utf-8")))
+    ]
+    assert [site for site in sites if site[:2] not in exempt] == []

@@ -147,6 +147,8 @@ def test_all_four_real_products_are_gaussian():
 def test_verify_randomization_validation():
     with pytest.raises(ParameterError):
         verify_randomization(make_params(), 5000, SEED)
+    with pytest.raises(ParameterError, match="^n_samples must be >= 10000, got 9999$"):
+        verify_randomization(make_params(), 9_999, SEED)
     for bad in (1e4, "20000"):
         with pytest.raises(ParameterError, match=f"^n_samples must be an integer, got {bad!r}$"):
             verify_randomization(make_params(), bad, SEED)
