@@ -112,7 +112,7 @@ class TwoLookBatch:
     appears identically in both observations; with randomized probing each
     look holds it multiplied by that party's pilot. ``resampled`` is always
     0: no kernel redraws a trial. Only the benchmark's trace still reads it,
-    and it goes with that read (ROADMAP item 1).
+    and it goes with that read (ROADMAP item 1b).
     """
 
     z_a: np.ndarray

@@ -194,7 +194,8 @@ class KsReport:
 #: p-value at or below which a self-checking command rejects its KS test.
 KS_SIGNIFICANCE = 0.001
 
-#: Fewest trials or samples a covariance or KS estimate is drawn from.
+#: Fewest trials the Gaussian MI estimate (``injection.mi_from_gram``) and
+#: the KS tests (``randomization.verify_randomization``) are drawn from.
 MIN_TRIALS = 10_000
 
 

@@ -104,13 +104,26 @@ EXIT_CONTRACT = [Row(*row) for row in [
     # An empty path names no file: it must not fall back to stdout.
     ("empty-output-path", ["solve-fixed", "--output", ""], 1,
      "wskg solve-fixed: error: argument --output: the path is empty"),
+    ("output-is-a-directory", ["solve-fixed", "--output", "."], 1,
+     "wskg solve-fixed: error: argument --output: '.' is a directory"),
     # Invalid configurations.
     ("invalid-parameter", ["solve-fixed", "--p-max", "-3"], 1, "error: max_pilot_power must be >= 0, got -3.0"),
     # A negative number in exponent form is a value, not an unknown option.
     ("negative-exponent-value", ["solve-fixed", "--p-max", "-1e5"], 1,
      "error: max_pilot_power must be >= 0, got -100000.0"),
+    ("output-into-missing-directory", ["solve-fixed", "--output", "/nonexistent-wskg/x.json"], 1,
+     "error: cannot write /nonexistent-wskg/x.json: No such file or directory"),
+    # A sweep checks its field's domain at lo, the grid's smallest value.
+    *((f"sweep-{variable}-from-minus-{lo[1:]}", ["sweep", "--variable", variable, "--lo", lo, "--hi", "5", "--steps", "10"],
+       1, f"error: {message}") for variable, lo, message in [
+        ("p_max", "-1", "max_pilot_power must be >= 0, got -1.0"),
+        ("gamma", "-1", "jam_power_budget must be >= 0, got -1.0"),
+        ("gamma", "-1e-300", "jam_power_budget must be >= 0, got -1e-300"),
+        ("p_th", "-1", "sense_threshold must be >= 0, got -1.0"),
+        ("sigma2", "-1", "legit_channel_var must be > 0, got -1.0")]),
     ("invalid-sweep-range", ["sweep", "--variable", "p_max", "--lo", "5", "--hi", "1", "--steps", "10"], 1,
      "error: need lo < hi, got lo=5.0, hi=1.0"),
+    # A ZeroEquilibriumPayoff exits 1 through its base, ParameterError.
     ("zero-payoff", ["sweep", "--variable", "p_max", "--lo", "0", "--hi", "1", "--steps", "2"], 1,
      "error: equilibrium payoff is zero; relative metrics are undefined"),
     *((f"zero-trials-{command}", [command, "--trials", "0", "--seed", "1"], 1, "error: trials must be >= 1, got 0")
@@ -149,6 +162,16 @@ EXIT_CONTRACT = [Row(*row) for row in [
      f"error: substreams {_U64 - 1} to {_U64 + 4} pass 2**64 - 1"),
     ("injection-wraps", ["simulate-injection", "--seed", "1", "--stream", str(_U64 - 2), "--trials", "140001"], 1,
      f"error: substreams {_U64 - 2} to {_U64} pass 2**64 - 1"),
+    # Runs that finish. A self-check exits 0 only when it accepts: oracle-check
+    # at the default size, 1024 subcarriers and one-candidate sample blocks;
+    # verify-randomization one past a 16384-value KS block and a 16384-bit
+    # pilot block, at several blocks of an odd size, and at the benchmark's size.
+    ("injection-runs", ["simulate-injection", "--trials", "10000", "--seed", "1"], 0, ""),
+    ("oracle-default-size", ["oracle-check", "--seed", "11", "--trials", "2000"], 0, ""),
+    ("oracle-1024-subcarriers", ["oracle-check", "--n", "1024", "--trials", "2000", "--seed", "1"], 0, ""),
+    ("oracle-16385-subcarriers", ["oracle-check", "--n", "16385", "--trials", "3", "--seed", "1"], 0, ""),
+    *((f"verify-{trials}-trials", ["verify-randomization", "--trials", trials, "--seed", "1"], 0, "")
+      for trials in ("16385", "140001", "1000000")),
     # Half the smallest subnormal budget rounds to a threshold of 0, below it.
     ("subnormal-budget", ["solve-strategic", "--p-max", "5e-324"], 0, ""),
     # Huge budgets: each run either succeeds or fails on a non-finite
@@ -205,8 +228,11 @@ EXIT_CONTRACT = [Row(*row) for row in [
         (GOLDEN / "oracle-check-n37.json",
          ["oracle-check", "--n", "37", "--p-max", "1.5", "--trials", "20000", "--seed", "3"]),
     ]),
-    # A sweep from -0 prints the sweep from 0's bytes.
-    ("sweep-gamma-from-minus-0", workloads.sweep_argv("gamma", "-0", "8"), 0, "", workloads.GOLDEN / "sweep-gamma.csv"),
+    # The default budget spelled out prints the default's bytes, and a sweep
+    # from -0 or -0e0 the sweep from 0's: a negative number is a value.
+    ("golden-solve-fixed-p-max-5", ["solve-fixed", "--p-max", "5"], 0, "", workloads.GOLDEN / "solve-fixed.json"),
+    *((f"sweep-gamma-from-minus-{lo[1:]}", workloads.sweep_argv("gamma", lo, "8"), 0, "",
+       workloads.GOLDEN / "sweep-gamma.csv") for lo in ("-0", "-0e0")),
 ]]
 
 def runs_without_numpy(row):

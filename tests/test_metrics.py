@@ -107,26 +107,6 @@ def test_sweep_rows_match_pointwise_sum_rates(ref_params, variable):
         assert row.e == row.f
 
 
-@pytest.mark.parametrize(
-    "variable, lo, message",
-    [
-        ("p_max", "-1", "max_pilot_power must be >= 0, got -1.0"),
-        ("gamma", "-1", "jam_power_budget must be >= 0, got -1.0"),
-        ("gamma", "-1e-300", "jam_power_budget must be >= 0, got -1e-300"),
-        ("p_th", "-1", "sense_threshold must be >= 0, got -1.0"),
-        ("sigma2", "-1", "legit_channel_var must be > 0, got -1.0"),
-        # A ZeroEquilibriumPayoff exits 1 through its base, ParameterError.
-        ("p_max", "0", "equilibrium payoff is zero; relative metrics are undefined"),
-    ],
-)
-def test_sweep_rejects_out_of_domain_swept_values(capsys, variable, lo, message):
-    code = main(["sweep", "--variable", variable, "--lo", lo, "--hi", "5", "--steps", "10"])
-    captured = capsys.readouterr()
-    assert code == 1
-    assert captured.out == ""
-    assert captured.err == f"error: {message}\n"
-
-
 def test_metrics_require_positive_equilibrium_payoff():
     with pytest.raises(ZeroEquilibriumPayoff):
         row_at(params_with(0.0))
@@ -315,30 +295,35 @@ def test_sweep_reports_its_first_failing_point(ref_params, lo, error, message):
     assert str(caught.value) == message
 
 
-def test_non_finite_full_power_payoff_is_named(capsys):
+def test_non_finite_full_power_payoff_is_named():
     # At a budget of 1e200 the full-power payoff is inf / inf = nan, while the
-    # threshold payoff, the equilibrium's below the knee, is finite.
+    # threshold payoff, the equilibrium's below the knee, is finite. The
+    # contract row non-finite-full-power-payoff runs the CLI at this point.
     params = params_with(1e200)
     with pytest.raises(NumericalError) as caught:
         sweep(params, "gamma", 6e199, 7e199, 2)
     assert str(caught.value) == "full-power payoff is not finite: nan"
-    code = main(["sweep", "--variable", "gamma", "--lo", "6e199", "--hi", "7e199",
-                 "--steps", "2", "--p-max", "1e200"])
+
+
+def test_metric_out_of_range_is_a_numerical_failure(capsys, monkeypatch):
+    # Full power paying twice the equilibrium puts f at -1, below the slack.
+    monkeypatch.setattr("wskg.metrics._fixed_payoffs", lambda *args: (1.0, 2.0, 1.0, True, False))
+    code = main(["sweep", "--variable", "gamma", "--lo", "0", "--hi", "8", "--steps", "2"])
     captured = capsys.readouterr()
-    assert code == 2
-    assert captured.out == ""
-    assert captured.err == "numerical failure: full-power payoff is not finite: nan\n"
+    assert (code, captured.out, captured.err) == (2, "", "numerical failure: metric f out of [0, 1]: -1.0\n")
 
 
-def test_knife_edge_disagreement_is_reported_before_earlier_failures(ref_params, monkeypatch):
+def test_knife_edge_disagreement_is_reported_before_earlier_failures(capsys, ref_params, monkeypatch):
     # A knife-edge band of 10% puts 9.0 on the edge, where the two tied
     # payoffs differ; every point is solved before the zero payoff at 0 is
     # checked.
     monkeypatch.setattr(game, "BOUNDARY_RTOL", 0.1)
     threshold = sum_rate(2.0, PowerAllocation.silent(ref_params), ref_params)
     full = sum_rate(9.0, PowerAllocation.uniform(ref_params), ref_params)
+    message = f"tied equilibria disagree on payoff: {threshold} vs {full}"
     with pytest.raises(NumericalError) as caught:
         sweep(ref_params, "p_max", 0.0, 20.0, 41)
-    assert str(caught.value) == f"tied equilibria disagree on payoff: {threshold} vs {full}"
+    assert str(caught.value) == message
     code = main(["sweep", "--variable", "p_max", "--lo", "0", "--hi", "20", "--steps", "41"])
-    assert code == 2
+    captured = capsys.readouterr()
+    assert (code, captured.out, captured.err) == (2, "", f"numerical failure: {message}\n")
