@@ -107,6 +107,22 @@ def test_sweep_rows_match_pointwise_sum_rates(ref_params, variable):
         assert row.e == row.f
 
 
+# The other out-of-domain sweeps are EXIT_CONTRACT rows in cli_contract.py.
+@pytest.mark.parametrize(
+    "variable, lo, message",
+    [
+        # A ZeroEquilibriumPayoff exits 1 through its base, ParameterError.
+        ("p_max", "0", "equilibrium payoff is zero; relative metrics are undefined"),
+    ],
+)
+def test_sweep_rejects_out_of_domain_swept_values(capsys, variable, lo, message):
+    code = main(["sweep", "--variable", variable, "--lo", lo, "--hi", "5", "--steps", "10"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
 def test_metrics_require_positive_equilibrium_payoff():
     with pytest.raises(ZeroEquilibriumPayoff):
         row_at(params_with(0.0))
