@@ -24,7 +24,15 @@ import numpy as np
 
 from .errors import NumericalError, ParameterError
 from .params import RngSeed, SystemParams, _require_integer
-from .stochastic import MIN_TRIALS, _complex_normal, _qpsk, gaussian_mi_from_cov
+from .stochastic import (
+    DRAW_BLOCK,
+    MIN_TRIALS,
+    _complex_normal,
+    _qpsk_indices,
+    _qpsk_points,
+    _take_points,
+    gaussian_mi_from_cov,
+)
 
 #: Monte Carlo trials per chunk. :func:`chunked_grams` draws chunk ``i`` of
 #: kernel ``k`` from substream ``stream + k * chunks + i``, so ``leakage``'s
@@ -44,7 +52,8 @@ def coincidence_precoder(h_a2, h_b2, denom, scratch=None):
     probability one; a zero ``denom`` gives non-finite values, which the
     callers' finiteness checks reject.
     Returns ``(ratio, norm)``, computed in place: ``ratio`` overwrites
-    ``h_b2``, and ``norm`` is written into ``scratch`` when given.
+    ``h_b2``, and ``norm`` is written into ``scratch`` when given, which may
+    lie over ``denom``: ``denom`` is read in full first.
     """
     ratio = np.subtract(h_b2, h_a2, out=h_b2)
     ratio /= denom
@@ -53,17 +62,20 @@ def coincidence_precoder(h_a2, h_b2, denom, scratch=None):
     return ratio, np.sqrt(norm, out=norm)
 
 
-#: The arrays of one buffer set: key -> (offset in bytes per trial, dtype,
-#: values per trial). Keys 0 to 5 are complex slots; every kernel leaves its
-#: results in slots 0 to 2, and the Gram rows lie over slots 3 to 5 and
-#: ``scratch``.
+#: The per-trial arrays of one buffer set: key -> (offset in bytes per
+#: trial, dtype, values per trial). Keys 0 to 4 are complex slots; every
+#: kernel leaves its results (``injected``, ``z_a``, ``z_b``) in slots 2 to
+#: 4. ``x_index`` and ``y_index`` hold the randomized kernel's pilots as
+#: point indices, one byte each. The Gram rows lie over slots 0 to 3, so
+#: :func:`gram` overwrites the batch it reduces.
 _BUFFER_LAYOUT = {
-    **{key: (16 * key, complex, 1) for key in range(6)},
-    "gram": (48, float, 7),
-    "scratch": (96, float, 1),
+    **{key: (16 * key, complex, 1) for key in range(5)},
+    "x_index": (80, np.uint8, 1),
+    "y_index": (81, np.uint8, 1),
+    "gram": (0, float, 7),
 }
 
-#: Bytes per trial of one buffer set: six complex slots and ``scratch``.
+#: Bytes per trial of one buffer set: five complex slots and two index bytes.
 BUFFER_BYTES_PER_TRIAL = max(offset + np.dtype(dtype).itemsize * count
                              for offset, dtype, count in _BUFFER_LAYOUT.values())
 
@@ -71,24 +83,30 @@ BUFFER_BYTES_PER_TRIAL = max(offset + np.dtype(dtype).itemsize * count
 class ChunkBuffers:
     """Work arrays for Monte Carlo chunks of up to ``size`` trials.
 
-    Every array of ``_BUFFER_LAYOUT`` is a view into one allocation of
-    ``BUFFER_BYTES_PER_TRIAL`` bytes per trial, so repeated calls reuse one
-    heap block instead of faulting in fresh pages per array. ``take`` hands
-    out the first ``n`` trials of one of them, so a set serves chunk after
-    chunk. Arrays that overlap are never live at once: a kernel reuses a
-    slot only once the slot's previous contents are dead.
+    One allocation holds ``draw``, the block of reals through which every
+    Gaussian is drawn (``DRAW_BLOCK`` of them, or ``size`` rounded up to
+    even when that is fewer, so that it holds whole complex values), and
+    then every array of ``_BUFFER_LAYOUT``, ``BUFFER_BYTES_PER_TRIAL``
+    bytes per trial. So repeated calls reuse one heap block instead of
+    faulting in fresh pages per array. ``take`` hands out the first ``n``
+    trials of one of them, so a set serves chunk after chunk. Arrays that
+    overlap are never live at once: a kernel reuses a slot only once the
+    slot's previous contents are dead.
     """
 
     def __init__(self, size: int) -> None:
         self.size = size
-        self._block = np.empty(BUFFER_BYTES_PER_TRIAL * size, dtype=np.uint8)
+        draw_bytes = 8 * min(size + size % 2, DRAW_BLOCK)
+        block = np.empty(draw_bytes + BUFFER_BYTES_PER_TRIAL * size, dtype=np.uint8)
+        self.draw = block[:draw_bytes].view(float)
+        self._trials = block[draw_bytes:]
 
     def take(self, key, n: int) -> np.ndarray:
         """First ``n`` trials of the array under ``key``: a C-contiguous
         ``(values per trial, n)`` block when that is more than one."""
         offset, dtype, per_trial = _BUFFER_LAYOUT[key]
         start = offset * self.size
-        view = self._block[start : start + np.dtype(dtype).itemsize * per_trial * n].view(dtype)
+        view = self._trials[start : start + np.dtype(dtype).itemsize * per_trial * n].view(dtype)
         return view.reshape(per_trial, n) if per_trial > 1 else view
 
 
@@ -99,9 +117,8 @@ def _injected_variance(params: SystemParams) -> float:
 
 def _draw(rng, buffers: ChunkBuffers, key: int, variance: float, n_trials: int) -> np.ndarray:
     """``n_trials`` complex normal draws into slot ``key``, through the set's
-    scratch array."""
-    scratch = buffers.take("scratch", n_trials)
-    return _complex_normal(rng, variance, n_trials, buffers.take(key, n_trials), scratch)
+    draw block."""
+    return _complex_normal(rng, variance, n_trials, buffers.take(key, n_trials), buffers.draw)
 
 
 @dataclass(frozen=True)
@@ -150,21 +167,24 @@ def simulate_two_look(
     entry_var = params.jam_channel_var / 2.0
     if buffers is None:
         buffers = ChunkBuffers(n_trials)
-    scratch = buffers.take("scratch", n_trials)
-    h = _draw(rng, buffers, 3, params.legit_channel_var, n_trials)
-    h_a1, h_a2, h_b1, h_b2 = (_draw(rng, buffers, key, entry_var, n_trials) for key in (0, 4, 5, 1))
+    # Slots: h in 0; h_b1, then denom and norm, in 1; h_a1, then injected,
+    # in 2; h_a2, then z_a, in 3; h_b2, then ratio and z_b, in 4.
+    h, h_a1, h_a2, h_b1 = (_draw(rng, buffers, key, variance, n_trials) for key, variance in
+                           ((0, params.legit_channel_var), (2, entry_var), (3, entry_var), (1, entry_var)))
+    denom = np.subtract(h_a1, h_b1, out=h_b1)
+    h_b2 = _draw(rng, buffers, 4, entry_var, n_trials)
 
     # In place: injected = 2 sqrt(budget) (h_a1 ratio + h_a2) / norm xj.
-    denom = np.subtract(h_a1, h_b1, out=buffers.take(2, n_trials))
-    ratio, norm = coincidence_precoder(h_a2, h_b2, denom, scratch)
+    # norm's reals lie over denom, which is dead once it has divided ratio.
+    ratio, norm = coincidence_precoder(h_a2, h_b2, denom, denom.view(float)[:n_trials])
     injected = np.multiply(h_a1, ratio, out=h_a1)
     injected += h_a2
     injected /= norm
     np.multiply(2.0 * math.sqrt(params.jam_power_budget), injected, out=injected)
     injected *= 1.0 + 0.0j  # the attack symbol xj; the product sets the sign of zero parts
 
-    # The ratio and denom are dead: the noises reuse their slots.
-    z_a, z_b = (_draw(rng, buffers, key, 1.0, n_trials) for key in (1, 2))
+    # h_a2 and the ratio are dead: the noises reuse their slots.
+    z_a, z_b = (_draw(rng, buffers, key, 1.0, n_trials) for key in (3, 4))
     common = np.add(np.multiply(math.sqrt(params.max_pilot_power), h, out=h), injected, out=h)
     z_a += common
     z_b += common
@@ -188,21 +208,40 @@ def randomize_trials(
     rng = seed.generator()
     if buffers is None:
         buffers = ChunkBuffers(n_trials)
-    scratch = buffers.take("scratch", n_trials)
-    x, y = (_qpsk(rng, params.max_pilot_power, n_trials, buffers.take(key, n_trials), scratch)
-            for key in (3, 4))
-    h = _draw(rng, buffers, 1, params.legit_channel_var, n_trials)
+    power = params.max_pilot_power
+    points = _qpsk_points(power)
+    # Slots: x, then y w, noise_a and noise_b, in 0; y in 1; w in 2; h,
+    # then z_a, in 3; z_b in 4. The pilots' point indices have bytes of
+    # their own.
+    x_index, y_index = (_qpsk_indices(rng, power, n_trials, buffers.take(key, n_trials))
+                        for key in ("x_index", "y_index"))
+    x = _take_points(points, x_index, buffers.take(0, n_trials))
+    y = _take_points(points, y_index, buffers.take(1, n_trials))
+    h = _draw(rng, buffers, 3, params.legit_channel_var, n_trials)
     # In place, in the operation order of z_a = x y h + x w + x noise_a, etc.
-    # Each of w, noise_a and noise_b is drawn once a slot is free for it.
-    z_b = np.multiply(x, y, out=buffers.take(2, n_trials))
+    # Each of w, noise_a and noise_b is drawn once a slot is free for it;
+    # each product keeps its pilot as the first operand, as the plain
+    # expressions do.
+    z_b = np.multiply(x, y, out=buffers.take(4, n_trials))
     z_b *= h
-    w = _draw(rng, buffers, 0, _injected_variance(params), n_trials)
+    w = _draw(rng, buffers, 2, _injected_variance(params), n_trials)
     z_a = np.multiply(x, w, out=h)
     z_a += z_b
-    noise_a = _draw(rng, buffers, 5, 1.0, n_trials)
-    z_a += np.multiply(x, noise_a, out=noise_a)
-    z_b += np.multiply(y, w, out=noise_a)
-    noise_b = _draw(rng, buffers, 3, 1.0, n_trials)  # x is dead
+    z_b += np.multiply(y, w, out=x)
+    noise_a = _draw(rng, buffers, 0, 1.0, n_trials)
+    # x's slot now holds noise_a, so x is taken again from its indices, in
+    # blocks that fit the draw block as complex values. numpy multiplies a
+    # lone complex value in place without its SIMD loop, which rounds
+    # differently, so the blocks split the trials evenly: none holds a
+    # single trial unless the batch does.
+    block = buffers.draw.view(complex)
+    n_blocks = -(-n_trials // block.size)
+    edges = [n_trials * i // n_blocks for i in range(n_blocks + 1)]
+    for start, stop in zip(edges, edges[1:]):
+        noise = noise_a[start:stop]
+        x_part = _take_points(points, x_index[start:stop], block[: stop - start])
+        z_a[start:stop] += np.multiply(x_part, noise, out=noise)
+    noise_b = _draw(rng, buffers, 0, 1.0, n_trials)
     z_b += np.multiply(y, noise_b, out=noise_b)
     return TwoLookBatch(z_a=z_a, z_b=z_b, injected=w)
 
@@ -217,7 +256,11 @@ def gram(batch: TwoLookBatch, buffers: Optional[ChunkBuffers] = None) -> np.ndar
     :func:`simulate_two_look` and the post-multiplied looks of
     :func:`randomize_trials`.
     The stacked coordinates are written into ``buffers`` when given, over
-    slots 3 to 5 and ``scratch``, so the batch must lie in slots 0 to 2.
+    the batch that a kernel left there, so the batch is overwritten. The
+    rows lie over slots 0 to 3 and are written in order, so each one lands
+    only on values that earlier rows have already read: rows 4 and 5 on
+    ``injected``'s slot 2, row 6 on ``z_a``'s slot 3. This holds for any
+    batch of up to the set's size.
     Overflow is silent here: :func:`mi_from_gram` rejects a non-finite matrix.
     """
     n = batch.injected.size
@@ -308,15 +351,18 @@ def chunked_grams(
 @np.errstate(over="ignore", invalid="ignore")
 def covariance(g: np.ndarray) -> np.ndarray:
     """Sample covariance, divided by ``n - 1``, of the coordinates of a
-    (summed) :func:`gram` matrix of ``n`` trials.
+    (summed) :func:`gram` matrix of ``n >= MIN_TRIALS`` trials: every
+    Monte Carlo statistic is read from it.
 
     Subtracting the outer product of the sums from the raw moments is
     accurate here because every coordinate is zero-mean by construction.
     Overflow is silent here: callers reject a non-finite covariance.
     """
     n_trials = g[0, 0]
-    if n_trials < 2:
-        raise ParameterError(f"a sample covariance needs >= 2 trials, got {int(n_trials)}")
+    if n_trials < MIN_TRIALS:
+        raise ParameterError(
+            f"n_trials must be >= {MIN_TRIALS} for covariance estimation, got {int(n_trials)}"
+        )
     sums = g[0, 1:]
     return (g[1:, 1:] - np.outer(sums, sums) / n_trials) / (n_trials - 1.0)
 
@@ -340,11 +386,6 @@ def static_stage(params: SystemParams, n_trials: int, total: np.ndarray) -> dict
 def mi_from_gram(g: np.ndarray) -> float:
     """Gaussian MI estimate, in bits, between the injected value and both
     looks, from the :func:`covariance` of a (summed) :func:`gram` matrix."""
-    n_trials = g[0, 0]
-    if n_trials < MIN_TRIALS:
-        raise ParameterError(
-            f"n_trials must be >= {MIN_TRIALS} for covariance estimation, got {int(n_trials)}"
-        )
     cov = covariance(g)
     if not np.isfinite(cov).all():
         raise NumericalError("moment matrix is not finite")
@@ -363,7 +404,7 @@ def leakage_check(params: SystemParams, trials: int, seed: RngSeed, workers: Opt
     :func:`mi_from_gram` estimates, from one :func:`chunked_grams` pool whose
     randomized chunks continue on the substreams after the static ones."""
     stages = chunked_grams(params, trials, seed, (simulate_two_look, randomize_trials), workers)
-    # The estimates come first: they reject too few trials and a non-finite matrix.
+    # The estimates come first: they reject a non-finite matrix.
     static_bits, randomized_bits = map(mi_from_gram, stages)
     return {**static_stage(params, trials, stages[0]), "static_pilot_leakage_bits": static_bits,
             "randomized_pilot_leakage_bits": randomized_bits}

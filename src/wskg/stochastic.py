@@ -20,6 +20,11 @@ from .params import _require_integer, _require_real
 _LN2 = math.log(2.0)
 
 
+#: Real values per block of :func:`_complex_normal`'s draws: 256 KB, the
+#: most draw scratch a Monte Carlo buffer set holds, whatever its size.
+DRAW_BLOCK = 1 << 15
+
+
 def _complex_normal(
     rng: np.random.Generator,
     variance: float,
@@ -29,18 +34,23 @@ def _complex_normal(
 ) -> np.ndarray:
     """Circularly-symmetric complex normal draws; variance 0 yields zeros.
 
-    Writes into ``out`` and draws through ``scratch`` (``count`` complex and
-    real entries) when given; allocates them otherwise. The real parts are
-    drawn first, then the imaginary parts, by :func:`_scaled_normal`.
+    Writes into ``out`` (``count`` complex entries) when given, and
+    allocates it otherwise. The real parts are drawn first, then the
+    imaginary parts, by :func:`_scaled_normal`, ``DRAW_BLOCK`` values at a
+    time through ``scratch`` (at least ``min(count, DRAW_BLOCK)`` real
+    entries, allocated when not given). Split draws give the bits of one
+    whole draw, so no ``count``-length real array is needed.
     """
     out = np.empty(count, dtype=complex) if out is None else out
     if variance == 0.0:
         out.fill(0.0)
         return out
     scale = math.sqrt(variance / 2.0)
-    z = np.empty(count) if scratch is None else scratch
-    out.real = _scaled_normal(rng, scale, z)
-    out.imag = _scaled_normal(rng, scale, z)
+    block = np.empty(min(count, DRAW_BLOCK)) if scratch is None else scratch
+    for part in (out.real, out.imag):
+        for start in range(0, count, DRAW_BLOCK):
+            values = part[start : start + DRAW_BLOCK]
+            values[...] = _scaled_normal(rng, scale, block[: values.size])
     return out
 
 
@@ -109,30 +119,43 @@ def _pilot_indices(
     return index
 
 
-def _qpsk(
-    rng: np.random.Generator,
-    power: float,
-    count: int,
-    out: Optional[np.ndarray] = None,
-    scratch: Optional[np.ndarray] = None,
+def _qpsk_indices(
+    rng: np.random.Generator, power: float, count: int, out: Optional[np.ndarray] = None
 ) -> np.ndarray:
-    """Uniform draws from the four constant-modulus points +-r +-jr, r=sqrt(power/2).
+    """Indices into ``_qpsk_points(power)`` of ``count`` QPSK pilots: the
+    draws of :func:`_pilot_indices`, or zeros, drawing nothing, at power 0.
+    Written into ``out`` when given, and into bytes otherwise."""
+    if power != 0.0:
+        return _pilot_indices(rng, count, out)
+    index = np.empty(count, dtype=np.uint8) if out is None else out
+    index.fill(0)
+    return index
 
-    Writes into ``out`` and keeps the point indices in the bytes of
-    ``scratch`` (``count`` complex and real entries) when given; allocates
-    them otherwise.
+
+def _take_points(points: np.ndarray, index: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """``points[index]`` into ``out``, ``PILOT_BLOCK`` indices at a time.
+
+    ``np.take`` copies indices of any other type to ``intp``; in blocks,
+    byte indices cost one 128 KB copy instead of 8 bytes per index.
     """
-    out = np.empty(count, dtype=complex) if out is None else out
-    if power == 0.0:
-        out.fill(0.0)
-        return out
-    scratch = np.empty(count) if scratch is None else scratch
-    index = _pilot_indices(rng, count, scratch.view(np.intp)[:count])
-    return np.take(_qpsk_points(power), index, out=out, mode="clip")  # mode "raise" copies through a buffer
+    for start in range(0, index.size, PILOT_BLOCK):
+        block = slice(start, start + PILOT_BLOCK)
+        np.take(points, index[block], out=out[block], mode="clip")  # mode "raise" copies through a buffer
+    return out
+
+
+def _qpsk(rng: np.random.Generator, power: float, count: int) -> np.ndarray:
+    """Uniform draws from the four constant-modulus points +-r +-jr,
+    r=sqrt(power/2): :func:`_qpsk_indices` taken from :func:`_qpsk_points`."""
+    index = _qpsk_indices(rng, power, count)
+    return _take_points(_qpsk_points(power), index, np.empty(count, dtype=complex))
 
 
 def _qpsk_points(power: float) -> np.ndarray:
-    """The four points +-r +-jr, indexed by 2 * (real part > 0) + (imag part > 0)."""
+    """The four points +-r +-jr, indexed by 2 * (real part > 0) + (imag part > 0).
+    At power 0 all four are ``0j``, as the pilots drawn at that power are."""
+    if power == 0.0:
+        return np.zeros(4, dtype=complex)
     r = math.sqrt(power / 2.0)
     return np.array([complex(-r, -r), complex(-r, r), complex(r, -r), complex(r, r)])
 
@@ -194,7 +217,8 @@ class KsReport:
 #: p-value at or below which a self-checking command rejects its KS test.
 KS_SIGNIFICANCE = 0.001
 
-#: Fewest trials the Gaussian MI estimate (``injection.mi_from_gram``) and
+#: Fewest trials every Monte Carlo covariance (``injection.covariance``,
+#: under both leakage estimates and ``simulate-injection``'s statistics) and
 #: the KS tests (``randomization.verify_randomization``) are drawn from.
 MIN_TRIALS = 10_000
 

@@ -128,9 +128,11 @@ EXIT_CONTRACT = [Row(*row) for row in [
      "error: equilibrium payoff is zero; relative metrics are undefined"),
     *((f"zero-trials-{command}", [command, "--trials", "0", "--seed", "1"], 1, "error: trials must be >= 1, got 0")
       for command in ("verify-randomization", "simulate-injection", "leakage", "oracle-check")),
-    # One sample has no sample variance: no success with variances of 0.
+    # simulate-injection's covariances need as many trials as leakage's estimates.
     ("one-trial-injection", ["simulate-injection", "--trials", "1", "--seed", "1"], 1,
-     "error: a sample covariance needs >= 2 trials, got 1"),
+     "error: n_trials must be >= 10000 for covariance estimation, got 1"),
+    ("injection-too-few-trials", ["simulate-injection", "--trials", "9999", "--seed", "1"], 1,
+     "error: n_trials must be >= 10000 for covariance estimation, got 9999"),
     ("leakage-too-few-trials", ["leakage", "--trials", "5", "--seed", "1"], 1,
      "error: n_trials must be >= 10000 for covariance estimation, got 5"),
     ("zero-workers", ["leakage", "--trials", "10000", "--seed", "1", "--workers", "0"], 1,

@@ -34,7 +34,15 @@ from wskg import injection
 from wskg.randomization import VERIFY_BLOCK, RandomizationReport
 from wskg import kstest
 from wskg.kstest import cdf_bulk, kolmogorov_sf, ndtr
-from wskg.stochastic import PILOT_BLOCK, VARIANCE_LEAF, KsReport, _complex_normal, _qpsk, _variance
+from wskg.stochastic import (
+    DRAW_BLOCK,
+    PILOT_BLOCK,
+    VARIANCE_LEAF,
+    KsReport,
+    _complex_normal,
+    _qpsk,
+    _variance,
+)
 
 SEED = RngSeed(2718, 5)
 SIZES = (10_000, 65_537)
@@ -42,6 +50,10 @@ SIZES = (10_000, 65_537)
 # draw of pilot bits starts on the spare 32-bit half of a Philox word that
 # the first leaves.
 PILOT_EDGES = (PILOT_BLOCK - 1, PILOT_BLOCK + 1)
+# Around one block of Gaussian draws. The randomized kernel takes its pilot
+# again in blocks of DRAW_BLOCK // 2 trials, so DRAW_BLOCK + 1 trials would
+# leave a block of one trial unless the blocks split the trials evenly.
+DRAW_EDGES = (DRAW_BLOCK - 1, DRAW_BLOCK, DRAW_BLOCK + 1)
 P_MAX = (1e-3, 0.37, 2.0, 5.0)
 
 
@@ -150,7 +162,7 @@ def make_params(p_max, gamma=3.0):
     return SystemParams(10, p_max, gamma, 2.0, 1.7, 0.6)
 
 
-@pytest.mark.parametrize("count", SIZES + PILOT_EDGES)
+@pytest.mark.parametrize("count", SIZES + PILOT_EDGES + DRAW_EDGES)
 @pytest.mark.parametrize("power", (0.0,) + P_MAX)
 def test_samplers_match_reference(count, power):
     assert same_bits(
@@ -160,7 +172,7 @@ def test_samplers_match_reference(count, power):
     assert same_bits(_qpsk(SEED.generator(), power, count), ref_qpsk(SEED.generator(), power, count))
 
 
-@pytest.mark.parametrize("n_trials", SIZES)
+@pytest.mark.parametrize("n_trials", SIZES + DRAW_EDGES)
 @pytest.mark.parametrize("gamma", (0.0, 3.0))
 @pytest.mark.parametrize("p_max", P_MAX)
 def test_simulate_two_look_matches_reference(n_trials, gamma, p_max):
@@ -173,7 +185,7 @@ def test_simulate_two_look_matches_reference(n_trials, gamma, p_max):
     assert batch.resampled == 0
 
 
-@pytest.mark.parametrize("n_trials", SIZES)
+@pytest.mark.parametrize("n_trials", SIZES + DRAW_EDGES)
 @pytest.mark.parametrize("gamma", (0.0, 3.0))
 @pytest.mark.parametrize("p_max", (0.0,) + P_MAX)
 def test_randomize_trials_matches_reference(n_trials, gamma, p_max):
@@ -381,11 +393,13 @@ def test_a_zero_precoder_denominator_gives_non_finite_moments(monkeypatch):
     # Bob's first-antenna gain set to Alice's on every other trial: each such
     # trial's injected value is NaN, silently, and the moments reject it.
     draw = injection._draw
+    drawn = []
 
     def coinciding(rng, buffers, key, variance, n_trials):
         values = draw(rng, buffers, key, variance, n_trials)
-        if key == 5:  # h_b1, drawn after h_a1 in slot 0
-            values[::2] = buffers.take(0, n_trials)[::2]
+        drawn.append(values)
+        if len(drawn) == 4:  # h_b1, drawn after h, h_a1 and h_a2
+            values[::2] = drawn[1][::2]
         return values
 
     monkeypatch.setattr(injection, "_draw", coinciding)
@@ -526,12 +540,12 @@ def peak_bytes_per_trial(fn, n):
 
 
 def test_randomize_trials_peak_memory_per_trial():
-    # Its 104-byte buffer set, the pilot indices kept in the set's scratch
-    # array and one 128 KB block of index bits: about 104.14 bytes per trial
-    # at 1e6.
+    # Its 82-byte buffer set with the pilots' point indices as bytes, the
+    # set's 256 KB draw block and one 128 KB block of index bits or of their
+    # intp copy: about 82.40 bytes per trial at 1e6.
     params = make_params(2.0)
     peak = peak_bytes_per_trial(lambda n: randomize_trials(params, n, SEED), 1_000_000)
-    assert peak <= 104.5
+    assert peak <= 82.5
 
 
 def test_verify_randomization_peak_memory_per_sample():
@@ -559,39 +573,55 @@ def test_verify_randomization_leaves_no_cycles():
         gc.enable()
 
 
-def test_full_chunk_buffer_set_is_104_bytes_per_trial():
+def test_full_chunk_buffer_set_is_82_bytes_per_trial_and_one_draw_block():
     tracemalloc.start()
     try:
         buffers = injection.ChunkBuffers(injection.CHUNK_TRIALS)
         size = tracemalloc.get_traced_memory()[0]
     finally:
         tracemalloc.stop()
-    assert injection.BUFFER_BYTES_PER_TRIAL * injection.CHUNK_TRIALS == 6_815_744
-    assert 6_815_744 <= size < 6_815_744 + 4096
+    assert injection.BUFFER_BYTES_PER_TRIAL * injection.CHUNK_TRIALS == 5_373_952
+    expected = 5_373_952 + 8 * DRAW_BLOCK
+    assert expected <= size < expected + 4096
+    assert buffers.draw.shape == (DRAW_BLOCK,)
     assert buffers.take("gram", injection.CHUNK_TRIALS).shape == (7, injection.CHUNK_TRIALS)
 
 
-@pytest.mark.parametrize("n_trials", (injection.CHUNK_TRIALS, ENGINE_TRIALS % injection.CHUNK_TRIALS))
+# The last Gram row that reads each result: injected fills rows 1 and 2,
+# z_a rows 3 and 4, z_b rows 5 and 6.
+LAST_ROW_READING = {"injected": 2, "z_a": 4, "z_b": 6}
+
+
+# A full chunk and 60001 trials in a full chunk's set overlay rows on
+# results; the last chunk of ENGINE_TRIALS, 18928 trials, does not.
+@pytest.mark.parametrize("n_trials, overlaid", [
+    pytest.param(n, overlaid, id=str(n)) for n, overlaid in (
+        (injection.CHUNK_TRIALS, True), (60_001, True), (ENGINE_TRIALS % injection.CHUNK_TRIALS, False),
+    )
+])
 @pytest.mark.parametrize("kernel", (simulate_two_look, randomize_trials))
-def test_gram_rows_overlay_no_result(kernel, n_trials):
-    # The Gram rows lie over the kernels' dead slots, never over their results.
+def test_gram_rows_overlay_no_result(kernel, n_trials, overlaid):
+    # The Gram rows overwrite the batch, but no row lies over a result that a
+    # later row still reads.
     params = make_params(2.0)
     buffers = injection.ChunkBuffers(injection.CHUNK_TRIALS)
     batch = kernel(params, n_trials, SEED, buffers)
-    results = (batch.z_a, batch.z_b, batch.injected)
     rows = buffers.take("gram", n_trials)
-    assert not any(np.shares_memory(rows, values) for values in results)
-    before = [values.copy() for values in results]
+    shared = [(i, name) for i, row in enumerate(rows) for name in LAST_ROW_READING
+              if np.shares_memory(row, getattr(batch, name))]
+    assert all(i > LAST_ROW_READING[name] for i, name in shared)
+    assert bool(shared) == overlaid
+    before = [values.copy() for values in (batch.z_a, batch.z_b, batch.injected)]
     assert same_bits(injection.gram(batch, buffers), ref_gram(*before))
-    assert all(same_bits(a, b) for a, b in zip(results, before))
 
 
 def test_simulate_two_look_peak_memory_per_trial():
-    # One 104-byte buffer set of its size and about 135 KB of temporaries
-    # whatever the size: about 104.67 bytes per trial at 2e5.
+    # One 82-byte buffer set of its size, its 256 KB draw block and about
+    # 135 KB of temporaries whatever the size: about 83.99 bytes per trial
+    # at 2e5.
     params = make_params(2.0)
     peak = peak_bytes_per_trial(lambda n: simulate_two_look(params, n, SEED), 200_000)
-    assert peak <= 105.5
+    assert peak <= 84.5
 
 
 @pytest.mark.parametrize("bad", (np.nan, np.inf, -np.inf))

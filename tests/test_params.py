@@ -229,9 +229,9 @@ def test_generator_accepts_both_ends_of_the_range():
 def test_every_integer_floor_is_checked_by_require_integer():
     """A ``ParameterError`` f-string saying ``must be >= `` is raised only in
     ``params``, so each count's floor goes through ``_require_integer``.
-    ``cli.run``'s ``trials`` imports no private name, and ``mi_from_gram``'s
+    ``cli.run``'s ``trials`` imports no private name, and ``covariance``'s
     count is a float read from a Gram matrix."""
-    exempt = {("cli.py", "run"), ("injection.py", "mi_from_gram")}
+    exempt = {("cli.py", "run"), ("injection.py", "covariance")}
 
     def floors(node, scope=None):
         for child in ast.iter_child_nodes(node):
