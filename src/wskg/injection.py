@@ -283,10 +283,19 @@ def usable_cpus() -> int:
 def pool_size(workers: Optional[int], n_chunks: int) -> int:
     """Threads that run ``n_chunks`` chunks: ``min(workers, n_chunks, usable
     CPUs)``, with ``workers`` defaulting to the usable CPU count. Each thread
-    owns one buffer set, so memory grows with this number, not with trials."""
+    owns one buffer set, so memory grows with this number, not with trials.
+    With two or more, :func:`chunked_grams` pins each to a CPU of its own."""
     cpus = usable_cpus()
     workers = cpus if workers is None else _require_integer("workers", workers, 1)
     return min(workers, n_chunks, cpus)
+
+
+def _pin(cpus) -> None:
+    """Confine the calling thread to ``cpus``, where the platform allows it."""
+    try:
+        os.sched_setaffinity(0, cpus)
+    except OSError:  # best effort: the thread runs unpinned
+        pass
 
 
 def chunked_grams(
@@ -307,9 +316,13 @@ def chunked_grams(
     shared among :func:`pool_size` threads: thread ``w`` of ``T`` runs chunks
     ``w, w + T, w + 2T, ...`` in one buffer set of its own, sized to the
     largest chunk and freed when the call returns. Thread 0 is the calling
-    thread. The first failure is raised on the calling thread once every
-    thread has stopped; the others stop before their next chunk. The
-    matrices are added in chunk order, so the result depends on
+    thread. With more than one thread, thread ``w`` is pinned to CPU ``w``
+    (modulo their number) of the caller's mask before its first chunk, and
+    the caller's mask is restored once every thread has stopped, whether the
+    pool returns or raises. Where CPU affinity is missing or refused, the
+    threads run unpinned. The first failure is raised on the calling thread
+    once every thread has stopped; the others stop before their next chunk.
+    The matrices are added in chunk order, so the result depends on
     ``(seed, stream, n_trials)`` alone.
     """
     n_trials = _require_integer("n_trials", n_trials, 1)
@@ -325,9 +338,13 @@ def chunked_grams(
     threads = pool_size(workers, len(jobs))
     results: List[Optional[np.ndarray]] = [None] * len(jobs)
     failures: List[BaseException] = []
+    # One CPU a thread, so that the threads cannot take turns on one core.
+    cpus = sorted(os.sched_getaffinity(0)) if threads > 1 and hasattr(os, "sched_setaffinity") else []
 
     def work(first: int) -> None:
         try:
+            if cpus:
+                _pin({cpus[first % len(cpus)]})
             buffers = ChunkBuffers(counts[0])
             for i in range(first, len(jobs), threads):
                 if failures:
@@ -340,9 +357,13 @@ def chunked_grams(
     helpers = [threading.Thread(target=work, args=(first,)) for first in range(1, threads)]
     for helper in helpers:
         helper.start()
-    work(0)
-    for helper in helpers:
-        helper.join()
+    try:
+        work(0)
+        for helper in helpers:
+            helper.join()
+    finally:
+        if cpus:
+            _pin(cpus)
     if failures:
         raise failures[0]
     return [sum(results[k * len(counts) : (k + 1) * len(counts)]) for k in range(len(kernels))]

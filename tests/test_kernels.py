@@ -9,6 +9,7 @@ numpy's output.
 
 import gc
 import math
+import os
 import sys
 import threading
 import tracemalloc
@@ -507,6 +508,70 @@ def test_a_failing_helper_raises_on_the_calling_thread(monkeypatch):
     with pytest.raises(ArithmeticError, match=f"chunk on substream {SEED.stream + 1}$"):
         injection.chunked_grams(make_params(2.0), ENGINE_TRIALS, SEED, (failing_off_the_caller,), 2)
     assert threading.active_count() == running
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="no CPU affinity here")
+@pytest.mark.parametrize("failing_on", (None, "helper", "caller"))
+def test_the_pool_restores_the_callers_cpu_mask(monkeypatch, failing_on):
+    # The set-up above: two threads, chunks 0 and 2 on the calling thread.
+    monkeypatch.setattr(injection, "usable_cpus", lambda: 2)
+    caller = threading.get_ident()
+    before = os.sched_getaffinity(0)
+
+    def failing(params, n_trials, seed, buffers):
+        if failing_on == ("caller" if threading.get_ident() == caller else "helper"):
+            raise ArithmeticError(f"chunk on substream {seed.stream}")
+        return simulate_two_look(params, n_trials, seed, buffers)
+
+    if failing_on is None:
+        injection.chunked_grams(make_params(2.0), ENGINE_TRIALS, SEED, (failing,), 2)
+    else:
+        with pytest.raises(ArithmeticError, match="chunk on substream"):
+            injection.chunked_grams(make_params(2.0), ENGINE_TRIALS, SEED, (failing,), 2)
+    assert os.sched_getaffinity(0) == before
+
+
+@pytest.mark.parametrize("affinity", ("refused", "missing"))
+def test_a_pool_that_cannot_pin_its_threads_gives_the_same_bits(monkeypatch, affinity):
+    monkeypatch.setattr(injection, "usable_cpus", lambda: 2)
+
+    def refused(pid, cpus):
+        raise OSError("sched_setaffinity refused")
+
+    if affinity == "refused":
+        monkeypatch.setattr(os, "sched_setaffinity", refused, raising=False)
+    else:
+        monkeypatch.delattr(os, "sched_setaffinity", raising=False)
+    params = make_params(2.0)
+    (total,) = injection.chunked_grams(params, ENGINE_TRIALS, SEED, (simulate_two_look,), 2)
+    assert same_bits(total, ref_chunked_gram(ref_simulate_two_look, params, ENGINE_TRIALS, SEED.stream))
+
+
+def test_a_pool_of_one_thread_makes_no_affinity_call(monkeypatch):
+    monkeypatch.setattr(injection, "usable_cpus", lambda: 8)
+    calls = []
+    monkeypatch.setattr(os, "sched_setaffinity", lambda pid, cpus: calls.append(cpus), raising=False)
+    params = make_params(2.0)
+    injection.chunked_grams(params, ENGINE_TRIALS, SEED, (simulate_two_look,), workers=1)
+    injection.chunked_grams(params, 10_000, SEED, (simulate_two_look,), workers=4)  # one chunk
+    assert calls == []
+
+
+@pytest.mark.skipif(
+    not hasattr(os, "sched_setaffinity") or len(os.sched_getaffinity(0)) < 2, reason="needs two usable CPUs"
+)
+def test_each_thread_of_a_pool_runs_on_a_cpu_of_its_own():
+    cpus = sorted(os.sched_getaffinity(0))
+    caller = threading.get_ident()
+    masks = {}
+
+    def recording(params, n_trials, seed, buffers):
+        masks.setdefault(threading.get_ident(), set()).add(frozenset(os.sched_getaffinity(0)))
+        return simulate_two_look(params, n_trials, seed, buffers)
+
+    injection.chunked_grams(make_params(2.0), ENGINE_TRIALS, SEED, (recording,), 2)
+    assert masks.pop(caller) == {frozenset(cpus[:1])}
+    assert list(masks.values()) == [{frozenset(cpus[1:2])}]
 
 
 def test_substreams_past_the_last_stream_are_rejected_before_any_chunk():
