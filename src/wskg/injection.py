@@ -28,7 +28,7 @@ from .stochastic import (
     DRAW_BLOCK,
     MIN_TRIALS,
     _complex_normal,
-    _qpsk_indices,
+    _pilot_indices,
     _qpsk_points,
     _take_points,
     gaussian_mi_from_cov,
@@ -213,7 +213,7 @@ def randomize_trials(
     # Slots: x, then y w, noise_a and noise_b, in 0; y in 1; w in 2; h,
     # then z_a, in 3; z_b in 4. The pilots' point indices have bytes of
     # their own.
-    x_index, y_index = (_qpsk_indices(rng, power, n_trials, buffers.take(key, n_trials))
+    x_index, y_index = (_pilot_indices(rng, power, n_trials, buffers.take(key, n_trials))
                         for key in ("x_index", "y_index"))
     x = _take_points(points, x_index, buffers.take(0, n_trials))
     y = _take_points(points, y_index, buffers.take(1, n_trials))

@@ -3,9 +3,11 @@
 Both parties probe with independent random QPSK pilots X and Y and
 post-multiply their observation by their own pilot. The common term X Y H
 remains exactly complex Gaussian, while the injected term decorrelates from
-both post-multiplied observations, collapsing the attacker's leakage to zero
-and reducing the injection to plain uncorrelated jamming
-(``tests/test_identities.py`` proves the zero cross-covariances).
+both post-multiplied observations, reducing the injection to plain
+uncorrelated jamming (``tests/test_identities.py`` proves the zero
+cross-covariances). So the second-order (covariance) leakage estimate
+collapses to zero. The injected value is uncorrelated with the looks, not
+independent of them, and the exact ``I(W; Z_a, Z_b)`` is not computed yet.
 
 Its Monte Carlo kernel, ``randomize_trials``, lives in :mod:`wskg.injection`,
 beside the other kernel and the buffer layout both write into.
@@ -87,9 +89,9 @@ def verify_randomization(
     # ``source_real``, and h's imaginary parts, which follow them, block by
     # block. So only one tested array is alive at a time.
     rng = seed.generator()
-    pilots = _pilot_indices(rng, n_samples)
+    pilots = _pilot_indices(rng, power, n_samples)
     pilots <<= 2
-    pilots |= _pilot_indices(rng, n_samples)
+    pilots |= _pilot_indices(rng, power, n_samples)
     scale = math.sqrt(s2 / 2.0)
     points = _qpsk_points(power)
     blocks = [slice(start, start + VERIFY_BLOCK) for start in range(0, n_samples, VERIFY_BLOCK)]
@@ -138,10 +140,13 @@ def verify_check(params: SystemParams, trials: int, seed: RngSeed) -> dict:
 
 
 def leakage_after_randomization(params: SystemParams, n_trials: int, seed: RngSeed) -> float:
-    """Leakage estimate under randomized probing; vanishes as trials grow.
+    """Second-order leakage estimate under randomized probing; vanishes as
+    trials grow.
 
     All second moments between the injected value and the post-multiplied
     observations are zero, so the Gaussian MI estimate is pure sampling noise.
+    It does not bound the exact ``I(W; Z_a, Z_b)``, which is not computed:
+    the injected value is uncorrelated with the looks, not independent of them.
     Runs on :func:`~wskg.injection.chunked_grams`, as the ``leakage``
     command's randomized stage does.
     """

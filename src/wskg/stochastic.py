@@ -66,69 +66,36 @@ def _scaled_normal(rng: np.random.Generator, scale: float, out: np.ndarray) -> n
     return np.add(out, 0.0, out=out)
 
 
-#: Pilot bits per ``random_raw`` call of :func:`_pilot_indices`: 8192 raw
-#: 64-bit Philox words, 64 KB. Blocks of 128 KB, glibc's mmap threshold,
+#: Pilot bits per ``rng.integers`` call of :func:`_pilot_indices`: 16384
+#: ``uint32`` values, 64 KB. Blocks of 128 KB, glibc's mmap threshold,
 #: raised the resident size of two-thread ``leakage`` runs.
 PILOT_BLOCK = 1 << 14
 
 
 def _pilot_indices(
-    rng: np.random.Generator, count: int, out: Optional[np.ndarray] = None
-) -> np.ndarray:
-    """``2 * re + im`` of ``count`` QPSK pilots, indices into
-    :func:`_qpsk_points`, with the bits of two whole ``rng.integers(0, 2,
-    count)`` draws, ``re`` first, and the generator left where they leave it.
-
-    Each such bit is bit 31 of one 32-bit half of a Philox word, low half
-    first: numpy draws it as the top word of that half times 2, which
-    never rejects, and keeps the spare high half in the generator's state.
-    So a draw takes the spare half first, when the state holds one, then
-    raw words for ``PILOT_BLOCK`` bits at a time, and puts an unused last
-    half back. One block of words is alive at a time, and its bits are
-    taken in place. Written into ``out`` (``count`` integers of any type)
-    when given, and into bytes otherwise.
-    """
-    index = np.empty(count, dtype=np.uint8) if out is None else out
-    if count == 0:
-        return index
-    bitgen = rng.bit_generator
-    for first in (True, False):
-        state = bitgen.state
-        spare = state["has_uint32"]
-        if spare:
-            bit = state["uinteger"] >> 31
-            index[0] = 2 * bit if first else index[0] + bit
-        for start in range(spare, count, PILOT_BLOCK):
-            part = index[start : start + PILOT_BLOCK]
-            # Little-endian words, so that each word's low half comes first.
-            halves = bitgen.random_raw((part.size + 1) // 2).astype("<u8", copy=False).view("<u4")
-            last = int(halves[-1])
-            if first:
-                np.right_shift(halves, 30, out=halves)
-                np.bitwise_and(halves, 2, out=halves)
-                np.copyto(part, halves[: part.size], casting="unsafe")
-            else:
-                np.right_shift(halves, 31, out=halves)
-                np.add(part, halves[: part.size], out=part, casting="unsafe")
-        # As numpy leaves it: the last word's high half, spare or spent.
-        state = bitgen.state
-        state["has_uint32"] = (count - spare) % 2
-        if count > spare:
-            state["uinteger"] = last
-        bitgen.state = state
-    return index
-
-
-def _qpsk_indices(
     rng: np.random.Generator, power: float, count: int, out: Optional[np.ndarray] = None
 ) -> np.ndarray:
-    """Indices into ``_qpsk_points(power)`` of ``count`` QPSK pilots: the
-    draws of :func:`_pilot_indices`, or zeros, drawing nothing, at power 0.
-    Written into ``out`` when given, and into bytes otherwise."""
-    if power != 0.0:
-        return _pilot_indices(rng, count, out)
+    """Indices ``2 * re + im`` into ``_qpsk_points(power)`` of ``count`` QPSK
+    pilots, with the bits of two whole ``rng.integers(0, 2, count)`` draws,
+    ``re`` first; zeros, drawing nothing, at power 0. Written into ``out``
+    (``count`` bytes) when given, and into bytes otherwise.
+
+    Each draw is made ``PILOT_BLOCK`` values at a time: ``Generator.integers``
+    continues one stream across calls, and its ``uint32`` draws in ``[0, 2)``
+    give the bits of its ``int64`` ones.
+    """
     index = np.empty(count, dtype=np.uint8) if out is None else out
-    index.fill(0)
+    if power == 0.0:
+        index.fill(0)
+        return index
+    for first in (True, False):
+        for start in range(0, count, PILOT_BLOCK):
+            part = index[start : start + PILOT_BLOCK]
+            bits = rng.integers(0, 2, part.size, dtype=np.uint32)
+            if first:
+                np.left_shift(bits, 1, out=part, casting="unsafe")
+            else:
+                np.add(part, bits, out=part, casting="unsafe")
     return index
 
 
@@ -146,8 +113,8 @@ def _take_points(points: np.ndarray, index: np.ndarray, out: np.ndarray) -> np.n
 
 def _qpsk(rng: np.random.Generator, power: float, count: int) -> np.ndarray:
     """Uniform draws from the four constant-modulus points +-r +-jr,
-    r=sqrt(power/2): :func:`_qpsk_indices` taken from :func:`_qpsk_points`."""
-    index = _qpsk_indices(rng, power, count)
+    r=sqrt(power/2): :func:`_pilot_indices` taken from :func:`_qpsk_points`."""
+    index = _pilot_indices(rng, power, count)
     return _take_points(_qpsk_points(power), index, np.empty(count, dtype=complex))
 
 

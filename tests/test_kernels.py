@@ -74,6 +74,22 @@ def ref_qpsk(rng, power, count):
     return r * (re + 1j * im)
 
 
+def in_place_product(a, b):
+    """``a * b`` for a product that the kernels compute in place.
+
+    numpy multiplies a lone complex value in place without its SIMD loop,
+    which rounds otherwise than the loop of a plain ``a * b``. So a batch of
+    one trial is multiplied in place, over a copy of ``a``, as the kernels
+    multiply it; longer batches, whose bits do not depend on it, out of place.
+    A real factor's product rounds alike in both loops, so it stays plain.
+    """
+    if a.size != 1:
+        return a * b
+    product = a.copy()
+    product *= b
+    return product
+
+
 def ref_simulate_two_look(params, n_trials, seed):
     """(z_a, z_b, injected)."""
     rng = seed.generator()
@@ -81,9 +97,9 @@ def ref_simulate_two_look(params, n_trials, seed):
     h = ref_complex_normal(rng, params.legit_channel_var, n_trials)
     h_a1, h_a2, h_b1, h_b2 = (ref_complex_normal(rng, entry_var, n_trials) for _ in range(4))
     ratio = (h_b2 - h_a2) / (h_a1 - h_b1)
-    unit_gain = (h_a1 * ratio + h_a2) / np.sqrt(1.0 + np.abs(ratio) ** 2)
+    unit_gain = (in_place_product(h_a1, ratio) + h_a2) / np.sqrt(1.0 + np.abs(ratio) ** 2)
     xj = 1.0 + 0.0j
-    injected = 2.0 * math.sqrt(params.jam_power_budget) * unit_gain * xj
+    injected = in_place_product(2.0 * math.sqrt(params.jam_power_budget) * unit_gain, xj)
     pilot = math.sqrt(params.max_pilot_power)
     noise_a = ref_complex_normal(rng, 1.0, n_trials)
     noise_b = ref_complex_normal(rng, 1.0, n_trials)
@@ -102,9 +118,9 @@ def ref_randomize_trials(params, n_trials, seed):
     w = ref_complex_normal(rng, params.jam_channel_var * params.jam_power_budget, n_trials)
     noise_a = ref_complex_normal(rng, 1.0, n_trials)
     noise_b = ref_complex_normal(rng, 1.0, n_trials)
-    common = x * y * h
-    z_a = common + x * w + x * noise_a
-    z_b = common + y * w + y * noise_b
+    common = in_place_product(x * y, h)
+    z_a = common + x * w + in_place_product(x, noise_a)
+    z_b = common + y * w + in_place_product(y, noise_b)
     return z_a, z_b, w, x, y
 
 
@@ -173,7 +189,7 @@ def test_samplers_match_reference(count, power):
     assert same_bits(_qpsk(SEED.generator(), power, count), ref_qpsk(SEED.generator(), power, count))
 
 
-@pytest.mark.parametrize("n_trials", SIZES + DRAW_EDGES)
+@pytest.mark.parametrize("n_trials", (1,) + SIZES + DRAW_EDGES)
 @pytest.mark.parametrize("gamma", (0.0, 3.0))
 @pytest.mark.parametrize("p_max", P_MAX)
 def test_simulate_two_look_matches_reference(n_trials, gamma, p_max):
@@ -186,7 +202,7 @@ def test_simulate_two_look_matches_reference(n_trials, gamma, p_max):
     assert batch.resampled == 0
 
 
-@pytest.mark.parametrize("n_trials", SIZES + DRAW_EDGES)
+@pytest.mark.parametrize("n_trials", (1,) + SIZES + DRAW_EDGES)
 @pytest.mark.parametrize("gamma", (0.0, 3.0))
 @pytest.mark.parametrize("p_max", (0.0,) + P_MAX)
 def test_randomize_trials_matches_reference(n_trials, gamma, p_max):
@@ -196,6 +212,22 @@ def test_randomize_trials_matches_reference(n_trials, gamma, p_max):
     got = (batch.z_a, batch.z_b, batch.injected)
     assert all(same_bits(a, b) for a, b in zip(got, expected[:3]))
     assert batch.resampled == 0
+
+
+@pytest.mark.parametrize("p_max", (0.37, 5.0))
+def test_one_trial_batches_match_reference(p_max):
+    # A lone trial's product rounds otherwise in place than out of place on
+    # a quarter to a half of the streams, so one stream may not show a
+    # product that a kernel takes out of place; forty do.
+    params = make_params(p_max)
+    for stream in range(40):
+        seed = SEED.with_stream(stream)
+        static = simulate_two_look(params, 1, seed)
+        randomized = randomize_trials(params, 1, seed)
+        for batch, expected in ((static, ref_simulate_two_look(params, 1, seed)),
+                                (randomized, ref_randomize_trials(params, 1, seed))):
+            got = (batch.z_a, batch.z_b, batch.injected)
+            assert all(same_bits(a, b) for a, b in zip(got, expected[:3])), stream
 
 
 # 10_001 is odd, so a block boundary falls on a pilot bit drawn from the
@@ -416,8 +448,13 @@ ENGINE_TRIALS = 150_000
 
 
 @pytest.mark.parametrize("workers", (1, 2, 3))
-@pytest.mark.parametrize("p_max, gamma", [(2.0, 3.0), (0.0, 0.0)], ids=["reference", "zero-variance"])
-def test_chunked_grams_match_reference(monkeypatch, workers, p_max, gamma):
+@pytest.mark.parametrize(
+    "p_max, gamma, n_trials",
+    # CHUNK_TRIALS + 1 trials leave a last chunk of one trial.
+    [(2.0, 3.0, ENGINE_TRIALS), (0.0, 0.0, ENGINE_TRIALS), (0.37, 3.0, injection.CHUNK_TRIALS + 1)],
+    ids=["reference", "zero-variance", "one-trial-last-chunk"],
+)
+def test_chunked_grams_match_reference(monkeypatch, workers, p_max, gamma, n_trials):
     # Enough CPUs that ``workers`` threads really run.
     monkeypatch.setattr(injection, "usable_cpus", lambda: 8)
     params = make_params(p_max, gamma)
@@ -425,16 +462,16 @@ def test_chunked_grams_match_reference(monkeypatch, workers, p_max, gamma):
     sys.setswitchinterval(1e-5)  # more thread switches between the workers
     try:
         static, randomized = injection.chunked_grams(
-            params, ENGINE_TRIALS, SEED, (simulate_two_look, randomize_trials), workers
+            params, n_trials, SEED, (simulate_two_look, randomize_trials), workers
         )
     finally:
         sys.setswitchinterval(interval)
-    stream = SEED.stream
+    stream, chunks = SEED.stream, -(-n_trials // injection.CHUNK_TRIALS)
     for total, ref_kernel, first_stream in (
         (static, ref_simulate_two_look, stream),
-        (randomized, ref_randomize_trials, stream + 3),
+        (randomized, ref_randomize_trials, stream + chunks),
     ):
-        assert same_bits(total, ref_chunked_gram(ref_kernel, params, ENGINE_TRIALS, first_stream))
+        assert same_bits(total, ref_chunked_gram(ref_kernel, params, n_trials, first_stream))
 
 
 def test_chunks_of_one_worker_reuse_its_buffers(monkeypatch):

@@ -1,9 +1,14 @@
+import ast
+import inspect
 import math
+import re
+from pathlib import Path
 from statistics import NormalDist
 
 import numpy as np
 import pytest
 
+import wskg
 from wskg import (
     NotPositiveSemidefinite,
     ParameterError,
@@ -121,7 +126,7 @@ def philox_state(rng):
     )
 
 
-# Around one and two blocks of pilot bits, two bits a raw word.
+# Around one and two blocks of pilot bits.
 PILOT_COUNTS = (0, 1, 2, 3, 10_001, PILOT_BLOCK - 1, PILOT_BLOCK, PILOT_BLOCK + 1, 2 * PILOT_BLOCK + 3)
 
 
@@ -132,13 +137,33 @@ def test_pilot_indices_are_two_integer_draws(seed, count, pre):
     rng, ref = seed.generator(), seed.generator()
     rng.integers(0, 2, pre)
     ref.integers(0, 2, pre)
-    index = _pilot_indices(rng, count)
+    index = _pilot_indices(rng, 2.0, count)
     expected = 2 * ref.integers(0, 2, count) + ref.integers(0, 2, count)
     assert index.dtype == np.uint8 and np.array_equal(index, expected)
     # The generator is left as the two draws leave it, stale half included.
     assert philox_state(rng) == philox_state(ref)
     assert np.array_equal(rng.integers(0, 2, 3), ref.integers(0, 2, 3))
     assert np.array_equal(rng.standard_normal(3), ref.standard_normal(3))
+
+
+def test_package_draws_through_generator_methods_alone():
+    """No module reads a bit generator's raw words or its spare 32-bit half,
+    and the one write of a generator's state is ``verify_randomization``'s
+    restore of the state it saved before its first pass."""
+    writes = []
+    for path in sorted(Path(wskg.__file__).parent.glob("*.py")):
+        text = path.read_text(encoding="utf-8")
+        assert not re.search(r"random_raw|has_uint32|uinteger", text), path.name
+        writes += [
+            (path.stem, ast.unparse(node))
+            for node in ast.walk(ast.parse(text))
+            if isinstance(node, (ast.Assign, ast.AugAssign, ast.AnnAssign))
+            for target in (node.targets if isinstance(node, ast.Assign) else [node.target])
+            if isinstance(target, ast.Attribute) and target.attr == "state"
+        ]
+    assert writes == [("randomization", "rng.bit_generator.state = real_parts")]
+    restore = inspect.getsource(wskg.verify_randomization)
+    assert "real_parts = rng.bit_generator.state" in restore
 
 
 def test_ks_accepts_own_gaussian_sampler():
