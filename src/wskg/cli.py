@@ -73,10 +73,10 @@ _SWEEP_OPTIONS = (
 )
 
 # Each command imports the module that builds its payload when it runs: the
-# closed-form commands (solve-fixed, solve-strategic, sweep) load no numpy,
-# dataclasses or inspect, oracle-check no Monte Carlo module and no
-# dataclasses (params' records are named tuples), the Monte Carlo commands no
-# game, rates or metrics, and only sweep loads metrics.
+# closed-form commands (solve-fixed, solve-strategic, sweep) load no numpy or
+# inspect, the Monte Carlo commands no game, rates or metrics, oracle-check no
+# Monte Carlo module, only sweep loads metrics, and only verify-randomization
+# loads dataclasses, for its report (the other records are named tuples).
 #: Command name -> (module, its payload builder, help text, model flags it reads, options beyond those and --output).
 _COMMANDS = {
     "solve-fixed": ("game", "fixed_payload", "Solve the fixed-threshold leader-follower game.", _MODEL_OPTIONS, ()),

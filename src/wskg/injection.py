@@ -6,7 +6,7 @@ receivers, planting attacker-chosen material in their shared randomness. The
 leakage bound quantifies, in bits, how much of the distilled key material the
 attacker controls when the probing pilots are deterministic.
 
-Both Monte Carlo kernels live here, beside the buffer layout they write into:
+Both Monte Carlo kernels live here, beside the buffer set they write into:
 :func:`simulate_two_look` (static pilots) and :func:`randomize_trials`
 (the randomized-probing defense of :mod:`wskg.randomization`), and the
 payloads of ``simulate-injection`` and ``leakage``, which run them.
@@ -17,8 +17,7 @@ from __future__ import annotations
 import math
 import os
 import threading
-from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence
+from typing import Callable, List, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -62,52 +61,23 @@ def coincidence_precoder(h_a2, h_b2, denom, scratch=None):
     return ratio, np.sqrt(norm, out=norm)
 
 
-#: The per-trial arrays of one buffer set: key -> (offset in bytes per
-#: trial, dtype, values per trial). Keys 0 to 4 are complex slots; every
-#: kernel leaves its results (``injected``, ``z_a``, ``z_b``) in slots 2 to
-#: 4. ``x_index`` and ``y_index`` hold the randomized kernel's pilots as
-#: point indices, one byte each. The Gram rows lie over slots 0 to 3, so
-#: :func:`gram` overwrites the batch it reduces.
-_BUFFER_LAYOUT = {
-    **{key: (16 * key, complex, 1) for key in range(5)},
-    "x_index": (80, np.uint8, 1),
-    "y_index": (81, np.uint8, 1),
-    "gram": (0, float, 7),
-}
-
-#: Bytes per trial of one buffer set: five complex slots and two index bytes.
-BUFFER_BYTES_PER_TRIAL = max(offset + np.dtype(dtype).itemsize * count
-                             for offset, dtype, count in _BUFFER_LAYOUT.values())
-
-
 class ChunkBuffers:
     """Work arrays for Monte Carlo chunks of up to ``size`` trials.
 
-    One allocation holds ``draw``, the block of reals through which every
-    Gaussian is drawn (``DRAW_BLOCK`` of them, or ``size`` rounded up to
-    even when that is fewer, so that it holds whole complex values), and
-    then every array of ``_BUFFER_LAYOUT``, ``BUFFER_BYTES_PER_TRIAL``
-    bytes per trial. So repeated calls reuse one heap block instead of
-    faulting in fresh pages per array. ``take`` hands out the first ``n``
-    trials of one of them, so a set serves chunk after chunk. Arrays that
-    overlap are never live at once: a kernel reuses a slot only once the
-    slot's previous contents are dead.
+    ``slots`` holds five complex values per trial: every kernel leaves its
+    results (``injected``, ``z_a``, ``z_b``) in slots 2 to 4, and
+    :func:`gram` writes its rows over slots 0 to 3. ``index`` holds the
+    randomized kernel's pilots as point indices, one byte each, x's then y's.
+    ``draw`` is the block of reals through which every Gaussian is drawn:
+    ``DRAW_BLOCK``, or ``size`` rounded up to even when that is fewer. A
+    kernel of ``n`` trials uses the first ``n`` of each row, so a set serves
+    chunk after chunk, and reuses a slot only once its contents are dead.
     """
 
     def __init__(self, size: int) -> None:
-        self.size = size
-        draw_bytes = 8 * min(size + size % 2, DRAW_BLOCK)
-        block = np.empty(draw_bytes + BUFFER_BYTES_PER_TRIAL * size, dtype=np.uint8)
-        self.draw = block[:draw_bytes].view(float)
-        self._trials = block[draw_bytes:]
-
-    def take(self, key, n: int) -> np.ndarray:
-        """First ``n`` trials of the array under ``key``: a C-contiguous
-        ``(values per trial, n)`` block when that is more than one."""
-        offset, dtype, per_trial = _BUFFER_LAYOUT[key]
-        start = offset * self.size
-        view = self._trials[start : start + np.dtype(dtype).itemsize * per_trial * n].view(dtype)
-        return view.reshape(per_trial, n) if per_trial > 1 else view
+        self.slots = np.empty((5, size), dtype=complex)
+        self.index = np.empty((2, size), dtype=np.uint8)
+        self.draw = np.empty(min(size + size % 2, DRAW_BLOCK))
 
 
 def _injected_variance(params: SystemParams) -> float:
@@ -118,11 +88,10 @@ def _injected_variance(params: SystemParams) -> float:
 def _draw(rng, buffers: ChunkBuffers, key: int, variance: float, n_trials: int) -> np.ndarray:
     """``n_trials`` complex normal draws into slot ``key``, through the set's
     draw block."""
-    return _complex_normal(rng, variance, n_trials, buffers.take(key, n_trials), buffers.draw)
+    return _complex_normal(rng, variance, n_trials, buffers.slots[key, :n_trials], buffers.draw)
 
 
-@dataclass(frozen=True)
-class TwoLookBatch:
+class TwoLookBatch(NamedTuple):
     """Vectorized Monte Carlo trials of both parties' looks under injection.
 
     ``injected`` holds the attacker's injected value. With static pilots it
@@ -213,16 +182,15 @@ def randomize_trials(
     # Slots: x, then y w, noise_a and noise_b, in 0; y in 1; w in 2; h,
     # then z_a, in 3; z_b in 4. The pilots' point indices have bytes of
     # their own.
-    x_index, y_index = (_pilot_indices(rng, power, n_trials, buffers.take(key, n_trials))
-                        for key in ("x_index", "y_index"))
-    x = _take_points(points, x_index, buffers.take(0, n_trials))
-    y = _take_points(points, y_index, buffers.take(1, n_trials))
+    x_index, y_index = (_pilot_indices(rng, power, n_trials, row[:n_trials]) for row in buffers.index)
+    x = _take_points(points, x_index, buffers.slots[0, :n_trials])
+    y = _take_points(points, y_index, buffers.slots[1, :n_trials])
     h = _draw(rng, buffers, 3, params.legit_channel_var, n_trials)
     # In place, in the operation order of z_a = x y h + x w + x noise_a, etc.
     # Each of w, noise_a and noise_b is drawn once a slot is free for it;
     # each product keeps its pilot as the first operand, as the plain
     # expressions do.
-    z_b = np.multiply(x, y, out=buffers.take(4, n_trials))
+    z_b = np.multiply(x, y, out=buffers.slots[4, :n_trials])
     z_b *= h
     w = _draw(rng, buffers, 2, _injected_variance(params), n_trials)
     z_a = np.multiply(x, w, out=h)
@@ -256,15 +224,16 @@ def gram(batch: TwoLookBatch, buffers: Optional[ChunkBuffers] = None) -> np.ndar
     :func:`simulate_two_look` and the post-multiplied looks of
     :func:`randomize_trials`.
     The stacked coordinates are written into ``buffers`` when given, over
-    the batch that a kernel left there, so the batch is overwritten. The
-    rows lie over slots 0 to 3 and are written in order, so each one lands
-    only on values that earlier rows have already read: rows 4 and 5 on
+    the batch that a kernel left there, so the batch is overwritten: the
+    ``(7, n)`` rows are the first ``7 n`` reals of ``slots``, which lie over
+    slots 0 to 3. They are written in order, so each one lands only on
+    values that earlier rows have already read: rows 4 and 5 on
     ``injected``'s slot 2, row 6 on ``z_a``'s slot 3. This holds for any
     batch of up to the set's size.
     Overflow is silent here: :func:`mi_from_gram` rejects a non-finite matrix.
     """
     n = batch.injected.size
-    rows = np.empty((7, n)) if buffers is None else buffers.take("gram", n)
+    rows = np.empty((7, n)) if buffers is None else buffers.slots.reshape(-1).view(float)[: 7 * n].reshape(7, n)
     rows[0] = 1.0
     for i, values in enumerate((batch.injected, batch.z_a, batch.z_b)):
         rows[1 + 2 * i] = values.real
@@ -320,8 +289,9 @@ def chunked_grams(
     (modulo their number) of the caller's mask before its first chunk, and
     the caller's mask is restored once every thread has stopped, whether the
     pool returns or raises. Where CPU affinity is missing or refused, the
-    threads run unpinned. The first failure is raised on the calling thread
-    once every thread has stopped; the others stop before their next chunk.
+    threads run unpinned. The first failure, a helper that fails to start
+    included, is raised on the calling thread once every started thread has
+    stopped; the others stop before their next chunk.
     The matrices are added in chunk order, so the result depends on
     ``(seed, stream, n_trials)`` alone.
     """
@@ -354,11 +324,16 @@ def chunked_grams(
         except BaseException as failure:  # raised again on the calling thread
             failures.append(failure)
 
-    helpers = [threading.Thread(target=work, args=(first,)) for first in range(1, threads)]
-    for helper in helpers:
-        helper.start()
+    helpers: List[threading.Thread] = []
     try:
-        work(0)
+        try:
+            for first in range(1, threads):
+                helper = threading.Thread(target=work, args=(first,))
+                helper.start()
+                helpers.append(helper)
+            work(0)
+        except BaseException as failure:  # a helper that did not start: the started ones stop
+            failures.append(failure)
         for helper in helpers:
             helper.join()
     finally:

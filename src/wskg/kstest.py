@@ -17,9 +17,7 @@ import math
 
 import numpy as np
 
-#: Values per block of the CDF and deviation arrays: 128 KB of float64 per
-#: block temporary.
-BLOCK = 1 << 14
+from .stochastic import BLOCK
 
 
 def ks_statistic(a: np.ndarray) -> float:

@@ -10,14 +10,14 @@ collapses to zero. The injected value is uncorrelated with the looks, not
 independent of them, and the exact ``I(W; Z_a, Z_b)`` is not computed yet.
 
 Its Monte Carlo kernel, ``randomize_trials``, lives in :mod:`wskg.injection`,
-beside the other kernel and the buffer layout both write into.
+beside the other kernel and the buffer set both write into.
 """
 
 from __future__ import annotations
 
 import math
 import sys
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -25,6 +25,7 @@ from .errors import NumericalError, ParameterError
 from .injection import chunked_grams, mi_from_gram, randomize_trials
 from .params import RngSeed, SystemParams, _require_integer
 from .stochastic import (
+    BLOCK,
     KS_SIGNIFICANCE,
     MIN_TRIALS,
     KsReport,
@@ -44,6 +45,10 @@ class RandomizationReport:
     N(0, P * s^2 / 4); ``ks_source`` tests the real part of the full
     randomized source against N(0, P^2 * s^2 / 2); ``source_real_var`` is the
     empirical variance behind the second test.
+
+    Unlike the package's other records it stays a dataclass:
+    ``perfbench/selfcheck.py`` corrupts only dataclasses, dicts, lists and
+    numbers, so it would pass a named tuple's corrupted copy unchanged.
     """
 
     ks_product: KsReport
@@ -53,7 +58,7 @@ class RandomizationReport:
 
 #: Samples per block of :func:`verify_randomization`'s streamed draws: 128 KB
 #: of complex values per block temporary.
-VERIFY_BLOCK = 1 << 13
+VERIFY_BLOCK = BLOCK // 2
 
 
 def _law_variances(params: SystemParams):
@@ -130,8 +135,8 @@ def verify_check(params: SystemParams, trials: int, seed: RngSeed) -> dict:
     report = verify_randomization(params, trials, seed)
     return {
         "trials": trials,
-        "ks_product": asdict(report.ks_product),
-        "ks_source": asdict(report.ks_source),
+        "ks_product": report.ks_product._asdict(),
+        "ks_source": report.ks_source._asdict(),
         "source_real_var": report.source_real_var,
         "expected_source_real_var": _law_variances(params)[1],
         "significance": KS_SIGNIFICANCE,

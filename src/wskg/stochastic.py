@@ -8,8 +8,7 @@ independent substreams and reproduced exactly. There is no global RNG state.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -20,9 +19,16 @@ from .params import _require_integer, _require_real
 _LN2 = math.log(2.0)
 
 
+#: Values per block of every streamed temporary: 128 KB of float64 or
+#: ``intp`` (:func:`_take_points`' index copy, :func:`_variance`'s leaves,
+#: the KS test's CDF blocks), or 64 KB of :func:`_pilot_indices`' ``uint32``
+#: bits. Pilot blocks of 128 KB, glibc's mmap threshold, raised the resident
+#: size of two-thread ``leakage`` runs.
+BLOCK = 1 << 14
+
 #: Real values per block of :func:`_complex_normal`'s draws: 256 KB, the
 #: most draw scratch a Monte Carlo buffer set holds, whatever its size.
-DRAW_BLOCK = 1 << 15
+DRAW_BLOCK = 2 * BLOCK
 
 
 def _complex_normal(
@@ -66,12 +72,6 @@ def _scaled_normal(rng: np.random.Generator, scale: float, out: np.ndarray) -> n
     return np.add(out, 0.0, out=out)
 
 
-#: Pilot bits per ``rng.integers`` call of :func:`_pilot_indices`: 16384
-#: ``uint32`` values, 64 KB. Blocks of 128 KB, glibc's mmap threshold,
-#: raised the resident size of two-thread ``leakage`` runs.
-PILOT_BLOCK = 1 << 14
-
-
 def _pilot_indices(
     rng: np.random.Generator, power: float, count: int, out: Optional[np.ndarray] = None
 ) -> np.ndarray:
@@ -80,7 +80,7 @@ def _pilot_indices(
     ``re`` first; zeros, drawing nothing, at power 0. Written into ``out``
     (``count`` bytes) when given, and into bytes otherwise.
 
-    Each draw is made ``PILOT_BLOCK`` values at a time: ``Generator.integers``
+    Each draw is made ``BLOCK`` values at a time: ``Generator.integers``
     continues one stream across calls, and its ``uint32`` draws in ``[0, 2)``
     give the bits of its ``int64`` ones.
     """
@@ -89,8 +89,8 @@ def _pilot_indices(
         index.fill(0)
         return index
     for first in (True, False):
-        for start in range(0, count, PILOT_BLOCK):
-            part = index[start : start + PILOT_BLOCK]
+        for start in range(0, count, BLOCK):
+            part = index[start : start + BLOCK]
             bits = rng.integers(0, 2, part.size, dtype=np.uint32)
             if first:
                 np.left_shift(bits, 1, out=part, casting="unsafe")
@@ -100,13 +100,13 @@ def _pilot_indices(
 
 
 def _take_points(points: np.ndarray, index: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """``points[index]`` into ``out``, ``PILOT_BLOCK`` indices at a time.
+    """``points[index]`` into ``out``, ``BLOCK`` indices at a time.
 
     ``np.take`` copies indices of any other type to ``intp``; in blocks,
     byte indices cost one 128 KB copy instead of 8 bytes per index.
     """
-    for start in range(0, index.size, PILOT_BLOCK):
-        block = slice(start, start + PILOT_BLOCK)
+    for start in range(0, index.size, BLOCK):
+        block = slice(start, start + BLOCK)
         np.take(points, index[block], out=out[block], mode="clip")  # mode "raise" copies through a buffer
     return out
 
@@ -144,27 +144,23 @@ def sample_qpsk_pilot(pilot_power: float, count: int, seed: RngSeed) -> np.ndarr
     return _qpsk(seed.generator(), pilot_power, count)
 
 
-#: Values per leaf of :func:`_variance`'s sum: one 128 KB temporary.
-VARIANCE_LEAF = 1 << 14
-
-
 def _variance(x: np.ndarray) -> float:
     """``float(np.var(x))`` of a non-empty contiguous float64 array, bit for bit,
-    on one ``VARIANCE_LEAF`` temporary instead of a whole-array one.
+    on one ``BLOCK`` temporary instead of a whole-array one.
 
     numpy sums a contiguous float64 array as one pairwise tree, which splits
     a run of more than 128 values at half its length rounded down to a
     multiple of 8. So the squared deviations from the mean are summed down
     that rule, and numpy itself squares and sums each run of at most
-    ``VARIANCE_LEAF`` values. Overflow warns as in ``np.var``.
+    ``BLOCK`` values. Overflow warns as in ``np.var``.
     """
     mean = np.add.reduce(x) / x.size
-    return float(_squared_deviations(x, mean, np.empty(min(x.size, VARIANCE_LEAF))) / x.size)
+    return float(_squared_deviations(x, mean, np.empty(min(x.size, BLOCK))) / x.size)
 
 
 def _squared_deviations(x: np.ndarray, mean: np.float64, scratch: np.ndarray) -> np.float64:
     """numpy's pairwise sum of ``(x - mean) ** 2``, leaves squared in ``scratch``."""
-    if x.size <= VARIANCE_LEAF:
+    if x.size <= BLOCK:
         deviation = np.subtract(x, mean, out=scratch[: x.size])
         return np.add.reduce(np.multiply(deviation, deviation, out=deviation))
     half = x.size // 2
@@ -172,8 +168,7 @@ def _squared_deviations(x: np.ndarray, mean: np.float64, scratch: np.ndarray) ->
     return _squared_deviations(x[:half], mean, scratch) + _squared_deviations(x[half:], mean, scratch)
 
 
-@dataclass(frozen=True)
-class KsReport:
+class KsReport(NamedTuple):
     """One-sample Kolmogorov-Smirnov result: sup-distance, p-value, sample size."""
 
     statistic: float

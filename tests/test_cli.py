@@ -366,7 +366,7 @@ print(json.dumps({
 """
 
 _CORE = ["wskg.cli", "wskg.errors", "wskg.params"]
-_SEEDED = ["dataclasses", "inspect", "numpy", "numpy.random", "wskg.stochastic"]
+_SEEDED = ["inspect", "numpy", "numpy.random", "wskg.stochastic"]
 _GAME = ["wskg.game", "wskg.rates"]
 
 #: Per command: an argv, and the wskg modules and watched packages it loads.
@@ -375,7 +375,7 @@ _LOADS = {
     "solve-strategic": (["solve-strategic"], _CORE + _GAME),
     "verify-randomization": (
         ["verify-randomization", "--trials", "10000", "--seed", "7"],
-        _CORE + _SEEDED + ["wskg.injection", "wskg.kstest", "wskg.randomization"],
+        _CORE + _SEEDED + ["dataclasses", "wskg.injection", "wskg.kstest", "wskg.randomization"],
     ),
     "simulate-injection": (
         ["simulate-injection", "--workers", "2", "--trials", "150000", "--seed", "5"],

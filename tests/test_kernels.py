@@ -12,6 +12,7 @@ import math
 import os
 import sys
 import threading
+import time
 import tracemalloc
 
 import numpy as np
@@ -36,9 +37,8 @@ from wskg.randomization import VERIFY_BLOCK, RandomizationReport
 from wskg import kstest
 from wskg.kstest import cdf_bulk, kolmogorov_sf, ndtr
 from wskg.stochastic import (
+    BLOCK,
     DRAW_BLOCK,
-    PILOT_BLOCK,
-    VARIANCE_LEAF,
     KsReport,
     _complex_normal,
     _qpsk,
@@ -50,7 +50,7 @@ SIZES = (10_000, 65_537)
 # One either side of a block of pilot bits. Both are odd, so the second
 # draw of pilot bits starts on the spare 32-bit half of a Philox word that
 # the first leaves.
-PILOT_EDGES = (PILOT_BLOCK - 1, PILOT_BLOCK + 1)
+PILOT_EDGES = (BLOCK - 1, BLOCK + 1)
 # Around one block of Gaussian draws. The randomized kernel takes its pilot
 # again in blocks of DRAW_BLOCK // 2 trials, so DRAW_BLOCK + 1 trials would
 # leave a block of one trial unless the blocks split the trials evenly.
@@ -235,7 +235,7 @@ def test_one_trial_batches_match_reference(p_max):
 # the others sit at the edges of the verify blocks and of the KS test's
 # blocks, at or above verify's 10000-sample minimum.
 VERIFY_CASES = [(p_max, n) for n in SIZES + (10_001,) for p_max in P_MAX] + [
-    (2.0, n) for n in PILOT_EDGES + (3 * VERIFY_BLOCK + 1, 4 * kstest.BLOCK, 8 * kstest.BLOCK + 1)
+    (2.0, n) for n in PILOT_EDGES + (3 * VERIFY_BLOCK + 1, 4 * BLOCK, 8 * BLOCK + 1)
 ]
 
 
@@ -251,8 +251,8 @@ def test_verify_randomization_matches_reference(p_max, n_samples):
 # and either side of one and two of the helper's leaves, and above many.
 VARIANCE_SIZES = (
     1, 7, 8, 9, 127, 128, 129,
-    VARIANCE_LEAF - 1, VARIANCE_LEAF, VARIANCE_LEAF + 1,
-    2 * VARIANCE_LEAF - 1, 2 * VARIANCE_LEAF + 1, 65_537, 1_000_000,
+    BLOCK - 1, BLOCK, BLOCK + 1,
+    2 * BLOCK - 1, 2 * BLOCK + 1, 65_537, 1_000_000,
 )
 
 
@@ -269,7 +269,7 @@ def test_variance_follows_numpys_split_rule():
     # Above two leaves, the first split falls at half the length rounded
     # down to a multiple of 8. A sum split elsewhere (at the exact half, or
     # at a multiple of 16) rounds differently at several of these sizes.
-    for n in range(2 * VARIANCE_LEAF + 9, 2 * VARIANCE_LEAF + 200, 12):
+    for n in range(2 * BLOCK + 9, 2 * BLOCK + 200, 12):
         x = np.random.default_rng(n).uniform(0.0, 1.0, n)
         assert same_bits(_variance(x), float(np.var(x))), n
 
@@ -284,9 +284,9 @@ def test_variance_overflows_as_np_var_does():
 # One sample, two, and sizes around one, four and eight CDF blocks.
 KS_SIZES = (
     1, 2,
-    kstest.BLOCK - 1, kstest.BLOCK, kstest.BLOCK + 1,
-    4 * kstest.BLOCK - 1, 4 * kstest.BLOCK, 4 * kstest.BLOCK + 1,
-    8 * kstest.BLOCK + 1,
+    BLOCK - 1, BLOCK, BLOCK + 1,
+    4 * BLOCK - 1, 4 * BLOCK, 4 * BLOCK + 1,
+    8 * BLOCK + 1,
 )
 
 
@@ -326,14 +326,14 @@ def test_ks_recheck_covers_near_ties():
 @pytest.mark.parametrize(
     "side, k, shift, first_block",
     [
-        ("upper", kstest.BLOCK // 2, 0.05, True),
-        ("upper", 3 * kstest.BLOCK - kstest.BLOCK // 8, 2.0, False),
-        ("lower", kstest.BLOCK // 4, 2.0, True),
-        ("lower", 2 * kstest.BLOCK + kstest.BLOCK // 4, 0.05, False),
+        ("upper", BLOCK // 2, 0.05, True),
+        ("upper", 3 * BLOCK - BLOCK // 8, 2.0, False),
+        ("lower", BLOCK // 4, 2.0, True),
+        ("lower", 2 * BLOCK + BLOCK // 4, 0.05, False),
     ],
 )
 def test_ks_statistic_from_either_side_in_any_block(side, k, shift, first_block):
-    n = 3 * kstest.BLOCK - 1
+    n = 3 * BLOCK - 1
     samples = scipy.special.ndtri((np.arange(n) + 0.5) / n)
     if side == "upper":
         samples[:k] -= shift
@@ -345,7 +345,7 @@ def test_ks_statistic_from_either_side_in_any_block(side, k, shift, first_block)
     other = deviations.pop("lower" if side == "upper" else "upper")
     top = int(np.argmax(deviations[side]))
     assert deviations[side][top] > other.max()
-    assert (top < kstest.BLOCK) == first_block
+    assert (top < BLOCK) == first_block
     assert ks_test_normal(samples, 1.0) == ref_ks_test_normal(samples, 1.0)
 
 
@@ -522,7 +522,7 @@ def test_one_chunk_runs_inline_in_buffers_of_its_size():
     runs = []
 
     def recording(params, n_trials, seed, buffers):
-        runs.append((threading.get_ident(), buffers.size))
+        runs.append((threading.get_ident(), buffers.slots.shape[1]))
         return simulate_two_look(params, n_trials, seed, buffers)
 
     # One chunk runs on the calling thread whatever the worker count.
@@ -545,6 +545,39 @@ def test_a_failing_helper_raises_on_the_calling_thread(monkeypatch):
     with pytest.raises(ArithmeticError, match=f"chunk on substream {SEED.stream + 1}$"):
         injection.chunked_grams(make_params(2.0), ENGINE_TRIALS, SEED, (failing_off_the_caller,), 2)
     assert threading.active_count() == running
+
+
+def test_a_helper_that_fails_to_start_stops_the_started_ones(monkeypatch):
+    # Three threads, two kernels of three chunks: helper 1 starts and would
+    # run chunks 1 and 4, helper 2 fails to start. The call raises once
+    # helper 1 has stopped, after its first chunk.
+    monkeypatch.setattr(injection, "usable_cpus", lambda: 4)
+    start = threading.Thread.start
+    started = []
+
+    def failing_second_start(thread):
+        if started:
+            raise RuntimeError("can't start new thread")
+        started.append(thread)
+        start(thread)
+
+    monkeypatch.setattr(threading.Thread, "start", failing_second_start)
+    caller = threading.get_ident()
+    helper_streams = []
+
+    def slow_off_the_caller(params, n_trials, seed, buffers):
+        if threading.get_ident() != caller:
+            helper_streams.append(seed.stream)
+            time.sleep(0.2)  # still running when the second start fails
+        return simulate_two_look(params, n_trials, seed, buffers)
+
+    before = os.sched_getaffinity(0) if hasattr(os, "sched_getaffinity") else None
+    with pytest.raises(RuntimeError, match="can't start new thread"):
+        injection.chunked_grams(make_params(2.0), ENGINE_TRIALS, SEED, (slow_off_the_caller,) * 2, 4)
+    assert not any(thread.is_alive() for thread in started)
+    assert helper_streams == [SEED.stream + 1]
+    if before is not None:
+        assert os.sched_getaffinity(0) == before
 
 
 @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="no CPU affinity here")
@@ -675,6 +708,11 @@ def test_verify_randomization_leaves_no_cycles():
         gc.enable()
 
 
+def gram_rows(buffers, n):
+    """The rows that ``gram`` writes into a buffer set: its slots' first 7 n reals."""
+    return buffers.slots.reshape(-1).view(float)[: 7 * n].reshape(7, n)
+
+
 def test_full_chunk_buffer_set_is_82_bytes_per_trial_and_one_draw_block():
     tracemalloc.start()
     try:
@@ -682,11 +720,11 @@ def test_full_chunk_buffer_set_is_82_bytes_per_trial_and_one_draw_block():
         size = tracemalloc.get_traced_memory()[0]
     finally:
         tracemalloc.stop()
-    assert injection.BUFFER_BYTES_PER_TRIAL * injection.CHUNK_TRIALS == 5_373_952
+    assert buffers.slots.nbytes + buffers.index.nbytes == 82 * injection.CHUNK_TRIALS == 5_373_952
     expected = 5_373_952 + 8 * DRAW_BLOCK
     assert expected <= size < expected + 4096
     assert buffers.draw.shape == (DRAW_BLOCK,)
-    assert buffers.take("gram", injection.CHUNK_TRIALS).shape == (7, injection.CHUNK_TRIALS)
+    assert gram_rows(buffers, injection.CHUNK_TRIALS).shape == (7, injection.CHUNK_TRIALS)
 
 
 # The last Gram row that reads each result: injected fills rows 1 and 2,
@@ -708,7 +746,7 @@ def test_gram_rows_overlay_no_result(kernel, n_trials, overlaid):
     params = make_params(2.0)
     buffers = injection.ChunkBuffers(injection.CHUNK_TRIALS)
     batch = kernel(params, n_trials, SEED, buffers)
-    rows = buffers.take("gram", n_trials)
+    rows = gram_rows(buffers, n_trials)
     shared = [(i, name) for i, row in enumerate(rows) for name in LAST_ROW_READING
               if np.shares_memory(row, getattr(batch, name))]
     assert all(i > LAST_ROW_READING[name] for i, name in shared)

@@ -11,6 +11,9 @@ import dataclasses
 import importlib
 import importlib.util
 import json
+import os
+import subprocess
+import sys
 import types
 import typing
 from pathlib import Path
@@ -184,3 +187,26 @@ def test_the_benchmarks_layers_are_the_tracers():
     names = [entry["name"] for entry in json.loads((ROOT / "BENCHMARK.json").read_text())["per_layer"]]
     for suffix in (".calls", ".self_s"):
         assert [name[: -len(suffix)] for name in names if name.endswith(suffix)] == list(spans.LAYER_NAMES)
+
+
+_OUTPUT_CHECK = """
+import json, sys
+from pathlib import Path
+sys.path.insert(0, sys.argv[1])
+from selfcheck import check_outputs
+
+print(json.dumps(check_outputs(Path(sys.argv[2]))))
+"""
+
+
+def test_every_workload_operation_checks_its_output(tmp_path):
+    """``perfbench/selfcheck.py``'s output check, in a fresh interpreter:
+    every operation of every workload passes its check on clean output and
+    fails it on a corrupted one, so a wrong output counts as a failed
+    operation. ``verify_randomization``'s report stays a dataclass for this:
+    the corruption reaches dataclasses, not named tuples."""
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    proc = subprocess.run([sys.executable, "-c", _OUTPUT_CHECK, str(BENCH), str(tmp_path)],
+                          env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout.splitlines()[-1]) == []

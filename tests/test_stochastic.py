@@ -19,7 +19,7 @@ from wskg import (
     sample_qpsk_pilot,
 )
 
-from wskg.stochastic import PILOT_BLOCK, _pilot_indices
+from wskg.stochastic import BLOCK, _pilot_indices
 
 from conftest import SAMPLER_FAMILY_LEVEL, _two_sided_z
 
@@ -127,7 +127,7 @@ def philox_state(rng):
 
 
 # Around one and two blocks of pilot bits.
-PILOT_COUNTS = (0, 1, 2, 3, 10_001, PILOT_BLOCK - 1, PILOT_BLOCK, PILOT_BLOCK + 1, 2 * PILOT_BLOCK + 3)
+PILOT_COUNTS = (0, 1, 2, 3, 10_001, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 3)
 
 
 @pytest.mark.parametrize("pre", (0, 1, 2, 3))  # an odd count leaves a spare 32-bit half
