@@ -252,7 +252,8 @@ def usable_cpus() -> int:
 def pool_size(workers: Optional[int], n_chunks: int) -> int:
     """Threads that run ``n_chunks`` chunks: ``min(workers, n_chunks, usable
     CPUs)``, with ``workers`` defaulting to the usable CPU count. Each thread
-    owns one buffer set, so memory grows with this number, not with trials.
+    owns one buffer set, so memory grows with this number, and with trials
+    by one 0.5 KB matrix a chunk: 154 MiB at 1e10 trials of two kernels.
     With two or more, :func:`chunked_grams` pins each to a CPU of its own."""
     cpus = usable_cpus()
     workers = cpus if workers is None else _require_integer("workers", workers, 1)
@@ -279,34 +280,28 @@ def chunked_grams(
 
     Each kernel (:func:`simulate_two_look` or :func:`randomize_trials`) runs
     ``n_trials`` trials in chunks of ``CHUNK_TRIALS``. Chunk ``i`` of kernel
-    ``k`` uses substream ``stream + k * n_chunks + i``, so each kernel
+    ``k`` uses substream ``stream + k * chunks + i``, so each kernel
     continues on the substreams after the previous one, and the last of them
     must not pass ``2**64 - 1``, the last stream a seed has. All chunks are
     shared among :func:`pool_size` threads: thread ``w`` of ``T`` runs chunks
     ``w, w + T, w + 2T, ...`` in one buffer set of its own, sized to the
     largest chunk and freed when the call returns. Thread 0 is the calling
     thread. With more than one thread, thread ``w`` is pinned to CPU ``w``
-    (modulo their number) of the caller's mask before its first chunk, and
-    the caller's mask is restored once every thread has stopped, whether the
-    pool returns or raises. Where CPU affinity is missing or refused, the
-    threads run unpinned. The first failure, a helper that fails to start
-    included, is raised on the calling thread once every started thread has
-    stopped; the others stop before their next chunk.
-    The matrices are added in chunk order, so the result depends on
-    ``(seed, stream, n_trials)`` alone.
+    (modulo their number) of the caller's mask before its first chunk; where
+    CPU affinity is missing or refused, the threads run unpinned. A failure
+    in any thread, a helper that fails to start or an interrupt while the
+    caller waits stops the threads before their next chunk. The call has one
+    way out: it joins every started thread, restores the caller's mask and
+    raises the first failure, if any. The matrices are added in chunk order,
+    so the result depends on ``(seed, stream, n_trials)`` alone.
     """
     n_trials = _require_integer("n_trials", n_trials, 1)
-    counts = [min(CHUNK_TRIALS, n_trials - start) for start in range(0, n_trials, CHUNK_TRIALS)]
-    last = seed.stream + len(kernels) * len(counts) - 1
-    if last >= 1 << 64:
-        raise ParameterError(f"substreams {seed.stream} to {last} pass 2**64 - 1")
-    jobs = [
-        (kernel, count, seed.with_stream(seed.stream + k * len(counts) + i))
-        for k, kernel in enumerate(kernels)
-        for i, count in enumerate(counts)
-    ]
-    threads = pool_size(workers, len(jobs))
-    results: List[Optional[np.ndarray]] = [None] * len(jobs)
+    chunks = -(-n_trials // CHUNK_TRIALS)
+    n_jobs = len(kernels) * chunks
+    if seed.stream + n_jobs - 1 >= 1 << 64:
+        raise ParameterError(f"substreams {seed.stream} to {seed.stream + n_jobs - 1} pass 2**64 - 1")
+    threads = pool_size(workers, n_jobs)
+    results: List[Optional[np.ndarray]] = [None] * n_jobs
     failures: List[BaseException] = []
     # One CPU a thread, so that the threads cannot take turns on one core.
     cpus = sorted(os.sched_getaffinity(0)) if threads > 1 and hasattr(os, "sched_setaffinity") else []
@@ -315,33 +310,35 @@ def chunked_grams(
         try:
             if cpus:
                 _pin({cpus[first % len(cpus)]})
-            buffers = ChunkBuffers(counts[0])
-            for i in range(first, len(jobs), threads):
+            buffers = ChunkBuffers(min(CHUNK_TRIALS, n_trials))
+            for i in range(first, n_jobs, threads):  # job i: kernel i // chunks, chunk i % chunks
                 if failures:
                     return
-                kernel, count, chunk_seed = jobs[i]
-                results[i] = gram(kernel(params, count, chunk_seed, buffers), buffers)
+                count = min(CHUNK_TRIALS, n_trials - i % chunks * CHUNK_TRIALS)
+                batch = kernels[i // chunks](params, count, seed.with_stream(seed.stream + i), buffers)
+                results[i] = gram(batch, buffers)
         except BaseException as failure:  # raised again on the calling thread
             failures.append(failure)
 
     helpers: List[threading.Thread] = []
     try:
-        try:
-            for first in range(1, threads):
-                helper = threading.Thread(target=work, args=(first,))
-                helper.start()
-                helpers.append(helper)
-            work(0)
-        except BaseException as failure:  # a helper that did not start: the started ones stop
-            failures.append(failure)
-        for helper in helpers:
-            helper.join()
-    finally:
-        if cpus:
-            _pin(cpus)
+        for first in range(1, threads):
+            helpers.append(threading.Thread(target=work, args=(first,)))
+            helpers[-1].start()
+        work(0)
+    except BaseException as failure:  # a helper that did not start: the started ones stop
+        failures.append(failure)
+    for helper in helpers:
+        while helper.is_alive():
+            try:
+                helper.join()
+            except BaseException as failure:  # an interrupt, say: the helpers stop, then it is raised
+                failures.append(failure)
+    if cpus:
+        _pin(cpus)
     if failures:
         raise failures[0]
-    return [sum(results[k * len(counts) : (k + 1) * len(counts)]) for k in range(len(kernels))]
+    return [sum(results[k * chunks : (k + 1) * chunks]) for k in range(len(kernels))]
 
 
 @np.errstate(over="ignore", invalid="ignore")

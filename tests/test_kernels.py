@@ -547,6 +547,40 @@ def test_a_failing_helper_raises_on_the_calling_thread(monkeypatch):
     assert threading.active_count() == running
 
 
+def test_an_interrupt_while_the_caller_waits_stops_the_helpers(monkeypatch):
+    # Two threads, two kernels of three chunks: the helper would run chunks
+    # 1, 3 and 5. The caller's first wait is interrupted during chunk 1, so
+    # the helper stops after it, and the call raises once it has.
+    monkeypatch.setattr(injection, "usable_cpus", lambda: 2)
+    join = threading.Thread.join
+    interrupted = []
+
+    def interrupted_once(thread, timeout=None):
+        if not interrupted:
+            interrupted.append(thread)
+            raise KeyboardInterrupt
+        join(thread, timeout)
+
+    monkeypatch.setattr(threading.Thread, "join", interrupted_once)
+    caller = threading.get_ident()
+    helper_streams = []
+
+    def slow_off_the_caller(params, n_trials, seed, buffers):
+        if threading.get_ident() != caller:
+            helper_streams.append(seed.stream)
+            time.sleep(0.2)  # still running when the caller first waits
+        return simulate_two_look(params, n_trials, seed, buffers)
+
+    running = threading.active_count()
+    before = os.sched_getaffinity(0) if hasattr(os, "sched_getaffinity") else None
+    with pytest.raises(KeyboardInterrupt):
+        injection.chunked_grams(make_params(2.0), ENGINE_TRIALS, SEED, (slow_off_the_caller,) * 2, 2)
+    assert threading.active_count() == running
+    assert helper_streams == [SEED.stream + 1]
+    if before is not None:
+        assert os.sched_getaffinity(0) == before
+
+
 def test_a_helper_that_fails_to_start_stops_the_started_ones(monkeypatch):
     # Three threads, two kernels of three chunks: helper 1 starts and would
     # run chunks 1 and 4, helper 2 fails to start. The call raises once
@@ -581,22 +615,24 @@ def test_a_helper_that_fails_to_start_stops_the_started_ones(monkeypatch):
 
 
 @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="no CPU affinity here")
-@pytest.mark.parametrize("failing_on", (None, "helper", "caller"))
+@pytest.mark.parametrize("failing_on", (None, "helper", "caller", "caller-interrupted"))
 def test_the_pool_restores_the_callers_cpu_mask(monkeypatch, failing_on):
     # The set-up above: two threads, chunks 0 and 2 on the calling thread.
+    # An interrupt is a BaseException that is not an Exception.
     monkeypatch.setattr(injection, "usable_cpus", lambda: 2)
     caller = threading.get_ident()
     before = os.sched_getaffinity(0)
+    failure = KeyboardInterrupt if failing_on == "caller-interrupted" else ArithmeticError
 
     def failing(params, n_trials, seed, buffers):
-        if failing_on == ("caller" if threading.get_ident() == caller else "helper"):
-            raise ArithmeticError(f"chunk on substream {seed.stream}")
+        if failing_on and failing_on.startswith("caller" if threading.get_ident() == caller else "helper"):
+            raise failure(f"chunk on substream {seed.stream}")
         return simulate_two_look(params, n_trials, seed, buffers)
 
     if failing_on is None:
         injection.chunked_grams(make_params(2.0), ENGINE_TRIALS, SEED, (failing,), 2)
     else:
-        with pytest.raises(ArithmeticError, match="chunk on substream"):
+        with pytest.raises(failure, match="chunk on substream"):
             injection.chunked_grams(make_params(2.0), ENGINE_TRIALS, SEED, (failing,), 2)
     assert os.sched_getaffinity(0) == before
 

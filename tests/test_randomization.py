@@ -16,8 +16,10 @@ from wskg import (
     sample_qpsk_pilot,
     verify_randomization,
 )
+from wskg.injection import CHUNK_TRIALS, chunked_grams, covariance
 from wskg.randomization import verify_check
-from wskg.stochastic import _qpsk
+from wskg.rates import rate_array
+from wskg.stochastic import _qpsk, gaussian_mi_from_cov
 
 from conftest import SAMPLER_FAMILY_LEVEL, _two_sided_z
 
@@ -87,6 +89,29 @@ def test_injected_value_decorrelates_from_observations():
         for z_part in (batch.z_a.real, batch.z_a.imag, batch.z_b.real, batch.z_b.imag):
             cov = np.mean(w_part * z_part) - np.mean(w_part) * np.mean(z_part)
             assert abs(cov) < bound
+
+
+def test_randomized_key_rate_is_the_jammed_rate():
+    # Randomized probing reduces injection to jamming: the Gaussian key rate
+    # of the randomized looks, from the covariance of (z_a, z_b), is the
+    # rate under jamming, rate_array(p_max, gamma). Four parameter sets drawn
+    # log-uniform, p_max on [1, 100] and the rest on [0.1, 10], twenty
+    # one-chunk replicates at each. The standard error comes from the
+    # replicates, so the bound is Student's t with 19 degrees of freedom at
+    # SAMPLER_FAMILY_LEVEL / 4 (about 4.49).
+    sets, replicates = 4, 20
+    bound = scipy.stats.t.ppf(1.0 - SAMPLER_FAMILY_LEVEL / sets / 2, replicates - 1)
+    draws = np.random.default_rng(22)
+    for s in range(sets):
+        p_max, gamma, sigma2, sigmaj2 = np.exp(draws.uniform(np.log([1.0, 0.1, 0.1, 0.1]), np.log([100.0, 10, 10, 10])))
+        params = make_params(p_max, gamma, sigma2, sigmaj2)
+        rates = []
+        for r in range(replicates):
+            seed = SEED.with_stream(100 + s * replicates + r)
+            (g,) = chunked_grams(params, CHUNK_TRIALS, seed, (randomize_trials,))
+            rates.append(gaussian_mi_from_cov(covariance(g)[2:, 2:], 2))
+        error = np.std(rates, ddof=1) / math.sqrt(replicates)
+        assert abs(np.mean(rates) - rate_array(p_max, gamma, sigma2, sigmaj2)) <= bound * error
 
 
 def test_product_histogram_matches_density():
