@@ -22,8 +22,7 @@ _EXPORTS = {
                    "ZeroEquilibriumPayoff"),
         "game": ("critical_power", "oracle_jammer_br", "oracle_stackelberg", "stackelberg_fixed",
                  "stackelberg_strategic"),
-        "injection": ("coincidence_precoder", "gram", "leakage_bound", "mi_from_gram",
-                      "randomize_trials", "simulate_two_look"),
+        "injection": ("gram", "leakage_bound", "mi_from_gram", "randomize_trials", "simulate_two_look"),
         "metrics": ("sweep",),
         "params": ("ALLOCATION_SUM_RTOL", "EquilibriumResult", "PowerAllocation", "RngSeed",
                    "SystemParams"),

@@ -6,6 +6,9 @@ receivers, planting attacker-chosen material in their shared randomness. The
 leakage bound quantifies, in bits, how much of the distilled key material the
 attacker controls when the probing pilots are deterministic.
 
+:func:`coincidence_precoder` is that construction. No kernel runs it: the
+value it lands has a proven law, from which :func:`simulate_two_look` draws.
+
 Both Monte Carlo kernels live here, beside the buffer set they write into:
 :func:`simulate_two_look` (static pilots) and :func:`randomize_trials`
 (the randomized-probing defense of :mod:`wskg.randomization`), and the
@@ -29,6 +32,7 @@ from .stochastic import (
     _complex_normal,
     _pilot_indices,
     _qpsk_points,
+    _require_normal,
     _take_points,
     gaussian_mi_from_cov,
 )
@@ -39,7 +43,7 @@ from .stochastic import (
 CHUNK_TRIALS = 1 << 16
 
 
-def coincidence_precoder(h_a2, h_b2, denom, scratch=None):
+def coincidence_precoder(h_a2, h_b2, denom):
     """Unit-power precoder whose signal lands identically at both receivers.
 
     The antenna weights ``(ratio, 1) / norm``, with
@@ -48,17 +52,11 @@ def coincidence_precoder(h_a2, h_b2, denom, scratch=None):
     ``(h_a1 ratio + h_a2) / norm`` at Alice as ``(h_b1 ratio + h_b2) / norm``
     at Bob, at unit transmit power. The first-antenna gains enter only
     through ``denom``. Under the continuous channel law it is nonzero with
-    probability one; a zero ``denom`` gives non-finite values, which the
-    callers' finiteness checks reject.
-    Returns ``(ratio, norm)``, computed in place: ``ratio`` overwrites
-    ``h_b2``, and ``norm`` is written into ``scratch`` when given, which may
-    lie over ``denom``: ``denom`` is read in full first.
+    probability one; a zero ``denom`` gives non-finite values.
+    Returns ``(ratio, norm)``.
     """
-    ratio = np.subtract(h_b2, h_a2, out=h_b2)
-    ratio /= denom
-    norm = np.square(np.abs(ratio, out=scratch), out=scratch)
-    norm += 1.0
-    return ratio, np.sqrt(norm, out=norm)
+    ratio = (h_b2 - h_a2) / denom
+    return ratio, np.sqrt(1.0 + np.abs(ratio) ** 2)
 
 
 class ChunkBuffers:
@@ -107,57 +105,47 @@ class TwoLookBatch(NamedTuple):
     resampled: int = 0
 
 
-@np.errstate(divide="ignore", over="ignore", invalid="ignore")
+@np.errstate(over="ignore", invalid="ignore")
 def simulate_two_look(
     params: SystemParams, n_trials: int, seed: RngSeed, buffers: Optional[ChunkBuffers] = None
 ) -> TwoLookBatch:
     """Monte Carlo trials of both parties' observations under injection.
 
-    Per trial: a reciprocal channel gain H ~ CN(0, legit_channel_var), the
-    attacker's four link gains each CN(0, jam_channel_var / 2), unit-variance
-    receiver noise, a deterministic pilot at full power, and a constant
-    unit-modulus attack symbol steered through the coincidence precoder. The
-    injected value is identical in both observations by construction.
+    Per trial, drawn in this order, as :func:`randomize_trials` draws them:
+    a reciprocal channel gain H ~ CN(0, legit_channel_var), the injected
+    value W ~ CN(0, jam_channel_var * jam_power_budget) and unit-variance
+    noises N_a and N_b. With a deterministic pilot at full power P, the
+    looks are Z_a = sqrt(P) H + W + N_a and Z_b = sqrt(P) H + W + N_b.
 
-    The unit-power :func:`coincidence_precoder` has an effective gain of
-    variance jam_channel_var / 4 (forcing the same value at both receivers
-    costs the array gain twice over). The simulator therefore drives it with
-    amplitude 2 sqrt(jam_power_budget), a transmit power of 4x the budget, so
-    that the injected value has variance jam_channel_var * jam_power_budget,
-    the nominal attack model.
+    W is the value that :func:`coincidence_precoder`, driven at amplitude
+    2 sqrt(jam_power_budget), lands at both receivers, drawn from its exact
+    law: with s = (h_a + h_b) / 2 and d = h_a - h_b for the attacker's
+    gains, the unit precoder v has d . v = 0 and depends on d alone, s is
+    independent of d, and both looks get s . v ~ CN(0, jam_channel_var / 4).
+    ``tests/test_identities.py::test_coincident_gain_is_the_mean_gain``
+    proves the algebra, and
+    ``tests/test_injection.py::test_precoded_injection_has_the_drawn_law``
+    samples the precoder against this law.
 
-    Each trial is drawn once, whatever its gains. The returned arrays are
-    views into ``buffers`` when given. Overflow and a zero precoder
-    denominator are silent here: callers reject the non-finite moments they
-    lead to.
+    A nonzero W variance whose half is not a normal float raises
+    ``NumericalError`` before any draw. The returned arrays are views into
+    ``buffers`` when given. Overflow is silent here: callers reject the
+    non-finite moments it leads to.
     """
     n_trials = _require_integer("n_trials", n_trials, 1)
+    variance = _injected_variance(params)
+    if variance != 0.0:
+        _require_normal("sigmaj2 * gamma / 2", variance / 2.0)
     rng = seed.generator()
-    entry_var = params.jam_channel_var / 2.0
     if buffers is None:
         buffers = ChunkBuffers(n_trials)
-    # Slots: h in 0; h_b1, then denom and norm, in 1; h_a1, then injected,
-    # in 2; h_a2, then z_a, in 3; h_b2, then ratio and z_b, in 4.
-    h, h_a1, h_a2, h_b1 = (_draw(rng, buffers, key, variance, n_trials) for key, variance in
-                           ((0, params.legit_channel_var), (2, entry_var), (3, entry_var), (1, entry_var)))
-    denom = np.subtract(h_a1, h_b1, out=h_b1)
-    h_b2 = _draw(rng, buffers, 4, entry_var, n_trials)
-
-    # In place: injected = 2 sqrt(budget) (h_a1 ratio + h_a2) / norm xj.
-    # norm's reals lie over denom, which is dead once it has divided ratio.
-    ratio, norm = coincidence_precoder(h_a2, h_b2, denom, denom.view(float)[:n_trials])
-    injected = np.multiply(h_a1, ratio, out=h_a1)
-    injected += h_a2
-    injected /= norm
-    np.multiply(2.0 * math.sqrt(params.jam_power_budget), injected, out=injected)
-    injected *= 1.0 + 0.0j  # the attack symbol xj; the product sets the sign of zero parts
-
-    # h_a2 and the ratio are dead: the noises reuse their slots.
-    z_a, z_b = (_draw(rng, buffers, key, 1.0, n_trials) for key in (3, 4))
-    common = np.add(np.multiply(math.sqrt(params.max_pilot_power), h, out=h), injected, out=h)
+    # Slots: h, then the common term, in 0; w in 2; z_a in 3; z_b in 4.
+    h, w, z_a, z_b = (_draw(rng, buffers, key, var, n_trials) for key, var in
+                      ((0, params.legit_channel_var), (2, variance), (3, 1.0), (4, 1.0)))
+    common = np.add(np.multiply(math.sqrt(params.max_pilot_power), h, out=h), w, out=h)
     z_a += common
     z_b += common
-    return TwoLookBatch(z_a=z_a, z_b=z_b, injected=injected)
+    return TwoLookBatch(z_a=z_a, z_b=z_b, injected=w)
 
 
 @np.errstate(over="ignore", invalid="ignore")

@@ -16,12 +16,11 @@ beside the other kernel and the buffer set both write into.
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NumericalError, ParameterError
+from .errors import ParameterError
 from .injection import chunked_grams, mi_from_gram, randomize_trials
 from .params import RngSeed, SystemParams, _require_integer
 from .stochastic import (
@@ -31,6 +30,7 @@ from .stochastic import (
     KsReport,
     _pilot_indices,
     _qpsk_points,
+    _require_normal,
     _scaled_normal,
     _variance,
     ks_test_normal,
@@ -84,8 +84,7 @@ def verify_randomization(
     # sigma2 / 2 underflows): a numerical failure, not a rejection.
     for name, value in (("p_max / 2", power / 2.0), ("sigma2 / 2", s2 / 2.0),
                         ("product variance", product_var), ("source variance", source_var)):
-        if not sys.float_info.min <= value <= sys.float_info.max:
-            raise NumericalError(f"{name} is not a normal float: {value!r}")
+        _require_normal(name, value)
     # The draws of _qpsk and _complex_normal. x's point indices are drawn
     # whole and shifted left by 2, then y's are drawn and ORed in: one byte
     # per pilot pair (4 * x + y). Pass 1 draws h's real parts whole into

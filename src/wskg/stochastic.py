@@ -8,11 +8,12 @@ independent substreams and reproduced exactly. There is no global RNG state.
 from __future__ import annotations
 
 import math
+import sys
 from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .errors import NotPositiveSemidefinite, ParameterError
+from .errors import NotPositiveSemidefinite, NumericalError, ParameterError
 from .params import RngSeed  # re-exported: its home is params, which loads no numpy
 from .params import _require_integer, _require_real
 
@@ -29,6 +30,13 @@ BLOCK = 1 << 14
 #: Real values per block of :func:`_complex_normal`'s draws: 256 KB, the
 #: most draw scratch a Monte Carlo buffer set holds, whatever its size.
 DRAW_BLOCK = 2 * BLOCK
+
+
+def _require_normal(name: str, value: float) -> None:
+    """Raise ``NumericalError`` unless ``value``, a variance or a scale that
+    draws are made with, is a normal float: else they overflow or lose bits."""
+    if not sys.float_info.min <= value <= sys.float_info.max:
+        raise NumericalError(f"{name} is not a normal float: {value!r}")
 
 
 def _complex_normal(

@@ -211,12 +211,16 @@ EXIT_CONTRACT = [Row(*row) for row in [
     ("injection-observations", ["simulate-injection", "--p-max", "1e200", "--sigma2", "1e200", "--seed", "1",
                                 "--trials", "10000"], 2,
      "numerical failure: non-finite value at result.observation_variance: nan"),
-    # Every jammer gain underflows to 0, and so does each precoder
-    # denominator: the moments are NaN. Each trial is drawn once.
+    # The injected value's real variance is subnormal, so its draws would
+    # underflow: refused before any draw.
     ("injection-zero-jam-gains", ["simulate-injection", "--sigmaj2", "5e-324", "--seed", "1", "--trials", "10000"], 2,
-     "numerical failure: non-finite value at result.injected_variance: nan"),
-    ("leakage-zero-jam-gains", ["leakage", "--sigmaj2", "5e-324", "--seed", "1", "--trials", "10000"], 2, _NOT_FINITE),
-    # Tiny but normal jammer gains: the run finishes as at unit variance.
+     "numerical failure: sigmaj2 * gamma / 2 is not a normal float: 1e-323"),
+    ("leakage-zero-jam-gains", ["leakage", "--sigmaj2", "5e-324", "--seed", "1", "--trials", "10000"], 2,
+     "numerical failure: sigmaj2 * gamma / 2 is not a normal float: 1e-323"),
+    # Or it overflows to inf.
+    ("leakage-jam-variance-overflow", ["leakage", "--gamma", "1e308", "--sigmaj2", "10", "--seed", "1", "--trials",
+                                       "10000"], 2, "numerical failure: sigmaj2 * gamma / 2 is not a normal float: inf"),
+    # A tiny but normal injected variance: the run finishes.
     ("leakage-tiny-jam-variance", ["leakage", "--sigmaj2", "1e-300", "--trials", "10000", "--seed", "1"], 0, ""),
     # Finite moments whose sums' outer product overflows.
     ("leakage-outer-product", ["leakage", "--sigma2", "1e303", "--seed", "2", "--trials", "10000"], 2, _NOT_FINITE),

@@ -13,7 +13,6 @@ from wskg import (
     PowerAllocation,
     RngSeed,
     SystemParams,
-    coincidence_precoder,
     critical_power,
     leakage_after_randomization,
     leakage_bound,
@@ -25,6 +24,7 @@ from wskg import (
     sweep,
     verify_randomization,
 )
+from wskg.injection import coincidence_precoder
 from wskg.metrics import _rows
 
 SEED = RngSeed(20250811)
@@ -124,14 +124,14 @@ def test_criterion_5_injection_attack_correctness():
     scale = math.sqrt(params.jam_channel_var / 4.0)  # entry variance jam_channel_var / 2
     gains = rng.normal(0.0, scale, (8, 110_000))
     h_a1, h_a2, h_b1, h_b2 = gains[0::2] + 1j * gains[1::2]
-    # Every draw, as the simulator uses each one.
-    ratio, norm = coincidence_precoder(h_a2, h_b2.copy(), h_a1 - h_b1)
+    # Every draw, as the attack uses each one.
+    ratio, norm = coincidence_precoder(h_a2, h_b2, h_a1 - h_b1)
     p1, p2 = ratio / norm, 1.0 / norm
     at_alice = h_a1 * p1 + h_a2 * p2
     at_bob = h_b1 * p1 + h_b2 * p2
     ok = np.max(np.abs(at_alice - at_bob) / np.abs(at_alice)) <= 1e-10
     ok &= np.max(np.abs(np.abs(p1) ** 2 + np.abs(p2) ** 2 - 1.0)) <= 1e-12
-    # The simulator's drive amplitude, 2 sqrt(jam_power_budget).
+    # The attack's drive amplitude, 2 sqrt(jam_power_budget).
     injected = 2.0 * math.sqrt(params.jam_power_budget) * at_alice
     nominal = params.jam_channel_var * params.jam_power_budget
     ok &= abs(np.var(injected) - nominal) <= 0.02 * nominal

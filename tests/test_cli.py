@@ -33,7 +33,7 @@ from conftest import BLOCK_NUMPY
 EXPECTED_EXPORTS = {
     "ALLOCATION_SUM_RTOL", "EquilibriumResult", "NotPositiveSemidefinite", "NumericalError",
     "ParameterError", "PowerAllocation", "RngSeed", "SystemParams", "ZeroEquilibriumPayoff",
-    "coincidence_precoder", "critical_power", "gaussian_mi_from_cov", "gram",
+    "critical_power", "gaussian_mi_from_cov", "gram",
     "ks_test_normal", "leakage_after_randomization", "leakage_bound", "mi_from_gram",
     "oracle_jammer_br", "oracle_stackelberg", "randomize_trials", "rate_array",
     "sample_complex_gaussian", "sample_qpsk_pilot", "simulate_two_look", "stackelberg_fixed",

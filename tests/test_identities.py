@@ -75,6 +75,33 @@ def test_static_leakage_closed_form():
     assert_identity(v * c[1:, 1:].det() / c.det(), (1 + 2 * (a + v)) / (1 + 2 * a))
 
 
+def test_coincident_gain_is_the_mean_gain():
+    """Split the attacker's gains to Alice and Bob, h_a and h_b, into their
+    mean s = (h_a + h_b) / 2 and difference d = h_a - h_b. For any weights w
+    with d . w = 0, as the coincidence precoder's (ratio, 1) / norm are,
+    both looks get h_a . w = h_b . w = s . w. With i.i.d. entries of equal
+    variance q, s and d are uncorrelated (their pseudo-covariance is the same
+    product), so, jointly Gaussian, s is independent of d and of any w built
+    from d, and each entry of s has variance q / 2. So with unit-norm w,
+    q = sigmaj2 / 2 and amplitude 2 sqrt(gamma), the injected value is
+    CN(0, sigmaj2 gamma), independent of the rest of the trial: the law
+    ``injection.simulate_two_look`` draws it from."""
+    a1, a2, b1, b2, w1, w2 = sympy.symbols("a1 a2 b1 b2 w1 w2")
+    h_a, h_b, w = sympy.Matrix([a1, a2]), sympy.Matrix([b1, b2]), sympy.Matrix([w1, w2])
+    s, d = (h_a + h_b) / 2, h_a - h_b
+    assert_identity(h_a.dot(w) - s.dot(w), d.dot(w) / 2)
+    assert_identity(h_b.dot(w) - s.dot(w), -d.dot(w) / 2)
+    ratio = (b2 - a2) / (a1 - b1)
+    assert_identity(d.dot(sympy.Matrix([ratio, 1])), 0)
+    # s and d as maps of (a1, a2, b1, b2), whose covariance is q I.
+    q = sympy.Symbol("q", positive=True)
+    to_s = sympy.Matrix([[1, 0, 1, 0], [0, 1, 0, 1]]) / 2
+    to_d = sympy.Matrix([[1, 0, -1, 0], [0, 1, 0, -1]])
+    assert to_s * q * sympy.eye(4) * to_d.T == sympy.zeros(2, 2)
+    assert to_s * q * sympy.eye(4) * to_s.T == q / 2 * sympy.eye(2)
+    assert (2 * sympy.sqrt(g)) ** 2 * (j2 / 2) / 2 == j2 * g
+
+
 def test_rate_rises_with_pilot_power():
     """With a = p sigma2 and b = 1 + gamma sigmaj2, d/da ln(1 + x) is
     2a / ((a + b)(2a + b)) > 0, so the rate rises with pilot power at every

@@ -2,20 +2,21 @@ import math
 
 import numpy as np
 import pytest
+import scipy.stats
 
 from wskg import (
     ParameterError,
     RngSeed,
     SystemParams,
-    coincidence_precoder,
     gaussian_mi_from_cov,
     gram,
+    ks_test_normal,
     leakage_bound,
     mi_from_gram,
     randomize_trials,
     simulate_two_look,
 )
-from wskg.injection import covariance
+from wskg.injection import CHUNK_TRIALS, coincidence_precoder, covariance
 
 from conftest import SAMPLER_FAMILY_LEVEL, _two_sided_z
 
@@ -29,7 +30,7 @@ def make_params(p_max=2.0, gamma=4.0, sigma2=1.0, sigmaj2=1.0):
 def precoded_gains(h_a1, h_a2, h_b1, h_b2):
     """Antenna weights of the unit-power coincidence precoder and the gains
     they give at Alice and at Bob."""
-    ratio, norm = coincidence_precoder(h_a2, h_b2.copy(), h_a1 - h_b1)
+    ratio, norm = coincidence_precoder(h_a2, h_b2, h_a1 - h_b1)
     p1, p2 = ratio / norm, 1.0 / norm
     return p1, p2, h_a1 * p1 + h_a2 * p2, h_b1 * p1 + h_b2 * p2
 
@@ -56,17 +57,6 @@ def test_precoder_ratio_and_coincidence():
     assert at_bob == pytest.approx(5.0 * p2, rel=1e-12)
 
 
-def test_precoder_works_in_place():
-    rng = np.random.default_rng(7)
-    h_a2, h_b2, denom = (rng.normal(size=5) + 1j * rng.normal(size=5) for _ in range(3))
-    expected = (h_b2 - h_a2) / denom
-    scratch = np.empty(5)
-    ratio, norm = coincidence_precoder(h_a2, h_b2, denom, scratch)
-    assert ratio is h_b2 and norm is scratch
-    assert np.array_equal(ratio, expected)
-    assert np.array_equal(norm, np.sqrt(1.0 + np.abs(expected) ** 2))
-
-
 def test_precoder_coincidence_and_budget_over_random_draws():
     rng = np.random.default_rng(5150)
     scale = math.sqrt(0.5 / 2.0)  # per-component std for entry variance 1/2
@@ -74,6 +64,30 @@ def test_precoder_coincidence_and_budget_over_random_draws():
     p1, p2, at_alice, at_bob = precoded_gains(*(gains[0::2] + 1j * gains[1::2]))
     assert np.max(np.abs(np.abs(p1) ** 2 + np.abs(p2) ** 2 - 1.0)) <= 1e-12
     assert np.max(np.abs(at_alice - at_bob) / np.abs(at_alice)) <= 1e-10
+
+
+def test_precoded_injection_has_the_drawn_law():
+    # simulate_two_look draws the injected value W ~ CN(0, sigmaj2 gamma),
+    # independent of the rest of the trial. Here W comes from the attack
+    # itself: drawn gains through the precoder, driven at 2 sqrt(gamma).
+    # Three checks at SAMPLER_FAMILY_LEVEL / 3: KS tests of W's real and
+    # imaginary parts against N(0, sigmaj2 gamma / 2), and a z-test of the
+    # correlation of |W|^2 with the precoder's |ratio|^2. That ratio is
+    # F(2, 2) distributed, with no finite mean, so the test correlates
+    # ranks, whose correlation has variance 1 / (n - 1) under independence.
+    params = make_params(gamma=3.0, sigmaj2=0.6)
+    n, checks = 100_000, 3
+    scale = math.sqrt(params.jam_channel_var / 4.0)  # entry variance jam_channel_var / 2
+    gains = np.random.default_rng(4242).normal(0.0, scale, (8, n))
+    h_a1, h_a2, h_b1, h_b2 = gains[0::2] + 1j * gains[1::2]
+    ratio, norm = coincidence_precoder(h_a2, h_b2, h_a1 - h_b1)
+    injected = 2.0 * math.sqrt(params.jam_power_budget) * (h_a1 * ratio + h_a2) / norm
+    variance = params.jam_channel_var * params.jam_power_budget
+    for part in (injected.real, injected.imag):
+        assert ks_test_normal(part, variance / 2.0).p_value > SAMPLER_FAMILY_LEVEL / checks
+    ranks = [np.argsort(np.argsort(values)) for values in (np.abs(injected) ** 2, np.abs(ratio) ** 2)]
+    correlation = np.corrcoef(ranks)[0, 1]
+    assert abs(correlation) * math.sqrt(n - 1) <= _two_sided_z(checks)
 
 
 def test_simulation_is_deterministic():
@@ -122,10 +136,24 @@ def test_simulate_rejects_bad_trial_count():
 
 
 def test_leakage_positive_and_near_analytic_value():
-    # two looks at the injected value, no fading masking, unit noise
+    # Two looks at the injected value, no fading masking, unit noise: with
+    # a = p_max sigma2 and v = sigmaj2 gamma, the leakage is
+    # log2((1 + 2 (a + v)) / (1 + 2 a)) (tests/test_identities.py), about
+    # log2(3) here. Twenty one-chunk replicates; the standard error comes
+    # from them, so the bound is Student's t with 19 degrees of freedom at
+    # SAMPLER_FAMILY_LEVEL (about 3.88 standard errors, about 0.006 bits).
+    # The plug-in estimate's bias, about 9e-5 bits at one chunk, is under a
+    # tenth of a standard error.
     params = SystemParams(1, 2.0, 1.0, 2.0, 1e-12, 1.0)
-    estimate = leakage_bound(params, 200_000, SEED)
-    assert estimate == pytest.approx(math.log2(3.0), abs=0.02)
+    a = params.max_pilot_power * params.legit_channel_var
+    v = params.jam_channel_var * params.jam_power_budget
+    expected = math.log2((1 + 2 * (a + v)) / (1 + 2 * a))
+    replicates = 20
+    estimates = [leakage_bound(params, CHUNK_TRIALS, SEED.with_stream(r)) for r in range(replicates)]
+    assert min(estimates) > 0.0
+    bound = scipy.stats.t.ppf(1.0 - SAMPLER_FAMILY_LEVEL / 2, replicates - 1)
+    error = np.std(estimates, ddof=1) / math.sqrt(replicates)
+    assert abs(np.mean(estimates) - expected) <= bound * error
 
 
 def test_leakage_zero_budget_is_exactly_zero():
