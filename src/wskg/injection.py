@@ -20,7 +20,7 @@ from __future__ import annotations
 import math
 import os
 import threading
-from typing import Callable, List, NamedTuple, Optional, Sequence
+from typing import Callable, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -78,9 +78,14 @@ class ChunkBuffers:
         self.draw = np.empty(min(size + size % 2, DRAW_BLOCK))
 
 
-def _injected_variance(params: SystemParams) -> float:
-    """Variance of the injected value in the attack model of both kernels."""
-    return params.jam_channel_var * params.jam_power_budget
+def _source_variances(params: SystemParams) -> Tuple[float, float, float, float]:
+    """Variances of the sources ``(H, W, N_a, N_b)`` that both kernels draw,
+    in that order. Raises ``NumericalError`` for a nonzero W variance whose
+    half, the variance of W's parts, is not a normal float."""
+    injected = params.jam_channel_var * params.jam_power_budget
+    if injected != 0.0:
+        _require_normal("sigmaj2 * gamma / 2", injected / 2.0)
+    return params.legit_channel_var, injected, 1.0, 1.0
 
 
 def _draw(rng, buffers: ChunkBuffers, key: int, variance: float, n_trials: int) -> np.ndarray:
@@ -111,11 +116,11 @@ def simulate_two_look(
 ) -> TwoLookBatch:
     """Monte Carlo trials of both parties' observations under injection.
 
-    Per trial, drawn in this order, as :func:`randomize_trials` draws them:
-    a reciprocal channel gain H ~ CN(0, legit_channel_var), the injected
-    value W ~ CN(0, jam_channel_var * jam_power_budget) and unit-variance
-    noises N_a and N_b. With a deterministic pilot at full power P, the
-    looks are Z_a = sqrt(P) H + W + N_a and Z_b = sqrt(P) H + W + N_b.
+    Per trial, drawn in this order, as :func:`randomize_trials` draws them,
+    at the variances of :func:`_source_variances`: a reciprocal channel gain
+    H, the injected value W and unit-variance noises N_a and N_b. With a
+    deterministic pilot at full power P, the looks are
+    Z_a = sqrt(P) H + W + N_a and Z_b = sqrt(P) H + W + N_b.
 
     W is the value that :func:`coincidence_precoder`, driven at amplitude
     2 sqrt(jam_power_budget), lands at both receivers, drawn from its exact
@@ -125,23 +130,22 @@ def simulate_two_look(
     ``tests/test_identities.py::test_coincident_gain_is_the_mean_gain``
     proves the algebra, and
     ``tests/test_injection.py::test_precoded_injection_has_the_drawn_law``
-    samples the precoder against this law.
+    samples the precoder against this law. :func:`stage_model` states the
+    stage's law, and
+    ``tests/test_injection.py::test_kernel_covariance_matches_its_stage_model``
+    ties this kernel to it.
 
-    A nonzero W variance whose half is not a normal float raises
-    ``NumericalError`` before any draw. The returned arrays are views into
-    ``buffers`` when given. Overflow is silent here: callers reject the
-    non-finite moments it leads to.
+    The variances' check raises before any draw. The returned arrays are
+    views into ``buffers`` when given. Overflow is silent here: callers
+    reject the non-finite moments it leads to.
     """
     n_trials = _require_integer("n_trials", n_trials, 1)
-    variance = _injected_variance(params)
-    if variance != 0.0:
-        _require_normal("sigmaj2 * gamma / 2", variance / 2.0)
+    variances = _source_variances(params)
     rng = seed.generator()
     if buffers is None:
         buffers = ChunkBuffers(n_trials)
     # Slots: h, then the common term, in 0; w in 2; z_a in 3; z_b in 4.
-    h, w, z_a, z_b = (_draw(rng, buffers, key, var, n_trials) for key, var in
-                      ((0, params.legit_channel_var), (2, variance), (3, 1.0), (4, 1.0)))
+    h, w, z_a, z_b = (_draw(rng, buffers, key, var, n_trials) for key, var in zip((0, 2, 3, 4), variances))
     common = np.add(np.multiply(math.sqrt(params.max_pilot_power), h, out=h), w, out=h)
     z_a += common
     z_b += common
@@ -154,14 +158,18 @@ def randomize_trials(
 ) -> TwoLookBatch:
     """Monte Carlo trials of both parties' post-multiplied observations.
 
-    Per trial: independent QPSK pilots X and Y at full pilot power, a channel
-    gain H ~ CN(0, legit_channel_var), an injected value
-    W ~ CN(0, jam_channel_var * jam_power_budget), and unit-variance noises.
-    Returns Z~_a = XYH + XW + X N_a and Z~_b = XYH + YW + Y N_b, as views into
-    ``buffers`` when given. Overflow is silent here: callers reject the
+    Per trial: independent QPSK pilots X and Y at full pilot power, then,
+    at the variances of :func:`_source_variances`, a channel gain H, an
+    injected value W and unit-variance noises. Returns
+    Z~_a = XYH + XW + X N_a and Z~_b = XYH + YW + Y N_b, as views into
+    ``buffers`` when given. The variances' check raises before any draw.
+    :func:`stage_model` states the stage's law, and
+    ``tests/test_injection.py::test_kernel_covariance_matches_its_stage_model``
+    ties this kernel to it. Overflow is silent here: callers reject the
     non-finite moments it leads to.
     """
     n_trials = _require_integer("n_trials", n_trials, 1)
+    h_var, w_var, noise_a_var, noise_b_var = _source_variances(params)
     rng = seed.generator()
     if buffers is None:
         buffers = ChunkBuffers(n_trials)
@@ -173,18 +181,18 @@ def randomize_trials(
     x_index, y_index = (_pilot_indices(rng, power, n_trials, row[:n_trials]) for row in buffers.index)
     x = _take_points(points, x_index, buffers.slots[0, :n_trials])
     y = _take_points(points, y_index, buffers.slots[1, :n_trials])
-    h = _draw(rng, buffers, 3, params.legit_channel_var, n_trials)
+    h = _draw(rng, buffers, 3, h_var, n_trials)
     # In place, in the operation order of z_a = x y h + x w + x noise_a, etc.
     # Each of w, noise_a and noise_b is drawn once a slot is free for it;
     # each product keeps its pilot as the first operand, as the plain
     # expressions do.
     z_b = np.multiply(x, y, out=buffers.slots[4, :n_trials])
     z_b *= h
-    w = _draw(rng, buffers, 2, _injected_variance(params), n_trials)
+    w = _draw(rng, buffers, 2, w_var, n_trials)
     z_a = np.multiply(x, w, out=h)
     z_a += z_b
     z_b += np.multiply(y, w, out=x)
-    noise_a = _draw(rng, buffers, 0, 1.0, n_trials)
+    noise_a = _draw(rng, buffers, 0, noise_a_var, n_trials)
     # x's slot now holds noise_a, so x is taken again from its indices, in
     # blocks that fit the draw block as complex values. numpy multiplies a
     # lone complex value in place without its SIMD loop, which rounds
@@ -197,7 +205,7 @@ def randomize_trials(
         noise = noise_a[start:stop]
         x_part = _take_points(points, x_index[start:stop], block[: stop - start])
         z_a[start:stop] += np.multiply(x_part, noise, out=noise)
-    noise_b = _draw(rng, buffers, 0, 1.0, n_trials)
+    noise_b = _draw(rng, buffers, 0, noise_b_var, n_trials)
     z_b += np.multiply(y, noise_b, out=noise_b)
     return TwoLookBatch(z_a=z_a, z_b=z_b, injected=w)
 
@@ -348,6 +356,49 @@ def covariance(g: np.ndarray) -> np.ndarray:
     return (g[1:, 1:] - np.outer(sums, sums) / n_trials) / (n_trials - 1.0)
 
 
+class StageModel(NamedTuple):
+    """One Monte Carlo stage's law: with probability ``weights[k]`` the
+    pilots fall in class ``k``, and then ``(W, z_a, z_b) = maps[k] @ g`` for
+    independent circularly-symmetric complex Gaussians
+    ``g = (H, W, N_a, N_b)`` of variances ``variances``."""
+
+    weights: np.ndarray
+    maps: np.ndarray
+    variances: Tuple[float, float, float, float]
+
+
+def stage_model(params: SystemParams, randomized: bool) -> StageModel:
+    """The law that :func:`randomize_trials` (``randomized``) or
+    :func:`simulate_two_look` draws from.
+
+    In each class the looks are ``z_a = c H + x (W + N_a)`` and
+    ``z_b = c H + y (W + N_b)``. The static stage has one class, with
+    ``x = y = 1`` and ``c = sqrt(P)`` at pilot power P. The randomized stage
+    has the 16 equally likely pilot pairs of :func:`_qpsk_points`, ``x``
+    major, with ``c = x y``.
+    """
+    if randomized:
+        points = _qpsk_points(params.max_pilot_power)
+        pilots = [(x, y, x * y) for x in points for y in points]
+    else:
+        pilots = [(1.0, 1.0, math.sqrt(params.max_pilot_power))]
+    maps = np.array([[[0, 1, 0, 0], [c, x, x, 0], [c, y, 0, y]] for x, y, c in pilots], dtype=complex)
+    return StageModel(np.full(len(maps), 1.0 / len(maps)), maps, _source_variances(params))
+
+
+def model_covariance(model: StageModel) -> np.ndarray:
+    """The 6x6 real covariance of ``(W, z_a, z_b)`` under ``model``, in
+    :func:`gram`'s coordinate order: what :func:`covariance` of a kernel's
+    summed :func:`gram` matrix estimates. The classes are summed exactly
+    (``math.fsum``), so an entry whose terms cancel over them is 0.0."""
+    # A complex entry a acts on a source's real and imaginary parts as
+    # [[Re a, -Im a], [Im a, Re a]], and each part has half its variance.
+    maps = np.kron(model.maps.real, np.eye(2)) + np.kron(model.maps.imag, [[0.0, -1.0], [1.0, 0.0]])
+    maps *= np.sqrt(np.repeat(model.variances, 2) / 2.0)
+    terms = model.weights[:, None, None] * np.einsum("kia,kja->kij", maps, maps)
+    return np.apply_along_axis(math.fsum, 0, terms)
+
+
 def static_stage(params: SystemParams, n_trials: int, total: np.ndarray) -> dict:
     """``simulate-injection``'s payload, which ``leakage`` carries too, from
     the static stage's summed :func:`gram` matrix."""
@@ -358,7 +409,7 @@ def static_stage(params: SystemParams, n_trials: int, total: np.ndarray) -> dict
         "trials": n_trials,
         "chunk_trials": CHUNK_TRIALS,
         "injected_variance": cov[0][0] + cov[1][1],
-        "nominal_injected_variance": _injected_variance(params),
+        "nominal_injected_variance": _source_variances(params)[1],
         "observation_variance": cov[2][2] + cov[3][3],
         "observation_cross_moment": cov[2][4] + cov[3][5],
     }

@@ -144,15 +144,13 @@ def verify_check(params: SystemParams, trials: int, seed: RngSeed) -> dict:
 
 
 def leakage_after_randomization(params: SystemParams, n_trials: int, seed: RngSeed) -> float:
-    """Second-order leakage estimate under randomized probing; vanishes as
-    trials grow.
-
-    All second moments between the injected value and the post-multiplied
-    observations are zero, so the Gaussian MI estimate is pure sampling noise.
-    It does not bound the exact ``I(W; Z_a, Z_b)``, which is not computed:
-    the injected value is uncorrelated with the looks, not independent of them.
-    Runs on :func:`~wskg.injection.chunked_grams`, as the ``leakage``
-    command's randomized stage does.
+    """Second-order leakage estimate under randomized probing: sampling
+    noise, which vanishes as trials grow, since the stage's law
+    (:func:`~wskg.injection.stage_model`) has no second moment between the
+    injected value and the looks. It does not bound the exact
+    ``I(W; Z_a, Z_b)`` (see the module docstring). Runs on
+    :func:`~wskg.injection.chunked_grams`, as the ``leakage`` command's
+    randomized stage does.
     """
     (total,) = chunked_grams(params, n_trials, seed, (randomize_trials,))
     return mi_from_gram(total)

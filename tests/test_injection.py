@@ -5,18 +5,28 @@ import pytest
 import scipy.stats
 
 from wskg import (
+    NumericalError,
     ParameterError,
     RngSeed,
     SystemParams,
     gaussian_mi_from_cov,
     gram,
     ks_test_normal,
+    leakage_after_randomization,
     leakage_bound,
     mi_from_gram,
     randomize_trials,
+    rate_array,
     simulate_two_look,
 )
-from wskg.injection import CHUNK_TRIALS, coincidence_precoder, covariance
+from wskg.injection import (
+    CHUNK_TRIALS,
+    chunked_grams,
+    coincidence_precoder,
+    covariance,
+    model_covariance,
+    stage_model,
+)
 
 from conftest import SAMPLER_FAMILY_LEVEL, _two_sided_z
 
@@ -67,14 +77,15 @@ def test_precoder_coincidence_and_budget_over_random_draws():
 
 
 def test_precoded_injection_has_the_drawn_law():
-    # simulate_two_look draws the injected value W ~ CN(0, sigmaj2 gamma),
-    # independent of the rest of the trial. Here W comes from the attack
-    # itself: drawn gains through the precoder, driven at 2 sqrt(gamma).
-    # Three checks at SAMPLER_FAMILY_LEVEL / 3: KS tests of W's real and
-    # imaginary parts against N(0, sigmaj2 gamma / 2), and a z-test of the
-    # correlation of |W|^2 with the precoder's |ratio|^2. That ratio is
-    # F(2, 2) distributed, with no finite mean, so the test correlates
-    # ranks, whose correlation has variance 1 / (n - 1) under independence.
+    # simulate_two_look draws the injected value W ~ CN(0, sigmaj2 gamma), at
+    # its stage model's variance, independent of the rest of the trial. Here
+    # W comes from the attack itself: drawn gains through the precoder,
+    # driven at 2 sqrt(gamma). Three checks at SAMPLER_FAMILY_LEVEL / 3: KS
+    # tests of W's real and imaginary parts against N(0, sigmaj2 gamma / 2),
+    # and a z-test of the correlation of |W|^2 with the precoder's
+    # |ratio|^2. That ratio is F(2, 2) distributed, with no finite mean, so
+    # the test correlates ranks, whose correlation has variance 1 / (n - 1)
+    # under independence.
     params = make_params(gamma=3.0, sigmaj2=0.6)
     n, checks = 100_000, 3
     scale = math.sqrt(params.jam_channel_var / 4.0)  # entry variance jam_channel_var / 2
@@ -82,7 +93,7 @@ def test_precoded_injection_has_the_drawn_law():
     h_a1, h_a2, h_b1, h_b2 = gains[0::2] + 1j * gains[1::2]
     ratio, norm = coincidence_precoder(h_a2, h_b2, h_a1 - h_b1)
     injected = 2.0 * math.sqrt(params.jam_power_budget) * (h_a1 * ratio + h_a2) / norm
-    variance = params.jam_channel_var * params.jam_power_budget
+    variance = stage_model(params, False).variances[1]
     for part in (injected.real, injected.imag):
         assert ks_test_normal(part, variance / 2.0).p_value > SAMPLER_FAMILY_LEVEL / checks
     ranks = [np.argsort(np.argsort(values)) for values in (np.abs(injected) ** 2, np.abs(ratio) ** 2)]
@@ -98,30 +109,69 @@ def test_simulation_is_deterministic():
     assert np.array_equal(a.injected, b.injected)
 
 
-def test_simulated_injection_variance_matches_model():
-    # Three checks. |W|^2 is exponential with mean q = gamma sigmaj2 and
-    # |d|^2, for the look difference d, with mean 2, so each complex
-    # variance v has standard error v / sqrt(n). W and d are independent
-    # with E|d|^2 |W|^2 = 2 q, so each coordinate of mean(d conj(W)) has
-    # standard error sqrt(q / n) and its modulus is Rayleigh in those units.
-    params = make_params(gamma=4.0, sigmaj2=1.0)
-    n, checks, q = 200_000, 3, 4.0
-    batch = simulate_two_look(params, n, SEED)
-    z_var = _two_sided_z(checks)  # about 3.59
-    assert abs(np.var(batch.injected) - q) <= z_var * q / math.sqrt(n)
-    # the injected value cancels between the looks, leaving only noise
-    diff = batch.z_a - batch.z_b
-    assert abs(np.var(diff) - 2.0) <= z_var * 2.0 / math.sqrt(n)
-    z_mean = math.sqrt(2.0 * math.log(checks / SAMPLER_FAMILY_LEVEL))  # about 4.00
-    assert abs(np.mean(diff * np.conj(batch.injected))) <= z_mean * math.sqrt(q / n)
+@pytest.mark.parametrize("kernel", [simulate_two_look, randomize_trials])
+def test_kernel_covariance_matches_its_stage_model(kernel):
+    # Five parameter sets: three drawn log-uniform, p_max on [1, 100] and
+    # the rest on [0.1, 10], one without injection and one without pilot
+    # power. At each, twenty one-chunk replicates of the kernel's covariance
+    # against model_covariance, over the 21 entries of the upper triangle.
+    # The standard error comes from the replicates, so the bound is
+    # Student's t with 19 degrees of freedom at SAMPLER_FAMILY_LEVEL / (5 * 21)
+    # (about 5.97). An entry that the model and every replicate hold at
+    # exactly 0 (W's at gamma = 0, the randomized looks' at p_max = 0) has
+    # no spread, so it is checked exactly.
+    draws = np.exp(np.random.default_rng(24).uniform(np.log([1.0, 0.1, 0.1, 0.1]), np.log([100.0, 10, 10, 10]), (3, 4)))
+    sets = [*(make_params(*d) for d in draws), make_params(gamma=0.0), make_params(p_max=0.0)]
+    replicates, upper = 20, np.triu_indices(6)
+    bound = scipy.stats.t.ppf(1.0 - SAMPLER_FAMILY_LEVEL / (len(sets) * upper[0].size) / 2, replicates - 1)
+    for s, params in enumerate(sets):
+        expected = model_covariance(stage_model(params, kernel is randomize_trials))[upper]
+        seeds = (SEED.with_stream(s * replicates + r) for r in range(replicates))
+        estimates = np.array([covariance(chunked_grams(params, CHUNK_TRIALS, seed, (kernel,))[0])[upper]
+                              for seed in seeds])
+        error = np.std(estimates, axis=0, ddof=1) / math.sqrt(replicates)
+        assert np.all(np.abs(np.mean(estimates, axis=0) - expected) <= bound * error), params
 
 
-def test_zero_budget_simulation_is_noise_only():
-    params = make_params(gamma=0.0)
-    n = 100_000
-    batch = simulate_two_look(params, n, SEED)
-    assert np.all(batch.injected == 0.0)
-    assert abs(np.var(batch.z_a - batch.z_b) - 2.0) <= _two_sided_z(1) * 2.0 / math.sqrt(n)
+def test_stage_models_meet_their_closed_forms():
+    # At 1000 parameter sets, each of p_max, gamma, sigma2 and sigmaj2 drawn
+    # log-uniform on [1e-3, 1e3]: the static leakage is the closed form
+    # that tests/test_identities.py proves; the randomized W-look block is
+    # exactly 0, so that leakage is exactly 0.0; and the MI of the
+    # randomized looks is rate_array's key rate. gaussian_mi_from_cov
+    # subtracts log-determinants, each off by a few eps times its own size
+    # plus about dim eps cond(C) from the roundings of the factorization and
+    # of the model's entries. So each MI may miss by 4 eps times the sum,
+    # over its three blocks, of |ln det| + dim cond(C), in bits; the worst
+    # seen is under half an eps of that sum.
+    def tolerance(c):
+        blocks = (c, c[:2, :2], c[2:, 2:])
+        scale = sum(abs(np.linalg.slogdet(b)[1]) + len(b) * np.linalg.cond(c) for b in blocks)
+        return 4.0 * np.finfo(float).eps * scale / (2.0 * math.log(2.0))
+
+    draws = np.random.default_rng(2024)
+    for _ in range(1000):
+        p_max, gamma, sigma2, sigmaj2 = np.exp(draws.uniform(np.log(1e-3), np.log(1e3), 4))
+        params = make_params(p_max, gamma, sigma2, sigmaj2)
+        static = model_covariance(stage_model(params, False))
+        a, v = p_max * sigma2, sigmaj2 * gamma
+        expected = math.log2((1 + 2 * (a + v)) / (1 + 2 * a))
+        assert abs(gaussian_mi_from_cov(static, 2) - expected) <= tolerance(static)
+        randomized = model_covariance(stage_model(params, True))
+        assert not randomized[:2, 2:].any()
+        assert gaussian_mi_from_cov(randomized, 2) == 0.0
+        looks = randomized[2:, 2:]
+        assert abs(gaussian_mi_from_cov(looks, 2) - rate_array(p_max, gamma, sigma2, sigmaj2)) <= tolerance(looks)
+
+
+@pytest.mark.parametrize("gamma, sigmaj2, half", [(1e-323, 1.0, "5e-324"), (1e308, 10.0, "inf")])
+def test_both_stages_refuse_the_same_injected_variance(gamma, sigmaj2, half):
+    # Either kernel draws W's parts at variance sigmaj2 gamma / 2, which
+    # must be a normal float.
+    params = make_params(gamma=gamma, sigmaj2=sigmaj2)
+    for estimate in (leakage_bound, leakage_after_randomization):
+        with pytest.raises(NumericalError, match=rf"^sigmaj2 \* gamma / 2 is not a normal float: {half}$"):
+            estimate(params, 20_000, SEED)
 
 
 def test_simulate_rejects_bad_trial_count():
@@ -136,18 +186,16 @@ def test_simulate_rejects_bad_trial_count():
 
 
 def test_leakage_positive_and_near_analytic_value():
-    # Two looks at the injected value, no fading masking, unit noise: with
-    # a = p_max sigma2 and v = sigmaj2 gamma, the leakage is
-    # log2((1 + 2 (a + v)) / (1 + 2 a)) (tests/test_identities.py), about
-    # log2(3) here. Twenty one-chunk replicates; the standard error comes
-    # from them, so the bound is Student's t with 19 degrees of freedom at
+    # Two looks at the injected value, no fading masking, unit noise: the
+    # static stage model's Gaussian leakage, about log2(3) here (its closed
+    # form is checked by test_stage_models_meet_their_closed_forms). Twenty
+    # one-chunk replicates; the standard error comes from them, so the
+    # bound is Student's t with 19 degrees of freedom at
     # SAMPLER_FAMILY_LEVEL (about 3.88 standard errors, about 0.006 bits).
     # The plug-in estimate's bias, about 9e-5 bits at one chunk, is under a
     # tenth of a standard error.
     params = SystemParams(1, 2.0, 1.0, 2.0, 1e-12, 1.0)
-    a = params.max_pilot_power * params.legit_channel_var
-    v = params.jam_channel_var * params.jam_power_budget
-    expected = math.log2((1 + 2 * (a + v)) / (1 + 2 * a))
+    expected = gaussian_mi_from_cov(model_covariance(stage_model(params, False)), 2)
     replicates = 20
     estimates = [leakage_bound(params, CHUNK_TRIALS, SEED.with_stream(r)) for r in range(replicates)]
     assert min(estimates) > 0.0
