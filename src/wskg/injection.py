@@ -1,4 +1,4 @@
-"""Coincident-signal injection attack: precoding, both Monte Carlo kernels, leakage.
+"""Coincident-signal injection attack: precoding, the Monte Carlo kernel, leakage.
 
 A two-antenna attacker with knowledge of both of its channel vectors can
 precode its transmission so the identical waveform arrives at both legitimate
@@ -9,10 +9,11 @@ attacker controls when the probing pilots are deterministic.
 :func:`coincidence_precoder` is that construction. No kernel runs it: the
 value it lands has a proven law, from which :func:`simulate_two_look` draws.
 
-Both Monte Carlo kernels live here, beside the buffer set they write into:
-:func:`simulate_two_look` (static pilots) and :func:`randomize_trials`
-(the randomized-probing defense of :mod:`wskg.randomization`), and the
-payloads of ``simulate-injection`` and ``leakage``, which run them.
+One Monte Carlo kernel, :func:`_two_look`, serves both stages, static
+pilots (:func:`simulate_two_look`) and the randomized-probing defense of
+:mod:`wskg.randomization` (:func:`randomize_trials`). It lives here, beside
+the buffer set it writes into and the payloads of ``simulate-injection`` and
+``leakage``, which run it.
 """
 
 from __future__ import annotations
@@ -42,6 +43,10 @@ from .stochastic import (
 #: randomized stage starts after its static one.
 CHUNK_TRIALS = 1 << 16
 
+#: Most batches that :func:`chunked_grams` splits a kernel's chunks into:
+#: it keeps one matrix a batch, so its memory does not grow with trials.
+BATCHES = 64
+
 
 def coincidence_precoder(h_a2, h_b2, denom):
     """Unit-power precoder whose signal lands identically at both receivers.
@@ -62,14 +67,15 @@ def coincidence_precoder(h_a2, h_b2, denom):
 class ChunkBuffers:
     """Work arrays for Monte Carlo chunks of up to ``size`` trials.
 
-    ``slots`` holds five complex values per trial: every kernel leaves its
-    results (``injected``, ``z_a``, ``z_b``) in slots 2 to 4, and
+    ``slots`` holds five complex values per trial: :func:`_two_look` leaves
+    its results (``injected``, ``z_a``, ``z_b``) in slots 2 to 4, and
     :func:`gram` writes its rows over slots 0 to 3. ``index`` holds the
-    randomized kernel's pilots as point indices, one byte each, x's then y's.
-    ``draw`` is the block of reals through which every Gaussian is drawn:
-    ``DRAW_BLOCK``, or ``size`` rounded up to even when that is fewer. A
-    kernel of ``n`` trials uses the first ``n`` of each row, so a set serves
-    chunk after chunk, and reuses a slot only once its contents are dead.
+    randomized stage's pilots as point indices, one byte each, x's then
+    y's, until row 0 takes their class ``4 x + y``. ``draw`` is the block
+    of reals through which every Gaussian is drawn: ``DRAW_BLOCK``, or
+    ``size`` rounded up to even when that is fewer. A kernel of ``n`` trials
+    uses the first ``n`` of each row, so a set serves chunk after chunk, and
+    reuses a slot only once its contents are dead.
     """
 
     def __init__(self, size: int) -> None:
@@ -79,9 +85,9 @@ class ChunkBuffers:
 
 
 def _source_variances(params: SystemParams) -> Tuple[float, float, float, float]:
-    """Variances of the sources ``(H, W, N_a, N_b)`` that both kernels draw,
-    in that order. Raises ``NumericalError`` for a nonzero W variance whose
-    half, the variance of W's parts, is not a normal float."""
+    """Variances of the sources ``(H, W, N_a, N_b)`` of :func:`stage_model`.
+    Raises ``NumericalError`` for a nonzero W variance whose half, the
+    variance of W's parts, is not a normal float."""
     injected = params.jam_channel_var * params.jam_power_budget
     if injected != 0.0:
         _require_normal("sigmaj2 * gamma / 2", injected / 2.0)
@@ -111,16 +117,66 @@ class TwoLookBatch(NamedTuple):
 
 
 @np.errstate(over="ignore", invalid="ignore")
+def _two_look(
+    params: SystemParams, n_trials: int, seed: RngSeed, buffers: Optional[ChunkBuffers], randomized: bool
+) -> TwoLookBatch:
+    """Monte Carlo trials of :func:`stage_model`'s randomized stage, or of
+    its static one, in three complex draws a trial.
+
+    Given the pilots x and y (1 for static pilots) and ``c = P sigma2`` at
+    pilot power P, the looks are ``z_a = x (W + u_a)`` and
+    ``z_b = y (W + u_b)``, with ``u_a ~ CN(0, c + 1)`` and
+    ``u_b = rho u_a + v``: ``rho = Cov(u_b, u_a) / (c + 1)`` is
+    ``c / (c + 1)`` for static pilots and ``x conj(y) sigma2 / (c + 1)`` for
+    QPSK ones, and ``v ~ CN(0, (2 c + 1) / (c + 1))``. The draws are the
+    randomized pilots' indices, x's then y's, then W at
+    :func:`_source_variances`' variance (whose check raises before any
+    draw), u_a and v.
+    ``tests/test_identities.py::test_two_look_construction_is_the_stage_model``
+    proves it is the model's law, class by class, and
+    ``tests/test_injection.py::test_kernel_covariance_matches_its_stage_model``
+    samples the kernel against it. Every complex product is out of place:
+    numpy rounds a lone complex value otherwise in place. The returned
+    arrays are views into ``buffers`` when given. Overflow is silent here:
+    callers reject the non-finite moments it leads to.
+    """
+    n_trials = _require_integer("n_trials", n_trials, 1)
+    injected_var = _source_variances(params)[1]
+    rng = seed.generator()
+    if buffers is None:
+        buffers = ChunkBuffers(n_trials)
+    slots = buffers.slots[:, :n_trials]
+    power = params.max_pilot_power
+    c = power * params.legit_channel_var
+    rho = c / (c + 1.0)
+    if randomized:
+        # Each pilot pair's class 4 x + y, in uint8, indexes its x, y and rho.
+        x_index, y_index = (_pilot_indices(rng, power, n_trials, row[:n_trials]) for row in buffers.index)
+        classes = np.bitwise_or(np.left_shift(x_index, 2, out=x_index), y_index, out=x_index)
+        points = _qpsk_points(power)
+        x, y = np.repeat(points, 4), np.tile(points, 4)
+        rho = _take_points(x * np.conj(y) * (params.legit_channel_var / (c + 1.0)), classes, slots[0])
+    # Slots: W in 2; u_a in 3; rho u_a, then u_b, in 1; v in 4.
+    w = _draw(rng, buffers, 2, injected_var, n_trials)
+    u_a = _draw(rng, buffers, 3, c + 1.0, n_trials)
+    u_b = np.multiply(rho, u_a, out=slots[1])
+    v = _draw(rng, buffers, 4, (2.0 * c + 1.0) / (c + 1.0), n_trials)
+    u_b += v
+    if not randomized:
+        return TwoLookBatch(z_a=np.add(u_a, w, out=u_a), z_b=np.add(u_b, w, out=v), injected=w)
+    # W + u_a in v's slot and W + u_b in u_b's, each times its pilot.
+    look_a, look_b = np.add(u_a, w, out=v), np.add(u_b, w, out=u_b)
+    z_a = np.multiply(_take_points(x, classes, slots[0]), look_a, out=u_a)
+    z_b = np.multiply(_take_points(y, classes, slots[0]), look_b, out=look_a)
+    return TwoLookBatch(z_a=z_a, z_b=z_b, injected=w)
+
+
 def simulate_two_look(
     params: SystemParams, n_trials: int, seed: RngSeed, buffers: Optional[ChunkBuffers] = None
 ) -> TwoLookBatch:
-    """Monte Carlo trials of both parties' observations under injection.
-
-    Per trial, drawn in this order, as :func:`randomize_trials` draws them,
-    at the variances of :func:`_source_variances`: a reciprocal channel gain
-    H, the injected value W and unit-variance noises N_a and N_b. With a
-    deterministic pilot at full power P, the looks are
-    Z_a = sqrt(P) H + W + N_a and Z_b = sqrt(P) H + W + N_b.
+    """Trials of both parties' looks ``sqrt(P) H + W + N_a`` and
+    ``sqrt(P) H + W + N_b`` under a deterministic pilot at full power P:
+    :func:`_two_look` of the static stage.
 
     W is the value that :func:`coincidence_precoder`, driven at amplitude
     2 sqrt(jam_power_budget), lands at both receivers, drawn from its exact
@@ -130,84 +186,18 @@ def simulate_two_look(
     ``tests/test_identities.py::test_coincident_gain_is_the_mean_gain``
     proves the algebra, and
     ``tests/test_injection.py::test_precoded_injection_has_the_drawn_law``
-    samples the precoder against this law. :func:`stage_model` states the
-    stage's law, and
-    ``tests/test_injection.py::test_kernel_covariance_matches_its_stage_model``
-    ties this kernel to it.
-
-    The variances' check raises before any draw. The returned arrays are
-    views into ``buffers`` when given. Overflow is silent here: callers
-    reject the non-finite moments it leads to.
+    samples the precoder against this law.
     """
-    n_trials = _require_integer("n_trials", n_trials, 1)
-    variances = _source_variances(params)
-    rng = seed.generator()
-    if buffers is None:
-        buffers = ChunkBuffers(n_trials)
-    # Slots: h, then the common term, in 0; w in 2; z_a in 3; z_b in 4.
-    h, w, z_a, z_b = (_draw(rng, buffers, key, var, n_trials) for key, var in zip((0, 2, 3, 4), variances))
-    common = np.add(np.multiply(math.sqrt(params.max_pilot_power), h, out=h), w, out=h)
-    z_a += common
-    z_b += common
-    return TwoLookBatch(z_a=z_a, z_b=z_b, injected=w)
+    return _two_look(params, n_trials, seed, buffers, False)
 
 
-@np.errstate(over="ignore", invalid="ignore")
 def randomize_trials(
     params: SystemParams, n_trials: int, seed: RngSeed, buffers: Optional[ChunkBuffers] = None
 ) -> TwoLookBatch:
-    """Monte Carlo trials of both parties' post-multiplied observations.
-
-    Per trial: independent QPSK pilots X and Y at full pilot power, then,
-    at the variances of :func:`_source_variances`, a channel gain H, an
-    injected value W and unit-variance noises. Returns
-    Z~_a = XYH + XW + X N_a and Z~_b = XYH + YW + Y N_b, as views into
-    ``buffers`` when given. The variances' check raises before any draw.
-    :func:`stage_model` states the stage's law, and
-    ``tests/test_injection.py::test_kernel_covariance_matches_its_stage_model``
-    ties this kernel to it. Overflow is silent here: callers reject the
-    non-finite moments it leads to.
-    """
-    n_trials = _require_integer("n_trials", n_trials, 1)
-    h_var, w_var, noise_a_var, noise_b_var = _source_variances(params)
-    rng = seed.generator()
-    if buffers is None:
-        buffers = ChunkBuffers(n_trials)
-    power = params.max_pilot_power
-    points = _qpsk_points(power)
-    # Slots: x, then y w, noise_a and noise_b, in 0; y in 1; w in 2; h,
-    # then z_a, in 3; z_b in 4. The pilots' point indices have bytes of
-    # their own.
-    x_index, y_index = (_pilot_indices(rng, power, n_trials, row[:n_trials]) for row in buffers.index)
-    x = _take_points(points, x_index, buffers.slots[0, :n_trials])
-    y = _take_points(points, y_index, buffers.slots[1, :n_trials])
-    h = _draw(rng, buffers, 3, h_var, n_trials)
-    # In place, in the operation order of z_a = x y h + x w + x noise_a, etc.
-    # Each of w, noise_a and noise_b is drawn once a slot is free for it;
-    # each product keeps its pilot as the first operand, as the plain
-    # expressions do.
-    z_b = np.multiply(x, y, out=buffers.slots[4, :n_trials])
-    z_b *= h
-    w = _draw(rng, buffers, 2, w_var, n_trials)
-    z_a = np.multiply(x, w, out=h)
-    z_a += z_b
-    z_b += np.multiply(y, w, out=x)
-    noise_a = _draw(rng, buffers, 0, noise_a_var, n_trials)
-    # x's slot now holds noise_a, so x is taken again from its indices, in
-    # blocks that fit the draw block as complex values. numpy multiplies a
-    # lone complex value in place without its SIMD loop, which rounds
-    # differently, so the blocks split the trials evenly: none holds a
-    # single trial unless the batch does.
-    block = buffers.draw.view(complex)
-    n_blocks = -(-n_trials // block.size)
-    edges = [n_trials * i // n_blocks for i in range(n_blocks + 1)]
-    for start, stop in zip(edges, edges[1:]):
-        noise = noise_a[start:stop]
-        x_part = _take_points(points, x_index[start:stop], block[: stop - start])
-        z_a[start:stop] += np.multiply(x_part, noise, out=noise)
-    noise_b = _draw(rng, buffers, 0, noise_b_var, n_trials)
-    z_b += np.multiply(y, noise_b, out=noise_b)
-    return TwoLookBatch(z_a=z_a, z_b=z_b, injected=w)
+    """Trials of both parties' post-multiplied looks ``XYH + XW + X N_a`` and
+    ``XYH + YW + Y N_b`` under independent QPSK pilots X and Y at full pilot
+    power: :func:`_two_look` of the randomized stage."""
+    return _two_look(params, n_trials, seed, buffers, True)
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -245,15 +235,14 @@ def usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def pool_size(workers: Optional[int], n_chunks: int) -> int:
-    """Threads that run ``n_chunks`` chunks: ``min(workers, n_chunks, usable
+def pool_size(workers: Optional[int], n_jobs: int) -> int:
+    """Threads that run ``n_jobs`` jobs: ``min(workers, n_jobs, usable
     CPUs)``, with ``workers`` defaulting to the usable CPU count. Each thread
-    owns one buffer set, so memory grows with this number, and with trials
-    by one 0.5 KB matrix a chunk: 154 MiB at 1e10 trials of two kernels.
-    With two or more, :func:`chunked_grams` pins each to a CPU of its own."""
+    owns one buffer set, so memory grows with this number. With two or
+    more, :func:`chunked_grams` pins each to a CPU of its own."""
     cpus = usable_cpus()
     workers = cpus if workers is None else _require_integer("workers", workers, 1)
-    return min(workers, n_chunks, cpus)
+    return min(workers, n_jobs, cpus)
 
 
 def _pin(cpus) -> None:
@@ -278,24 +267,30 @@ def chunked_grams(
     ``n_trials`` trials in chunks of ``CHUNK_TRIALS``. Chunk ``i`` of kernel
     ``k`` uses substream ``stream + k * chunks + i``, so each kernel
     continues on the substreams after the previous one, and the last of them
-    must not pass ``2**64 - 1``, the last stream a seed has. All chunks are
-    shared among :func:`pool_size` threads: thread ``w`` of ``T`` runs chunks
-    ``w, w + T, w + 2T, ...`` in one buffer set of its own, sized to the
+    must not pass ``2**64 - 1``, the last stream a seed has. Each kernel's
+    chunks fall into at most ``BATCHES`` jobs of ``ceil(chunks / BATCHES)``
+    contiguous chunks, shared among :func:`pool_size` threads: thread ``w``
+    of ``T`` runs jobs ``w, w + T, w + 2T, ...``, summing each job's
+    matrices in chunk order, in one buffer set of its own, sized to the
     largest chunk and freed when the call returns. Thread 0 is the calling
     thread. With more than one thread, thread ``w`` is pinned to CPU ``w``
-    (modulo their number) of the caller's mask before its first chunk; where
+    (modulo their number) of the caller's mask before its first job; where
     CPU affinity is missing or refused, the threads run unpinned. A failure
     in any thread, a helper that fails to start or an interrupt while the
     caller waits stops the threads before their next chunk. The call has one
     way out: it joins every started thread, restores the caller's mask and
-    raises the first failure, if any. The matrices are added in chunk order,
-    so the result depends on ``(seed, stream, n_trials)`` alone.
+    raises the first failure, if any. The jobs' matrices are added in job
+    order, so the result depends on ``(seed, stream, n_trials)`` alone, and
+    the call holds one matrix a job, whatever the trial count.
     """
     n_trials = _require_integer("n_trials", n_trials, 1)
     chunks = -(-n_trials // CHUNK_TRIALS)
-    n_jobs = len(kernels) * chunks
-    if seed.stream + n_jobs - 1 >= 1 << 64:
-        raise ParameterError(f"substreams {seed.stream} to {seed.stream + n_jobs - 1} pass 2**64 - 1")
+    per_batch = -(-chunks // BATCHES)
+    batches = -(-chunks // per_batch)
+    n_jobs = len(kernels) * batches
+    last = seed.stream + len(kernels) * chunks - 1
+    if last >= 1 << 64:
+        raise ParameterError(f"substreams {seed.stream} to {last} pass 2**64 - 1")
     threads = pool_size(workers, n_jobs)
     results: List[Optional[np.ndarray]] = [None] * n_jobs
     failures: List[BaseException] = []
@@ -307,12 +302,15 @@ def chunked_grams(
             if cpus:
                 _pin({cpus[first % len(cpus)]})
             buffers = ChunkBuffers(min(CHUNK_TRIALS, n_trials))
-            for i in range(first, n_jobs, threads):  # job i: kernel i // chunks, chunk i % chunks
-                if failures:
-                    return
-                count = min(CHUNK_TRIALS, n_trials - i % chunks * CHUNK_TRIALS)
-                batch = kernels[i // chunks](params, count, seed.with_stream(seed.stream + i), buffers)
-                results[i] = gram(batch, buffers)
+            for job in range(first, n_jobs, threads):
+                kernel, batch = divmod(job, batches)
+                for chunk in range(batch * per_batch, min((batch + 1) * per_batch, chunks)):
+                    if failures:
+                        return
+                    count = min(CHUNK_TRIALS, n_trials - chunk * CHUNK_TRIALS)
+                    stream = seed.stream + kernel * chunks + chunk
+                    g = gram(kernels[kernel](params, count, seed.with_stream(stream), buffers), buffers)
+                    results[job] = g if results[job] is None else results[job] + g
         except BaseException as failure:  # raised again on the calling thread
             failures.append(failure)
 
@@ -334,7 +332,7 @@ def chunked_grams(
         _pin(cpus)
     if failures:
         raise failures[0]
-    return [sum(results[k * chunks : (k + 1) * chunks]) for k in range(len(kernels))]
+    return [sum(results[k * batches : (k + 1) * batches]) for k in range(len(kernels))]
 
 
 @np.errstate(over="ignore", invalid="ignore")

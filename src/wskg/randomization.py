@@ -9,8 +9,8 @@ cross-covariances). So the second-order (covariance) leakage estimate
 collapses to zero. The injected value is uncorrelated with the looks, not
 independent of them, and the exact ``I(W; Z_a, Z_b)`` is not computed yet.
 
-Its Monte Carlo kernel, ``randomize_trials``, lives in :mod:`wskg.injection`,
-beside the other kernel and the buffer set both write into.
+Its Monte Carlo entry point, ``randomize_trials``, lives in
+:mod:`wskg.injection`, whose one kernel draws both stages.
 """
 
 from __future__ import annotations

@@ -20,11 +20,12 @@ from .params import _require_integer, _require_real
 _LN2 = math.log(2.0)
 
 
-#: Values per block of every streamed temporary: 128 KB of float64 or
-#: ``intp`` (:func:`_take_points`' index copy, :func:`_variance`'s leaves,
-#: the KS test's CDF blocks), or 64 KB of :func:`_pilot_indices`' ``uint32``
-#: bits. Pilot blocks of 128 KB, glibc's mmap threshold, raised the resident
-#: size of two-thread ``leakage`` runs.
+#: Values per block of every streamed temporary: 128 KB of float64
+#: (:func:`_variance`'s leaves, the KS test's CDF blocks), or 64 KB of
+#: :func:`_pilot_indices`' ``uint32`` bits and, half a block at a time, of
+#: :func:`_take_points`' ``intp`` index copies. Pilot or index blocks of
+#: 128 KB, glibc's mmap threshold, raised the resident size of two-thread
+#: ``leakage`` runs.
 BLOCK = 1 << 14
 
 #: Real values per block of :func:`_complex_normal`'s draws: 256 KB, the
@@ -108,13 +109,13 @@ def _pilot_indices(
 
 
 def _take_points(points: np.ndarray, index: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """``points[index]`` into ``out``, ``BLOCK`` indices at a time.
+    """``points[index]`` into ``out``, ``BLOCK // 2`` indices at a time.
 
     ``np.take`` copies indices of any other type to ``intp``; in blocks,
-    byte indices cost one 128 KB copy instead of 8 bytes per index.
+    byte indices cost one 64 KB copy instead of 8 bytes per index.
     """
-    for start in range(0, index.size, BLOCK):
-        block = slice(start, start + BLOCK)
+    for start in range(0, index.size, BLOCK // 2):
+        block = slice(start, start + BLOCK // 2)
         np.take(points, index[block], out=out[block], mode="clip")  # mode "raise" copies through a buffer
     return out
 

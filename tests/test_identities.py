@@ -9,9 +9,11 @@ symbols.
 
 import itertools
 
+import numpy as np
 import sympy
 
-from wskg import game, rates
+from wskg import SystemParams, game, rates
+from wskg.injection import stage_model
 from wskg.stochastic import _qpsk_points
 
 p, p_th, g, s2, j2 = sympy.symbols("p p_th gamma sigma2 sigmaj2", positive=True)
@@ -132,3 +134,30 @@ def test_randomized_observations_are_uncorrelated_with_the_injection():
         for w_part, z_part in itertools.product((sympy.re, sympy.im), repeat=2):
             mean = sum(w_part(w) * z_part(sympy.expand(observation(point))) for point in points) / 4
             assert sympy.expand(mean) == 0
+
+
+def test_two_look_construction_is_the_stage_model():
+    """``injection._two_look``: given the pilots x and y and c = p sigma2,
+    (W, z_a, z_b) = B (W, u_a, v) with z_a = x (W + u_a) and
+    z_b = y (W + rho u_a + v), for independent W, u_a and v of variances
+    sigmaj2 gamma, c + 1 and (2c + 1) / (c + 1), and
+    rho = Cov(u_b, u_a) / (c + 1): c / (c + 1) for static pilots and
+    x conj(y) sigma2 / (c + 1) for QPSK ones. In the static class and in
+    each of the 16 QPSK classes, B diag(...) B^H is the class's
+    A diag(sigma2, sigmaj2 gamma, 1, 1) A^H, for its ``stage_model`` map A,
+    which at p = 2 is checked against the package's."""
+    q, c, r = j2 * g, p * s2, sympy.sqrt(p / 2)
+    units = [sympy.nsimplify(z) for z in _qpsk_points(2.0)]
+    stages = {False: [(1, 1, sympy.sqrt(p), c / (c + 1))],
+              True: [(r * a, r * b, r * a * r * b, r * a * sympy.conjugate(r * b) * s2 / (c + 1))
+                     for a in units for b in units]}
+    for randomized, classes in stages.items():
+        model = stage_model(SystemParams(10, 2.0, 3.0, 2.0, 1.7, 0.6), randomized)
+        assert model.variances == (1.7, 0.6 * 3.0, 1.0, 1.0)
+        for (x, y, h, rho), model_map in zip(classes, model.maps, strict=True):
+            a_map = sympy.Matrix([[0, 1, 0, 0], [h, x, x, 0], [h, y, 0, y]])
+            assert np.allclose(np.array(a_map.subs(p, 2).evalf(), dtype=complex), model_map, rtol=1e-15, atol=0)
+            b_map = sympy.Matrix([[1, 0, 0], [x, x, 0], [y, y * rho, y]])
+            drawn = b_map * sympy.diag(q, c + 1, (2 * c + 1) / (c + 1)) * b_map.H
+            stated = a_map * sympy.diag(s2, q, 1, 1) * a_map.H
+            assert (drawn - stated).applyfunc(lambda e: sympy.cancel(sympy.expand(e))) == sympy.zeros(3, 3)

@@ -1,19 +1,22 @@
 """The Monte Carlo kernels against textbook reference implementations.
 
-The kernels work in place and build only the arrays they need, but they must
-give the same bits as the plain expressions below, which allocate a fresh
-array per operation. Comparing the raw bits (sign of zero included) pins this
-on whatever numpy runs the suite, where a seeded golden would only pin one
-numpy's output.
+The kernels work in preallocated buffers and build only the arrays they
+need, but they must give the same bits as the plain expressions below, which
+allocate a fresh array per operation. Comparing the raw bits (sign of zero
+included) pins this on whatever numpy runs the suite, where a seeded golden
+would only pin one numpy's output.
 """
 
+import functools
 import gc
 import math
+import operator
 import os
 import sys
 import threading
 import time
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -51,9 +54,7 @@ SIZES = (10_000, 65_537)
 # draw of pilot bits starts on the spare 32-bit half of a Philox word that
 # the first leaves.
 PILOT_EDGES = (BLOCK - 1, BLOCK + 1)
-# Around one block of Gaussian draws. The randomized kernel takes its pilot
-# again in blocks of DRAW_BLOCK // 2 trials, so DRAW_BLOCK + 1 trials would
-# leave a block of one trial unless the blocks split the trials evenly.
+# Around one block of Gaussian draws.
 DRAW_EDGES = (DRAW_BLOCK - 1, DRAW_BLOCK, DRAW_BLOCK + 1)
 P_MAX = (1e-3, 0.37, 2.0, 5.0)
 
@@ -74,49 +75,32 @@ def ref_qpsk(rng, power, count):
     return r * (re + 1j * im)
 
 
-def in_place_product(a, b):
-    """``a * b`` for a product that the kernels compute in place.
+def ref_two_look(params, n_trials, seed, randomized):
+    """(z_a, z_b, injected) of the static stage, or of the randomized one.
 
-    numpy multiplies a lone complex value in place without its SIMD loop,
-    which rounds otherwise than the loop of a plain ``a * b``. So a batch of
-    one trial is multiplied in place, over a copy of ``a``, as the kernels
-    multiply it; longer batches, whose bits do not depend on it, out of place.
-    A real factor's product rounds alike in both loops, so it stays plain.
+    Every operand is named: numpy may multiply a large temporary operand in
+    place with the operands swapped, and a fused complex multiply is not
+    symmetric in its last bit.
     """
-    if a.size != 1:
-        return a * b
-    product = a.copy()
-    product *= b
-    return product
-
-
-def ref_simulate_two_look(params, n_trials, seed):
-    """(z_a, z_b, injected)."""
     rng = seed.generator()
-    h = ref_complex_normal(rng, params.legit_channel_var, n_trials)
+    power, s2 = params.max_pilot_power, params.legit_channel_var
+    c = power * s2
+    if randomized:
+        x = ref_qpsk(rng, power, n_trials)
+        y = ref_qpsk(rng, power, n_trials)
+        conj_y = np.conj(y)
+        x_conj_y = x * conj_y
+        rho = x_conj_y * (s2 / (c + 1.0))
+    else:
+        rho = c / (c + 1.0)
     injected = ref_complex_normal(rng, params.jam_channel_var * params.jam_power_budget, n_trials)
-    noise_a = ref_complex_normal(rng, 1.0, n_trials)
-    noise_b = ref_complex_normal(rng, 1.0, n_trials)
-    pilot = math.sqrt(params.max_pilot_power)
-    z_a = pilot * h + injected + noise_a
-    z_b = pilot * h + injected + noise_b
-    return z_a, z_b, injected
-
-
-def ref_randomize_trials(params, n_trials, seed):
-    """(z_a, z_b, injected, x, y), with x and y Alice's and Bob's pilots."""
-    rng = seed.generator()
-    power = params.max_pilot_power
-    x = ref_qpsk(rng, power, n_trials)
-    y = ref_qpsk(rng, power, n_trials)
-    h = ref_complex_normal(rng, params.legit_channel_var, n_trials)
-    w = ref_complex_normal(rng, params.jam_channel_var * params.jam_power_budget, n_trials)
-    noise_a = ref_complex_normal(rng, 1.0, n_trials)
-    noise_b = ref_complex_normal(rng, 1.0, n_trials)
-    common = in_place_product(x * y, h)
-    z_a = common + x * w + in_place_product(x, noise_a)
-    z_b = common + y * w + in_place_product(y, noise_b)
-    return z_a, z_b, w, x, y
+    u_a = ref_complex_normal(rng, c + 1.0, n_trials)
+    v = ref_complex_normal(rng, (2.0 * c + 1.0) / (c + 1.0), n_trials)
+    u_b = rho * u_a + v
+    look_a, look_b = injected + u_a, injected + u_b
+    if not randomized:
+        return look_a, look_b, injected
+    return x * look_a, y * look_b, injected
 
 
 def ref_gram(z_a, z_b, injected):
@@ -125,13 +109,14 @@ def ref_gram(z_a, z_b, injected):
     return rows @ rows.T
 
 
-def ref_chunked_gram(ref_kernel, params, n_trials, first_stream):
-    """Reference sum of the chunks' grams in chunk order."""
+def ref_chunked_gram(randomized, params, n_trials, first_stream):
+    """Reference sum of the chunks' grams: in chunk order within each batch
+    of ceil(chunks / BATCHES) chunks, then in batch order."""
     counts = [min(injection.CHUNK_TRIALS, n_trials - s) for s in range(0, n_trials, injection.CHUNK_TRIALS)]
-    return sum(
-        ref_gram(*ref_kernel(params, count, SEED.with_stream(first_stream + i))[:3])
-        for i, count in enumerate(counts)
-    )
+    grams = [ref_gram(*ref_two_look(params, count, SEED.with_stream(first_stream + i), randomized))
+             for i, count in enumerate(counts)]
+    per_batch = -(-len(grams) // injection.BATCHES)
+    return sum(functools.reduce(operator.add, grams[i : i + per_batch]) for i in range(0, len(grams), per_batch))
 
 
 def ref_ks_test_normal(samples, variance):
@@ -190,7 +175,7 @@ def test_samplers_match_reference(count, power):
 def test_simulate_two_look_matches_reference(n_trials, gamma, p_max):
     params = make_params(p_max, gamma)
     batch = simulate_two_look(params, n_trials, SEED)
-    z_a, z_b, injected = ref_simulate_two_look(params, n_trials, SEED)
+    z_a, z_b, injected = ref_two_look(params, n_trials, SEED, False)
     assert same_bits(batch.z_a, z_a)
     assert same_bits(batch.z_b, z_b)
     assert same_bits(batch.injected, injected)
@@ -203,9 +188,9 @@ def test_simulate_two_look_matches_reference(n_trials, gamma, p_max):
 def test_randomize_trials_matches_reference(n_trials, gamma, p_max):
     params = make_params(p_max, gamma)
     batch = randomize_trials(params, n_trials, SEED)
-    expected = ref_randomize_trials(params, n_trials, SEED)
+    expected = ref_two_look(params, n_trials, SEED, True)
     got = (batch.z_a, batch.z_b, batch.injected)
-    assert all(same_bits(a, b) for a, b in zip(got, expected[:3]))
+    assert all(same_bits(a, b) for a, b in zip(got, expected))
     assert batch.resampled == 0
 
 
@@ -213,16 +198,14 @@ def test_randomize_trials_matches_reference(n_trials, gamma, p_max):
 def test_one_trial_batches_match_reference(p_max):
     # A lone trial's product rounds otherwise in place than out of place on
     # a quarter to a half of the streams, so one stream may not show a
-    # product that a kernel takes out of place; forty do.
+    # product that a kernel takes in place; forty do.
     params = make_params(p_max)
     for stream in range(40):
         seed = SEED.with_stream(stream)
-        static = simulate_two_look(params, 1, seed)
-        randomized = randomize_trials(params, 1, seed)
-        for batch, expected in ((static, ref_simulate_two_look(params, 1, seed)),
-                                (randomized, ref_randomize_trials(params, 1, seed))):
+        for kernel, randomized in ((simulate_two_look, False), (randomize_trials, True)):
+            batch = kernel(params, 1, seed)
             got = (batch.z_a, batch.z_b, batch.injected)
-            assert all(same_bits(a, b) for a, b in zip(got, expected[:3])), stream
+            assert all(same_bits(a, b) for a, b in zip(got, ref_two_look(params, 1, seed, randomized))), stream
 
 
 # 10_001 is odd, so a block boundary falls on a pilot bit drawn from the
@@ -467,11 +450,39 @@ def test_chunked_grams_match_reference(monkeypatch, workers, p_max, gamma, n_tri
     finally:
         sys.setswitchinterval(interval)
     stream, chunks = SEED.stream, -(-n_trials // injection.CHUNK_TRIALS)
-    for total, ref_kernel, first_stream in (
-        (static, ref_simulate_two_look, stream),
-        (randomized, ref_randomize_trials, stream + chunks),
-    ):
-        assert same_bits(total, ref_chunked_gram(ref_kernel, params, n_trials, first_stream))
+    for total, is_randomized, first_stream in ((static, False, stream), (randomized, True, stream + chunks)):
+        assert same_bits(total, ref_chunked_gram(is_randomized, params, n_trials, first_stream))
+
+
+def test_chunked_grams_hold_one_matrix_a_batch(monkeypatch):
+    # Chunks of 4 trials: 300 chunks a kernel fall into 60 batches of 5.
+    # The sums keep the reference's bits on any thread count, and at most
+    # one matrix a batch and two a thread are alive at once, where keeping
+    # every chunk's matrix would hold 600.
+    monkeypatch.setattr(injection, "CHUNK_TRIALS", 4)
+    monkeypatch.setattr(injection, "usable_cpus", lambda: 8)
+    params, n_trials = make_params(0.37), 4 * 299 + 1
+    gram, lock, alive = injection.gram, threading.Lock(), [0, 0]  # now, and the most so far
+
+    def count(change):
+        with lock:
+            alive[0] += change
+            alive[1] = max(alive)
+
+    def counted(batch, buffers=None):
+        matrix = gram(batch, buffers)
+        count(1)
+        weakref.finalize(matrix, count, -1)
+        return matrix
+
+    monkeypatch.setattr(injection, "gram", counted)
+    expected = [ref_chunked_gram(randomized, params, n_trials, SEED.stream + 300 * randomized)
+                for randomized in (False, True)]
+    for workers in (1, 2, 3):
+        alive[1] = 0
+        totals = injection.chunked_grams(params, n_trials, SEED, (simulate_two_look, randomize_trials), workers)
+        assert all(same_bits(total, e) for total, e in zip(totals, expected)), workers
+        assert alive[1] <= 2 * 60 + 2 * workers, workers
 
 
 def test_chunks_of_one_worker_reuse_its_buffers(monkeypatch):
@@ -650,7 +661,7 @@ def test_a_pool_that_cannot_pin_its_threads_gives_the_same_bits(monkeypatch, aff
         monkeypatch.delattr(os, "sched_setaffinity", raising=False)
     params = make_params(2.0)
     (total,) = injection.chunked_grams(params, ENGINE_TRIALS, SEED, (simulate_two_look,), 2)
-    assert same_bits(total, ref_chunked_gram(ref_simulate_two_look, params, ENGINE_TRIALS, SEED.stream))
+    assert same_bits(total, ref_chunked_gram(False, params, ENGINE_TRIALS, SEED.stream))
 
 
 def test_a_pool_of_one_thread_makes_no_affinity_call(monkeypatch):
@@ -712,8 +723,8 @@ def peak_bytes_per_trial(fn, n):
 
 def test_randomize_trials_peak_memory_per_trial():
     # Its 82-byte buffer set with the pilots' point indices as bytes, the
-    # set's 256 KB draw block and one 128 KB block of index bits or of their
-    # intp copy: about 82.40 bytes per trial at 1e6.
+    # set's 256 KB draw block and a 64 KB block of pilot bits with numpy's
+    # cast of it into bytes: about 82.40 bytes per trial at 1e6.
     params = make_params(2.0)
     peak = peak_bytes_per_trial(lambda n: randomize_trials(params, n, SEED), 1_000_000)
     assert peak <= 82.5

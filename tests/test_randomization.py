@@ -11,64 +11,19 @@ from wskg import (
     ks_test_normal,
     leakage_after_randomization,
     leakage_bound,
-    randomize_trials,
     sample_complex_gaussian,
     sample_qpsk_pilot,
     verify_randomization,
 )
-from wskg.injection import CHUNK_TRIALS, chunked_grams, covariance
 from wskg.randomization import verify_check
-from wskg.rates import rate_array
-from wskg.stochastic import _qpsk, gaussian_mi_from_cov
 
-from conftest import SAMPLER_FAMILY_LEVEL, _two_sided_z
+from conftest import _two_sided_z
 
 SEED = RngSeed(31337)
 
 
 def make_params(p_max=2.0, gamma=4.0, sigma2=1.0, sigmaj2=1.0):
     return SystemParams(10, p_max, gamma, 2.0, sigma2, sigmaj2)
-
-
-def test_scrambled_injection_copies_are_uncorrelated():
-    params = make_params()
-    seed = SEED.with_stream(1)
-    batch = randomize_trials(params, 1_000_000, seed)
-    # randomize_trials draws Alice's pilots first, then Bob's, from the seed.
-    rng = seed.generator()
-    x, y = (_qpsk(rng, params.max_pilot_power, 1_000_000) for _ in range(2))
-    xw = x * batch.injected
-    yw = y * batch.injected
-    # X conj(Y) |W|^2 is P c |W|^2, c uniform on {1, i, -1, -i}, so each
-    # coordinate of the mean has standard error P q / sqrt(n), q = j2 G,
-    # independently; the modulus of the mean is Rayleigh in those units.
-    n = x.size
-    q = params.jam_channel_var * params.jam_power_budget
-    z = math.sqrt(2.0 * math.log(1.0 / SAMPLER_FAMILY_LEVEL))  # about 3.72
-    assert abs(np.mean(xw * np.conj(yw))) <= z * params.max_pilot_power * q / math.sqrt(n)
-
-
-def test_randomized_key_rate_is_the_jammed_rate():
-    # Randomized probing reduces injection to jamming: the Gaussian key rate
-    # of the randomized looks, from the covariance of (z_a, z_b), is the
-    # rate under jamming, rate_array(p_max, gamma). Four parameter sets drawn
-    # log-uniform, p_max on [1, 100] and the rest on [0.1, 10], twenty
-    # one-chunk replicates at each. The standard error comes from the
-    # replicates, so the bound is Student's t with 19 degrees of freedom at
-    # SAMPLER_FAMILY_LEVEL / 4 (about 4.49).
-    sets, replicates = 4, 20
-    bound = scipy.stats.t.ppf(1.0 - SAMPLER_FAMILY_LEVEL / sets / 2, replicates - 1)
-    draws = np.random.default_rng(22)
-    for s in range(sets):
-        p_max, gamma, sigma2, sigmaj2 = np.exp(draws.uniform(np.log([1.0, 0.1, 0.1, 0.1]), np.log([100.0, 10, 10, 10])))
-        params = make_params(p_max, gamma, sigma2, sigmaj2)
-        rates = []
-        for r in range(replicates):
-            seed = SEED.with_stream(100 + s * replicates + r)
-            (g,) = chunked_grams(params, CHUNK_TRIALS, seed, (randomize_trials,))
-            rates.append(gaussian_mi_from_cov(covariance(g)[2:, 2:], 2))
-        error = np.std(rates, ddof=1) / math.sqrt(replicates)
-        assert abs(np.mean(rates) - rate_array(p_max, gamma, sigma2, sigmaj2)) <= bound * error
 
 
 def test_product_histogram_matches_density():
